@@ -28,7 +28,7 @@ from repro.engine.machine import MachineModel, MemoryLevel
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.commcost import CommModel
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "synthesize",

@@ -11,7 +11,8 @@ module renders that spec as compilable source:
   shape-specialized, exactly like the GEMM lowering), operand offsets
   are constant-folded strides, and summation loops longer than the
   tile size are blocked two-level -- the compiled twin of the paper's
-  emitted Fortran nests.
+  emitted Fortran nests.  A nest with a legal *schedule*
+  (:func:`nest_schedule`) is rendered packed and register-blocked.
 * :func:`py_source` -- the same nest as a Python function over flat
   (raveled) arrays.  It is both the numba-jittable variant and the
   compiler-independent semantic reference the tests exec directly.
@@ -59,6 +60,36 @@ The kernel contract, shared by all renderings:
 * repeated loop variables within one operand (diagonals) fold into a
   single offset term, so nests handle the cases GEMM cannot.
 
+Nest IR v4 -- scheduled nests.  The nest *shape* is chosen by a rule,
+:func:`nest_schedule`, a pure function of the spec (paper Section 6
+blocks loops so operands are reused from fast memory; Kanakagiri &
+Solomonik make the nest shape a cost-driven choice):
+
+* the **vector index** is the output loop that is unit-stride in the
+  output; it runs in strips of :data:`VEC_STRIP` elements;
+* operands that carry it at another stride are **packed**: before the
+  loops that reuse it, the strip is copied into a per-thread panel
+  (``p<k>``, on the kernel's stack, at most :data:`PACK_LIMIT` elements
+  per kernel) where it *is* unit-stride.  Packing, not strided vector
+  loads: a gather costs a load per lane on every use, the panel is
+  filled once and read as plain vectors by every row and every
+  iteration of the loops inside it;
+* operands that do not carry it are **broadcast** -- one scalar serves
+  the whole strip;
+* the **register-block index** is the innermost output loop no
+  vector-carrying operand carries: :data:`ROW_BLOCK` rows share each
+  vector load, each row keeping its own strip of accumulators
+  ``acc<r>[w]`` across the in-tile summation loops.
+
+What the schedule may *not* change is the order in which one output
+element folds its summation (Kovach & Kjolstad's criterion for a
+correct fused contraction): every rendering -- scheduled, plain, fused,
+chunked, ``py_source`` -- runs tile loops, then in-tile summation loops,
+in the same order per element, multiplies operands left to right, and
+is compiled with contraction off (:data:`repro.kernels.native.CC_FLAGS`),
+so they agree bit for bit.  The schedule, with its block constants, is
+part of the rendered IR, hence of the artifact key.
+
 Nest IR v3: every spec carries a ``semiring`` id (see
 :mod:`repro.semiring`).  Non-default algebras swap ``acc += a*b`` for
 ``acc = reduce(acc, combine(a, b))``, initialize accumulators with the
@@ -71,9 +102,12 @@ artifact key.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
+    "Schedule",
+    "nest_schedule",
     "render_nest_ir",
     "render_fused_ir",
     "c_source",
@@ -83,27 +117,41 @@ __all__ = [
 ]
 
 #: bump to invalidate every stored artifact when the emitted code changes
-NEST_IR_VERSION = "nest-ir v3"
+NEST_IR_VERSION = "nest-ir v4"
+
+#: rows of the register block and elements of the vector strip of a
+#: scheduled nest, and the most elements one kernel may hold in pack
+#: panels (per thread, on its stack).  Baked into the IR version: they
+#: are the emitter's, not a caller's, to choose.
+ROW_BLOCK = 4
+VEC_STRIP = 16
+PACK_LIMIT = 1 << 16
 
 #: accepted values of the ``parallel`` emission strategy
 PARALLEL_STRATEGIES = ("none", "omp", "chunk")
 
 
+def _operand_strides(spec, k: int) -> Dict[int, int]:
+    """Row-major stride of operand ``k`` per loop position.
+
+    Strides come from the operand's own axis extents; axes bound to the
+    same loop variable (diagonals) merge into one stride.
+    """
+    axes = spec.operands[k]
+    by_pos: Dict[int, int] = {}
+    stride = 1
+    for pos in reversed(axes):
+        by_pos[pos] = by_pos.get(pos, 0) + stride
+        stride *= spec.extents[pos]
+    return by_pos
+
+
 def _operand_offset(spec, k: int, var) -> str:
     """The flat-index expression of operand ``k`` in loop variables.
 
-    ``var`` maps a loop position to its variable name.  Row-major
-    strides come from the operand's own axis extents; axes bound to the
-    same loop variable (diagonals) merge into one term.
+    ``var`` maps a loop position to its variable name.
     """
-    axes = spec.operands[k]
-    shape = [spec.extents[p] for p in axes]
-    strides = [1] * len(axes)
-    for j in range(len(axes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    by_pos: Dict[int, int] = {}
-    for pos, stride in zip(axes, strides):
-        by_pos[pos] = by_pos.get(pos, 0) + stride
+    by_pos = _operand_strides(spec, k)
     terms = []
     for pos in sorted(by_pos):
         stride = by_pos[pos]
@@ -122,6 +170,66 @@ def _out_offset(spec, var) -> str:
         for p in range(spec.nout)
     ]
     return " + ".join(terms) if terms else "0"
+
+
+class Schedule(NamedTuple):
+    """How a nest's output loops are vectorised and register-blocked."""
+
+    #: output loop vectorised in strips (unit-stride in the output)
+    vec: int
+    #: output loop register-blocked :data:`ROW_BLOCK` rows at a time
+    rblock: int
+    #: operands copied into panels where ``vec`` is unit-stride
+    packed: Tuple[int, ...]
+
+
+def nest_schedule(spec) -> Optional[Schedule]:
+    """The loop-nest shape of ``spec``, a pure function of the spec.
+
+    The *vector index* is the last output loop, the one that is
+    unit-stride in the output.  Operands that carry it at another
+    stride are *packed*; operands that do not carry it are broadcast.
+    The *register-block index* is the innermost output loop that no
+    vector-carrying operand carries, so one vector load serves every
+    row of the block and one broadcast serves the whole strip.
+
+    ``None`` -- and the one-accumulator-per-point rendering -- when no
+    such pair exists: fewer than two output loops, no operand (or every
+    operand) carrying the vector index.
+    """
+    if spec.nout < 2:
+        return None
+    vec = spec.nout - 1
+    carriers = [k for k, axes in enumerate(spec.operands) if vec in axes]
+    if not carriers or len(carriers) == len(spec.operands):
+        return None
+    carried = {p for k in carriers for p in spec.operands[k]}
+    rows = [p for p in range(vec) if p not in carried]
+    if not rows:
+        return None
+    packed = tuple(
+        k for k in carriers if _operand_strides(spec, k)[vec] != 1
+    )
+    return Schedule(vec, rows[-1], packed)
+
+
+def _pack_panels(
+    spec, sched: Schedule, tile: int
+) -> Optional[Dict[int, List[Tuple[int, int]]]]:
+    """Per packed operand, the ``(summation loop, in-tile extent)``
+    dimensions of its panel -- one :data:`VEC_STRIP` row per in-tile
+    summation point -- or ``None`` when the panels of this nest would
+    exceed :data:`PACK_LIMIT` under ``tile``."""
+    panels: Dict[int, List[Tuple[int, int]]] = {}
+    total = 0
+    for k in sched.packed:
+        panels[k] = [
+            (p, min(spec.extents[p], tile) if tile else spec.extents[p])
+            for p in sorted(set(spec.operands[k]))
+            if p >= spec.nout
+        ]
+        total += VEC_STRIP * math.prod(extent for _, extent in panels[k])
+    return panels if total <= PACK_LIMIT else None
 
 
 def _spec_semiring(spec):
@@ -143,6 +251,16 @@ def render_nest_ir(spec) -> str:
     ]
     for k, axes in enumerate(spec.operands):
         lines.append(f"op{k}=" + ",".join(str(a) for a in axes))
+    sched = nest_schedule(spec)
+    if sched is None:
+        lines.append("schedule=none")
+    else:
+        lines.append(
+            f"schedule=vec:{sched.vec} rows:{sched.rblock}x{ROW_BLOCK} "
+            f"strip:{VEC_STRIP} pack:"
+            + (",".join(str(k) for k in sched.packed) or "-")
+            + f" limit:{PACK_LIMIT}"
+        )
     return "\n".join(lines)
 
 
@@ -207,6 +325,13 @@ def c_source(
     which is correct because the kernel contract is ``+=`` into a
     caller-zeroed buffer.
 
+    A nest with a legal :func:`nest_schedule` whose pack panels fit
+    :data:`PACK_LIMIT` under ``tile`` is rendered packed and
+    register-blocked (see the module docstring); every other nest keeps
+    the one-accumulator-per-output-point form.  Both fold each output
+    element's summation in the same order, so which form a nest gets
+    never shows in its result.
+
     With ``parallel="omp"`` the whole nest runs inside one
     ``#pragma omp parallel num_threads(threads)`` region and the first
     output loop is an ``omp for schedule(static)``; the redundant tile
@@ -220,8 +345,6 @@ def c_source(
     """
     _check_parallel(parallel, spec.nout)
     sr = _spec_semiring(spec)
-    out_loops, sum_loops, tiled = _nest_structure(spec, tile)
-    var = lambda p: f"v{p}"  # noqa: E731 - tiny local naming helper
     args = ", ".join(
         [f"const {ctype}* restrict x{k}" for k in range(len(spec.operands))]
         + [f"{ctype}* restrict out"]
@@ -244,6 +367,27 @@ def c_source(
         lines.append(f"{indent}#pragma omp parallel num_threads({threads})")
         lines.append(f"{indent}{{")
         indent += "  "
+    sched = nest_schedule(spec)
+    panels = _pack_panels(spec, sched, tile) if sched is not None else None
+    if panels is None:
+        _plain_loops(lines, indent, spec, ctype, tile, sr, omp, parallel, simd)
+    else:
+        _ScheduledNest(
+            lines, spec, sched, panels, ctype, tile, sr, omp, parallel, simd
+        ).emit(indent)
+    if omp:
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _plain_loops(
+    lines: List[str], indent: str, spec, ctype: str, tile: int, sr,
+    omp: bool, parallel: str, simd: bool,
+) -> None:
+    """The unscheduled nest: one scalar accumulator per output point."""
+    out_loops, sum_loops, tiled = _nest_structure(spec, tile)
+    var = lambda p: f"v{p}"  # noqa: E731 - tiny local naming helper
     # outermost: tile loops over the blocked summation dimensions (run
     # redundantly per thread under omp -- index arithmetic only; the
     # implicit barrier of each `omp for` keeps tiles in lockstep)
@@ -314,17 +458,273 @@ def c_source(
         lines.append(
             f"{indent}out[{off}] = {sr.c_reduce(f'out[{off}]', 'acc')};"
         )
-    for _ in out_loops:
+    for _ in out_loops + tiled:
         indent = indent[:-2]
         lines.append(f"{indent}}}")
-    for _ in tiled:
-        indent = indent[:-2]
-        lines.append(f"{indent}}}")
-    if omp:
-        indent = indent[:-2]
-        lines.append(f"{indent}}}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+
+class _ScheduledNest:
+    """Emitter of one packed, register-blocked nest (see :func:`nest_schedule`).
+
+    Loop order, outermost first: summation tile loops; the output loops
+    a packed operand carries; the vector-strip loop; the pack of every
+    packed operand's panel; the remaining output loops, the
+    register-block loop among them stepping :data:`ROW_BLOCK` rows; the
+    in-tile summation loops; one loop over the strip that updates every
+    row's accumulators.  Without a packed operand the strip loop sits
+    innermost of the output loops, so the work-shared ``v0`` loop stays
+    outside it.  Extents that do not divide a block get a remainder
+    rendering of everything below the loop that does not divide: rows
+    one at a time, the last strip at its own constant width.
+    """
+
+    def __init__(
+        self, lines: List[str], spec, sched: Schedule,
+        panels: Dict[int, List[Tuple[int, int]]], ctype: str, tile: int,
+        sr, omp: bool, parallel: str, simd: bool,
+    ) -> None:
+        self.lines = lines
+        self.spec = spec
+        self.sched = sched
+        self.panels = panels
+        self.ctype = ctype
+        self.tile = tile
+        self.sr = sr
+        self.omp = omp
+        self.chunk = parallel == "chunk"
+        self.simd = simd
+        _, self.sum_loops, self.tiled = _nest_structure(spec, tile)
+        vec = sched.vec
+        carried = sorted(
+            {p for k in sched.packed for p in spec.operands[k]
+             if p < vec}
+        )
+        rest = [p for p in range(vec) if p not in carried]
+        levels = [("tile", p) for p in self.tiled]
+        if sched.packed:
+            levels += [("out", p) for p in carried]
+            levels += [("strip", vec), ("pack", vec)]
+            levels += [("out", p) for p in rest]
+        else:
+            levels += [("out", p) for p in rest] + [("strip", vec)]
+        self.levels = levels
+
+    def emit(self, indent: str) -> None:
+        for k, dims in self.panels.items():
+            size = VEC_STRIP * math.prod(extent for _, extent in dims)
+            self.lines.append(
+                f"{indent}{self.ctype} p{k}[{size}] "
+                "__attribute__((aligned(64)));"
+            )
+        self._level(0, indent, 1, 0)
+
+    # -- loop levels ---------------------------------------------------
+
+    def _level(self, i: int, indent: str, rows: int, width: int) -> None:
+        if i == len(self.levels):
+            self._body(indent, rows, width)
+            return
+        kind, p = self.levels[i]
+        put = self.lines.append
+        e = self.spec.extents[p]
+        if kind == "tile":
+            t = self.tile
+            put(f"{indent}for (long t{p} = 0; t{p} < {e}; t{p} += {t}) {{")
+            put(
+                f"{indent}  const long e{p} = t{p} + {t} < {e} ? "
+                f"t{p} + {t} : {e};"
+            )
+            self._level(i + 1, indent + "  ", rows, width)
+            put(f"{indent}}}")
+        elif kind == "pack":
+            self._pack(indent, width)
+            self._level(i + 1, indent, rows, width)
+        elif kind == "strip":
+            full = min(VEC_STRIP, e)
+
+            def lone(start: int, width: int) -> None:
+                put(f"{indent}{{")
+                put(f"{indent}  const long s{p} = {start};")
+                self._level(i + 1, indent + "  ", rows, width)
+                put(f"{indent}}}")
+
+            if e >= 2 * full:
+                put(
+                    f"{indent}for (long s{p} = 0; s{p} < {e - full + 1}; "
+                    f"s{p} += {full}) {{"
+                )
+                self._level(i + 1, indent + "  ", rows, full)
+                put(f"{indent}}}")
+            else:
+                lone(0, full)
+            if e % full:  # the last strip, at its own constant width
+                lone(e - e % full, e % full)
+        else:
+            self._out_loop(i, p, indent, rows, width)
+
+    def _out_loop(
+        self, i: int, p: int, indent: str, rows: int, width: int
+    ) -> None:
+        """One output loop; the register-block loop runs its full
+        blocks, then the rows a block does not cover one at a time."""
+        put = self.lines.append
+        e = self.spec.extents[p]
+        bounds = p == 0 and self.chunk
+        lo, hi = ("lo", "hi") if bounds else ("0", str(e))
+        block = min(ROW_BLOCK, e) if p == self.sched.rblock else 1
+        # nowait: a static schedule gives one thread the same rows at
+        # every encounter of a loop with these bounds, so each output
+        # element stays with one thread, in program order, without a
+        # barrier per encounter (an enclosing loop makes many of them)
+        shared = f"{indent}#pragma omp for schedule(static) nowait"
+        if block > 1:
+            if p == 0 and self.omp:
+                put(shared)
+            end = f"hi - {block - 1}" if bounds else str(e - block + 1)
+            put(
+                f"{indent}for (long v{p} = {lo}; v{p} < {end}; "
+                f"v{p} += {block}) {{"
+            )
+            self._level(i + 1, indent + "  ", block, width)
+            put(f"{indent}}}")
+            if not bounds and e % block == 0:
+                return
+            lo = (
+                f"lo + (hi - lo) / {block} * {block}" if bounds
+                else str(e - e % block)
+            )
+            rows = 1
+        if p == 0 and self.omp:
+            put(shared)
+        put(f"{indent}for (long v{p} = {lo}; v{p} < {hi}; ++v{p}) {{")
+        self._level(i + 1, indent + "  ", rows, width)
+        put(f"{indent}}}")
+
+    # -- pack and body -------------------------------------------------
+
+    def _sum_loop(self, p: int, indent: str) -> str:
+        if p in self.tiled:
+            return f"{indent}for (long v{p} = t{p}; v{p} < e{p}; ++v{p}) {{"
+        return (
+            f"{indent}for (long v{p} = 0; v{p} < {self.spec.extents[p]}; "
+            f"++v{p}) {{"
+        )
+
+    def _panel_offset(self, k: int) -> str:
+        """Start of the current summation point's strip in panel ``k``
+        (row-major over the operand's in-tile summation loops, one
+        :data:`VEC_STRIP`-element row each)."""
+        terms = []
+        stride = VEC_STRIP
+        for p, extent in reversed(self.panels[k]):
+            at = f"(v{p} - t{p})" if p in self.tiled else f"v{p}"
+            terms.append(f"{at}*{stride}")
+            stride *= extent
+        return " + ".join(reversed(terms)) if terms else "0"
+
+    def _pack(self, indent: str, width: int) -> None:
+        """Copy the strip of every packed operand into its panel, so the
+        vector index is unit-stride where the body reads it."""
+        put = self.lines.append
+        vec = self.sched.vec
+        at = lambda p: f"(s{vec} + w)" if p == vec else f"v{p}"  # noqa: E731
+        for k, dims in self.panels.items():
+            inner = indent
+            for p, _ in dims:
+                put(self._sum_loop(p, inner))
+                inner += "  "
+            put(f"{inner}for (int w = 0; w < {width}; ++w)")
+            put(
+                f"{inner}  p{k}[{self._panel_offset(k)} + w] = "
+                f"x{k}[{_operand_offset(self.spec, k, at)}];"
+            )
+            for _ in dims:
+                inner = inner[:-2]
+                put(f"{inner}}}")
+
+    def _body(self, indent: str, rows: int, width: int) -> None:
+        put = self.lines.append
+        spec, sr, ctype = self.spec, self.sr, self.ctype
+        vec, rblock = self.sched.vec, self.sched.rblock
+        strip = f"for (int w = 0; w < {width}; ++w)"
+        zero = "0" if sr.is_default else sr.c_zero(ctype)
+
+        def at_row(r: int):
+            def var(p: int) -> str:
+                if p == vec:
+                    return f"s{vec}"
+                if p == rblock and r:
+                    return f"(v{p} + {r})"
+                return f"v{p}"
+            return var
+
+        put(
+            f"{indent}{ctype} "
+            + ", ".join(f"acc{r}[{width}]" for r in range(rows)) + ";"
+        )
+        put(
+            f"{indent}{strip} {{ "
+            + " ".join(f"acc{r}[w] = {zero};" for r in range(rows)) + " }"
+        )
+        inner = indent
+        for p in self.sum_loops:
+            put(self._sum_loop(p, inner))
+            inner += "  "
+        # row r, lane w multiplies its operands left to right exactly as
+        # the unscheduled nest does; only where each value is read from
+        # differs (a unit-stride strip, or one scalar per row)
+        factors: List[List[str]] = [[] for _ in range(rows)]
+        for k, axes in enumerate(spec.operands):
+            if vec in axes:
+                src = (
+                    f"p{k} + {self._panel_offset(k)}" if k in self.panels
+                    else f"x{k} + {_operand_offset(spec, k, at_row(0))}"
+                )
+                put(f"{inner}const {ctype}* a{k} = {src};")
+                for r in range(rows):
+                    factors[r].append(f"a{k}[w]")
+                continue
+            per_row = rows if rblock in axes else 1
+            for r in range(per_row):
+                put(
+                    f"{inner}const {ctype} b{k}_{r} = "
+                    f"x{k}[{_operand_offset(spec, k, at_row(r))}];"
+                )
+            for r in range(rows):
+                factors[r].append(f"b{k}_{r if per_row > 1 else 0}")
+        if self.simd:
+            put(f"{inner}#pragma omp simd")
+        put(f"{inner}{strip} {{")
+        for r in range(rows):
+            if sr.is_default:
+                put(f"{inner}  acc{r}[w] += {' * '.join(factors[r])};")
+            else:
+                combined = factors[r][0]
+                for nxt in factors[r][1:]:
+                    combined = sr.c_combine(combined, nxt)
+                put(f"{inner}  const {ctype} q{r} = {combined};")
+                put(
+                    f"{inner}  acc{r}[w] = "
+                    f"{sr.c_reduce(f'acc{r}[w]', f'q{r}')};"
+                )
+        put(f"{inner}}}")
+        for _ in self.sum_loops:
+            inner = inner[:-2]
+            put(f"{inner}}}")
+        if self.simd:
+            put(f"{indent}#pragma omp simd")
+        put(f"{indent}{strip} {{")
+        for r in range(rows):
+            dst = f"out[{_out_offset(spec, at_row(r))} + w]"
+            if sr.is_default:
+                put(f"{indent}  {dst} += ({ctype})coef * acc{r}[w];")
+            else:
+                # coefficient-1 contract (enforced by the planner)
+                put(
+                    f"{indent}  {dst} = "
+                    f"{sr.c_reduce(dst, f'acc{r}[w]')};"
+                )
+        put(f"{indent}}}")
 
 
 def py_source(

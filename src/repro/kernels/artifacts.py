@@ -20,10 +20,17 @@ loaded; they simply stop being addressed and age out of the LRU/disk.
 
 Loading a shared object needs a real file path, not bytes: hits on the
 disk tier are loaded in place (the store's canonical path), while
-memory-tier hits in directory-less stores are spilled to the caller's
-scratch directory first.  That mechanic lives with the engine
-(:mod:`repro.kernels.native`); this module only decides identity and
-storage.
+memory-tier hits are spilled to the caller's scratch directory first.
+That mechanic lives with the engine (:mod:`repro.kernels.native`); this
+module decides identity, storage and integrity.
+
+Integrity: the dynamic loader trusts a file's headers, so a truncated
+object is not an error from ``dlopen`` but a SIGBUS inside it.  Every
+stored blob therefore ends in a *seal* -- a tag and the sha256 of the
+bytes before it, which the loader ignores like any trailing data -- and
+:meth:`ArtifactStore.get` hands out only bytes whose seal matches: a
+damaged entry is reported as :class:`DamagedArtifact`, so the engine
+evicts and recompiles it instead of loading it.
 """
 
 from __future__ import annotations
@@ -34,7 +41,14 @@ from typing import Dict, Optional, Tuple
 
 from repro.store import TwoTierStore
 
-__all__ = ["ArtifactStore", "artifact_key"]
+__all__ = ["ArtifactStore", "DamagedArtifact", "artifact_key"]
+
+#: tag of the seal that ends every stored blob (then 32 digest bytes)
+_SEAL = b"\nrepro-artifact-sha256:"
+
+
+class DamagedArtifact(Exception):
+    """A stored artifact whose bytes are no longer the bytes stored."""
 
 
 def artifact_key(
@@ -91,8 +105,23 @@ class ArtifactStore:
         return self._store.path(key)
 
     def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        """``(blob, tier)`` for a stored artifact, else ``None``."""
-        return self._store.get(key)
+        """``(blob, tier)`` for a stored artifact, else ``None``.
+
+        The blob is loadable as stored (seal included).  An entry whose
+        seal does not match its bytes -- truncated, garbled, or written
+        by something else -- raises :class:`DamagedArtifact`; the caller
+        decides to :meth:`discard` it.
+        """
+        found = self._store.get(key)
+        if found is None:
+            return None
+        blob = memoryview(found[0])
+        body, tag = blob[: -len(_SEAL) - 32], blob[-len(_SEAL) - 32: -32]
+        if tag != _SEAL or hashlib.sha256(body).digest() != blob[-32:]:
+            raise DamagedArtifact(
+                f"{len(blob)} stored bytes do not match their seal"
+            )
+        return found
 
     def disk_path(self, key: str) -> Optional[str]:
         """The loadable on-disk path of ``key`` if the disk tier has it.
@@ -108,8 +137,14 @@ class ArtifactStore:
         return None
 
     def put(self, key: str, blob: bytes) -> None:
-        """Store compiled bytes under ``key`` in both tiers."""
-        self._store.put(key, blob)
+        """Seal compiled bytes and store them under ``key`` in both
+        tiers."""
+        self._store.put(key, blob + _SEAL + hashlib.sha256(blob).digest())
+
+    def discard(self, key: str) -> None:
+        """Drop ``key`` from both tiers (the next :meth:`put`
+        republishes it)."""
+        self._store.discard(key)
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot (hits per tier, misses, evictions)."""

@@ -33,6 +33,15 @@ bit-identical to the sequential ones.  Thread count and strategy are
 part of the artifact flags, so every ``(nest, dtype, threads)``
 variant has its own content-addressed key and memoized function.
 
+Nests compile for **this machine**: ``-march=native`` when the compiler
+accepts it (probed once per compiler path, like OpenMP; a refusal is a
+structured note and the baseline target), always with
+``-ffp-contract=off`` so that no target's fused multiply-add moves a
+result off the ``py_source`` reference.  What ``native`` resolved to --
+never the literal flag -- is part of the artifact flags, so a store
+directory read on another CPU model misses instead of loading code that
+CPU cannot run.
+
 Whole *fused statement groups* (:class:`FusedSpec`, built by the
 cross-statement fusion pass in :mod:`repro.kernels.plan`) compile the
 same way: one kernel walks the shared output loops once and evaluates
@@ -56,7 +65,10 @@ every caller (pipeline, runner, autotuner) degrades to the GEMM/einsum
 path with a structured note; a compiler without OpenMP degrades to the
 chunked strategy with a structured note.  A nest whose individual
 compilation fails is remembered as failed (no retry storms) and its
-term falls back the same way.
+term falls back the same way.  A *stored* object that is damaged
+(truncated, garbled: its seal no longer matches, or the loader refuses
+it) is not such a failure: it is evicted, recompiled once, republished,
+and reported by :meth:`NativeEngine.recovery`.
 
 Unlike the GEMM lowering, native nests are *total* over array terms:
 diagonals (repeated indices within an operand) and 3+-operand products
@@ -66,7 +78,10 @@ compile fine -- only repeated output indices stay on the einsum path.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import platform
+import re
 import shutil
 import subprocess
 import tempfile
@@ -76,7 +91,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.kernels.artifacts import ArtifactStore, artifact_key
+from repro.kernels.artifacts import (
+    ArtifactStore,
+    DamagedArtifact,
+    artifact_key,
+)
 
 
 def _cgen():
@@ -100,11 +119,18 @@ __all__ = [
     "engine_stats",
 ]
 
-#: optimization flags baked into every cc compile (and the artifact key)
-CC_FLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared")
+#: flags baked into every cc compile (and the artifact key).  Contraction
+#: is off so that a multiply and the add after it stay two roundings on
+#: every target: that is what lets the emitter pick a loop shape, and the
+#: engine a target, without any rendering of a nest leaving the result of
+#: the ``py_source`` reference by a single bit.
+CC_FLAGS: Tuple[str, ...] = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: the OpenMP flag probed per compiler and appended when it works
 OMP_FLAG = "-fopenmp"
+
+#: the target flag probed per compiler and appended when it is accepted
+TARGET_FLAG = "-march=native"
 
 #: summation-loop block size of the emitted nests
 NATIVE_TILE = 64
@@ -277,7 +303,7 @@ int probe(void)
 """
 
 _omp_cache: Dict[str, Tuple[bool, str]] = {}
-_omp_lock = threading.Lock()
+_probe_lock = threading.Lock()
 
 
 def _openmp_supported(cc: Optional[str]) -> Tuple[bool, str]:
@@ -294,7 +320,7 @@ def _openmp_supported(cc: Optional[str]) -> Tuple[bool, str]:
         return False, "no C compiler"
     if os.environ.get("REPRO_NO_OPENMP"):
         return False, "OpenMP disabled (REPRO_NO_OPENMP is set)"
-    with _omp_lock:
+    with _probe_lock:
         cached = _omp_cache.get(cc)
     if cached is not None:
         return cached
@@ -320,8 +346,86 @@ def _openmp_supported(cc: Optional[str]) -> Tuple[bool, str]:
             result = False, f"compiler has no working {OMP_FLAG} ({detail})"
     except (OSError, subprocess.SubprocessError) as exc:
         result = False, f"OpenMP probe failed ({type(exc).__name__}: {exc})"
-    with _omp_lock:
+    with _probe_lock:
         _omp_cache[cc] = result
+    return result
+
+
+# -- target capability probing -----------------------------------------------
+
+_target_cache: Dict[str, Tuple[bool, str]] = {}
+
+#: machine options in a compiler driver's ``-v`` output: gcc's ``cc1``
+#: line (``-march=cooperlake -mavx512f ... --param l2-cache-size=...``)
+#: and clang's (``-target-cpu x -target-feature +avx512f``)
+_TARGET_OPTION = re.compile(
+    r"(?:-m[\w.=+-]+|--param[ =][\w.=-]+|-target-(?:cpu|feature) [\w.+-]+)"
+)
+_TARGET_CPU = re.compile(r"(?:-march=|-target-cpu )([\w.+-]+)")
+
+
+def _cpu_features() -> str:
+    """The sorted CPU feature flags of this machine (``/proc/cpuinfo``),
+    or its architecture name where the kernel does not list them."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith(("flags", "Features")):
+                    return " ".join(sorted(line.split(":", 1)[1].split()))
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def _target_supported(cc: Optional[str]) -> Tuple[bool, str]:
+    """Whether compiler ``cc`` accepts :data:`TARGET_FLAG` here.
+
+    ``(True, token)`` -- ``token`` names what ``native`` resolved to on
+    this machine (``cooperlake+3f9c...``: the resolved CPU plus a digest
+    of every machine option the driver passed down, or of the CPU's
+    feature flags when the driver does not show them), so an artifact
+    keyed by it is never loaded by a CPU it was not compiled for.
+    ``(False, reason)`` -- nests compile for the baseline target.  One
+    preprocessor-only fork per compiler path, cached like the OpenMP
+    probe; never raises.
+    """
+    if cc is None:
+        return False, "no C compiler"
+    with _probe_lock:
+        cached = _target_cache.get(cc)
+    if cached is not None:
+        return cached
+    result: Tuple[bool, str]
+    try:
+        proc = subprocess.run(
+            [cc, TARGET_FLAG, "-E", "-v", "-x", "c", os.devnull],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=False,
+        )
+        if proc.returncode == 0:
+            options = sorted(
+                o for o in set(_TARGET_OPTION.findall(proc.stderr))
+                if o != TARGET_FLAG
+            )
+            cpus = [
+                c for c in _TARGET_CPU.findall(proc.stderr) if c != "native"
+            ]
+            detail = " ".join(options) if cpus else _cpu_features()
+            digest = hashlib.sha256(detail.encode("utf-8")).hexdigest()[:12]
+            result = True, f"{cpus[0] if cpus else 'cpu'}+{digest}"
+        else:
+            errors = [
+                line.strip() for line in proc.stderr.splitlines()
+                if "error" in line
+            ]
+            detail = errors[0][:160] if errors else "exit != 0"
+            result = False, f"compiler rejects {TARGET_FLAG} ({detail})"
+    except (OSError, subprocess.SubprocessError) as exc:
+        result = False, f"target probe failed ({type(exc).__name__}: {exc})"
+    with _probe_lock:
+        _target_cache[cc] = result
     return result
 
 
@@ -366,8 +470,9 @@ class NativeEngine:
     Counters: ``compile_invocations`` (compiler forks / JIT builds),
     ``store_loads`` (functions revived from stored bytes with no
     compile), ``failures`` (specs whose compile failed; remembered so
-    they are not retried), ``parallel_functions`` / ``fused_functions``
-    (loaded nests that are threaded / fused groups).
+    they are not retried), ``recovered`` (stored objects that would not
+    load and were evicted and recompiled), ``parallel_functions`` /
+    ``fused_functions`` (loaded nests that are threaded / fused groups).
     """
 
     def __init__(
@@ -390,6 +495,7 @@ class NativeEngine:
         self._lock = threading.Lock()
         self._functions: Dict[str, Callable] = {}
         self._failed: Dict[str, str] = {}
+        self._recovered: Dict[str, str] = {}
         self._inflight: Dict[str, threading.Event] = {}
         self._scratch: Optional[tempfile.TemporaryDirectory] = None
         self.compile_invocations = 0
@@ -470,15 +576,40 @@ class NativeEngine:
             "outer-loop fallback (ctypes thread pool)"
         )
 
+    def target_note(self) -> Optional[str]:
+        """A structured degradation note when nests compile for the
+        baseline target (``None`` when :data:`TARGET_FLAG` is used)."""
+        if self.backend != "cc":
+            return None
+        ok, reason = _target_supported(self._cc)
+        if ok:
+            return None
+        return f"{reason}; nests compile for the baseline target"
+
+    def _cc_flags(self) -> Tuple[str, ...]:
+        """What the compiler is given: baseline, target, OpenMP."""
+        flags = CC_FLAGS
+        if _target_supported(self._cc)[0]:
+            flags += (TARGET_FLAG,)
+        if self.openmp():
+            flags += (OMP_FLAG,)
+        return flags
+
     def flags(
         self, threads: Optional[int] = None, spec: Optional[AnySpec] = None
     ) -> Tuple[str, ...]:
         """The flag tuple entering artifact keys (optionally for one
-        nest's effective thread count)."""
-        eff, strategy, omp_ok = self._resolve(spec, threads)
-        base = CC_FLAGS if self.backend == "cc" else ()
-        if self.backend == "cc" and omp_ok:
-            base = base + (OMP_FLAG,)
+        nest's effective thread count).  ``target=`` is what
+        :data:`TARGET_FLAG` resolved to on this machine, never the
+        literal flag: a store directory carried to another CPU model
+        misses instead of loading code that CPU cannot run."""
+        eff, strategy, _ = self._resolve(spec, threads)
+        base: Tuple[str, ...] = ()
+        if self.backend == "cc":
+            ok, token = _target_supported(self._cc)
+            base = self._cc_flags() + (
+                f"target={token if ok else 'baseline'}",
+            )
         return base + (f"tile={self.tile}", f"threads={eff}",
                        f"par={strategy}")
 
@@ -587,6 +718,17 @@ class NativeEngine:
         with self._lock:
             return self._failed.get(key)
 
+    def recovery(
+        self, spec: AnySpec, dtype=np.float64, threads: Optional[int] = None
+    ) -> Optional[str]:
+        """The note of a stored artifact that would not load and was
+        replaced by a fresh compile, if that happened for this nest."""
+        if not self._recovered:
+            return None
+        key = self.key(spec, dtype, threads)
+        with self._lock:
+            return self._recovered.get(key)
+
     # -- source emission (shared by both backends) ------------------------
 
     def _c_source(
@@ -668,13 +810,28 @@ class NativeEngine:
     def _build_cc(
         self, spec: AnySpec, dtype, key: str, eff: int, strategy: str
     ) -> Callable:
-        path = self._load_path(key)  # counts store_loads on a warm hit
-        if path is None:
-            blob = self._compile_cc(spec, dtype, key, eff, strategy)
-            path = self.store.disk_path(key)
-            if path is None:
-                path = self._spill(key, blob)
-        lib = ctypes.CDLL(path)
+        lib = None
+        try:
+            path = self._load_path(key)
+            if path is not None:
+                lib = ctypes.CDLL(path)
+                lib.kern  # an object without the symbol is damaged too
+                with self._lock:
+                    self.store_loads += 1  # revived, no compile
+        except (DamagedArtifact, OSError, AttributeError) as exc:
+            # a damaged stored object is a miss, not a failure: drop it
+            # and compile the nest afresh (only a failure of *that*
+            # compile is remembered in ``_failed``)
+            lib = None
+            self.store.discard(key)
+            with self._lock:
+                self._recovered[key] = (
+                    f"stored artifact {key[:12]} is damaged ({exc}); "
+                    "evicted and recompiled"
+                )
+        if lib is None:
+            built = self._compile_cc(spec, dtype, key, eff, strategy)
+            lib = ctypes.CDLL(self.store.disk_path(key) or built)
         fn = lib.kern
         ptr = ctypes.POINTER(
             ctypes.c_double if dtype == np.float64 else ctypes.c_float
@@ -721,21 +878,17 @@ class NativeEngine:
         return call
 
     def _load_path(self, key: str) -> Optional[str]:
-        """A loadable path for an already-stored artifact, else None."""
-        path = self.store.disk_path(key)
-        if path is not None:
-            # count the store hit (promotes bytes into the memory tier)
-            self.store.get(key)
-            with self._lock:
-                self.store_loads += 1
-            return path
+        """A loadable path for an already-stored artifact, else None.
+
+        Only bytes the store just verified are loaded: the canonical
+        file on a disk-tier hit, a scratch copy of the blob otherwise.
+        """
         found = self.store.get(key)
-        if found is not None:
-            blob, _tier = found
-            with self._lock:
-                self.store_loads += 1  # memory-tier revival, no compile
-            return self._spill(key, blob)
-        return None
+        if found is None:
+            return None
+        blob, tier = found
+        path = self.store.disk_path(key) if tier == "disk" else None
+        return path or self._spill(key, blob)
 
     def _scratch_dir(self) -> str:
         """Engine scratch directory (created once, lock-protected)."""
@@ -749,26 +902,24 @@ class NativeEngine:
     def _spill(self, key: str, blob: bytes) -> str:
         """Write artifact bytes to engine scratch so ctypes can load."""
         path = os.path.join(self._scratch_dir(), f"{key}.so")
-        if not os.path.exists(path):
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
         return path
 
     def _compile_cc(
         self, spec: AnySpec, dtype, key: str, eff: int, strategy: str
-    ) -> bytes:
+    ) -> str:
+        """Compile the nest, publish the object, return its scratch
+        path."""
         source = self._c_source(spec, dtype, eff, strategy)
         scratch = self._scratch_dir()
         c_path = os.path.join(scratch, f"{key}.c")
         so_path = os.path.join(scratch, f"{key}.so")
         with open(c_path, "w", encoding="utf-8") as handle:
             handle.write(source)
-        flags = list(CC_FLAGS)
-        if self.openmp():
-            flags.append(OMP_FLAG)
-        cmd = [self._cc, *flags, "-o", so_path, c_path]
+        cmd = [self._cc, *self._cc_flags(), "-o", so_path, c_path]
         with self._lock:
             self.compile_invocations += 1
         proc = subprocess.run(
@@ -779,9 +930,8 @@ class NativeEngine:
                 f"cc failed ({proc.returncode}): {proc.stderr.strip()[:400]}"
             )
         with open(so_path, "rb") as handle:
-            blob = handle.read()
-        self.store.put(key, blob)
-        return blob
+            self.store.put(key, handle.read())
+        return so_path
 
     # -- observability ----------------------------------------------------
 
@@ -791,7 +941,7 @@ class NativeEngine:
             return "n/a"
         if os.environ.get("REPRO_NO_OPENMP"):
             return "disabled"
-        with _omp_lock:
+        with _probe_lock:
             cached = _omp_cache.get(self._cc)
         if cached is None:
             return "unprobed"
@@ -812,6 +962,7 @@ class NativeEngine:
                 "compile_invocations": self.compile_invocations,
                 "store_loads": self.store_loads,
                 "failures": len(self._failed),
+                "recovered": len(self._recovered),
                 "store": self.store.stats(),
             }
 

@@ -606,6 +606,13 @@ class KernelRunner:
             finally:
                 self.arena.release(scratch)
 
+    def _note_recovery(self, spec, dtype) -> None:
+        """Record (once) that the engine replaced a damaged stored
+        artifact of this nest by a fresh compile."""
+        note = self._engine.recovery(spec, dtype, threads=self.threads)
+        if note is not None and note not in self.notes:
+            self.notes.append(note)
+
     def _native_fn(self, term: TermPlan, dtype) -> Optional[Callable]:
         """The compiled nest for a term (cached per runner), or None."""
         key = id(term)
@@ -625,6 +632,7 @@ class KernelRunner:
                     f"native nest not compiled ({reason}); term falls "
                     f"back to the {term.kind} path"
                 )
+            self._note_recovery(term.native, dtype)
         self._native_fns[key] = fn
         return fn
 
@@ -647,6 +655,7 @@ class KernelRunner:
                     f"fused group of {len(group.outputs)} statements not "
                     f"compiled ({reason}); statements run unfused"
                 )
+            self._note_recovery(group.spec, np.float64)
         self._fused_fns[key] = fn
         return fn
 

@@ -143,6 +143,9 @@ def optimize_locality(
     table: List[Dict[str, object]] = []
     degraded = False
     degradation_reason = ""
+    # apply_tiling's legality errors depend on *which* indices are tiled,
+    # never on the sizes: a rejected subset is judged once
+    rejected = set()
     for combo in itertools.product(*per_index):
         if tracker is not None:
             try:
@@ -167,10 +170,16 @@ def optimize_locality(
             structure = block
             cost = baseline
         else:
+            subset = frozenset(tiles)
+            if subset in rejected:
+                continue
             try:
                 structure = apply_tiling(block, tiles, keep_global=keep_global)
             except ValueError:
-                continue  # tiling would double-count an accumulation
+                # tiling would double-count an accumulation, or reorder
+                # a dependence between sibling nests
+                rejected.add(subset)
+                continue
             if loop_op_count(structure, bindings) != base_ops:
                 continue  # blocking must not change the work
             cost = access_cost(structure, capacity, bindings)

@@ -997,32 +997,44 @@ def _synthesize_pipeline(
             # (and every warm process sharing the artifact store) never
             # pays a compiler fork at run time
             before = engine.stats()
-            compiled: Dict[str, bool] = {}
-            for sp in kernel_plan.statements:
-                for term in sp.terms:
-                    if term.native is None:
-                        continue
-                    akey = engine.key(
-                        term.native, np.float64, threads=kernel_threads
-                    )
-                    if akey not in compiled:
-                        fn = engine.function(
-                            term.native, np.float64,
-                            threads=kernel_threads,
-                        )
-                        compiled[akey] = fn is not None
-            for group in kernel_plan.fused_groups:
-                akey = engine.key(
-                    group.spec, np.float64, threads=kernel_threads
+            nests = [
+                term.native
+                for sp in kernel_plan.statements
+                for term in sp.terms
+                if term.native is not None
+            ] + [group.spec for group in kernel_plan.fused_groups]
+            distinct: Dict[str, object] = {}
+            for nest in nests:
+                distinct.setdefault(
+                    engine.key(nest, np.float64, threads=kernel_threads),
+                    nest,
                 )
-                if akey not in compiled:
-                    fn = engine.function(
-                        group.spec, np.float64, threads=kernel_threads
-                    )
-                    compiled[akey] = fn is not None
+
+            def load(nest) -> bool:
+                return engine.function(
+                    nest, np.float64, threads=kernel_threads
+                ) is not None
+
+            # one compiler fork per distinct nest, side by side: the
+            # engine coalesces per key and the fork releases the GIL
+            if len(distinct) > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                with ThreadPoolExecutor(min(len(distinct), 8)) as pool:
+                    loaded = list(pool.map(load, distinct.values()))
+            else:
+                loaded = [load(nest) for nest in distinct.values()]
+            compiled: Dict[str, bool] = dict(zip(distinct, loaded))
             native_artifacts = [k for k, ok in compiled.items() if ok]
             after = engine.stats()
             codegen_report.details["native backend"] = engine.backend
+            for note in [engine.target_note()] + [
+                engine.recovery(nest, np.float64, threads=kernel_threads)
+                for nest in distinct.values()
+            ]:
+                if note is not None:
+                    codegen_report.notes.append(note)
+                    initial_notes.append(note)
             if kernel_threads > 1:
                 codegen_report.details["kernel threads"] = kernel_threads
                 codegen_report.details["parallel strategy"] = (

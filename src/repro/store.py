@@ -233,6 +233,16 @@ class TwoTierStore:
 
     # -- maintenance -------------------------------------------------------
 
+    def discard(self, key: str) -> None:
+        """Drop ``key`` from both tiers, counted ``stale``: its bytes
+        decoded but the caller found them unusable."""
+        with self._lock:
+            self._memory.pop(key, None)
+            self.stale += 1
+        if self.directory is not None:
+            for path in (self.path(key), self._legacy_path(key)):
+                self._remove_file(path)
+
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier (and the disk tier with ``disk=True``)."""
         with self._lock:

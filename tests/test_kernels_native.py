@@ -10,7 +10,12 @@ compiler completes every plan through the embedded GEMM/einsum
 fallback and says so in notes, never via an exception.
 """
 
+import dataclasses
+import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chem.workloads import random_contraction_program
-from repro.codegen.cgen import c_source, py_source, render_nest_ir
+from repro.codegen.cgen import (
+    Schedule,
+    c_source,
+    nest_schedule,
+    py_source,
+    render_nest_ir,
+)
 from repro.engine.executor import random_inputs, run_statements
 from repro.expr.ast import Mul, Statement, Sum, TensorRef
 from repro.expr.indices import Index, IndexRange
@@ -27,11 +38,13 @@ from repro.kernels import (
     ArtifactStore,
     KernelRunner,
     NativeEngine,
+    NativeSpec,
     artifact_key,
     compile_kernel_plan,
     native_available,
 )
 from repro.pipeline import SynthesisConfig, synthesize
+from repro.semiring import available_semirings
 
 COMMON = dict(
     deadline=None,
@@ -113,6 +126,196 @@ def nest_statements(draw):
     )
     expr = Sum(sums, product) if sums else product
     return Statement(S, expr)
+
+
+needs_cc = pytest.mark.skipif(
+    NativeEngine(backend="cc").backend != "cc",
+    reason="no C compiler on this machine",
+)
+
+#: extents that do not divide the 4-row block or the 16-element strip,
+#: and one (70) longer than the summation tile
+AWKWARD = (1, 3, 9, 17, 70)
+
+
+def _spec(extents, nout, operands, semiring="plus_times"):
+    return NativeSpec(
+        names=tuple(f"i{p}" for p in range(len(extents))),
+        extents=tuple(extents),
+        nout=nout,
+        operands=tuple(tuple(axes) for axes in operands),
+        semiring=semiring,
+    )
+
+
+@st.composite
+def nest_specs(draw):
+    """A random nest spec over awkward extents: 2-3 operands, diagonals
+    allowed, any output arity, any registered semiring; sized so the
+    pure-Python reference stays fast."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    extents = [draw(st.sampled_from(AWKWARD)) for _ in range(n)]
+    while math.prod(extents) > 30_000:
+        big = extents.index(max(extents))
+        extents[big] = AWKWARD[AWKWARD.index(extents[big]) - 1]
+    nops = draw(st.integers(min_value=2, max_value=3))
+    nout = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    nout = min(nout, n)
+    operands = [
+        draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        for _ in range(nops)
+    ]
+    if nout >= 2 and draw(st.booleans()):
+        # lean toward nests the schedule accepts: one operand without
+        # the vector index, the others without the loop before it
+        operands[0] = [p for p in operands[0] if p != nout - 1]
+        operands[1:] = [
+            [p for p in axes if p != nout - 2] for axes in operands[1:]
+        ]
+    for k in range(nops):  # every loop is carried by some operand
+        fill = [
+            p for p in range(n) if not any(p in axes for axes in operands)
+        ]
+        if k == 0:
+            fill = [p for p in fill if p != nout - 1 or nout < 2]
+        operands[k] += fill
+    return _spec(
+        extents, nout, operands,
+        draw(st.sampled_from(available_semirings())),
+    )
+
+
+def _nest_inputs(spec, seed):
+    """Operand arrays and the coefficient a spec's algebra admits."""
+    rng = np.random.default_rng(seed)
+    ops = [
+        np.ascontiguousarray(
+            rng.standard_normal(tuple(spec.extents[p] for p in axes))
+        )
+        for axes in spec.operands
+    ]
+    return ops, (2.5 if spec.semiring == "plus_times" else 1.0)
+
+
+def _nest_identity(spec):
+    from repro.semiring import get_semiring
+
+    return get_semiring(spec.semiring).zero
+
+
+def _reference_nest(spec, tile, coef, ops):
+    """``exec(py_source(spec))``: the compiler-independent reference."""
+    ns = {}
+    exec(py_source(spec, tile=tile), ns)  # noqa: S102
+    out = np.full(math.prod(spec.out_shape), _nest_identity(spec))
+    ns["kern"](coef, *[op.ravel() for op in ops], out)
+    return out.reshape(spec.out_shape)
+
+
+def _compiled_nest(engine, spec, threads, coef, ops):
+    fn = engine.function(spec, np.float64, threads=threads)
+    assert fn is not None, engine.failure(spec, np.float64, threads)
+    out = np.full(spec.out_shape, _nest_identity(spec))
+    fn(coef, ops, out)
+    return out
+
+
+#: nests the schedule rule accepts, one per shape of its output
+SCHEDULED = {
+    "matmul: no pack, v0 register-blocked, tiled sum": _spec(
+        (9, 17, 70), 2, [(0, 2), (2, 1)]
+    ),
+    "vector index already unit-stride in its operand": _spec(
+        (3, 9, 17, 9), 3, [(0, 3, 2), (1, 3)]
+    ),
+    "packed operand, work-shared loop outside the pack": _spec(
+        (17, 9, 3, 9, 3), 3, [(0, 3, 2, 4), (1, 4, 3)]
+    ),
+    "packed operand, work-shared loop inside the pack": _spec(
+        (9, 3, 17, 70), 3, [(0, 3), (1, 2, 3)]
+    ),
+    "diagonal of the vector index in the packed operand": _spec(
+        (9, 9, 17, 3), 3, [(2, 2, 3), (0, 1, 3)]
+    ),
+    "three operands, the packed one in the middle": _spec(
+        (9, 3, 17, 3, 9), 3, [(0, 3), (2, 3, 4), (1, 4)]
+    ),
+}
+
+
+class TestSchedule:
+    def test_fig1_dominant_nest(self):
+        """T1(b,c,d,f) = sum(e,l) B(b,e,f,l) * D(c,d,e,l): f is the
+        vector index, B carries it at stride 8 and is packed, D is
+        broadcast, d is the innermost loop only D carries."""
+        spec = _spec(
+            (32, 32, 32, 32, 32, 8), 4, [(0, 4, 3, 5), (1, 2, 4, 5)]
+        )
+        assert nest_schedule(spec) == Schedule(vec=3, rblock=2, packed=(0,))
+        assert "schedule=vec:3 rows:2x4 strip:16 pack:0" in spec.ir()
+
+    def test_matmul_needs_no_pack(self):
+        spec = _spec((5, 6, 7), 2, [(0, 2), (2, 1)])
+        assert nest_schedule(spec) == Schedule(vec=1, rblock=0, packed=())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _spec((5, 7), 0, [(0, 1), (1,)]),  # scalar output
+            _spec((5, 7), 1, [(0, 1), (1,)]),  # no second output index
+            _spec((5, 6, 7), 2, [(0, 1, 2), (1, 2)]),  # all carry it
+            _spec((5, 6, 7), 2, [(0, 1, 2), (2,)]),  # no row to block
+        ],
+    )
+    def test_no_legal_schedule_keeps_the_plain_form(self, spec):
+        assert nest_schedule(spec) is None
+        assert "schedule=none" in spec.ir()
+        assert " acc = " in c_source(spec)
+
+    def test_oversized_panel_keeps_the_plain_form(self):
+        """Pack scratch is bounded: a nest whose panel would exceed the
+        limit under this tile is rendered unpacked, not with a bigger
+        buffer."""
+        spec = _spec((4, 8, 70, 70, 70), 2, [(0, 2, 3, 4), (1, 2, 4, 3)])
+        assert nest_schedule(spec).packed == (1,)
+        assert "p1[" in c_source(spec, tile=16)
+        assert "p1[" not in c_source(spec, tile=0)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULED))
+    def test_parametrized_nests_are_scheduled(self, name):
+        assert nest_schedule(SCHEDULED[name]) is not None
+
+
+@needs_cc
+class TestScheduledParity:
+    """Every compiled rendering of a nest equals ``exec(py_source)`` bit
+    for bit: the schedule moves where values are read from, never the
+    order one output element folds its summation in."""
+
+    @pytest.mark.parametrize("semiring", available_semirings())
+    @pytest.mark.parametrize("name", sorted(SCHEDULED))
+    def test_scheduled_nest_equals_reference(self, name, semiring):
+        spec = dataclasses.replace(SCHEDULED[name], semiring=semiring)
+        ops, coef = _nest_inputs(spec, seed=7)
+        engine = NativeEngine(backend="cc")
+        want = _reference_nest(spec, engine.tile, coef, ops)
+        for threads in (1, 2, 4):
+            got = _compiled_nest(engine, spec, threads, coef, ops)
+            assert np.array_equal(got, want), threads
+
+    @settings(max_examples=40, **COMMON)
+    @given(
+        spec=nest_specs(),
+        threads=st.sampled_from([1, 2, 4]),
+        tile=st.sampled_from([4, 16, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_nest_equals_reference(self, spec, threads, tile, seed):
+        ops, coef = _nest_inputs(spec, seed)
+        engine = NativeEngine(backend="cc", tile=tile)
+        want = _reference_nest(spec, tile, coef, ops)
+        got = _compiled_nest(engine, spec, threads, coef, ops)
+        assert np.array_equal(got, want)
 
 
 class TestLowering:
@@ -315,6 +518,90 @@ class TestArtifactStore:
         ]:
             assert artifact_key(**{**base, field: other}) != key, field
 
+    def test_engine_key_tracks_the_cpu_capability_token(self, monkeypatch):
+        """A store directory written on one CPU model and read on
+        another is a clean miss: what ``-march=native`` resolved to is
+        part of every key, the literal flag never is."""
+        import repro.kernels.native as native_mod
+
+        spec = _spec_of(compile_kernel_plan([_matmul_stmt()], mode="native"))
+        engine = NativeEngine(backend="cc")
+        if engine.backend != "cc":
+            pytest.skip("cc backend not available")
+        keys = {}
+        for token in ("cooperlake+0123456789ab", "znver4+ba9876543210"):
+            monkeypatch.setitem(
+                native_mod._target_cache, engine._cc, (True, token)
+            )
+            assert f"target={token}" in engine.flags()
+            assert "target=native" not in engine.flags()
+            keys[token] = engine.key(spec, np.float64)
+        assert len(set(keys.values())) == 2
+
+    def test_damaged_artifact_is_recompiled_not_pinned(self, tmp_path):
+        """A truncated stored ``.so`` is evicted, recompiled once and
+        republished with one note -- and the process after that loads
+        the repaired object with no compiler fork.  Two fresh processes:
+        truncating a file this process has mapped would be a SIGBUS."""
+        script = """
+import json, sys
+import numpy as np
+from repro.kernels import ArtifactStore, NativeEngine, NativeSpec
+spec = NativeSpec(("i", "j", "k"), (5, 6, 7), 2, ((0, 2), (2, 1)))
+engine = NativeEngine(store=ArtifactStore(directory=sys.argv[1]), backend="cc")
+fn = engine.function(spec)
+out = np.zeros((5, 6))
+if fn is not None:
+    fn(1.0, [np.ones((5, 7)), np.ones((7, 6))], out)
+stats = engine.stats()
+print(json.dumps({
+    "loaded": fn is not None, "sum": out.sum(),
+    "compiles": stats["compile_invocations"],
+    "store_loads": stats["store_loads"], "recovered": stats["recovered"],
+    "failure": engine.failure(spec), "note": engine.recovery(spec),
+    "path": engine.store.disk_path(engine.key(spec, np.float64)),
+}))
+"""
+        import json
+
+        if NativeEngine(backend="cc").backend != "cc":
+            pytest.skip("cc backend not available")
+
+        def run():
+            src = os.path.join(os.path.dirname(__file__), "..", "src")
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        cold = run()
+        assert (cold["compiles"], cold["store_loads"]) == (1, 0)
+        size = os.path.getsize(cold["path"])
+        with open(cold["path"], "r+b") as handle:
+            handle.truncate(size // 2)
+
+        repaired = run()
+        assert repaired["loaded"] and repaired["failure"] is None
+        assert repaired["sum"] == 5 * 6 * 7
+        assert repaired["compiles"] == 1 and repaired["recovered"] == 1
+        assert repaired["store_loads"] == 0
+        assert "evicted and recompiled" in repaired["note"]
+        assert os.path.getsize(repaired["path"]) == size
+
+        warm = run()
+        assert (warm["compiles"], warm["store_loads"]) == (0, 1)
+        assert warm["note"] is None and warm["sum"] == 5 * 6 * 7
+
+        with open(warm["path"], "r+b") as handle:  # garbled, same size
+            handle.seek(size // 2)
+            handle.write(b"\xa5" * 64)
+        garbled = run()
+        assert garbled["loaded"] and garbled["sum"] == 5 * 6 * 7
+        assert (garbled["compiles"], garbled["recovered"]) == (1, 1)
+
     def test_engine_key_tracks_dtype_and_tile(self):
         spec = _spec_of(compile_kernel_plan([_matmul_stmt()], mode="native"))
         engine = NativeEngine()
@@ -366,6 +653,51 @@ class TestDegradation:
             got, inputs["A"] @ inputs["B"], rtol=1e-10
         )
 
+    def test_compiler_rejecting_march_native_compiles_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        """A compiler that refuses ``-march=native`` is an answer, not an
+        error: baseline flags, one structured note, correct kernels."""
+        real = NativeEngine(backend="cc")
+        if real.backend != "cc":
+            pytest.skip("cc backend not available")
+        stub = tmp_path / "cc"
+        stub.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do\n'
+            '  if [ "$a" = "-march=native" ]; then\n'
+            '    echo "cc: error: unrecognized option -march=native" >&2\n'
+            "    exit 1\n"
+            "  fi\n"
+            "done\n"
+            f'exec {real._cc} "$@"\n'
+        )
+        stub.chmod(0o755)
+        monkeypatch.setenv("CC", str(stub))
+        engine = NativeEngine(backend="cc")
+        assert engine._cc == str(stub)
+        flags = engine.flags()
+        assert "-march=native" not in flags
+        assert "target=baseline" in flags
+        assert "-ffp-contract=off" in flags
+        note = engine.target_note()
+        assert note is not None and "rejects -march=native" in note
+        assert "unrecognized option" in note
+        spec = SCHEDULED["packed operand, work-shared loop outside the pack"]
+        ops, coef = _nest_inputs(spec, seed=3)
+        got = _compiled_nest(engine, spec, 2, coef, ops)
+        assert np.array_equal(
+            got, _reference_nest(spec, engine.tile, coef, ops)
+        )
+        import repro.kernels.native as native_mod
+
+        monkeypatch.setattr(native_mod, "_default_engine", engine)
+        result = synthesize(
+            TestPipelineIntegration.SRC, SynthesisConfig(codegen="native")
+        )
+        assert result.codegen_mode == "native"
+        assert note in result.last_run_notes
+
     @needs_compiler
     def test_broken_compiler_degrades_per_term(self):
         """A compiler that exists but fails still yields correct runs:
@@ -415,6 +747,37 @@ class TestPipelineIntegration:
         )
         assert report.details["codegen mode"] == "native"
         assert "native backend" in report.details
+
+    def test_distinct_nests_compile_concurrently_once_each(
+        self, monkeypatch
+    ):
+        """The codegen stage hands a plan's distinct nests to the engine
+        all at once; that is still exactly one compiler fork per nest."""
+        import repro.kernels.native as native_mod
+
+        engine = NativeEngine(store=ArtifactStore(), threads=2)
+        monkeypatch.setattr(native_mod, "_default_engine", engine)
+        fig1 = (
+            "range V = 4; range O = 3;\n"
+            "index a, b, c, d, e, f : V; index i, j, k, l : O;\n"
+            "tensor A(a, c, i, k); tensor B(b, e, f, l);\n"
+            "tensor C(d, f, j, k); tensor D(c, d, e, l);\n"
+            "S(a, b, i, j) = sum(c, d, e, f, k, l)\n"
+            "    A(a,c,i,k) * B(b,e,f,l) * C(d,f,j,k) * D(c,d,e,l);"
+        )
+        result = synthesize(
+            fig1, SynthesisConfig(codegen="native", kernel_threads=2)
+        )
+        assert result.kernel_plan.native_terms == 3
+        assert len(result.native_artifacts) == 3
+        stats = engine.stats()
+        assert stats["compile_invocations"] == 3
+        assert stats["functions_loaded"] == 3 and stats["failures"] == 0
+        inputs = random_inputs(result.program, None, seed=1)
+        want = run_statements(result.statements, dict(inputs))["S"]
+        got = result.kernel_runner().run(inputs)["S"]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11)
+        assert engine.stats()["compile_invocations"] == 3
 
     def test_auto_mode_stays_gemm(self):
         result = synthesize(self.SRC, SynthesisConfig(codegen="auto"))

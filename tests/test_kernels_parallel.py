@@ -41,9 +41,14 @@ from repro.robustness.errors import ReproError
 
 from tests.test_kernels_native import (
     COMMON,
+    SCHEDULED,
+    _compiled_nest,
     _einsum_of,
     _matmul_stmt,
+    _nest_inputs,
+    _reference_nest,
     _spec_of,
+    nest_specs,
     nest_statements,
 )
 
@@ -142,7 +147,9 @@ class TestEmission:
         spec = _spec_of(compile_kernel_plan([_matmul_stmt()], mode="native"))
         src = c_source(spec, parallel="chunk")
         assert "long lo, long hi" in src
-        assert "for (long v0 = lo; v0 < hi;" in src
+        # v0 is this nest's register-block loop: full blocks, then rows
+        assert "for (long v0 = lo; v0 < hi - 3; v0 += 4)" in src
+        assert "for (long v0 = lo + (hi - lo) / 4 * 4; v0 < hi; ++v0)" in src
         assert "#pragma omp" not in src
 
     def test_sequential_source_is_unchanged_by_the_feature(self):
@@ -444,6 +451,52 @@ class TestChunkFallback:
         assert engine.parallel_strategy(2) == "omp"
         assert engine.parallel_note(2) is None
         assert "-fopenmp" in engine.flags(2)
+
+
+@needs_cc
+class TestScheduledChunkLeg:
+    """The scheduled rendering under the portable strategy: ``(lo, hi)``
+    slices of the work-shared loop -- which may be the register-block
+    loop, split mid-block -- still equal the reference bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _no_openmp(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_OPENMP", "1")
+
+    @pytest.mark.parametrize("semiring", ["plus_times", "min_plus"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULED))
+    def test_chunked_scheduled_nest_equals_reference(self, name, semiring):
+        import dataclasses
+
+        spec = dataclasses.replace(SCHEDULED[name], semiring=semiring)
+        ops, coef = _nest_inputs(spec, seed=11)
+        engine = NativeEngine(backend="cc")
+        assert engine.parallel_strategy(2) == "chunk"
+        want = _reference_nest(spec, engine.tile, coef, ops)
+        for threads in (2, 4):
+            got = _compiled_nest(engine, spec, threads, coef, ops)
+            assert np.array_equal(got, want), threads
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        spec=nest_specs(),
+        threads=st.sampled_from([2, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chunked_random_nest_equals_reference(self, spec, threads, seed):
+        ops, coef = _nest_inputs(spec, seed)
+        engine = NativeEngine(backend="cc")
+        want = _reference_nest(spec, engine.tile, coef, ops)
+        got = _compiled_nest(engine, spec, threads, coef, ops)
+        assert np.array_equal(got, want)
 
 
 @needs_compiler

@@ -120,6 +120,41 @@ class TestOptimizeLocality:
         result = optimize_locality(matmul_block, capacity=64, indices=[k])
         assert result.evaluated == len(candidate_sizes(16))
 
+    def test_rejected_index_subset_is_judged_once(self, monkeypatch):
+        """Two dependent nests: tiling any index but ``i`` reorders the
+        dependence on ``T``.  Legality depends on *which* indices are
+        tiled, never on the sizes, so each rejected subset reaches
+        ``apply_tiling`` once; the table, the evaluated count and the
+        budget ticks (one per size combination) do not change."""
+        import repro.locality.tile_search as ts
+        from repro.robustness.budget import Budget
+
+        block = build_unfused(parse_program("""
+        range N = 8;
+        index i, j, k, l : N;
+        tensor A(i, k); tensor B(k, j); tensor D(j, l);
+        T(i, j) = sum(k) A(i, k) * B(k, j);
+        S(i, l) = sum(j) T(i, j) * D(j, l);
+        """).statements)
+        calls = []
+
+        def counting(blk, tiles, **kwargs):
+            calls.append(frozenset(tiles))
+            return apply_tiling(blk, tiles, **kwargs)
+
+        monkeypatch.setattr(ts, "apply_tiling", counting)
+        tracker = Budget(max_nodes=10**6).start()
+        result = optimize_locality(block, capacity=64, budget=tracker)
+        assert not result.degraded
+        combos = len(candidate_sizes(8)) ** 4
+        assert tracker.nodes == combos
+        accepted = {frozenset(row["tiles"]) for row in result.table}
+        rejected = [c for c in calls if {i.name for i in c} not in accepted]
+        assert rejected and len(rejected) == len(set(rejected))
+        # every size combination of an accepted subset is still costed
+        assert result.evaluated == len(result.table) < combos
+        assert len(calls) == result.evaluated - 1 + len(rejected)
+
     def test_search_space_cap(self, matmul_block):
         with pytest.raises(ValueError, match="combinations"):
             optimize_locality(matmul_block, capacity=64, max_combinations=2)

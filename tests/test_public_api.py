@@ -16,6 +16,18 @@ class TestTopLevelImports:
 
         assert repro.__version__
 
+    def test_packaging_version_is_the_package_version(self):
+        import pathlib
+        import tomllib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+
     def test_subpackage_alls(self):
         import repro.expr
         import repro.opmin

@@ -217,7 +217,7 @@ class TestKeySeparation:
             ]
             assert spec is not None
             irs[name] = render_nest_ir(spec)
-        assert NEST_IR_VERSION == "nest-ir v3"
+        assert NEST_IR_VERSION == "nest-ir v4"
         assert "semiring=plus_times" in irs["plus_times"]
         assert "semiring=min_plus" in irs["min_plus"]
         keys = {
