@@ -56,7 +56,7 @@ from repro.pipeline import SynthesisConfig
 
 pytestmark = pytest.mark.skipif(
     not native_available(),
-    reason="no native backend (numba or a C compiler) on this machine",
+    reason="no native backend (a C compiler) on this machine",
 )
 
 # Workload extents: small enough that per-call numpy overhead is the

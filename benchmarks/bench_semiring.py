@@ -54,7 +54,7 @@ def _best(fn, repeats: int = 3, inner: int = 1) -> float:
 
 @pytest.mark.skipif(
     not native_available(),
-    reason="no native backend (numba or a C compiler) on this machine",
+    reason="no native backend (a C compiler) on this machine",
 )
 def test_apsp_native_vs_bellman_ford(record_rows):
     """Native min_plus repeated squaring vs all-sources Bellman-Ford."""

@@ -35,12 +35,11 @@ run-to-run noise belongs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.store import TwoTierStore
+from repro.store import TwoTierStore, content_key
 
 __all__ = ["TuningDB", "machine_signature", "tuning_key"]
 
@@ -80,128 +79,43 @@ def _canonical(record: Dict[str, object]) -> str:
 
 def tuning_key(program, config, signature: Dict[str, object]) -> str:
     """Content-addressed key of (program, config, machine, version)."""
-    from repro import __version__
     from repro.expr.printer import program_to_source
     from repro.runtime.plan_cache import config_fingerprint
 
-    payload = "\n".join(
-        [
-            __version__,
-            config_fingerprint(config),
-            program_to_source(program),
-            json.dumps(signature, sort_keys=True),
-        ]
+    return content_key(
+        config_fingerprint(config),
+        program_to_source(program),
+        json.dumps(signature, sort_keys=True),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class TuningDB:
+class TuningDB(TwoTierStore):
     """In-memory LRU + optional on-disk store of tuning records.
 
     ``maxsize`` bounds the in-memory entry count; ``directory`` enables
     the persistent tier (one ``<key>.tune.json`` file per record, in a
     256-way sharded layout, published atomically under a lock file).
-    Hits promote disk records back into memory.  A record whose stored
-    signature or package version disagrees with the caller's is treated
-    as a miss (and counted in ``stale``).
+    Hits promote disk records back into memory.  ``get(key,
+    signature=...)`` serves only a record carrying the identical
+    signature (defense against files copied across machines) and this
+    package version; any other is a miss, removed and counted ``stale``.
     """
 
-    def __init__(
-        self, maxsize: int = 128, directory: Optional[str] = None
-    ) -> None:
-        self._store = TwoTierStore(maxsize, directory, suffix=".tune.json")
+    suffix = ".tune.json"
 
-    def __len__(self) -> int:
-        return len(self._store)
+    def encode(self, record: Dict[str, object]) -> bytes:
+        return _canonical(record).encode("utf-8")
 
-    @property
-    def maxsize(self) -> int:
-        return self._store.maxsize
+    def decode(self, blob: bytes) -> Dict[str, object]:
+        return json.loads(blob.decode("utf-8"))
 
-    @property
-    def directory(self) -> Optional[str]:
-        return self._store.directory
-
-    @property
-    def _memory(self):
-        return self._store._memory
-
-    @property
-    def hits(self) -> int:
-        return self._store.hits
-
-    @property
-    def memory_hits(self) -> int:
-        return self._store.memory_hits
-
-    @property
-    def disk_hits(self) -> int:
-        return self._store.disk_hits
-
-    @property
-    def misses(self) -> int:
-        return self._store.misses
-
-    @property
-    def stale(self) -> int:
-        return self._store.stale
-
-    @property
-    def evictions(self) -> int:
-        return self._store.evictions
-
-    def _path(self, key: str) -> str:
-        return self._store.path(key)
-
-    def _validate(
-        self, record: Dict[str, object], signature: Optional[Dict[str, object]]
+    def current(
+        self,
+        record: Dict[str, object],
+        signature: Optional[Dict[str, object]] = None,
     ) -> bool:
         from repro import __version__
 
         if record.get("version") != __version__:
             return False
-        if signature is not None and record.get("signature") != signature:
-            return False
-        return True
-
-    def get(
-        self, key: str, signature: Optional[Dict[str, object]] = None
-    ) -> Optional[Tuple[Dict[str, object], str]]:
-        """``(record, tier)`` for a stored key, else ``None``.
-
-        ``tier`` is ``"memory"`` or ``"disk"``.  With a ``signature``
-        the stored record must carry the identical signature (defense
-        against files copied across machines); mismatches count as
-        ``stale`` misses and stale disk files are removed.
-        """
-        return self._store.get(
-            key,
-            decode=lambda blob: json.loads(blob.decode("utf-8")),
-            validate=lambda record: self._validate(record, signature),
-        )
-
-    def put(self, key: str, record: Dict[str, object]) -> None:
-        """Store a tuning record under ``key`` in both tiers."""
-        self._store.put(key, _canonical(record).encode("utf-8"))
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot: hits per tier, misses, stale, evictions."""
-        return self._store.stats()
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the in-memory tier (and the disk tier with ``disk=True``)."""
-        self._store.clear(disk=disk)
-
-    def describe(self) -> str:
-        return (
-            f"TuningDB(memory[{len(self._store)}/{self.maxsize}]"
-            + (
-                f" + disk[{self.directory}]"
-                if self.directory is not None
-                else ""
-            )
-            + f"): {self.hits} hits "
-            f"({self.memory_hits} memory, {self.disk_hits} disk), "
-            f"{self.misses} misses ({self.stale} stale), "
-            f"{self.evictions} evictions"
-        )
+        return signature is None or record.get("signature") == signature

@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "native", "gemm", "einsum"),
         default="auto",
         help="kernel codegen target: 'native' compiles fused tiled "
-        "loop nests (numba or cc; machines without a compiler degrade "
+        "loop nests (C; machines without a compiler degrade "
         "to gemm and say so), 'gemm'/'einsum' force those lowerings, "
         "'auto' uses gemm and lets --autotune measure native",
     )

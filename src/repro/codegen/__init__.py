@@ -39,7 +39,6 @@ from repro.codegen.builder import (
 )
 from repro.codegen.interp import execute
 from repro.codegen.pygen import generate_source, compile_loops
-from repro.codegen.npgen import compile_sequence, generate_numpy_source
 from repro.codegen.dispatch import (
     DenseSegment,
     ExecutionPlan,
@@ -68,8 +67,6 @@ __all__ = [
     "execute",
     "generate_source",
     "compile_loops",
-    "compile_sequence",
-    "generate_numpy_source",
     "ExecutionPlan",
     "DenseSegment",
     "SparseSegment",

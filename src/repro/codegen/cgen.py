@@ -1,4 +1,4 @@
-"""C (and numba-able Python) source emission for native loop nests.
+"""C (and reference Python) source emission for native loop nests.
 
 The native kernel backend (:mod:`repro.kernels.native`) lowers each
 flat term of a formula sequence to a *nest spec* -- loop extents, the
@@ -14,8 +14,8 @@ module renders that spec as compilable source:
   emitted Fortran nests.  A nest with a legal *schedule*
   (:func:`nest_schedule`) is rendered packed and register-blocked.
 * :func:`py_source` -- the same nest as a Python function over flat
-  (raveled) arrays.  It is both the numba-jittable variant and the
-  compiler-independent semantic reference the tests exec directly.
+  (raveled) arrays: the compiler-independent semantic reference the
+  tests exec directly.
 * :func:`c_fused_source` / :func:`py_fused_source` -- one function for
   a whole *fused statement group*: consecutive statements sharing an
   output iteration space run as one jointly-parallel nest over the
@@ -40,8 +40,7 @@ unchanged inner order):
 * ``parallel="chunk"`` -- the portable fallback when the probed
   compiler has no OpenMP: the kernel gains ``(long lo, long hi)``
   bounds on the outermost output loop and the engine drives one call
-  per thread over disjoint slices (ctypes releases the GIL; numba
-  kernels are ``nogil``).
+  per thread over disjoint slices (ctypes releases the GIL).
 * ``simd=True`` -- ``#pragma omp simd`` on the innermost *output*
   loop.  Deliberately not a ``reduction`` over the summation loop:
   vectorizing independent output elements preserves each element's
@@ -727,28 +726,20 @@ class _ScheduledNest:
         put(f"{indent}}}")
 
 
-def py_source(
-    spec, tile: int = 64, name: str = "kern", chunked: bool = False
-) -> str:
+def py_source(spec, tile: int = 64, name: str = "kern") -> str:
     """The same nest as a Python function over flat (raveled) arrays.
 
     ``kern(coef, x0, ..., out)`` accumulates exactly like the C
-    rendering; the function body is numba-``njit``-able (plain loops,
-    flat indexing, no Python objects) and doubles as the semantic
-    reference for the C backend in the tests.  ``chunked=True`` renders
-    the parallel-fallback variant ``kern(coef, lo, hi, x0, ..., out)``
-    whose first output loop covers ``[lo, hi)``.
+    rendering (plain loops, flat indexing, no Python objects): it is
+    the semantic reference every compiled rendering is tested
+    ``np.array_equal`` to.
     """
-    if chunked:
-        _check_parallel("chunk", spec.nout)
     sr = _spec_semiring(spec)
     out_loops, sum_loops, tiled = _nest_structure(spec, tile)
     var = lambda p: f"v{p}"  # noqa: E731 - tiny local naming helper
     args = ", ".join(
         [f"x{k}" for k in range(len(spec.operands))] + ["out"]
     )
-    if chunked:
-        args = f"lo, hi, {args}"
     lines = []
     if "math." in sr.py_zero():
         lines.append("import math")
@@ -758,11 +749,8 @@ def py_source(
         e = spec.extents[p]
         lines.append(f"{indent}for t{p} in range(0, {e}, {tile}):")
         indent += "    "
-    for i, p in enumerate(out_loops):
-        if i == 0 and chunked:
-            lines.append(f"{indent}for v{p} in range(lo, hi):")
-        else:
-            lines.append(f"{indent}for v{p} in range({spec.extents[p]}):")
+    for p in out_loops:
+        lines.append(f"{indent}for v{p} in range({spec.extents[p]}):")
         indent += "    "
     if sr.is_default:
         lines.append(f"{indent}acc = 0.0")
@@ -938,23 +926,15 @@ def c_fused_source(
     return "\n".join(lines) + "\n"
 
 
-def py_fused_source(
-    fspec, tile: int = 64, name: str = "kern", chunked: bool = False
-) -> str:
+def py_fused_source(fspec, tile: int = 64, name: str = "kern") -> str:
     """The fused group as a Python function over flat arrays.
 
     ``kern(coefs, x0, ..., o0, ...)`` mirrors :func:`c_fused_source`
-    exactly (numba-``njit``-able; ``coefs`` arrives as a float64
-    array); ``chunked=True`` adds ``lo, hi`` bounds on the first shared
-    output loop for the thread-pool fallback.
+    exactly (``coefs`` arrives as a float64 array).
     """
-    if chunked:
-        _check_parallel("chunk", fspec.nout)
     nout = fspec.nout
     nops = sum(len(member.operands) for member in fspec.members)
     args = ["coefs"]
-    if chunked:
-        args += ["lo", "hi"]
     args += [f"x{g}" for g in range(nops)]
     args += [f"o{s}" for s in range(fspec.nslots)]
     lines = []
@@ -963,12 +943,7 @@ def py_fused_source(
     lines.append(f"def {name}({', '.join(args)}):")
     indent = "    "
     for i in range(nout):
-        if i == 0 and chunked:
-            lines.append(f"{indent}for v{i} in range(lo, hi):")
-        else:
-            lines.append(
-                f"{indent}for v{i} in range({fspec.out_extents[i]}):"
-            )
+        lines.append(f"{indent}for v{i} in range({fspec.out_extents[i]}):")
         indent += "    "
     for m, member in enumerate(fspec.members):
         sr = _spec_semiring(member)

@@ -122,7 +122,7 @@ def einsum_letters(indices: Sequence[Index]) -> Dict[Index, str]:
     """Assign each index a distinct ``numpy.einsum`` subscript letter.
 
     The shared label table of every einsum-emitting backend
-    (:mod:`repro.engine.executor`, :mod:`repro.codegen.npgen`).  einsum
+    (:mod:`repro.engine.executor`, :mod:`repro.kernels.plan`).  einsum
     subscripts only have ``a-zA-Z`` available, so a statement touching
     more than 52 distinct indices cannot be expressed; that limit is
     checked here so all backends fail with the same explicit

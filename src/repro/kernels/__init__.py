@@ -19,11 +19,10 @@ compiled **once** into a :class:`~repro.kernels.plan.KernelPlan`:
   executions of one sequence are allocation-free in the steady state;
 * with ``mode="native"``, each non-copy term additionally carries a
   fused tiled loop-nest spec (:mod:`repro.kernels.native`) compiled to
-  machine code -- numba JIT when installed, ``cc``-built shared object
-  otherwise -- with compiled blobs kept in a content-addressed
-  :class:`~repro.kernels.artifacts.ArtifactStore` so warm processes
-  load instead of recompiling; environments with no compiler at all
-  degrade per-term to the embedded GEMM/einsum fallback;
+  machine code (a ``cc``-built shared object); compiled blobs live in
+  a content-addressed :class:`~repro.kernels.artifacts.ArtifactStore`
+  so warm processes load instead of recompiling, and environments with
+  no compiler degrade per-term to the embedded GEMM/einsum fallback;
 * native nests are thread-parallel (``threads=N`` on engine, runner,
   and pipeline config): OpenMP pragmas when the probed compiler
   supports ``-fopenmp``, a portable chunked-outer-loop thread pool

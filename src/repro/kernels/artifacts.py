@@ -1,16 +1,15 @@
 """Content-addressed store of compiled kernel artifacts.
 
-Compiling a loop nest costs a compiler fork (tens of milliseconds for
-``cc``) or a JIT warm-up; the compiled shared object depends only on
-the nest IR, the element dtype, the backend and compiler identity, the
-flags, and the emitter version -- all of which hash into the artifact
-key (:func:`artifact_key`).  An :class:`ArtifactStore` therefore keeps
-compiled blobs in a :class:`repro.store.TwoTierStore` (bounded
-in-memory LRU over an optional sharded on-disk tier with atomic,
-lock-protected publication) so a warm process ``dlopen``\\ s/loads the
-existing object instead of re-invoking the compiler -- the same
-discipline the plan cache applies to search results and the TuningDB
-to measurements.
+Compiling a loop nest costs a compiler fork (tens of milliseconds);
+the compiled shared object depends only on the nest IR, the element
+dtype, the compiler identity, the flags, and the emitter version -- all
+of which hash into the artifact key (:func:`artifact_key`).  An
+:class:`ArtifactStore` therefore is a :class:`repro.store.TwoTierStore`
+(bounded in-memory LRU over an optional sharded on-disk tier with
+atomic, lock-protected publication) of compiled blobs, so a warm
+process ``dlopen``\\ s the existing object instead of re-invoking the
+compiler -- the same discipline the plan cache applies to search
+results and the TuningDB to measurements.
 
 Keying discipline (the lesson of the einsum-cache dtype audit): the
 key includes **everything the produced bytes depend on**.  A float32
@@ -37,9 +36,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.store import TwoTierStore
+from repro.store import TwoTierStore, content_key
 
 __all__ = ["ArtifactStore", "DamagedArtifact", "artifact_key"]
 
@@ -63,20 +62,15 @@ def artifact_key(
     ``nest_ir`` is the deterministic nest text
     (:func:`repro.codegen.cgen.render_nest_ir`); ``dtype`` the numpy
     dtype str (``'<f8'``); ``backend`` the engine backend name;
-    ``compiler`` the compiler identity string (version line + path for
-    ``cc``, the numba version for the JIT); ``flags`` the exact
-    optimization flags.  The package version rides along so an emitter
-    change invalidates every stored object.
+    ``compiler`` the compiler identity string (version line + path);
+    ``flags`` the exact optimization flags.  The package version rides
+    along (:func:`repro.store.content_key`) so an emitter change
+    invalidates every stored object.
     """
-    from repro import __version__
-
-    payload = "\n".join(
-        [__version__, backend, compiler, dtype, ";".join(flags), nest_ir]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_key(backend, compiler, dtype, ";".join(flags), nest_ir)
 
 
-class ArtifactStore:
+class ArtifactStore(TwoTierStore):
     """Two-tier store of compiled kernel blobs (``<key>.so`` files).
 
     ``maxsize`` bounds the in-memory entry count; ``directory`` enables
@@ -84,25 +78,11 @@ class ArtifactStore:
     (:meth:`path`) a loader can ``dlopen`` directly.
     """
 
-    def __init__(
-        self, maxsize: int = 256, directory: Optional[str] = None
-    ) -> None:
-        self._store = TwoTierStore(maxsize, directory, suffix=".so")
+    suffix = ".so"
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def directory(self) -> Optional[str]:
-        return self._store.directory
-
-    @property
-    def maxsize(self) -> int:
-        return self._store.maxsize
-
-    def path(self, key: str) -> str:
-        """Canonical on-disk path of ``key`` (sharded; disk tier only)."""
-        return self._store.path(key)
+    def encode(self, blob: bytes) -> bytes:
+        """Compiled bytes followed by their seal."""
+        return blob + _SEAL + hashlib.sha256(blob).digest()
 
     def get(self, key: str) -> Optional[Tuple[bytes, str]]:
         """``(blob, tier)`` for a stored artifact, else ``None``.
@@ -110,9 +90,9 @@ class ArtifactStore:
         The blob is loadable as stored (seal included).  An entry whose
         seal does not match its bytes -- truncated, garbled, or written
         by something else -- raises :class:`DamagedArtifact`; the caller
-        decides to :meth:`discard` it.
+        decides to :meth:`discard` it (which counts it ``stale``).
         """
-        found = self._store.get(key)
+        found = super().get(key)
         if found is None:
             return None
         blob = memoryview(found[0])
@@ -124,35 +104,8 @@ class ArtifactStore:
         return found
 
     def disk_path(self, key: str) -> Optional[str]:
-        """The loadable on-disk path of ``key`` if the disk tier has it.
-
-        Prefers the canonical sharded path, honouring legacy flat
-        layouts like every other store reader.
-        """
+        """The loadable on-disk path of ``key`` if the disk tier has it."""
         if self.directory is None:
             return None
-        for path in (self._store.path(key), self._store._legacy_path(key)):
-            if os.path.exists(path):
-                return path
-        return None
-
-    def put(self, key: str, blob: bytes) -> None:
-        """Seal compiled bytes and store them under ``key`` in both
-        tiers."""
-        self._store.put(key, blob + _SEAL + hashlib.sha256(blob).digest())
-
-    def discard(self, key: str) -> None:
-        """Drop ``key`` from both tiers (the next :meth:`put`
-        republishes it)."""
-        self._store.discard(key)
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot (hits per tier, misses, evictions)."""
-        return self._store.stats()
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory tier (and the disk tier with ``disk=True``)."""
-        self._store.clear(disk=disk)
-
-    def describe(self) -> str:
-        return self._store.describe("ArtifactStore")
+        path = self.path(key)
+        return path if os.path.exists(path) else None

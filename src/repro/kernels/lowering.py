@@ -171,8 +171,7 @@ def exec_gemm(
 ) -> np.ndarray:
     """Execute a lowered binary contraction (allocation-per-call form).
 
-    This is the standalone entry point the generated numpy kernels
-    (:mod:`repro.codegen.npgen`) call; :class:`~repro.kernels.plan.
+    This is the standalone form; :class:`~repro.kernels.plan.
     KernelRunner` uses :func:`exec_gemm_arena` instead to reuse buffers.
     """
     _require_plus_times(semiring, "exec_gemm")

@@ -5,27 +5,25 @@ tiled loop nests; the GEMM kernel plans (:mod:`repro.kernels.plan`)
 stop at numpy calls.  This module closes that gap: each flat term of a
 formula sequence lowers to a :class:`NativeSpec` -- a shape-specialized
 loop-nest value object -- and a :class:`NativeEngine` turns specs into
-machine code:
-
-* **numba backend** -- when numba is importable, the nest's Python
-  rendering (:func:`repro.codegen.cgen.py_source`) is ``njit``-ed;
-* **cc backend** -- otherwise the C rendering
-  (:func:`repro.codegen.cgen.c_source`) is compiled by the system C
-  compiler (``cc``/``gcc``/``clang``, discovered once) into a shared
-  object loaded through :mod:`ctypes`.
+machine code: the C rendering (:func:`repro.codegen.cgen.c_source`) is
+compiled by the system C compiler (``cc``/``gcc``/``clang``, discovered
+once) into a shared object loaded through :mod:`ctypes`.  The nest's
+Python rendering (:func:`repro.codegen.cgen.py_source`) is never
+executed here: it is the reference every compiled rendering is tested
+``np.array_equal`` to.
 
 Nests are **thread-parallel**: ``function(spec, dtype, threads=N)``
 compiles a variant that distributes the outermost output loop over
 ``N`` threads.  The strategy is probed, never assumed:
 
-* the cc backend probes the compiler for working ``-fopenmp`` once
+* the engine probes the compiler for working ``-fopenmp`` once
   (cached per compiler path; ``REPRO_NO_OPENMP=1`` disables it) and
   emits ``#pragma omp parallel for`` nests plus ``#pragma omp simd``
   on the innermost output loop;
-* without OpenMP (and always under numba), the engine falls back to a
-  portable *chunked* strategy: the kernel gains ``(lo, hi)`` bounds on
-  the outermost output loop and a thread pool drives disjoint slices
-  (ctypes calls release the GIL; numba kernels are ``nogil``).
+* without OpenMP, the engine falls back to a portable *chunked*
+  strategy: the kernel gains ``(lo, hi)`` bounds on the outermost
+  output loop and a thread pool drives disjoint slices (ctypes calls
+  release the GIL).
 
 Both strategies keep every output element on exactly one thread with
 an unchanged inner accumulation order, so parallel nests are
@@ -59,9 +57,9 @@ compile (per-key in-flight events; lookup and publication under the
 engine lock, compiler forks outside it), so an 8-thread stampede costs
 one compiler invocation.
 
-Unavailability is never an error: an environment with neither numba
-nor a C compiler reports :meth:`NativeEngine.available` ``False`` and
-every caller (pipeline, runner, autotuner) degrades to the GEMM/einsum
+Unavailability is never an error: an environment without a C compiler
+reports :meth:`NativeEngine.available` ``False`` and every
+caller (pipeline, runner, autotuner) degrades to the GEMM/einsum
 path with a structured note; a compiler without OpenMP degrades to the
 chunked strategy with a structured note.  A nest whose individual
 compilation fails is remembered as failed (no retry storms) and its
@@ -119,7 +117,7 @@ __all__ = [
     "engine_stats",
 ]
 
-#: flags baked into every cc compile (and the artifact key).  Contraction
+#: flags baked into every compile (and the artifact key).  Contraction
 #: is off so that a multiply and the add after it stay two roundings on
 #: every target: that is what lets the emitter pick a loop shape, and the
 #: engine a target, without any rendering of a nest leaving the result of
@@ -135,7 +133,7 @@ TARGET_FLAG = "-march=native"
 #: summation-loop block size of the emitted nests
 NATIVE_TILE = 64
 
-#: dtypes the backends implement (C types exist for both)
+#: dtypes the emitter implements (C types exist for both)
 _CTYPES = {"float64": "double", "float32": "float"}
 
 
@@ -272,18 +270,6 @@ def _cc_identity(cc: str) -> str:
     identity = f"{line} [{cc}]"
     _identity_cache[cc] = identity
     return identity
-
-
-def _numba():
-    """The numba module when importable (and not disabled), else None."""
-    if os.environ.get("REPRO_NO_NUMBA"):
-        return None
-    try:
-        import numba  # type: ignore
-
-        return numba
-    except Exception:
-        return None
 
 
 # -- OpenMP capability probing -----------------------------------------------
@@ -448,11 +434,10 @@ def _chunk_bounds(extent: int, nthreads: int) -> List[Tuple[int, int]]:
 class NativeEngine:
     """Compiles :class:`NativeSpec` nests and caches the results.
 
-    ``backend`` forces ``"numba"`` or ``"cc"`` (default: numba when
-    importable, else cc when a compiler exists, else unavailable);
-    ``"none"`` forces an unavailable engine, which is how the tests --
-    and the pipeline's degraded mode -- model a machine without any
-    compiler;
+    ``backend`` is ``"cc"`` when a C compiler exists, else ``None``
+    (unavailable); passing ``"none"`` forces an unavailable engine,
+    which is how the tests -- and the pipeline's degraded mode -- model
+    a machine without any compiler;
     ``store`` is the content-addressed :class:`ArtifactStore` (a
     private in-memory store by default -- pass one with a ``directory``
     to share compiled objects across processes); ``tile`` is the
@@ -467,7 +452,7 @@ class NativeEngine:
     run outside it, and concurrent requests for one key wait on a
     per-key event instead of forking the compiler twice.
 
-    Counters: ``compile_invocations`` (compiler forks / JIT builds),
+    Counters: ``compile_invocations`` (compiler forks),
     ``store_loads`` (functions revived from stored bytes with no
     compile), ``failures`` (specs whose compile failed; remembered so
     they are not retried), ``recovered`` (stored objects that would not
@@ -482,14 +467,13 @@ class NativeEngine:
         tile: int = NATIVE_TILE,
         threads: int = 1,
     ) -> None:
-        if backend not in (None, "numba", "cc", "none"):
+        if backend not in (None, "cc", "none"):
             raise ValueError(
-                f"unknown native backend {backend!r} "
-                "(use 'numba', 'cc', or 'none')"
+                f"unknown native backend {backend!r} (use 'cc' or 'none')"
             )
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        self.store = store if store is not None else ArtifactStore()
+        self.store = store if store is not None else ArtifactStore(maxsize=256)
         self.tile = tile
         self.threads = threads
         self._lock = threading.Lock()
@@ -502,18 +486,8 @@ class NativeEngine:
         self.store_loads = 0
         self.parallel_functions = 0
         self.fused_functions = 0
-        self._numba = _numba() if backend in (None, "numba") else None
-        self._cc = _find_cc() if backend in (None, "cc") else None
-        if backend == "numba" and self._numba is None:
-            self.backend: Optional[str] = None
-        elif backend == "cc" and self._cc is None:
-            self.backend = None
-        elif self._numba is not None and backend in (None, "numba"):
-            self.backend = "numba"
-        elif self._cc is not None:
-            self.backend = "cc"
-        else:
-            self.backend = None
+        self._cc = _find_cc() if backend != "none" else None
+        self.backend: Optional[str] = "cc" if self._cc is not None else None
 
     # -- identity ---------------------------------------------------------
 
@@ -522,25 +496,15 @@ class NativeEngine:
         return self.backend is not None
 
     def unavailable_reason(self) -> str:
-        return (
-            "no native backend: numba not importable and no C compiler "
-            "(cc/gcc/clang) on PATH"
-        )
+        return "no native backend: no C compiler (cc/gcc/clang) on PATH"
 
     def compiler_identity(self) -> str:
         """What produces the machine code (part of every artifact key)."""
-        if self.backend == "numba":
-            return f"numba {self._numba.__version__}"
-        if self.backend == "cc":
-            return _cc_identity(self._cc)
-        return "none"
+        return _cc_identity(self._cc) if self._cc is not None else "none"
 
     def openmp(self) -> bool:
         """Whether compiled nests can use OpenMP pragmas here."""
-        if self.backend != "cc":
-            return False
-        ok, _ = _openmp_supported(self._cc)
-        return ok
+        return _openmp_supported(self._cc)[0]
 
     def parallel_strategy(self, threads: Optional[int] = None) -> str:
         """How ``threads`` would be realized: ``omp``/``chunk``/``none``.
@@ -562,12 +526,6 @@ class NativeEngine:
         eff = self.threads if threads is None else threads
         if eff <= 1 or self.backend is None:
             return None
-        if self.backend == "numba":
-            return (
-                f"kernel threads={eff}: numba backend has no OpenMP "
-                "emission; using the chunked outer-loop fallback "
-                "(njit nogil thread pool)"
-            )
         ok, reason = _openmp_supported(self._cc)
         if ok:
             return None
@@ -579,7 +537,7 @@ class NativeEngine:
     def target_note(self) -> Optional[str]:
         """A structured degradation note when nests compile for the
         baseline target (``None`` when :data:`TARGET_FLAG` is used)."""
-        if self.backend != "cc":
+        if self.backend is None:
             return None
         ok, reason = _target_supported(self._cc)
         if ok:
@@ -605,7 +563,7 @@ class NativeEngine:
         misses instead of loading code that CPU cannot run."""
         eff, strategy, _ = self._resolve(spec, threads)
         base: Tuple[str, ...] = ()
-        if self.backend == "cc":
+        if self.backend is not None:
             ok, token = _target_supported(self._cc)
             base = self._cc_flags() + (
                 f"target={token if ok else 'baseline'}",
@@ -690,10 +648,7 @@ class NativeEngine:
             # someone else is compiling this key: wait, then re-read
             event.wait()
         try:
-            if self.backend == "numba":
-                fn = self._build_numba(spec, dtype, key, eff, strategy)
-            else:
-                fn = self._build_cc(spec, dtype, key, eff, strategy)
+            fn = self._build_cc(spec, dtype, key, eff, strategy)
         except Exception as exc:  # compile errors degrade, never raise
             with self._lock:
                 self._failed[key] = f"{type(exc).__name__}: {exc}"
@@ -729,7 +684,7 @@ class NativeEngine:
         with self._lock:
             return self._recovered.get(key)
 
-    # -- source emission (shared by both backends) ------------------------
+    # -- source emission --------------------------------------------------
 
     def _c_source(
         self, spec: AnySpec, dtype, eff: int, strategy: str
@@ -746,66 +701,6 @@ class NativeEngine:
             spec, ctype, self.tile,
             threads=eff, parallel=strategy, simd=simd,
         )
-
-    def _py_source(self, spec: AnySpec, strategy: str) -> str:
-        cgen = _cgen()
-        chunked = strategy == "chunk"
-        if isinstance(spec, FusedSpec):
-            return cgen.py_fused_source(spec, tile=self.tile,
-                                        chunked=chunked)
-        return cgen.py_source(spec, tile=self.tile, chunked=chunked)
-
-    # numba: the artifact is the in-process dispatcher; the store keeps
-    # the rendered source so warm processes skip nothing but the text.
-    def _build_numba(
-        self, spec: AnySpec, dtype, key: str, eff: int, strategy: str
-    ) -> Callable:
-        source = self._py_source(spec, strategy)
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<nest {key[:12]}>", "exec"), namespace)
-        with self._lock:
-            self.compile_invocations += 1
-        chunked = strategy == "chunk"
-        jitted = self._numba.njit(cache=False, nogil=chunked)(
-            namespace["kern"]
-        )
-        fused = isinstance(spec, FusedSpec)
-        nops = (
-            sum(len(m.operands) for m in spec.members)
-            if fused
-            else len(spec.operands)
-        )
-        if fused:
-            outer = spec.out_extents[0]
-
-            def call(coefs, ops, outs) -> None:
-                carr = np.ascontiguousarray(coefs, dtype=np.float64)
-                flat = [ops[k].ravel() for k in range(nops)]
-                flat_outs = [o.ravel() for o in outs]
-                if chunked:
-                    _run_chunks(
-                        lambda lo, hi: jitted(carr, lo, hi, *flat,
-                                              *flat_outs),
-                        outer, eff,
-                    )
-                else:
-                    jitted(carr, *flat, *flat_outs)
-
-            return call
-        outer = spec.extents[0] if spec.nout else 0
-
-        def call(coef: float, ops, out) -> None:
-            flat = [ops[k].ravel() for k in range(nops)]
-            if chunked:
-                _run_chunks(
-                    lambda lo, hi: jitted(float(coef), lo, hi, *flat,
-                                          out.ravel()),
-                    outer, eff,
-                )
-            else:
-                jitted(float(coef), *flat, out.ravel())
-
-        return call
 
     def _build_cc(
         self, spec: AnySpec, dtype, key: str, eff: int, strategy: str
@@ -937,7 +832,7 @@ class NativeEngine:
 
     def _omp_status(self) -> str:
         """Probe status without forking a compiler (for stats)."""
-        if self.backend != "cc":
+        if self.backend is None:
             return "n/a"
         if os.environ.get("REPRO_NO_OPENMP"):
             return "disabled"
@@ -982,8 +877,8 @@ def _run_chunks(invoke: Callable[[int, int], None], extent: int,
     """Drive ``invoke(lo, hi)`` over disjoint outer-loop slices from a
     transient thread pool (the chunked fallback strategy).
 
-    ctypes foreign calls and ``nogil`` numba kernels release the GIL,
-    so the slices genuinely overlap; slices are disjoint in the output,
+    ctypes foreign calls release the GIL, so the slices genuinely
+    overlap; slices are disjoint in the output,
     so no synchronization is needed beyond the joins.
     """
     bounds = _chunk_bounds(extent, threads)

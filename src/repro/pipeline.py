@@ -26,6 +26,7 @@ against the reference einsum executor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -257,7 +258,7 @@ class SynthesisResult:
         )
 
     def _require_default_semiring(self, where: str) -> None:
-        """The loop/numpy source generators hard-code ``(+, ×)``."""
+        """The loop source generator hard-codes ``(+, ×)``."""
         if getattr(self.config, "semiring", "plus_times") != "plus_times":
             from repro.robustness.errors import ReproError
 
@@ -275,18 +276,18 @@ class SynthesisResult:
         return compile_loops(self.structure, self.config.bindings)
 
     def compile_fast(self) -> Callable:
-        """Compile the *formula sequence* to a vectorized numpy kernel.
+        """The *formula sequence* as a callable ``kernel(arrays,
+        functions=None)`` over :meth:`kernel_runner`.
 
-        This is the practical execution path at real sizes: binary
-        contractions lowered to GEMM, degenerate terms on the
-        cached-path einsum (no fusion/tiling -- use it when the problem
-        fits in memory).  Numerically it matches the reference executor
-        to floating-point reassociation tolerance (~1e-12 relative).
+        This is the practical execution path at real sizes, under any
+        semiring: the compiled :attr:`kernel_plan` (GEMM, compiled
+        nests, cached-path einsum; no fusion/tiling -- use it when the
+        problem fits in memory).  Every call returns detached arrays
+        and leaves its inputs untouched.  Numerically it matches the
+        reference executor to floating-point reassociation tolerance
+        (~1e-12 relative).
         """
-        self._require_default_semiring("compile_fast()")
-        from repro.codegen.npgen import compile_sequence
-
-        return compile_sequence(self.statements, self.config.bindings)
+        return functools.partial(self.kernel_runner().run, copy=True)
 
     def kernel_runner(
         self,
@@ -560,7 +561,17 @@ def synthesize(
     config = config or SynthesisConfig()
     from repro.semiring import get_semiring
 
-    get_semiring(config.semiring)  # fail fast on unknown algebra names
+    # fail fast on a bad config value, before any search stage runs
+    get_semiring(config.semiring)
+    if config.codegen not in ("auto", "native", "gemm", "einsum"):
+        raise ValueError(
+            f"unknown codegen mode {config.codegen!r} "
+            "(use 'auto', 'native', 'gemm', or 'einsum')"
+        )
+    if config.kernel_threads is not None and config.kernel_threads < 1:
+        raise ValueError(
+            f"kernel_threads must be >= 1, got {config.kernel_threads}"
+        )
     program = (
         parse_program(source) if isinstance(source, str) else source
     )
@@ -606,7 +617,11 @@ def _synthesize_cached(
     result.reports.append(
         StageReport(
             "Plan cache",
-            {"hit": "miss (synthesized and stored)", "key": key[:16]},
+            {
+                "hit": "miss (synthesized and stored)",
+                "key": key[:16],
+                "stats": cache.stats(),
+            },
         )
     )
     return result
@@ -944,15 +959,6 @@ def _synthesize_pipeline(
     # so warm plan-cache hits carry fully planned execution kernels
     from repro.kernels import compile_kernel_plan
 
-    if config.codegen not in ("auto", "native", "gemm", "einsum"):
-        raise ValueError(
-            f"unknown codegen mode {config.codegen!r} "
-            "(use 'auto', 'native', 'gemm', or 'einsum')"
-        )
-    if config.kernel_threads is not None and config.kernel_threads < 1:
-        raise ValueError(
-            f"kernel_threads must be >= 1, got {config.kernel_threads}"
-        )
     codegen_mode = "gemm" if config.codegen == "auto" else config.codegen
     initial_notes: List[str] = []
     engine = None

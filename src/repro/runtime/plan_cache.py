@@ -24,10 +24,10 @@ compiled over and over.  A :class:`PlanCache` memoizes the complete
 Storage is a :class:`repro.store.TwoTierStore`: a bounded in-memory LRU
 over an optional sharded on-disk tier (atomic, lock-protected writes --
 concurrent server workers and CLI runs share one directory safely;
-corrupt or unreadable files are treated as misses and removed).  Values
-are stored *pickled* even in memory, so every hit returns a private
-deep copy -- callers can mutate results freely without poisoning the
-cache.
+corrupt, unreadable or out-of-date files are misses, removed and
+counted ``stale``).  Values are stored *pickled* even in memory, so
+every hit returns a private deep copy -- callers can mutate results
+freely without poisoning the cache.
 
 The serving layer (:mod:`repro.server`) additionally deduplicates
 concurrent identical requests against the same key; every deduplicated
@@ -38,12 +38,11 @@ story.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import fields
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-from repro.store import TwoTierStore
+from repro.store import TwoTierStore, content_key
 
 __all__ = ["PlanCache", "plan_key", "config_fingerprint"]
 
@@ -88,85 +87,41 @@ def config_fingerprint(config) -> str:
 
 def plan_key(program, config) -> str:
     """The content-addressed cache key of (program, config, version)."""
-    from repro import __version__
     from repro.expr.printer import program_to_source
 
-    payload = "\n".join(
-        [__version__, config_fingerprint(config), program_to_source(program)]
+    return content_key(
+        config_fingerprint(config), program_to_source(program)
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class PlanCache:
+class PlanCache(TwoTierStore):
     """In-memory LRU + optional on-disk store of synthesis results.
 
     ``maxsize`` bounds the in-memory entry count (least recently used
     entries are evicted; disk entries are never evicted by the LRU).
     ``directory`` enables the persistent tier: entries found on disk are
-    promoted back into memory on hit.
+    promoted back into memory on hit.  :meth:`get` returns
+    ``(result, tier)`` with a private copy of the result (unpickled
+    from the stored bytes); entries whose result schema predates this
+    release are dropped and counted ``stale`` (see
+    :func:`_result_current`).
     """
+
+    suffix = ".plan.pkl"
 
     def __init__(
         self, maxsize: int = 128, directory: Optional[str] = None
     ) -> None:
-        self._store = TwoTierStore(maxsize, directory, suffix=".plan.pkl")
+        super().__init__(maxsize, directory)
         self.coalesced = 0
 
-    def __len__(self) -> int:
-        return len(self._store)
+    def encode(self, result) -> bytes:
+        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
 
-    @property
-    def maxsize(self) -> int:
-        return self._store.maxsize
+    def decode(self, blob: bytes):
+        return pickle.loads(blob)
 
-    @property
-    def directory(self) -> Optional[str]:
-        return self._store.directory
-
-    @property
-    def _memory(self):
-        return self._store._memory
-
-    @property
-    def hits(self) -> int:
-        return self._store.hits
-
-    @property
-    def memory_hits(self) -> int:
-        return self._store.memory_hits
-
-    @property
-    def disk_hits(self) -> int:
-        return self._store.disk_hits
-
-    @property
-    def misses(self) -> int:
-        return self._store.misses
-
-    @property
-    def evictions(self) -> int:
-        return self._store.evictions
-
-    def _path(self, key: str) -> str:
-        return self._store.path(key)
-
-    def get(self, key: str) -> Optional[Tuple[object, str]]:
-        """``(result, tier)`` for a cached key, else ``None``.
-
-        ``tier`` is ``"memory"`` or ``"disk"``; the returned result is a
-        private copy (unpickled from the stored bytes).  Entries whose
-        result schema predates this release are dropped and counted
-        ``stale`` (see :func:`_result_current`).
-        """
-        return self._store.get(
-            key, decode=pickle.loads, validate=_result_current
-        )
-
-    def put(self, key: str, result) -> None:
-        """Store a synthesis result under ``key`` in both tiers."""
-        self._store.put(
-            key, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+    current = staticmethod(_result_current)
 
     def note_coalesced(self, n: int = 1) -> None:
         """Record ``n`` requests that shared an in-flight synthesis for
@@ -175,18 +130,14 @@ class PlanCache:
         self.coalesced += n
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot: hits per tier, misses, evictions, and
-        coalesced requests (see :meth:`note_coalesced`)."""
-        out = self._store.stats()
+        """Counter snapshot: hits per tier, misses, stale, evictions,
+        and coalesced requests (see :meth:`note_coalesced`)."""
+        out = super().stats()
         out["coalesced"] = self.coalesced
         return out
 
-    def clear(self, disk: bool = False) -> None:
-        """Drop the in-memory tier (and the disk tier with ``disk=True``)."""
-        self._store.clear(disk=disk)
-
     def describe(self) -> str:
-        text = self._store.describe("PlanCache")
+        text = super().describe()
         if self.coalesced:
             text += f", {self.coalesced} coalesced"
         return text

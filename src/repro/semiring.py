@@ -19,8 +19,8 @@ Each :class:`Semiring` carries three lowering surfaces:
 * **C** -- expression templates and an identity literal (used by
   :mod:`repro.codegen.cgen` when emitting native loop nests; the
   semiring id is part of the nest IR, hence of the artifact key);
-* **python-source** -- expression templates that stay inside the
-  numba-``njit``-able subset for the numba nest backend.
+* **python-source** -- expression templates for the reference
+  rendering of a nest (:func:`repro.codegen.cgen.py_source`).
 
 Scalar coefficients are a ``plus_times`` notion (they come from the
 weighted-sum normal form of the expression AST); every non-default
@@ -72,8 +72,8 @@ _C_OPS: Dict[str, Callable[[str, str], str]] = {
     "maximum": lambda a, b: f"(({a}) > ({b}) ? ({a}) : ({b}))",
 }
 
-# python-source expression template per ufunc name (njit-able subset:
-# builtins min/max and arithmetic only)
+# python-source expression template per ufunc name (builtins min/max
+# and arithmetic only)
 _PY_EXPR: Dict[str, Callable[[str, str], str]] = {
     "multiply": lambda a, b: f"{a} * {b}",
     "add": lambda a, b: f"{a} + {b}",
@@ -153,7 +153,7 @@ class Semiring:
             return ("math.h",)
         return ()
 
-    # -- python-source lowering (numba nests) --------------------------
+    # -- python-source lowering (reference nests) ----------------------
     def py_expr_combine(self, a: str, b: str) -> str:
         return _PY_EXPR[self.combine_ufunc](a, b)
 
@@ -161,8 +161,7 @@ class Semiring:
         return _PY_EXPR[self.reduce_ufunc](a, b)
 
     def py_zero(self) -> str:
-        """Identity-element literal for generated python source
-        (``math.inf`` is njit-able; ``float('inf')`` is not)."""
+        """Identity-element literal for generated python source."""
         if self.zero == float("inf"):
             return "math.inf"
         if self.zero == float("-inf"):

@@ -1,19 +1,22 @@
 """The shared two-tier (memory LRU + on-disk) content-addressed store.
 
-:class:`~repro.runtime.plan_cache.PlanCache` and
-:class:`~repro.autotune.db.TuningDB` keep the same storage shape: a
-bounded in-memory LRU of serialized blobs over an optional persistent
-directory of one file per content-addressed key.  :class:`TwoTierStore`
-is that shape, extracted once, so both wrappers only decide *what* a
-blob means (pickle vs canonical JSON, signature validation) while the
-mechanics live here:
+This is the one module that knows how a cache entry is keyed and
+trusted.  :func:`content_key` is the only key builder (sha256 over the
+package version and the caller's fields);
+:class:`~repro.runtime.plan_cache.PlanCache`,
+:class:`~repro.autotune.db.TuningDB` and
+:class:`~repro.kernels.artifacts.ArtifactStore` are subclasses of
+:class:`TwoTierStore` that state only *what* a blob means -- their file
+suffix, their codec (:meth:`~TwoTierStore.encode` /
+:meth:`~TwoTierStore.decode`: pickle, canonical JSON, sealed bytes) and
+their validator (:meth:`~TwoTierStore.current`) -- while the mechanics
+live here:
 
 * **LRU memory tier** -- blobs keyed by hex digest, least recently used
   entries evicted beyond ``maxsize``; hits refresh recency.
 * **Sharded disk tier** -- keys fan out into ``directory/<key[:2]>/``
   subdirectories (256-way), so a serving deployment writing tens of
-  thousands of plans never piles them into one directory.  Legacy flat
-  files (pre-sharding layouts) are still found on read.
+  thousands of plans never piles them into one directory.
 * **Atomic, locked publication** -- a writer stakes a ``<key>.lock``
   file with ``O_EXCL``, writes a temporary file, and ``os.replace``\\ s
   it over the canonical path, so concurrent server workers and CLI
@@ -22,9 +25,11 @@ mechanics live here:
   simply skips publication: the winner is writing identical bytes.
   Locks abandoned by a crashed writer are broken after
   ``lock_timeout_s``.
-* **Corruption discipline** -- unreadable or undecodable disk entries
-  are removed and read as misses; an optional ``validate`` hook lets
-  the wrapper reject decoded-but-stale records (counted separately).
+* **Corruption discipline** -- a disk entry that cannot be read or
+  decoded, or that decodes to something :meth:`~TwoTierStore.current`
+  rejects (another release, another machine), is removed, read as a
+  miss and counted ``stale``: damage is never silent, whichever cache
+  it hit.
 
 All operations are thread-safe: the serving layer synthesizes in
 executor threads that share one store.
@@ -32,34 +37,49 @@ executor threads that share one store.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-__all__ = ["TwoTierStore", "SHARD_CHARS"]
+__all__ = ["TwoTierStore", "content_key", "SHARD_CHARS"]
 
 #: leading hex digits of the key that name the fan-out subdirectory
 SHARD_CHARS = 2
 
 
+def content_key(*fields: str) -> str:
+    """The content-addressed key of ``fields``: sha256 over the package
+    version and every field.  The version rides along so an upgrade --
+    a compiler that may plan, tune or emit differently -- invalidates
+    every stored entry."""
+    from repro import __version__
+
+    payload = "\n".join((__version__,) + fields)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 class TwoTierStore:
     """Bounded in-memory LRU over an optional sharded disk directory.
 
-    ``suffix`` names the entry files (``<key><suffix>``); ``decode``
-    callbacks passed to :meth:`get` turn stored bytes back into values.
-    Counters (``hits``/``memory_hits``/``disk_hits``/``misses``/
-    ``stale``/``evictions``) accumulate across the store's lifetime and
-    are snapshotted by :meth:`stats`.
+    Stores raw bytes as is; a subclass names its entry files
+    (:attr:`suffix`) and overrides :meth:`encode` / :meth:`decode` /
+    :meth:`current` to say what its values are and when a stored one
+    may still be used.  Counters (``hits``/``memory_hits``/
+    ``disk_hits``/``misses``/``stale``/``evictions``) accumulate across
+    the store's lifetime and are snapshotted by :meth:`stats`.
     """
+
+    #: entry files are named ``<key><suffix>``
+    suffix = ".bin"
 
     def __init__(
         self,
         maxsize: int = 128,
         directory: Optional[str] = None,
-        suffix: str = ".bin",
         *,
         lock_timeout_s: float = 60.0,
     ) -> None:
@@ -67,7 +87,6 @@ class TwoTierStore:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self.directory = directory
-        self.suffix = suffix
         self.lock_timeout_s = lock_timeout_s
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -84,39 +103,42 @@ class TwoTierStore:
         with self._lock:
             return len(self._memory)
 
-    # -- paths -------------------------------------------------------------
+    # -- what a subclass states ----------------------------------------------
+
+    def encode(self, value) -> bytes:
+        """The bytes stored for ``value``."""
+        return value
+
+    def decode(self, blob: bytes):
+        """The value of stored bytes; raising marks the entry corrupt."""
+        return blob
+
+    def current(self, value, **expect) -> bool:
+        """Whether a decoded value may be served to a caller passing
+        ``expect`` to :meth:`get`."""
+        return True
 
     def path(self, key: str) -> str:
-        """Canonical (sharded) disk path of ``key``."""
+        """Disk path of ``key`` (sharded by its leading digits)."""
         return os.path.join(
             self.directory, key[:SHARD_CHARS], f"{key}{self.suffix}"
         )
 
-    def _legacy_path(self, key: str) -> str:
-        """Pre-sharding flat path, still honoured on read."""
-        return os.path.join(self.directory, f"{key}{self.suffix}")
-
     # -- read path ---------------------------------------------------------
 
-    def get(
-        self,
-        key: str,
-        decode: Optional[Callable[[bytes], object]] = None,
-        validate: Optional[Callable[[object], bool]] = None,
-    ) -> Optional[Tuple[object, str]]:
+    def get(self, key: str, **expect) -> Optional[Tuple[object, str]]:
         """``(value, tier)`` for a stored key, else ``None``.
 
-        ``tier`` is ``"memory"`` or ``"disk"``.  ``decode`` maps stored
-        bytes to the returned value (identity when omitted); a disk blob
-        whose decode raises is treated as corrupt, removed, and counted
-        as a miss.  ``validate`` inspects the decoded value: entries it
-        rejects are dropped from their tier and counted ``stale``.
+        ``tier`` is ``"memory"`` or ``"disk"``; the value is decoded
+        afresh from the stored bytes on every hit.  An entry that
+        :meth:`current` rejects, and a disk entry that cannot be read
+        or decoded, is dropped from its tier and counted ``stale``.
         """
         with self._lock:
             blob = self._memory.get(key)
             if blob is not None:
-                value = blob if decode is None else decode(blob)
-                if validate is not None and not validate(value):
+                value = self.decode(blob)
+                if not self.current(value, **expect):
                     del self._memory[key]
                     self.stale += 1
                     self.misses += 1
@@ -126,38 +148,33 @@ class TwoTierStore:
                 self.memory_hits += 1
                 return value, "memory"
             if self.directory is not None:
-                found = self._read_disk(key, decode, validate)
+                found = self._read_disk(key, expect)
                 if found is not None:
                     return found
             self.misses += 1
             return None
 
-    def _read_disk(self, key, decode, validate):
+    def _read_disk(self, key, expect):
         """One disk probe under the lock; counts its own hit/stale."""
-        for path in (self.path(key), self._legacy_path(key)):
-            try:
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                self._remove_file(path)
-                continue
-            try:
-                value = blob if decode is None else decode(blob)
-            except Exception:
-                # corrupt entry: drop it and treat as a miss
-                self._remove_file(path)
-                continue
-            if validate is not None and not validate(value):
-                self.stale += 1
-                self._remove_file(path)
-                continue
-            self._store_memory(key, blob)
-            self.hits += 1
-            self.disk_hits += 1
-            return value, "disk"
-        return None
+        path = self.path(key)
+        try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            value = self.decode(blob)
+            usable = self.current(value, **expect)
+        except FileNotFoundError:
+            return None
+        except Exception:
+            # unreadable, undecodable, or not the shape current() reads
+            usable = False
+        if not usable:
+            self.stale += 1
+            self._remove_file(path)
+            return None
+        self._store_memory(key, blob)
+        self.hits += 1
+        self.disk_hits += 1
+        return value, "disk"
 
     @staticmethod
     def _remove_file(path: str) -> None:
@@ -168,8 +185,9 @@ class TwoTierStore:
 
     # -- write path --------------------------------------------------------
 
-    def put(self, key: str, blob: bytes) -> None:
-        """Store serialized ``blob`` under ``key`` in both tiers."""
+    def put(self, key: str, value) -> None:
+        """Store ``value`` (encoded) under ``key`` in both tiers."""
+        blob = self.encode(value)
         with self._lock:
             self._store_memory(key, blob)
         if self.directory is not None:
@@ -240,8 +258,7 @@ class TwoTierStore:
             self._memory.pop(key, None)
             self.stale += 1
         if self.directory is not None:
-            for path in (self.path(key), self._legacy_path(key)):
-                self._remove_file(path)
+            self._remove_file(self.path(key))
 
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier (and the disk tier with ``disk=True``)."""
@@ -267,12 +284,13 @@ class TwoTierStore:
                 "evictions": self.evictions,
             }
 
-    def describe(self, name: str = "TwoTierStore") -> str:
+    def describe(self) -> str:
         tiers = f"memory[{len(self._memory)}/{self.maxsize}]"
         if self.directory is not None:
             tiers += f" + disk[{self.directory}]"
         return (
-            f"{name}({tiers}): {self.hits} hits "
+            f"{type(self).__name__}({tiers}): {self.hits} hits "
             f"({self.memory_hits} memory, {self.disk_hits} disk), "
-            f"{self.misses} misses, {self.evictions} evictions"
+            f"{self.misses} misses ({self.stale} stale), "
+            f"{self.evictions} evictions"
         )

@@ -14,7 +14,6 @@ The acceptance properties the subsystem guarantees:
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -200,14 +199,6 @@ class TestTuningDB:
         db.put("k1", record)
         assert db.get("k1", signature=sig) is None
         assert db.stale == 1
-
-    def test_corrupt_disk_record_dropped(self, tmp_path):
-        db = TuningDB(directory=str(tmp_path))
-        path = os.path.join(str(tmp_path), "bad.tune.json")
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        assert db.get("bad") is None
-        assert not os.path.exists(path)
 
     def test_lru_eviction(self):
         sig = machine_signature()

@@ -16,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ RTOL, ATOL = 1e-12, 1e-12
 
 needs_compiler = pytest.mark.skipif(
     not native_available(),
-    reason="no native backend (numba or a C compiler) on this machine",
+    reason="no native backend (a C compiler) on this machine",
 )
 
 
@@ -512,7 +513,7 @@ class TestArtifactStore:
         for field, other in [
             ("dtype", "<f4"),
             ("compiler", "cc 13.1.0 [/usr/bin/cc]"),
-            ("backend", "numba"),
+            ("backend", "none"),
             ("flags", ("-O2",)),
             ("nest_ir", base["nest_ir"].replace("2,3", "2,4")),
         ]:
@@ -611,7 +612,7 @@ print(json.dumps({
 
 
 class TestDegradation:
-    def test_forced_off_engine_runs_on_fallback(self):
+    def test_forced_off_engine_runs_on_fallback(self, monkeypatch):
         stmt = _matmul_stmt()
         plan = compile_kernel_plan([stmt], mode="native")
         rng = np.random.default_rng(4)
@@ -620,7 +621,17 @@ class TestDegradation:
             "B": rng.standard_normal((7, 6)),
         }
         want = run_statements([stmt], inputs)["S"]
+        # the engine is the C compiler: no other backend is looked for
+        looked_for = []  # every module the import system is asked for
+        finder = SimpleNamespace(
+            find_spec=lambda name, *_: looked_for.append(name)
+        )
+        monkeypatch.setattr(sys, "meta_path", [finder] + sys.meta_path)
+        with pytest.raises(ValueError, match="unknown native backend"):
+            NativeEngine(backend="numba")
+        NativeEngine()
         engine = NativeEngine(backend="none")
+        assert "numba" not in looked_for
         assert not engine.available()
         runner = KernelRunner(plan, engine=engine)
         got = runner.run(inputs)["S"]
@@ -784,8 +795,10 @@ class TestPipelineIntegration:
         assert result.codegen_mode == "gemm"
         assert result.native_artifacts == []
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+    def test_unknown_mode_rejected(self, monkeypatch):
+        # rejected up front: no search stage runs on a bad config
+        monkeypatch.setattr("repro.pipeline.optimize_program", None)
+        with pytest.raises(ValueError, match="unknown codegen mode"):
             synthesize(self.SRC, SynthesisConfig(codegen="fortran"))
 
     def test_native_result_survives_the_plan_cache(self, tmp_path):

@@ -1,10 +1,11 @@
 """The shared two-tier store (memory LRU + sharded on-disk tier).
 
-Both content-addressed stores (the plan cache and the tuning database)
-sit on :class:`repro.store.TwoTierStore`; these tests pin down the
-store's own contract -- sharded fanout layout, atomic + locked
-publication, LRU behavior, corrupt/stale handling, and the counters
-the serving layer surfaces.
+All three content-addressed caches (the plan cache, the tuning database
+and the artifact store) are :class:`repro.store.TwoTierStore`
+subclasses; these tests pin down the store's own contract -- sharded
+fanout layout, atomic + locked publication, LRU behavior, the counters
+the serving layer surfaces -- and that a damaged or out-of-date disk
+entry of any of the three is a clean, counted miss.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import __version__
+from repro.autotune.db import TuningDB
+from repro.kernels.artifacts import ArtifactStore, DamagedArtifact
+from repro.pipeline import RESULT_VERSION, SynthesisResult
+from repro.runtime.plan_cache import PlanCache
 from repro.store import TwoTierStore
 
 
@@ -47,15 +53,19 @@ class TestMemoryTier:
         assert store.get(c) is not None
 
     def test_decode_applies(self):
-        store = TwoTierStore(maxsize=4)
+        class IntStore(TwoTierStore):
+            def decode(self, blob):
+                return int(blob)
+
+        store = IntStore(maxsize=4)
         store.put("k", b"123")
-        value, _ = store.get("k", decode=lambda blob: int(blob))
+        value, _ = store.get("k")
         assert value == 123
 
 
 class TestDiskTier:
     def test_sharded_layout(self, tmp_path):
-        store = TwoTierStore(maxsize=4, directory=tmp_path, suffix=".bin")
+        store = TwoTierStore(maxsize=4, directory=tmp_path)
         store.put("cafef00d", b"x")
         expected = tmp_path / "ca" / "cafef00d.bin"
         assert expected.is_file()
@@ -82,38 +92,33 @@ class TestDiskTier:
         assert value == b"shared"
         assert tier == "disk"
 
-    def test_legacy_flat_file_still_readable(self, tmp_path):
-        # stores written before sharding kept files at the top level
-        (tmp_path / "0ldkey.bin").write_bytes(b"legacy")
-        store = TwoTierStore(maxsize=4, directory=tmp_path, suffix=".bin")
-        value, tier = store.get("0ldkey")
-        assert value == b"legacy"
-        assert tier == "disk"
-
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
-        store = TwoTierStore(maxsize=1, directory=tmp_path)
+        class Strict(TwoTierStore):
+            def decode(self, blob):
+                if not blob:
+                    raise ValueError("corrupt")
+                return blob
+
+        store = Strict(maxsize=1, directory=tmp_path)
         a, b = _keys(2)
         store.put(a, b"good")
         store.put(b, b"spill")  # push a out of memory
         path = Path(store.path(a))
         path.write_bytes(b"")
-
-        def decode(blob):
-            if not blob:
-                raise ValueError("corrupt")
-            return blob
-
-        assert store.get(a, decode=decode) is None
+        assert store.get(a) is None
         assert not path.exists(), "corrupt file must be removed"
-        assert store.misses == 1
+        assert (store.misses, store.stale) == (1, 1)
 
     def test_stale_entry_is_a_miss(self, tmp_path):
-        store = TwoTierStore(maxsize=1, directory=tmp_path)
+        class Outdated(TwoTierStore):
+            def current(self, value):
+                return False
+
+        store = Outdated(maxsize=1, directory=tmp_path)
         a, b = _keys(2)
         store.put(a, b"v1")
         store.put(b, b"spill")
-        result = store.get(a, validate=lambda value: False)
-        assert result is None
+        assert store.get(a) is None
         assert store.stale == 1
 
     def test_clear_disk(self, tmp_path):
@@ -207,8 +212,8 @@ class TestStats:
 
     def test_describe_mentions_tiers(self, tmp_path):
         store = TwoTierStore(maxsize=4, directory=tmp_path)
-        text = store.describe("test store")
-        assert "test store" in text
+        text = store.describe()
+        assert "TwoTierStore(memory[0/4] + disk[" in text
 
 
 def test_memory_entries_respects_maxsize(tmp_path):
@@ -219,3 +224,70 @@ def test_memory_entries_respects_maxsize(tmp_path):
     # every entry still served from disk
     for key in _keys(5):
         assert store.get(key) is not None
+
+
+# -- damaged is a clean miss, in every cache ---------------------------------
+
+SIGNATURE = {"cpu_count": 2, "numpy": "2.0"}
+
+
+def _plan(version=RESULT_VERSION):
+    result = SynthesisResult.__new__(SynthesisResult)
+    result.result_version = version
+    return result
+
+
+def _record(version=__version__, signature=SIGNATURE):
+    return {"version": version, "signature": signature, "decisions": {}}
+
+
+def _load_artifact(store, key):
+    """What the native engine does with a stored object: a broken seal
+    is reported, the engine discards the entry, the next read misses."""
+    try:
+        return store.get(key)
+    except DamagedArtifact:
+        store.discard(key)
+        return store.get(key)
+
+
+#: cache -> (class, good value, read, {skew: value written instead})
+CACHES = {
+    "PlanCache": (
+        PlanCache, _plan(), PlanCache.get,
+        {"version-skew": _plan(RESULT_VERSION - 1)},
+    ),
+    "TuningDB": (
+        TuningDB, _record(), lambda db, key: db.get(key, signature=SIGNATURE),
+        {"version-skew": _record(version="0.0.1"),
+         "signature-skew": _record(signature={"cpu_count": 64})},
+    ),
+    "ArtifactStore": (ArtifactStore, b"\x7fELF" + bytes(512), _load_artifact, {}),
+}
+FILE_DAMAGE = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "garbled": lambda data: b"\xa5" * 16 + data[16:],
+    "empty": lambda data: b"",
+}
+
+
+@pytest.mark.parametrize(
+    "cache, damage",
+    [(c, d) for c, v in CACHES.items() for d in (*FILE_DAMAGE, *v[3])],
+)
+def test_damaged_disk_entry_is_a_clean_miss(tmp_path, cache, damage):
+    """Truncated, garbled, emptied, written by another release or on
+    another machine: the read is a miss, the file is removed, ``stale``
+    counts it, and nothing raises -- the same story from all three."""
+    cls, good, read, skews = CACHES[cache]
+    key = "c0ffee" + "ab" * 29
+    cls(directory=str(tmp_path)).put(key, skews.get(damage, good))
+    reader = cls(directory=str(tmp_path))
+    path = Path(reader.path(key))
+    if damage in FILE_DAMAGE:
+        path.write_bytes(FILE_DAMAGE[damage](path.read_bytes()))
+    assert read(reader, key) is None
+    assert not path.exists()
+    assert reader.stats()["stale"] == 1
+    reader.put(key, good)  # and the slot is usable again
+    assert read(cls(directory=str(tmp_path)), key) is not None
