@@ -436,18 +436,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ),
                 EXIT_SPEC,
             )
-        from repro.parallel.spmd import generate_spmd_source
-
         with open(args.emit_spmd, "w", encoding="utf-8") as handle:
-            for name, plan in result.partition_plans.items():
+            for name, source in result.spmd_sources().items():
                 handle.write(f"# ==== statement producing {name} ====\n")
-                handle.write(
-                    generate_spmd_source(
-                        plan,
-                        name=f"rank_program_{name}",
-                        semiring=result.config.semiring,
-                    )
-                )
+                handle.write(source)
                 handle.write("\n")
         print(f"wrote SPMD program(s) to {args.emit_spmd}")
     if args.run:

@@ -8,15 +8,29 @@ the Python source of a **rank program** (:func:`generate_spmd_source`):
 
     def rank_program(rank, comm, arrays, state):
         ...
-        yield   # superstep boundary
+        yield   # communication boundary
 
 Every rank executes the same code, branching on its own grid
 coordinates -- classic SPMD.  Communication goes through an explicit
 communicator (``comm.send`` / ``comm.recv_all``) in bulk-synchronous
-supersteps: the program ``yield``s between the send half and the
-receive half of every data movement, and the driver (:func:`run_spmd`)
-advances all ranks in lock step -- the in-process stand-in for
-``mpiexec`` (see the mpi4py substitution note in DESIGN.md).
+supersteps.  A superstep is a **communication boundary** and nothing
+else: the program ``yield``s exactly once per ``move`` / ``combine`` /
+``bcast``, between its send half and its receive half; placing inputs,
+local contractions, partial sums and exposing the result are rank-local
+and run straight through.  The driver (:func:`run_spmd`) advances all
+ranks in lock step -- the in-process stand-in for ``mpiexec`` (see the
+mpi4py substitution note in DESIGN.md).
+
+Local arithmetic is the cost model's: a product and the partial sums
+directly above it are **one** ``contract`` step, emitted through the
+ladder :func:`repro.kernels.plan.compile_kernel_plan` uses for a binary
+term -- :func:`~repro.kernels.lowering.lower_binary_term` ->
+``exec_gemm`` with the :class:`~repro.kernels.lowering.GemmSpec` fields
+as literals under ``plus_times``, ``cached_einsum(spec, ...,
+semiring=...)`` where that lowering declines or the algebra is not
+``(+, x)`` -- so no rank's ``state`` ever holds a block of higher rank
+than the step's operands and result, and under ``plus_times`` the joint
+block is never formed at all.
 
 Communication patterns match the cost model exactly:
 
@@ -33,7 +47,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,7 +164,7 @@ class LocalComm:
 class Step:
     """One typed schedule entry."""
 
-    kind: str  # 'slice' | 'move' | 'mul' | 'partial' | 'combine' | 'bcast' | 'result'
+    kind: str  # 'slice' | 'move' | 'contract' | 'partial' | 'combine' | 'bcast' | 'result'
     out: str
     args: Tuple
 
@@ -221,13 +235,14 @@ def compile_schedule(plan: PartitionPlan) -> List[Step]:
             var = fresh()
             steps.append(
                 Step(
-                    "mul",
+                    "contract",
                     var,
                     (
                         lvar,
                         tuple(node.left.indices),
                         rvar,
                         tuple(node.right.indices),
+                        (),  # summed indices: the PSum chain above adds them
                         tuple(node.indices),
                         gamma,
                     ),
@@ -244,15 +259,29 @@ def compile_schedule(plan: PartitionPlan) -> List[Step]:
             ceff = gamma.effective(node.child.indices)
             if cdist.effective(node.child.indices) != ceff:
                 cvar = move(cvar, node.child.indices, cdist, gamma)
-            pvar = fresh()
-            steps.append(
-                Step(
-                    "partial",
+            last = steps[-1]
+            if last.kind == "contract" and last.out == cvar:
+                # the product's only consumer is this partial sum: fold
+                # the summation into the local contraction, so the joint
+                # block the cost model never charges for is never formed
+                lvar, lind, rvar, rind, sums, _, cgamma = last.args
+                pvar = cvar
+                steps[-1] = Step(
+                    "contract",
                     pvar,
-                    (cvar, tuple(node.child.indices), node.index,
-                     tuple(node.indices), gamma),
+                    (lvar, lind, rvar, rind, sums + (node.index,),
+                     tuple(node.indices), cgamma),
                 )
-            )
+            else:
+                pvar = fresh()
+                steps.append(
+                    Step(
+                        "partial",
+                        pvar,
+                        (cvar, tuple(node.child.indices), node.index,
+                         tuple(node.indices), gamma),
+                    )
+                )
             option = plan.sum_option[id(node)]
             d = gamma.position_of(node.index)
             if d is None:
@@ -295,6 +324,22 @@ def compile_schedule(plan: PartitionPlan) -> List[Step]:
 # ---------------------------------------------------------------------------
 
 
+def _leaf_perm(ref_indices, node_indices) -> Tuple[int, ...]:
+    """Axes of a tensor reference in its leaf's (sorted) index order.
+
+    A repeated index (``A(i, i, k)``) claims one reference axis per
+    occurrence, so the diagonal stays a diagonal for the contraction
+    step's einsum instead of failing the transpose.
+    """
+    free = list(range(len(ref_indices)))
+    perm = []
+    for index in node_indices:
+        axis = next(k for k in free if ref_indices[k] == index)
+        free.remove(axis)
+        perm.append(axis)
+    return tuple(perm)
+
+
 def generate_spmd_source(
     plan: PartitionPlan,
     name: str = "rank_program",
@@ -303,12 +348,15 @@ def generate_spmd_source(
     """Emit the per-rank program source for a partition plan.
 
     ``semiring`` selects the scalar algebra (:mod:`repro.semiring`):
-    local products emit the combine ufunc, partial sums emit the reduce
+    local contractions go to GEMM under ``plus_times`` and to the
+    semiring-aware einsum otherwise, partial sums emit the reduce
     ufunc's axis reduction, and the combine superstep's cross-rank
     accumulation emits the reduce ufunc -- the emitted text is what
     ships to process-backend workers, so every execution substrate
     inherits the algebra from this one emission site.
     """
+    from repro.expr.indices import einsum_letters
+    from repro.kernels.lowering import lower_binary_term
     from repro.semiring import get_semiring
 
     sr = get_semiring(semiring)
@@ -318,21 +366,11 @@ def generate_spmd_source(
     ranks = list(grid.ranks())
 
     L: List[str] = [
-        "# generated SPMD rank program -- every rank runs this code,",
-        "# branching on its own grid coordinates; `yield` marks a",
-        "# bulk-synchronous superstep boundary.",
-        "import numpy as np",
-        "from repro.parallel.spmd_runtime import (",
-        "    region, holds, canonical_sender, box_intersect, box_empty,",
-        "    box_difference, box_volume, slice_of, paste, extract,",
-        "    broadcast_to_axes,",
-        ")",
-        "",
-        f"GRID = {tuple(grid.dims)!r}",
-        f"RANKS = {ranks!r}",
-        "",
         f"def {name}(rank, comm, arrays, state):",
+        # a plan that never communicates has no other `yield`
+        "    yield from ()  # a rank program is always a generator",
     ]
+    kernels = set()  # import lines of the contraction kernels called
 
     def ext(indices) -> Tuple[int, ...]:
         return tuple(i.extent(bindings) for i in indices)
@@ -345,9 +383,7 @@ def generate_spmd_source(
         if step.kind == "slice":
             tensor_name, ref_indices, node_indices, dist = step.args
             pos, single, _ = _dist_meta(dist, node_indices)
-            perm = tuple(
-                list(ref_indices).index(i) for i in node_indices
-            )
+            perm = _leaf_perm(ref_indices, node_indices)
             emit(f"# step {knum}: place input {tensor_name} as {dist}")
             emit(f"if holds(rank, {single!r}):")
             emit(f"    _box = region(rank, {pos!r}, {ext(node_indices)!r}, GRID)")
@@ -358,7 +394,6 @@ def generate_spmd_source(
             )
             emit("else:")
             emit(f"    state[{step.out!r}] = (None, None)")
-            emit("yield")
 
         elif step.kind == "move":
             var, indices, src, dst = step.args
@@ -402,34 +437,43 @@ def generate_spmd_source(
             emit(f"    state[{step.out!r}] = (_box, _blk)")
             emit("else:")
             emit(f"    state[{step.out!r}] = (None, None)")
-            emit("yield")
 
-        elif step.kind == "mul":
-            lvar, lind, rvar, rind, oind, gamma = step.args
+        elif step.kind == "contract":
+            lvar, lind, rvar, rind, sums, oind, gamma = step.args
             opos, osingle, _ = _dist_meta(gamma, oind)
-            laxes = tuple(list(oind).index(i) for i in lind)
-            raxes = tuple(list(oind).index(i) for i in rind)
-            emit(f"# step {knum}: local products under {gamma}")
+            operands = f"state[{lvar!r}][1], state[{rvar!r}][1]"
+            # the ladder compile_kernel_plan uses for a binary term
+            gemm = (
+                lower_binary_term(lind, rind, frozenset(sums), oind)
+                if sr.is_default
+                else None
+            )
+            if gemm is not None:
+                fields = ", ".join(
+                    f"{k}={v!r}" for k, v in vars(gemm).items()
+                )
+                call = f"exec_gemm({operands}, {fields})"
+                kernels.add("from repro.kernels.lowering import exec_gemm")
+            else:
+                letters = einsum_letters(sorted(set(lind) | set(rind)))
+                spec = "{},{}->{}".format(
+                    *("".join(letters[i] for i in ind)
+                      for ind in (lind, rind, oind))
+                )
+                call = (
+                    f"cached_einsum({spec!r}, {operands}, "
+                    f"semiring={semiring!r})"
+                )
+                kernels.add(
+                    "from repro.kernels.einsum_cache import cached_einsum"
+                )
+            over = ",".join(i.name for i in sums) or "nothing"
+            emit(f"# step {knum}: local contraction over {over} under {gamma}")
             emit(f"if holds(rank, {osingle!r}):")
             emit(f"    _box = region(rank, {opos!r}, {ext(oind)!r}, GRID)")
-            emit(
-                f"    _lb = broadcast_to_axes(state[{lvar!r}][1], "
-                f"{laxes!r}, {len(oind)})"
-            )
-            emit(
-                f"    _rb = broadcast_to_axes(state[{rvar!r}][1], "
-                f"{raxes!r}, {len(oind)})"
-            )
-            if sr.is_default:
-                emit(f"    state[{step.out!r}] = (_box, _lb * _rb)")
-            else:
-                emit(
-                    f"    state[{step.out!r}] = (_box, "
-                    f"np.{sr.combine_ufunc}(_lb, _rb))"
-                )
+            emit(f"    state[{step.out!r}] = (_box, {call})")
             emit("else:")
             emit(f"    state[{step.out!r}] = (None, None)")
-            emit("yield")
 
         elif step.kind == "partial":
             cvar, cind, sidx, oind, gamma = step.args
@@ -441,19 +485,12 @@ def generate_spmd_source(
                 f"    _box = tuple(r for _k, r in enumerate(_held[0]) "
                 f"if _k != {axis})"
             )
-            if sr.is_default:
-                emit(
-                    f"    state[{step.out!r}] = "
-                    f"(_box, _held[1].sum(axis={axis}))"
-                )
-            else:
-                emit(
-                    f"    state[{step.out!r}] = (_box, "
-                    f"np.{sr.reduce_ufunc}.reduce(_held[1], axis={axis}))"
-                )
+            emit(
+                f"    state[{step.out!r}] = (_box, "
+                f"np.{sr.reduce_ufunc}.reduce(_held[1], axis={axis}))"
+            )
             emit("else:")
             emit(f"    state[{step.out!r}] = (None, None)")
-            emit("yield")
 
         elif step.kind == "combine":
             pvar, oind, proc_dim, gamma = step.args
@@ -467,14 +504,10 @@ def generate_spmd_source(
             emit(f"    _box, _blk = state[{pvar!r}]")
             emit("    _blk = _blk.copy()")
             emit(f"    for _pbox, _piece in comm.recv_all(rank, {tag!r}):")
-            if sr.is_default:
-                emit("        _blk += _piece")
-            else:
-                emit(f"        _blk = np.{sr.reduce_ufunc}(_blk, _piece)")
+            emit(f"        np.{sr.reduce_ufunc}(_blk, _piece, out=_blk)")
             emit(f"    state[{step.out!r}] = (_box, _blk)")
             emit("else:")
             emit(f"    state[{step.out!r}] = (None, None)")
-            emit("yield")
 
         elif step.kind == "bcast":
             cvar, oind, proc_dim, root_dist = step.args
@@ -497,29 +530,45 @@ def generate_spmd_source(
                 f"    state[{step.out!r}] = _got[0] if _got "
                 "else (None, None)"
             )
-            emit("yield")
 
         elif step.kind == "result":
             indices, dist = step.args
             emit(f"# step {knum}: expose the result block")
             emit(f"state['__result__'] = state[{step.out!r}]")
-            emit("yield")
 
         else:  # pragma: no cover - exhaustive
             raise TypeError(step.kind)
 
-    return "\n".join(L) + "\n"
+    header = [
+        "# generated SPMD rank program -- every rank runs this code,",
+        "# branching on its own grid coordinates; `yield` marks a",
+        "# communication boundary (the bulk-synchronous superstep).",
+        "import numpy as np",
+        *sorted(kernels),
+        "from repro.parallel.spmd_runtime import (",
+        "    region, holds, canonical_sender, box_intersect, box_empty,",
+        "    box_difference, slice_of, paste, extract,",
+        ")",
+        "",
+        f"GRID = {tuple(grid.dims)!r}",
+        f"RANKS = {ranks!r}",
+        "",
+    ]
+    return "\n".join(header + L) + "\n"
 
 
 @dataclass
 class SpmdRun:
-    """Outcome of an in-process SPMD execution."""
+    """Outcome of an SPMD execution (either driver)."""
 
     result: np.ndarray
     comm: LocalComm
     source: str
     supersteps: int
     restarts: int = 0
+    #: things a worker process could not do as configured (today: pin
+    #: its BLAS to one thread); always empty under the in-process driver
+    notes: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -532,6 +581,28 @@ class SpmdSequenceRun:
     total_supersteps: int
 
 
+def load_rank_program(source: str, name: str) -> Callable:
+    """Compile generated rank-program text; returns the generator function."""
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<generated spmd>", "exec"), namespace)
+    return namespace[name]
+
+
+def assemble_result(plan: PartitionPlan, blocks, semiring: str) -> np.ndarray:
+    """Paste the ranks' ``(box, block)`` result pairs into the global
+    array.  The blocks partition the output; the reduce identity is the
+    only neutral background for whatever a degenerate plan leaves out."""
+    from repro.semiring import get_semiring
+
+    shape = tuple(i.extent(plan.bindings) for i in plan.root.indices)
+    out = np.full(shape, get_semiring(semiring).zero, dtype=np.float64)
+    whole = tuple((0, n) for n in shape)
+    for box, blk in blocks:
+        if box is not None:
+            paste(out, whole, box, blk)
+    return out
+
+
 def run_spmd(
     plan: PartitionPlan,
     inputs,
@@ -542,12 +613,15 @@ def run_spmd(
     retry_backoff: float = 0.0,
     sleep: Callable[[float], None] = time.sleep,
     semiring: str = "plus_times",
+    source: Optional[str] = None,
 ) -> SpmdRun:
     """Generate, compile, and execute the rank program on all ranks.
 
     The driver advances every rank program one superstep at a time
     (lock-step, like a BSP machine), then assembles the distributed
-    result into a global array.
+    result into a global array.  ``source`` is the already generated
+    text of this plan's program named ``name`` under ``semiring`` (a
+    caller that runs one plan repeatedly generates it once).
 
     ``faults`` injects failures: message drops are retried inside the
     communicator (see :class:`LocalComm`), and a scheduled superstep
@@ -557,10 +631,9 @@ def run_spmd(
     once; exceeding ``max_restarts`` raises
     :class:`~repro.robustness.errors.CommFailure`.
     """
-    source = generate_spmd_source(plan, name, semiring=semiring)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<generated spmd>", "exec"), namespace)
-    program = namespace[name]
+    if source is None:
+        source = generate_spmd_source(plan, name, semiring=semiring)
+    program = load_rank_program(source, name)
 
     grid = plan.grid
     restarts = 0
@@ -607,21 +680,12 @@ def run_spmd(
                     stage="spmd",
                 ) from None
 
-    indices = tuple(plan.root.indices)
-    shape = tuple(i.extent(plan.bindings) for i in indices)
-    if semiring == "plus_times":
-        out = np.zeros(shape)
-    else:
-        from repro.semiring import get_semiring
-
-        # result blocks partition the output, but an identity-element
-        # background is the only neutral fill outside plus_times
-        out = np.full(shape, get_semiring(semiring).zero)
-    for rank, state in states.items():
-        box, blk = state.get("__result__", (None, None))
-        if box is not None:
-            paste(out, tuple((0, n) for n in shape), box, blk)
-    return SpmdRun(out, comm, source, supersteps, restarts)
+    result = assemble_result(
+        plan,
+        (state.get("__result__", (None, None)) for state in states.values()),
+        semiring,
+    )
+    return SpmdRun(result, comm, source, supersteps, restarts)
 
 
 def run_spmd_sequence(
@@ -636,6 +700,7 @@ def run_spmd_sequence(
     pool=None,
     transport: str = "shm",
     semiring: str = "plus_times",
+    sources: Optional[Mapping[str, str]] = None,
 ) -> SpmdSequenceRun:
     """Execute a whole-sequence plan (:func:`repro.parallel.program_plan.
     plan_sequence`) as a series of generated SPMD programs.
@@ -656,6 +721,11 @@ def run_spmd_sequence(
     when given.  ``transport`` (``"shm"`` or ``"pipe"``) selects the
     process backend's ndarray wire (ignored for ``"local"`` and when an
     existing ``pool`` is passed -- the pool's own transport wins).
+
+    ``sources`` maps statement names to already generated program text
+    (:meth:`repro.pipeline.SynthesisResult.spmd_sources`: the function
+    of statement ``X`` is ``rank_program_X``); statements it does not
+    name are generated here.
     """
     if backend not in ("local", "process"):
         raise ValueError(
@@ -679,7 +749,7 @@ def run_spmd_sequence(
     try:
         return _run_sequence(
             seq_plan, run_one, dict(inputs), declared,
-            faults, max_retries, max_restarts, semiring,
+            faults, max_retries, max_restarts, semiring, sources or {},
         )
     finally:
         if owned_pool is not None:
@@ -688,15 +758,17 @@ def run_spmd_sequence(
 
 def _run_sequence(
     seq_plan, run_one, arrays, declared, faults, max_retries, max_restarts,
-    semiring="plus_times",
+    semiring, sources,
 ) -> SpmdSequenceRun:
     runs: List[Tuple[str, SpmdRun]] = []
     traffic = 0
     steps = 0
     for name, plan in seq_plan.plans:
         run = run_one(
-            plan, arrays, faults=faults, max_retries=max_retries,
-            max_restarts=max_restarts, semiring=semiring,
+            plan, arrays, name=f"rank_program_{name}",
+            source=sources.get(name), faults=faults,
+            max_retries=max_retries, max_restarts=max_restarts,
+            semiring=semiring,
         )
         runs.append((name, run))
         traffic += run.comm.total_traffic

@@ -108,16 +108,3 @@ def extract(block: np.ndarray, block_box: Box, piece_box: Box) -> np.ndarray:
         for (plo, phi), (blo, bhi) in zip(piece_box, block_box)
     )
     return np.ascontiguousarray(block[sel])
-
-
-def broadcast_to_axes(
-    block: np.ndarray,
-    own_axes: Sequence[int],
-    n_out_axes: int,
-) -> np.ndarray:
-    """Reshape a child block so its axes land at ``own_axes`` of an
-    ``n_out_axes``-dimensional product (size-1 elsewhere)."""
-    shape = [1] * n_out_axes
-    for size, axis in zip(block.shape, own_axes):
-        shape[axis] = size
-    return block.reshape(shape)

@@ -64,7 +64,7 @@ from repro.robustness.errors import BudgetExceeded
 #: kernel plans; version 4: semiring-generalized contractions -- the
 #: config carries a semiring id, kernel plans record their algebra, and
 #: nest IR moved to v3 with semiring-aware emission).
-RESULT_VERSION = 4
+RESULT_VERSION = 5
 
 
 @dataclass
@@ -192,6 +192,14 @@ class SynthesisResult:
     #: (:data:`RESULT_VERSION`); results pickled by older releases lack
     #: the attribute entirely and read as stale, never as broken objects
     result_version: int = RESULT_VERSION
+    #: :meth:`spmd_sources` memo, statement -> (plan, generated text):
+    #: repeated :meth:`run_parallel` calls neither regenerate a program
+    #: nor change the text workers key their compiled programs by.  The
+    #: plan rides along because the autotuner swaps ``partition_plans``
+    #: under the same statement names.
+    _spmd_sources: Dict[str, Tuple[PartitionPlan, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def degraded_stages(self) -> List[str]:
@@ -329,18 +337,22 @@ class SynthesisResult:
         """Generated per-rank SPMD program source per planned statement.
 
         Empty when no grid was configured.  See
-        :mod:`repro.parallel.spmd` for the execution driver.
+        :mod:`repro.parallel.spmd` for the execution driver.  Generated
+        once per result: this is the text :meth:`run_parallel` runs and
+        ``--emit-spmd`` writes.
         """
         from repro.parallel.spmd import generate_spmd_source
 
-        return {
-            name: generate_spmd_source(
-                plan,
-                name=f"rank_program_{name}",
-                semiring=self.config.semiring,
-            )
-            for name, plan in self.partition_plans.items()
-        }
+        memo = self._spmd_sources
+        for name, plan in self.partition_plans.items():
+            if name not in memo or memo[name][0] is not plan:
+                source = generate_spmd_source(
+                    plan,
+                    name=f"rank_program_{name}",
+                    semiring=self.config.semiring,
+                )
+                memo[name] = (plan, source)
+        return {name: memo[name][1] for name in self.partition_plans}
 
     def run_parallel(
         self,
@@ -482,6 +494,7 @@ class SynthesisResult:
                     procs = pool.procs
 
         arrays: Dict[str, np.ndarray] = dict(inputs)
+        sources = self.spmd_sources()
         try:
             for stmt in self.statements:
                 name = stmt.result.name
@@ -513,6 +526,7 @@ class SynthesisResult:
                                 backend=backend, procs=procs, pool=p,
                                 transport=p.transport,
                                 semiring=self.config.semiring,
+                                sources=sources,
                             )
                         )
                     )
@@ -522,9 +536,18 @@ class SynthesisResult:
                         max_retries=max_retries, max_restarts=max_restarts,
                         backend=backend, procs=procs, pool=pool,
                         transport=transport,
-                        semiring=self.config.semiring,
+                        semiring=self.config.semiring, sources=sources,
                     )
                 arrays.update(out.arrays)
+                for _, run in out.runs:
+                    for reason in run.notes:
+                        note = (
+                            "BLAS threads not pinned to 1 in SPMD "
+                            f"workers ({reason}): procs x BLAS threads "
+                            "may oversubscribe the cores"
+                        )
+                        if note not in notes:
+                            notes.append(note)
         finally:
             if supervisor is not None and supervisor.notes:
                 notes.extend(supervisor.notes)

@@ -8,15 +8,19 @@ processor:
 
 * each worker process executes one or more ranks (round-robin when the
   grid is larger than the worker count), advancing each rank's program
-  generator one superstep at a time;
+  generator one superstep -- one communication boundary -- at a time;
 * a bulk-synchronous **router** in the calling process implements the
-  superstep barrier: per superstep it issues one ``go`` to every
-  worker, collects their outboxes, accounts every cross-rank message
-  through a :class:`~repro.parallel.spmd.LocalComm` (so traffic
-  counters, :class:`~repro.robustness.faults.FaultSchedule` drops,
-  bounded retry with backoff, and :class:`~repro.robustness.errors.
-  CommFailure` semantics are *identical* to the in-process driver), and
-  ships each rank's inbox with the next ``go``;
+  superstep barrier with exactly one round trip per superstep: the
+  statement's first superstep rides on its ``load`` (which ships only
+  the tensors the statement reads), every later one on a ``go``; each
+  is answered by a ``step`` reply carrying the worker's outbox, and the
+  ``step`` that retires a worker's last rank carries its result blocks.
+  The router accounts every cross-rank message through a
+  :class:`~repro.parallel.spmd.LocalComm` (so traffic counters,
+  :class:`~repro.robustness.faults.FaultSchedule` drops, bounded retry
+  with backoff, and :class:`~repro.robustness.errors.CommFailure`
+  semantics are *identical* to the in-process driver), and ships each
+  rank's inbox with the next ``go``;
 * an injected rank crash aborts the superstep loop and restarts the
   statement on the same workers from the original inputs (inputs are
   never mutated, so the rerun is bit-identical), mirroring
@@ -28,13 +32,18 @@ in-process lock-step driver produces; result blocks are assembled in
 grid-rank order.  The process backend is therefore cross-validated
 **bit-for-bit** against ``run_spmd`` in the test suite.
 
-Workers hold no state between statements beyond their process: a
-``load`` command replaces program, inputs, and mailboxes, so one
-:class:`SpmdProcessPool` amortizes process startup across a whole
-formula sequence (and across repeated executions).
+Workers hold no statement state between statements: a ``load`` command
+replaces program, inputs, and mailboxes, so one :class:`SpmdProcessPool`
+amortizes process startup across a whole formula sequence (and across
+repeated executions).  What a worker does keep is the compiled form of
+the last few program texts it was sent, so a repeated statement is not
+re-``exec``ed, and -- set once at start -- a one-thread BLAS: rank-local
+contractions are GEMMs, the grid owns the cores, and a worker forked
+with the parent's ``OPENBLAS_NUM_THREADS=T`` would otherwise run T x T
+BLAS threads on T cores.
 
 Transport: command/reply framing always rides the pipe, but ndarray
-payloads (rank inputs, superstep messages, collected blocks) travel by
+payloads (rank inputs, superstep messages, result blocks) travel by
 default through ``multiprocessing.shared_memory`` segments
 (:mod:`repro.runtime.shm`) instead of being pickled into the pipe --
 ``transport="pipe"`` restores the pure-pickle wire.  The router tracks
@@ -48,18 +57,18 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.parallel.partition import PartitionPlan
+from repro.parallel.ptree import PLeaf
 from repro.parallel.spmd import (
     LocalComm,
     SpmdRun,
     SpmdSequenceRun,
+    assemble_result,
     generate_spmd_source,
+    load_rank_program,
 )
-from repro.parallel.spmd_runtime import paste
 from repro.robustness.errors import CommFailure, InjectedFault
 from repro.robustness.faults import ChaosState, FaultSchedule
 from repro.runtime.shm import (
@@ -73,16 +82,82 @@ from repro.runtime.shm import (
 
 Rank = Tuple[int, ...]
 
-#: True inside an SPMD worker process (set by ``_worker_main``); the
-#: kernel layer reads it lazily to pin nest-level threads to 1 there
+#: True inside an SPMD worker process (set by ``_worker_main``).  Two
+#: things are pinned to one thread there, because the process grid owns
+#: the cores: compiled native nests (``KernelRunner`` reads this flag
+#: lazily) and the BLAS behind rank-local GEMMs (:func:`_pin_blas_threads`,
+#: called once at worker start)
 IS_SPMD_WORKER = False
 
-#: worker -> router message kinds: ("loaded",) | ("step", outbox, n_done)
-#: | ("restarted",) | ("results", {rank: (box, blk)}) | ("error", text)
 #: router -> worker: ("load", source, fname, ranks, arrays) |
-#: ("go", inbox) | ("restart",) | ("collect",) | ("stop",)
+#: ("go", inbox) | ("restart",) | ("stop",)
+#: worker -> router: ("step", outbox, n_done, blocks, note) |
+#: ("restarted",) | ("error", text)
+#: ``load`` installs the program and the tensors it reads and runs the
+#: first superstep; ``go`` delivers an inbox and runs the next one; both
+#: are answered by ``step``.  ``blocks`` is ``{rank: (box, blk)}`` in the
+#: reply that retires the worker's last rank, else ``None``; ``note`` is
+#: set in a worker's first reply when its BLAS could not be pinned.
 #: Each message is wrapped by :func:`repro.runtime.shm.pack_message`
 #: before hitting the pipe (``("raw", msg)`` under the pipe transport).
+
+#: compiled rank programs a worker keeps, keyed by their source text
+_PROGRAMS_KEPT = 32
+
+#: thread-setter entry points of the BLAS builds numpy ships against
+#: (all take one ``int``); OpenBLAS renames per wheel vendor and ILP64
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+    "MKL_Set_Num_Threads",
+)
+
+
+def _pin_blas_threads() -> Optional[str]:
+    """Pin the BLAS this process has already loaded to one thread.
+
+    Best effort and dependency-free: the shared objects numpy mapped are
+    read from ``/proc/self/maps`` and asked for a known thread-setter
+    symbol.  Returns ``None`` once a setter was called, else the reason
+    none could be (the caller reports it; nothing fails).
+
+    Known cost, OpenBLAS: in a forked child the setter first re-creates
+    the thread pool ``fork`` tore down, and the new thread yield-spins
+    for its idle timeout (~0.1 s of CPU, once) before sleeping for good.
+    Unpinned, the same thread is created at the first GEMM and spins
+    after every one.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted(
+                {
+                    line.split()[-1]
+                    for line in maps
+                    if "blas" in line.lower() or "mkl_rt" in line
+                }
+            )
+    except OSError:
+        return "no /proc/self/maps to find the loaded BLAS in"
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return None
+    return (
+        "no known thread-setter symbol in "
+        + (", ".join(p.rsplit("/", 1)[-1] for p in paths) or "any loaded library")
+    )
 
 
 class _RankComm:
@@ -132,11 +207,11 @@ def _worker_main(conn, shm_min_bytes: Optional[int] = None) -> None:
     everything into the pipe; an int side-loads arrays of at least that
     many bytes into shared-memory segments.
     """
-    # mark this process as an SPMD worker: KernelRunner pins nest-level
-    # thread parallelism to 1 here (the process grid owns the cores;
-    # procs x nest threads must not oversubscribe)
     global IS_SPMD_WORKER
     IS_SPMD_WORKER = True
+    # said once, in the first reply: why BLAS still runs multi-threaded
+    note = _pin_blas_threads()
+    programs: Dict[str, Callable] = {}
     program = None
     arrays = None
     ranks: List[Rank] = []
@@ -149,6 +224,31 @@ def _worker_main(conn, shm_min_bytes: Optional[int] = None) -> None:
     def reply(msg) -> None:
         if not muted:  # chaos "mute": execute, but swallow the reply
             conn.send(pack_message(msg, shm_min_bytes))
+
+    def superstep(inbox) -> None:
+        """Deliver ``inbox``, advance every live rank to its next
+        communication boundary, and answer with a ``step``."""
+        nonlocal note
+        for dest, tag, payload in inbox:
+            comms[dest].push(tag, payload)
+        outbox: List = []
+        n_done = 0
+        for rank in ranks:
+            if rank not in live:
+                continue
+            try:
+                next(gens[rank])
+            except StopIteration:
+                live.discard(rank)
+                n_done += 1
+            outbox.extend(comms[rank].drain())
+        blocks = None
+        if n_done and not live:
+            blocks = {
+                r: states[r].get("__result__", (None, None)) for r in ranks
+            }
+        said, note = note, None
+        reply(("step", outbox, n_done, blocks, said))
 
     try:
         while True:
@@ -172,46 +272,23 @@ def _worker_main(conn, shm_min_bytes: Optional[int] = None) -> None:
             try:
                 if kind == "load":
                     _, source, fname, ranks, arrays = msg
-                    namespace: Dict[str, object] = {}
-                    exec(
-                        compile(source, "<spmd rank program>", "exec"),
-                        namespace,
-                    )
-                    program = namespace[fname]
+                    program = programs.get(source)
+                    if program is None:
+                        if len(programs) >= _PROGRAMS_KEPT:
+                            programs.clear()
+                        program = load_rank_program(source, fname)
+                        programs[source] = program
                     comms, states, gens, live = _fresh_programs(
                         program, ranks, arrays
                     )
-                    reply(("loaded",))
+                    superstep(())
                 elif kind == "go":
-                    for dest, tag, payload in msg[1]:
-                        comms[dest].push(tag, payload)
-                    outbox: List = []
-                    n_done = 0
-                    for rank in ranks:
-                        if rank not in live:
-                            continue
-                        try:
-                            next(gens[rank])
-                        except StopIteration:
-                            live.discard(rank)
-                            n_done += 1
-                        outbox.extend(comms[rank].drain())
-                    reply(("step", outbox, n_done))
+                    superstep(msg[1])
                 elif kind == "restart":
                     comms, states, gens, live = _fresh_programs(
                         program, ranks, arrays
                     )
                     reply(("restarted",))
-                elif kind == "collect":
-                    reply(
-                        (
-                            "results",
-                            {
-                                r: states[r].get("__result__", (None, None))
-                                for r in ranks
-                            },
-                        )
-                    )
                 elif kind == "stop":
                     break
                 else:
@@ -445,6 +522,24 @@ def _recv(pool: SpmdProcessPool, conn, proc=None):
     return reply
 
 
+def _recv_all(pool: SpmdProcessPool, workers) -> List:
+    """One reply from every worker.  A worker-side failure is raised
+    only after the others have answered too: a reply left unread in its
+    pipe would be taken for the answer to the pool's next command."""
+    replies: List = []
+    failure: Optional[CommFailure] = None
+    for proc, conn in workers:
+        try:
+            replies.append(_recv(pool, conn, proc))
+        except CommFailure as exc:
+            if pool.broken:  # dead or hung worker: the pool is done
+                raise
+            failure = failure or exc
+    if failure is not None:
+        raise failure
+    return replies
+
+
 def run_spmd_process(
     plan: PartitionPlan,
     inputs,
@@ -458,6 +553,7 @@ def run_spmd_process(
     pool: Optional[SpmdProcessPool] = None,
     transport: str = "shm",
     semiring: str = "plus_times",
+    source: Optional[str] = None,
 ) -> SpmdRun:
     """Execute a partition plan's rank programs across worker processes.
 
@@ -474,7 +570,8 @@ def run_spmd_process(
     """
     # workers exec the shipped source text, so the semiring-aware
     # emission here is the only change the process backend needs
-    source = generate_spmd_source(plan, name, semiring=semiring)
+    if source is None:
+        source = generate_spmd_source(plan, name, semiring=semiring)
     grid = plan.grid
     ranks = list(grid.ranks())
     nworkers = max(1, min(procs or len(ranks), len(ranks)))
@@ -514,15 +611,16 @@ def _drive(
     worker_of = {r: w for w, rs in enumerate(assignment) for r in rs}
     rank_pos = {r: k for k, r in enumerate(ranks)}
 
-    arrays = dict(inputs)
-    for w, (_, conn) in enumerate(workers):
-        pool.post(conn, ("load", source, name, assignment[w], arrays))
-    for proc, conn in workers:
-        _recv(pool, conn, proc)  # "loaded"
+    # ship what the statement reads, not the whole environment
+    read = {
+        n.ref.tensor.name for n in plan.root.walk() if isinstance(n, PLeaf)
+    }
+    arrays = {k: v for k, v in inputs.items() if k in read}
 
+    loaded = False
     restarts = 0
     fired_crashes: set = set()
-    supersteps = 0
+    notes: List[str] = []
     while True:
         comm = LocalComm(
             grid, faults=faults, max_retries=max_retries,
@@ -531,6 +629,7 @@ def _drive(
         supersteps = 0
         live = len(ranks)
         inboxes: List[List] = [[] for _ in workers]
+        results: Dict[Rank, Tuple] = {}
         try:
             while live:
                 # mirror run_spmd: a scheduled crash fires at the start
@@ -546,12 +645,22 @@ def _drive(
                         stage="spmd",
                     )
                 for w, (proc, conn) in enumerate(workers):
-                    pool.post(conn, ("go", inboxes[w]), proc)
+                    if loaded:
+                        pool.post(conn, ("go", inboxes[w]), proc)
+                    else:  # the statement's first superstep rides along
+                        pool.post(
+                            conn, ("load", source, name, assignment[w], arrays)
+                        )
+                loaded = True
                 outboxes: List[List] = []
-                for proc, conn in workers:
-                    reply = _recv(pool, conn, proc)  # ("step", outbox, n)
-                    outboxes.append(reply[1])
-                    live -= reply[2]
+                for reply in _recv_all(pool, workers):
+                    _, outbox, n_done, blocks, note = reply
+                    outboxes.append(outbox)
+                    live -= n_done
+                    if blocks:
+                        results.update(blocks)
+                    if note and note not in notes:
+                        notes.append(note)
                 supersteps += 1
                 # account and route: global ordinal order is by sender's
                 # grid-rank position (stable within one rank's sends),
@@ -574,31 +683,15 @@ def _drive(
                     "restarts",
                     stage="spmd",
                 ) from None
-            for _, conn in workers:
-                pool.post(conn, ("restart",))
-            for proc, conn in workers:
-                _recv(pool, conn, proc)  # "restarted"
+            if loaded:  # a crash at superstep 0 can precede the load
+                for _, conn in workers:
+                    pool.post(conn, ("restart",))
+                _recv_all(pool, workers)  # "restarted"
 
-    for _, conn in workers:
-        pool.post(conn, ("collect",))
-    results: Dict[Rank, Tuple] = {}
-    for proc, conn in workers:
-        results.update(_recv(pool, conn, proc)[1])
-
-    indices = tuple(plan.root.indices)
-    shape = tuple(i.extent(plan.bindings) for i in indices)
-    if semiring == "plus_times":
-        out = np.zeros(shape)
-    else:
-        from repro.semiring import get_semiring
-
-        out = np.full(shape, get_semiring(semiring).zero)
-    whole = tuple((0, n) for n in shape)
-    for rank in ranks:
-        box, blk = results.get(rank, (None, None))
-        if box is not None:
-            paste(out, whole, box, blk)
-    return SpmdRun(out, comm, source, supersteps, restarts)
+    result = assemble_result(
+        plan, (results.get(r, (None, None)) for r in ranks), semiring
+    )
+    return SpmdRun(result, comm, source, supersteps, restarts, notes)
 
 
 def run_spmd_sequence_process(
@@ -612,6 +705,7 @@ def run_spmd_sequence_process(
     pool: Optional[SpmdProcessPool] = None,
     transport: str = "shm",
     semiring: str = "plus_times",
+    sources: Optional[Mapping[str, str]] = None,
 ) -> SpmdSequenceRun:
     """Process-backend twin of :func:`repro.parallel.spmd.
     run_spmd_sequence`: every statement's rank programs run on one
@@ -622,5 +716,5 @@ def run_spmd_sequence_process(
         statements, seq_plan, inputs, faults=faults,
         max_retries=max_retries, max_restarts=max_restarts,
         backend="process", procs=procs, pool=pool, transport=transport,
-        semiring=semiring,
+        semiring=semiring, sources=sources,
     )

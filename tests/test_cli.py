@@ -179,13 +179,26 @@ class TestExitCodes:
         assert rc == 2
         assert "requires --run" in capsys.readouterr().err
 
-    def test_unrecoverable_fault_is_exit_4(self, small_file, capsys):
+    def test_unrecoverable_fault_is_exit_4(self, src_file, capsys):
+        # a superstep is a communication boundary, so outlasting the
+        # three restarts takes a statement with four of them: the
+        # Fig.-1 contraction on a 2x2 grid has seven
         rc = main([
-            small_file, "--no-cache-opt", "--grid", "2", "--run",
+            src_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--inject-fault", "crash:0;crash:1;crash:2;crash:3;crash:4",
         ])
         assert rc == 4
         assert "restart" in capsys.readouterr().err
+
+    def test_recoverable_crashes_are_exit_0(self, src_file, capsys):
+        """The same program survives exactly as many crashes as the
+        restart budget allows -- the boundary the test above crosses."""
+        rc = main([
+            src_file, "--no-cache-opt", "--grid", "2x2", "--run",
+            "--inject-fault", "crash:0;crash:1;crash:2",
+        ])
+        assert rc == 0
+        assert "injected faults recovered" in capsys.readouterr().out
 
 
 class TestRun:
@@ -195,8 +208,10 @@ class TestRun:
         assert "match the reference executor" in capsys.readouterr().out
 
     def test_run_parallel_with_recovered_faults(self, small_file, capsys):
+        # 2x2: the plan on two processors keeps this matmul on one rank
+        # and sends nothing a drop could hit
         rc = main([
-            small_file, "--no-cache-opt", "--grid", "2", "--run",
+            small_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--inject-fault", "drop:0",
         ])
         assert rc == 0
@@ -226,8 +241,9 @@ class TestProcessBackend:
         assert "parallel outputs match" in capsys.readouterr().out
 
     def test_process_backend_recovers_faults(self, small_file, capsys):
+        # 2x2: two redistributions, so message 0 and superstep 1 exist
         rc = main([
-            small_file, "--no-cache-opt", "--grid", "2", "--run",
+            small_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--backend", "process", "--inject-fault", "drop:0;crash:1",
         ])
         assert rc == 0

@@ -120,11 +120,30 @@ class TestFaultParity:
 
     def test_drops_and_crash_together(self):
         plan, inputs, _ = matmul_plan()
-        faults = FaultSchedule(drop_messages=(1,), crash_supersteps=(1, 3))
+        # the 2x2 matmul has two redistributions: supersteps 0, 1, 2
+        faults = FaultSchedule(drop_messages=(1,), crash_supersteps=(1, 2))
         local = run_spmd(plan, inputs, faults=faults)
         proc = run_spmd_process(plan, inputs, faults=faults)
         assert local.restarts == proc.restarts == 2
+        assert local.comm.dropped == 1
         np.testing.assert_array_equal(local.result, proc.result)
+        assert_comm_equal(local.comm, proc.comm)
+
+    def test_crash_at_superstep_zero_restarts_before_the_load(self):
+        """Superstep 0 runs inside ``load``: a crash scheduled there
+        fires before anything is posted, and the statement restarts
+        exactly as under the in-process driver."""
+        plan, inputs, _ = matmul_plan()
+        clean = run_spmd(plan, inputs)
+        faults = FaultSchedule(crash_supersteps={0})
+        local = run_spmd(plan, inputs, faults=faults)
+        with SpmdProcessPool(2) as pool:
+            proc = run_spmd_process(plan, inputs, faults=faults, pool=pool)
+            again = run_spmd_process(plan, inputs, faults=faults, pool=pool)
+        assert local.restarts == proc.restarts == again.restarts == 1
+        assert local.supersteps == proc.supersteps == clean.supersteps
+        np.testing.assert_array_equal(clean.result, proc.result)
+        np.testing.assert_array_equal(clean.result, again.result)
         assert_comm_equal(local.comm, proc.comm)
 
     def test_restart_budget_exhaustion_raises(self):
@@ -161,6 +180,22 @@ class TestPool:
         with pytest.raises(CommFailure, match="worker failed"):
             run_spmd_process(plan, bad)
 
+    def test_pool_survives_a_worker_side_failure(self):
+        """Every worker's reply to the failed superstep is consumed
+        before the failure surfaces, so the next statement on the same
+        pool does not read a stale one."""
+        plan, inputs, _ = matmul_plan()
+        bad = {k: v for k, v in inputs.items() if k != "B"}
+        local = run_spmd(plan, inputs)
+        with SpmdProcessPool(2) as pool:
+            with pytest.raises(CommFailure, match="worker failed"):
+                run_spmd_process(plan, bad, pool=pool)
+            assert not pool.broken
+            proc = run_spmd_process(plan, inputs, pool=pool)
+        np.testing.assert_array_equal(local.result, proc.result)
+        assert local.supersteps == proc.supersteps
+        assert_comm_equal(local.comm, proc.comm)
+
     def test_unknown_backend_rejected(self):
         prog = parse_program(MATMUL)
         grid = ProcessorGrid((2, 2))
@@ -168,3 +203,105 @@ class TestPool:
         inputs = random_inputs(prog, seed=0)
         with pytest.raises(ValueError, match="backend"):
             run_spmd_sequence(prog.statements, seq, inputs, backend="mpi")
+
+
+class TestNoRepeatedWork:
+    """Identical programs are generated once per result and compiled
+    once per worker."""
+
+    def test_run_parallel_generates_each_source_once(self, monkeypatch):
+        import repro.parallel.spmd as spmd
+
+        _, inputs, res = matmul_plan()
+        calls = []
+        real = spmd.generate_spmd_source
+
+        def counting(plan, name="rank_program", semiring="plus_times"):
+            calls.append(name)
+            return real(plan, name, semiring=semiring)
+
+        monkeypatch.setattr(spmd, "generate_spmd_source", counting)
+        first = res.run_parallel(dict(inputs))
+        second = res.run_parallel(dict(inputs))
+        assert calls == ["rank_program_C"]
+        np.testing.assert_array_equal(first["C"], second["C"])
+        assert res.spmd_sources()["C"] is res.spmd_sources()["C"]
+
+    def test_swapped_plan_is_regenerated(self):
+        """The autotuner swaps ``partition_plans`` under the same
+        statement names; the memo must not serve the old grid's text."""
+        _, _, res = matmul_plan()
+        before = res.spmd_sources()["C"]
+        other = synthesize(MATMUL, SynthesisConfig(grid=ProcessorGrid((2,))))
+        res.partition_plans = other.partition_plans
+        after = res.spmd_sources()["C"]
+        assert "GRID = (2,)" in after and "GRID = (2, 2)" in before
+
+    def test_worker_compiles_a_program_text_once(self, monkeypatch):
+        import multiprocessing as mp
+
+        from repro.runtime import process
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("the counter reaches the worker by fork")
+        plan, inputs, _ = matmul_plan()
+        compiles = mp.get_context("fork").Value("i", 0)
+        real = process.load_rank_program
+
+        def counting(source, name):
+            with compiles.get_lock():
+                compiles.value += 1
+            return real(source, name)
+
+        monkeypatch.setattr(process, "load_rank_program", counting)
+        with SpmdProcessPool(1) as pool:
+            runs = [
+                run_spmd_process(plan, inputs, pool=pool) for _ in range(3)
+            ]
+        assert compiles.value == 1
+        np.testing.assert_array_equal(runs[0].result, runs[2].result)
+
+
+class TestBlasPin:
+    def test_unpinned_blas_is_one_structured_note(self, monkeypatch):
+        """A worker that finds no BLAS thread setter says so once, in
+        its first reply; ``run_parallel`` reports it once per run."""
+        from repro.runtime import process
+
+        monkeypatch.setattr(
+            process, "_pin_blas_threads", lambda: "no setter (test)"
+        )
+        _, inputs, res = matmul_plan()
+        with SpmdProcessPool(2) as pool:
+            res.run_parallel(dict(inputs), backend="process", pool=pool)
+            notes = [n for n in res.last_run_notes if "BLAS" in n]
+            assert len(notes) == 1 and "no setter (test)" in notes[0]
+            # said once per worker lifetime, not once per statement
+            res.run_parallel(dict(inputs), backend="process", pool=pool)
+            assert not [n for n in res.last_run_notes if "BLAS" in n]
+
+    def test_pin_is_best_effort(self):
+        """In a child (the parent's BLAS stays as configured) the helper
+        either pins or says why not; it never raises."""
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("needs a forked child")
+        ctx = mp.get_context("fork")
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=_report_pin, args=(child,))
+        proc.start()
+        try:
+            assert parent.poll(30), "the child never answered"
+            reason = parent.recv()
+        finally:
+            proc.join(timeout=30)
+        assert proc.exitcode == 0
+        assert reason is None or (isinstance(reason, str) and reason)
+
+
+def _report_pin(conn):
+    from repro.runtime import process
+
+    conn.send(process._pin_blas_threads())
+    conn.close()
