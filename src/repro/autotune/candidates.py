@@ -218,13 +218,13 @@ class KernelTuner(DimensionTuner):
             if current is not None and current.mode == mode:
                 plan = current
             else:
+                config = self.result.config
                 plan = compile_kernel_plan(
                     self.result.statements,
-                    self.result.config.bindings,
+                    config.bindings,
                     mode=mode,
-                    semiring=getattr(
-                        self.result.config, "semiring", "plus_times"
-                    ),
+                    fuse=config.fuse_statements,
+                    semiring=config.semiring,
                 )
             self._plans[mode] = plan
         return plan

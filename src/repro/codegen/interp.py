@@ -38,6 +38,7 @@ from repro.codegen.loops import (
     Loop,
     LoopVar,
     ZeroArr,
+    sub_extent,
 )
 from repro.robustness.checkpoint import (
     checkpoint_path,
@@ -205,7 +206,7 @@ def execute(
                 del env[var]
             elif isinstance(node, Alloc):
                 shape = tuple(
-                    _alloc_dim_extent(dim, bindings) for dim in node.dims
+                    sub_extent(dim, bindings) for dim in node.dims
                 )
                 arrays[node.array] = (
                     np.zeros(shape)
@@ -368,18 +369,3 @@ def _run_units(
 
     if ckpt_file is not None:
         clear_checkpoint(ckpt_file)
-
-
-def _alloc_dim_extent(dim: Tuple[LoopVar, ...], bindings: Optional[Bindings]) -> int:
-    """Extent of one allocated dimension."""
-    out = 1
-    for var in dim:
-        out *= var.extent(bindings)
-    if (
-        len(dim) == 2
-        and dim[0].role == "tile"
-        and dim[1].role == "intra"
-        and dim[0].index == dim[1].index
-    ):
-        out = dim[0].index.extent(bindings)
-    return out

@@ -99,10 +99,6 @@ def sub_extent(sub: Sub, bindings: Optional[Bindings] = None) -> int:
     return out
 
 
-def sub_vars(sub: Sub) -> Tuple[LoopVar, ...]:
-    return sub
-
-
 @dataclass(frozen=True)
 class Access:
     """Read or write of ``array`` at a tuple of subscripts."""

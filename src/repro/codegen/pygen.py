@@ -24,21 +24,8 @@ from repro.codegen.loops import (
     Loop,
     LoopVar,
     ZeroArr,
+    sub_extent,
 )
-
-
-def _dim_extent_expr(dim: Tuple[LoopVar, ...], bindings: Optional[Bindings]) -> int:
-    out = 1
-    for var in dim:
-        out *= var.extent(bindings)
-    if (
-        len(dim) == 2
-        and dim[0].role == "tile"
-        and dim[1].role == "intra"
-        and dim[0].index == dim[1].index
-    ):
-        out = dim[0].index.extent(bindings)
-    return out
 
 
 def _sub_expr(sub: Tuple[LoopVar, ...]) -> str:
@@ -99,7 +86,7 @@ def generate_source(
                 emit(node.body, depth + 1, new_guards)
             elif isinstance(node, Alloc):
                 shape = tuple(
-                    _dim_extent_expr(dim, bindings) for dim in node.dims
+                    sub_extent(dim, bindings) for dim in node.dims
                 )
                 lines.append(
                     f"{pad}_arrays[{node.array!r}] = _np.zeros({shape!r})"

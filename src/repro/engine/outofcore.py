@@ -30,7 +30,7 @@ import numpy as np
 from repro.expr.indices import Bindings
 from repro.engine.executor import FunctionImpl
 from repro.codegen.interp import execute
-from repro.codegen.loops import Alloc, Block, walk
+from repro.codegen.loops import Alloc, Block, sub_extent, walk
 
 
 @dataclass
@@ -143,18 +143,9 @@ def array_shapes(
     for node in walk(block):
         if isinstance(node, Alloc):
             shapes[node.array] = tuple(
-                _dim_extent(dim, bindings) for dim in node.dims
+                sub_extent(dim, bindings) for dim in node.dims
             )
     return shapes
-
-
-def _dim_extent(dim, bindings) -> int:
-    out = 1
-    for var in dim:
-        out *= var.extent(bindings)
-    if len(dim) == 2 and dim[0].role == "tile" and dim[1].role == "intra":
-        out = dim[0].index.extent(bindings)
-    return out
 
 
 def simulate_out_of_core(

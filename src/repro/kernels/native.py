@@ -42,9 +42,9 @@ CPU cannot run.
 
 Whole *fused statement groups* (:class:`FusedSpec`, built by the
 cross-statement fusion pass in :mod:`repro.kernels.plan`) compile the
-same way: one kernel walks the shared output loops once and evaluates
-every member statement per point, entering the parallel region once
-per group instead of once per statement.
+same way: one kernel holds every member statement's ordinary nest, in
+statement order, so a group costs one foreign call and enters the
+parallel region once instead of once per statement.
 
 Compiled objects are cached in a content-addressed
 :class:`~repro.kernels.artifacts.ArtifactStore` keyed by sha256 of the
@@ -690,16 +690,11 @@ class NativeEngine:
         self, spec: AnySpec, dtype, eff: int, strategy: str
     ) -> str:
         cgen = _cgen()
-        ctype = _CTYPES[np.dtype(dtype).name]
-        simd = self.openmp()
-        if isinstance(spec, FusedSpec):
-            return cgen.c_fused_source(
-                spec, ctype, self.tile,
-                threads=eff, parallel=strategy, simd=simd,
-            )
-        return cgen.c_source(
-            spec, ctype, self.tile,
-            threads=eff, parallel=strategy, simd=simd,
+        fused = isinstance(spec, FusedSpec)
+        emit = cgen.c_fused_source if fused else cgen.c_source
+        return emit(
+            spec, _CTYPES[np.dtype(dtype).name], self.tile,
+            threads=eff, parallel=strategy, simd=self.openmp(),
         )
 
     def _build_cc(

@@ -113,11 +113,11 @@ class StatementPlan:
 
 @dataclass(frozen=True)
 class FusedGroup:
-    """A run of consecutive statements fused into one compiled nest.
+    """A run of consecutive statements fused into one compiled kernel.
 
     ``statements[start:stop]`` of the owning plan execute as one
-    :class:`~repro.kernels.native.FusedSpec` kernel walking the shared
-    output space once.  ``members[m] == (stmt_idx, term_idx)`` maps the
+    :class:`~repro.kernels.native.FusedSpec` kernel: their nests, in
+    order, in one call.  ``members[m] == (stmt_idx, term_idx)`` maps the
     fused spec's member ``m`` back to its term plan (coefficient
     lookup); ``outputs[s]`` names the result array of output slot
     ``s``.  Pure value object -- pickle-safe, rides the plan cache.
@@ -199,9 +199,10 @@ def _fuse_groups(stmt_plans: Sequence[StatementPlan]) -> Tuple[FusedGroup, ...]:
       the new one);
     * a member may read an earlier member's output only when the
       operand walks the output space *identically* (axis map
-      ``(0..nout-1)``): the producer completes that element in the same
-      fused iteration before the consumer reads it.  Such intra-group
-      reads set ``aliased`` (dropping ``restrict`` from the kernel).
+      ``(0..nout-1)``): a thread finishes the producer on its rows
+      before it starts the consumer, so the element it reads is one it
+      has just written.  Such intra-group reads set ``aliased``
+      (dropping ``restrict`` from the kernel).
 
     Groups of one are not groups; the statement stays on the unfused
     path.
@@ -332,8 +333,8 @@ def compile_kernel_plan(
     cross-statement fusion pass (:func:`_fuse_groups`): maximal runs of
     consecutive statements sharing an output iteration space become
     :class:`FusedGroup` entries that runners execute as one compiled
-    nest -- intermediates stay in cache and a parallel region is
-    entered once per group.  Every fused statement keeps its unfused
+    kernel -- one foreign call and one parallel region per group, each
+    statement's nest unchanged.  Every fused statement keeps its unfused
     lowering too, so a machine that cannot compile the group runs the
     statements individually.
 
@@ -496,8 +497,7 @@ class KernelRunner:
         threads: Optional[int] = None,
     ) -> None:
         self.plan = plan
-        # pre-semiring plans revived from old caches carry no field
-        self._sr = get_semiring(getattr(plan, "semiring", "plus_times"))
+        self._sr = get_semiring(plan.semiring)
         self.arena = arena if arena is not None else BufferArena()
         self.functions = dict(functions or {})
         self.keep = frozenset(keep)
@@ -507,8 +507,7 @@ class KernelRunner:
         #: native-engine notes (fallbacks taken), recorded once each
         self.notes: List[str] = []
         self._engine = engine
-        self._native_fns: Dict[int, Optional[Callable]] = {}
-        self._fused_fns: Dict[int, Optional[Callable]] = {}
+        self._compiled_fns: Dict[int, Optional[Callable]] = {}
         self._groups_by_start = {g.start: g for g in plan.fused_groups}
         if engine is None and plan.native_terms:
             from repro.kernels.native import default_engine
@@ -613,50 +612,28 @@ class KernelRunner:
         if note is not None and note not in self.notes:
             self.notes.append(note)
 
-    def _native_fn(self, term: TermPlan, dtype) -> Optional[Callable]:
-        """The compiled nest for a term (cached per runner), or None."""
-        key = id(term)
-        if key in self._native_fns:
-            return self._native_fns[key]
+    def _compiled(
+        self, owner, spec, dtype, what: str, fallback: str
+    ) -> Optional[Callable]:
+        """The compiled kernel of ``owner`` -- a term's nest or a fused
+        group, both loaded the same way -- cached per runner, or None
+        with the ``fallback`` taken recorded in :attr:`notes`."""
+        key = id(owner)
+        if key in self._compiled_fns:
+            return self._compiled_fns[key]
         fn = None
         if self._engine is not None and self._engine.available():
-            fn = self._engine.function(term.native, dtype,
-                                       threads=self.threads)
+            fn = self._engine.function(spec, dtype, threads=self.threads)
             if fn is None:
                 reason = (
-                    self._engine.failure(term.native, dtype,
-                                         threads=self.threads)
+                    self._engine.failure(spec, dtype, threads=self.threads)
                     or "unsupported dtype"
                 )
                 self.notes.append(
-                    f"native nest not compiled ({reason}); term falls "
-                    f"back to the {term.kind} path"
+                    f"{what} not compiled ({reason}); {fallback}"
                 )
-            self._note_recovery(term.native, dtype)
-        self._native_fns[key] = fn
-        return fn
-
-    def _fused_fn(self, group: FusedGroup) -> Optional[Callable]:
-        """The compiled fused-group kernel (cached per runner), or None."""
-        key = group.start
-        if key in self._fused_fns:
-            return self._fused_fns[key]
-        fn = None
-        if self._engine is not None and self._engine.available():
-            fn = self._engine.function(group.spec, np.float64,
-                                       threads=self.threads)
-            if fn is None:
-                reason = (
-                    self._engine.failure(group.spec, np.float64,
-                                         threads=self.threads)
-                    or "unsupported dtype"
-                )
-                self.notes.append(
-                    f"fused group of {len(group.outputs)} statements not "
-                    f"compiled ({reason}); statements run unfused"
-                )
-            self._note_recovery(group.spec, np.float64)
-        self._fused_fns[key] = fn
+            self._note_recovery(spec, dtype)
+        self._compiled_fns[key] = fn
         return fn
 
     def _exec_term(self, term: TermPlan, out, env, inputs, funcs, first: bool):
@@ -667,7 +644,10 @@ class KernelRunner:
             for op in term.operands
         ]
         if term.native is not None and out.flags.c_contiguous:
-            fn = self._native_fn(term, out.dtype)
+            fn = self._compiled(
+                term, term.native, out.dtype, "native nest",
+                f"term falls back to the {term.kind} path",
+            )
             if fn is not None:
                 ops = [
                     op
@@ -716,7 +696,11 @@ class KernelRunner:
         publication (deferring a temp's release past its in-group last
         read is safe because liveness already proves no later reader).
         """
-        fn = self._fused_fn(group)
+        fn = self._compiled(
+            group, group.spec, np.float64,
+            f"fused group of {len(group.outputs)} statements",
+            "statements run unfused",
+        )
         if fn is None:
             return False
         sps = self.plan.statements[group.start:group.stop]
@@ -743,8 +727,8 @@ class KernelRunner:
                         arr = self._materialize(op, funcs)
                     elif op.name in by_name:
                         # intra-group read: alias the producer's output
-                        # buffer so the value written earlier in the
-                        # same fused iteration is the one read
+                        # buffer so the value the producer's nest wrote
+                        # earlier in the same call is the one read
                         arr = by_name[op.name]
                     else:
                         arr = self._fetch(op, env, inputs)

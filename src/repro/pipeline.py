@@ -267,7 +267,7 @@ class SynthesisResult:
 
     def _require_default_semiring(self, where: str) -> None:
         """The loop source generator hard-codes ``(+, ×)``."""
-        if getattr(self.config, "semiring", "plus_times") != "plus_times":
+        if self.config.semiring != "plus_times":
             from repro.robustness.errors import ReproError
 
             raise ReproError(
@@ -320,7 +320,7 @@ class SynthesisResult:
         if "threads" not in kwargs or kwargs["threads"] is None:
             threads = self.config.kernel_threads
             if threads is None and self.tuning is not None:
-                threads = getattr(self.tuning, "threads", None)
+                threads = self.tuning.threads
             if threads is not None:
                 kwargs["threads"] = threads
         plan = self.kernel_plan
@@ -457,7 +457,7 @@ class SynthesisResult:
 
             wanted_threads = self.config.kernel_threads
             if wanted_threads is None and self.tuning is not None:
-                wanted_threads = getattr(self.tuning, "threads", None)
+                wanted_threads = self.tuning.threads
             if wanted_threads is not None and wanted_threads > 1:
                 notes.append(
                     f"kernel threads pinned to 1 (was {wanted_threads}) "

@@ -268,6 +268,33 @@ class TestAutotuneStage:
         else:
             assert "kernel native" not in labels
 
+    def test_kernel_dimension_keeps_statement_fusion(self):
+        """Re-lowering for another mode passes ``fuse_statements`` on:
+        a gemm-mode result whose measured winner is native keeps the
+        groups its config asked for."""
+        from repro.autotune.candidates import KernelTuner
+
+        fusable = """
+        range N = 6;
+        index a, b, c : N;
+        tensor A(a, c); tensor B(c, b); tensor C(a, c); tensor D(c, b);
+        T1(a, b) = sum(c) A(a, c) * B(c, b);
+        T2(a, b) = sum(c) C(a, c) * D(c, b);
+        R(a, b) = T1(a, b) + T2(a, b);
+        """
+        result = synthesize(fusable, SynthesisConfig(fuse_statements=True))
+        assert result.kernel_plan.mode == "gemm"
+        assert result.kernel_plan.fused_groups == ()
+        tuner = KernelTuner(result, None)
+        by_mode = {c.payload: c for c in tuner.candidates()}
+        tuner.apply(by_mode["einsum"])
+        assert result.kernel_plan.fused_groups == ()  # native-only pass
+        if "native" not in by_mode:
+            pytest.skip("no native backend: the candidate is not offered")
+        tuner.apply(by_mode["native"])
+        assert result.kernel_plan.mode == "native"
+        assert result.kernel_plan.fused_groups
+
     def test_tuned_result_is_still_correct(self):
         result = tune()
         inputs = random_inputs(result.program, result.config.bindings, seed=1)

@@ -11,6 +11,7 @@ contract (structured error, never silent corruption).
 """
 
 import os
+import re
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.cgen import (
+    PACK_LIMIT,
     _check_parallel,
     c_fused_source,
     c_source,
@@ -33,15 +35,18 @@ from repro.kernels import (
     FusedSpec,
     KernelRunner,
     NativeEngine,
+    artifact_key,
     compile_kernel_plan,
     native_available,
 )
 from repro.pipeline import SynthesisConfig, synthesize
+from repro.semiring import available_semirings, get_semiring
 from repro.robustness.errors import ReproError
 
 from tests.test_kernels_native import (
     COMMON,
     SCHEDULED,
+    _spec,
     _compiled_nest,
     _einsum_of,
     _matmul_stmt,
@@ -102,6 +107,119 @@ tensor A(a, c); tensor B(c, b);
 T1(a, b) = sum(c) A(a, c) * B(c, b);
 T2(a, b) = sum(c) T1(b, c) * B(c, a);
 """
+
+# the probe of ISSUE 20 / EXPERIMENTS.md E29 (at N = 192 there): operation
+# minimisation makes it two matrix products and their pointwise product,
+# one aliased group of three members
+PROBE_SRC = """
+range N = 40;
+index i, j, k, l : N;
+tensor A(i, k); tensor B(k, j); tensor C(i, l); tensor D(l, j);
+Y(i, j) = sum(k, l) A(i, k) * B(k, j) * C(i, l) * D(l, j);
+"""
+
+# groups whose members take different renderings, over rows that do not
+# divide the 4-row block (nor split evenly over 2 or 3 threads) and one
+# summation longer than the tile
+GROUPS = {
+    # T1 is packed and register-blocked on v0, T2 reads it and is plain
+    "aliased, scheduled then plain": """
+        range I = 9; range J = 8; range K = 70;
+        index i : I; index j : J; index k : K;
+        tensor A(i, k); tensor B(j, k); tensor W(k);
+        T1(i, j) = sum(k) A(i, k) * B(j, k);
+        T2(i, j) = sum(k) T1(i, j) * W(k);
+    """,
+    # R is one slot two members fold into, in term order
+    "two-term statement, one slot": """
+        range I = 9; range J = 8; range K = 70;
+        index i : I; index j : J; index k : K;
+        tensor A(i, k); tensor B(k, j); tensor C(i, k); tensor D(j, k);
+        R(i, j) = sum(k) A(i, k) * B(k, j) + sum(k) C(i, k) * D(j, k);
+        S(i, j) = sum(k) A(i, k) * D(j, k);
+    """,
+}
+
+
+def _probe_group():
+    """The probe's fused group, lowered the way the pipeline does."""
+    result = synthesize(PROBE_SRC, SynthesisConfig(optimize_cache=False))
+    plan = compile_kernel_plan(
+        list(result.statements), mode="native", fuse=True
+    )
+    (group,) = plan.fused_groups
+    return group.spec
+
+
+#: what a kernel holds besides its nests' loops: comments, the
+#: signature, the parallel region, a group's bindings, barriers and the
+#: blocks that scope each member
+_NOT_LOOPS = re.compile(
+    r"/\*|#include|void kern|[{}]$|#pragma omp (parallel|barrier)"
+    r"|.* = (coefs\[\d+\]|[go]\d+);$"
+)
+
+
+def _nest_lines(src):
+    """The loops of an emitted kernel, indentation and ``restrict``
+    aside (an aliased group drops the qualifier)."""
+    return [
+        line.strip().replace(" restrict", "") for line in src.splitlines()
+        if not _NOT_LOOPS.match(line.strip())
+    ]
+
+
+def _py_group(plan, group, inputs, semiring="plus_times"):
+    """``exec(py_fused_source(group))`` over ``inputs``: name -> array."""
+    namespace = {}
+    exec(py_fused_source(group.spec), namespace)  # noqa: S102
+    fspec = group.spec
+    outs = [
+        np.full(fspec.out_extents, get_semiring(semiring).zero)
+        for _ in range(fspec.nslots)
+    ]
+    by_name = dict(zip(group.outputs, outs))
+    coefs, ops = [], []
+    for si, ti in group.members:
+        term = plan.statements[si].terms[ti]
+        coefs.append(term.coef)
+        for op in term.operands:
+            src = by_name.get(op.name, inputs.get(op.name))
+            ops.append(np.ascontiguousarray(src).ravel())
+    namespace["kern"](
+        np.asarray(coefs, dtype=np.float64), *ops,
+        *[o.ravel() for o in outs],
+    )
+    return by_name
+
+
+def _check_group_parity(name, semiring, strategy):
+    """Fused == unfused == the Python reference, bit for bit, at
+    threads 1, 2, 3 -- the group is its members' own nests."""
+    stmts = list(parse_program(GROUPS[name]).statements)
+    fused = compile_kernel_plan(
+        stmts, mode="native", fuse=True, semiring=semiring
+    )
+    plain = compile_kernel_plan(stmts, mode="native", semiring=semiring)
+    (group,) = fused.fused_groups
+    assert group.stop - group.start == len(stmts)
+    inputs = _parity_inputs(stmts, seed=17)
+    engine = NativeEngine(backend="cc")
+    want = KernelRunner(
+        plain, engine=engine, threads=1, keep=group.outputs
+    ).run(dict(inputs), copy=True)
+    reference = _py_group(fused, group, inputs, semiring)
+    for threads in (1, 2, 3):
+        if threads > 1:
+            assert engine.parallel_strategy(threads) == strategy
+        runner = KernelRunner(
+            fused, engine=engine, threads=threads, keep=group.outputs
+        )
+        got = runner.run(dict(inputs))
+        assert runner.notes == [], runner.notes
+        for out in group.outputs:
+            assert np.array_equal(got[out], want[out]), (out, threads)
+            assert np.array_equal(got[out], reference[out]), (out, threads)
 
 
 def _parity_inputs(stmts, seed):
@@ -196,38 +314,71 @@ class TestEmission:
         assert not plan.fused_groups[0].spec.aliased
         assert "restrict" in c_fused_source(plan.fused_groups[0].spec)
 
+    def test_group_members_keep_the_nest_they_get_alone(self):
+        """A group emits no loops of its own: each member's block holds
+        exactly the lines ``c_source`` renders for that nest alone --
+        register-block accumulators, pack panels and all."""
+        for fspec in (
+            _probe_group(),
+            compile_kernel_plan(
+                list(parse_program(
+                    GROUPS["aliased, scheduled then plain"]
+                ).statements),
+                mode="native", fuse=True,
+            ).fused_groups[0].spec,
+        ):
+            for how in (
+                dict(),
+                dict(threads=3, parallel="omp", simd=True),
+                dict(parallel="chunk"),
+            ):
+                group = c_fused_source(fspec, **how)
+                assert "m0v" not in group  # the per-point emitter's names
+                alone = [
+                    line
+                    for member in fspec.members
+                    for line in _nest_lines(c_source(member, **how))
+                ]
+                assert any("acc0[" in line for line in alone)
+                assert _nest_lines(group) == alone
+        packed = c_fused_source(fspec)
+        assert "acc0[" in packed and " p1[" in packed
+        assert "acc0[" in c_fused_source(_probe_group())
+
+    def test_omp_group_has_a_barrier_between_consecutive_members(self):
+        fspec = _probe_group()
+        src = c_fused_source(fspec, threads=2, parallel="omp")
+        assert src.count("#pragma omp barrier") == len(fspec.members) - 1
+        assert src.count("#pragma omp parallel") == 1
+        assert "#pragma omp barrier" not in c_fused_source(fspec)
+        assert "#pragma omp" not in c_fused_source(fspec, parallel="chunk")
+
+    def test_pack_limit_bounds_the_whole_group(self):
+        """``PACK_LIMIT`` is per kernel: members' panels add up in
+        statement order, and the member that would pass the limit is
+        rendered plain, as a lone nest over it is."""
+        member = _spec((4, 8, 70, 70, 70), 2, [(0, 2, 3, 4), (1, 2, 4, 3)])
+        fspec = FusedSpec(
+            nout=2, out_extents=(4, 8), members=(member, member),
+            out_slots=(0, 1), nslots=2,
+        )
+        panel = f" p1[{PACK_LIMIT}] "
+        assert panel in c_source(member, tile=16)  # alone it just fits
+        src = c_fused_source(fspec, tile=16)
+        assert src.count(panel) == 1
+        first, second = src.split("coef = coefs[1]")
+        assert "acc0[" in first and "acc0[" not in second
+        assert " acc = " in second
+        assert c_fused_source(fspec, tile=4).count(" p1[1024] ") == 2
+
     def test_py_fused_source_matches_statements(self):
         prog = parse_program(ALIASED_SRC)
-        plan = compile_kernel_plan(
-            list(prog.statements), mode="native", fuse=True
-        )
-        group = plan.fused_groups[0]
-        namespace = {}
-        exec(py_fused_source(group.spec), namespace)  # noqa: S102
-        kern = namespace["kern"]
         stmts = list(prog.statements)
+        plan = compile_kernel_plan(stmts, mode="native", fuse=True)
         inputs = _parity_inputs(stmts, seed=3)
         want = run_statements(stmts, dict(inputs))
-        fspec = group.spec
-        outs = [
-            np.zeros(fspec.out_extents, dtype=np.float64)
-            for _ in range(fspec.nslots)
-        ]
-        coefs = []
-        ops = []
-        by_name = dict(zip(group.outputs, outs))
-        for (si, ti) in group.members:
-            term = plan.statements[si].terms[ti]
-            coefs.append(term.coef)
-            for op in term.operands:
-                src = by_name.get(op.name, inputs.get(op.name))
-                ops.append(np.ascontiguousarray(src).ravel())
-        kern(
-            np.asarray(coefs, dtype=np.float64),
-            *ops,
-            *[o.ravel() for o in outs],
-        )
-        for name, out in zip(group.outputs, outs):
+        got = _py_group(plan, plan.fused_groups[0], inputs)
+        for name, out in got.items():
             np.testing.assert_allclose(
                 out, want[name], rtol=RTOL, atol=ATOL
             )
@@ -382,6 +533,13 @@ class TestParallelParity:
         for name in ("T1", "T2"):
             assert np.array_equal(got_f[name], got_p[name])
 
+    @pytest.mark.parametrize("semiring", available_semirings())
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_fused_group_equals_unfused_and_reference(self, name, semiring):
+        if not NativeEngine(backend="cc").openmp():
+            pytest.skip("this compiler has no OpenMP")
+        _check_group_parity(name, semiring, "omp")
+
     def test_thread_count_capped_by_outer_extent(self):
         """Requesting more threads than the outer loop has iterations
         degrades to the extent (and to sequential at extent 1)."""
@@ -478,6 +636,13 @@ class TestScheduledChunkLeg:
             got = _compiled_nest(engine, spec, threads, coef, ops)
             assert np.array_equal(got, want), threads
 
+    @pytest.mark.parametrize("semiring", ["plus_times", "min_plus"])
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_chunked_fused_group_equals_unfused_and_reference(
+        self, name, semiring
+    ):
+        _check_group_parity(name, semiring, "chunk")
+
     @settings(
         max_examples=15,
         deadline=None,
@@ -552,6 +717,40 @@ class TestEngineConcurrency:
         assert warm.function(fspec, np.float64, threads=2) is not None
         assert warm.compile_invocations == 0
         assert warm.store_loads >= 1
+
+    def test_per_point_fused_artifact_is_a_clean_miss(self, tmp_path):
+        """A group kernel published by the per-point emitter (PR 19 and
+        before: the same IR without the ``form`` line) is never loaded:
+        its key no longer occurs.  Single nests were not re-keyed and
+        still load warm."""
+        prog = parse_program(FUSABLE_SRC)
+        plan = compile_kernel_plan(
+            list(prog.statements), mode="native", fuse=True
+        )
+        fspec = plan.fused_groups[0].spec
+        cold = NativeEngine(store=ArtifactStore(directory=str(tmp_path)))
+        if cold.backend != "cc":
+            pytest.skip("warm .so loading is the cc backend's property")
+        for spec in fspec.members:
+            assert cold.function(spec, np.float64, threads=2) is not None
+        stale_ir = "\n".join(
+            line for line in fspec.ir().splitlines()
+            if not line.startswith("form=")
+        )
+        assert stale_ir != fspec.ir()
+        stale_key = artifact_key(
+            stale_ir, np.dtype(np.float64).str, cold.backend,
+            cold.compiler_identity(), cold.flags(2, fspec),
+        )
+        cold.store.put(stale_key, b"a kernel with the per-point loops")
+        warm = NativeEngine(store=ArtifactStore(directory=str(tmp_path)))
+        assert warm.key(fspec, np.float64, threads=2) != stale_key
+        for spec in fspec.members:
+            assert warm.function(spec, np.float64, threads=2) is not None
+        assert warm.compile_invocations == 0 and warm.store_loads >= 1
+        assert warm.function(fspec, np.float64, threads=2) is not None
+        assert warm.compile_invocations == 1
+        assert warm.recovery(fspec, np.float64, threads=2) is None
 
     def test_stats_count_parallel_and_fused_builds(self, tmp_path):
         prog = parse_program(FUSABLE_SRC)
