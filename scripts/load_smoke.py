@@ -86,6 +86,7 @@ async def drive(app, host, port, total, execute_every, chaos=False):
     latencies_ms = []
     outcomes = []
     faults = {"ok": 0, "failed": 0, "wrong": 0, "unstructured": 0}
+    substrates = set()
     reference = None
     if chaos:
         # clean-run checksum: the correctness oracle for recovered runs
@@ -124,13 +125,14 @@ async def drive(app, host, port, total, execute_every, chaos=False):
             if "error" not in body:
                 faults["unstructured"] += 1
             continue
-        if chaos and path == "/v1/execute":
-            if body["outputs"]["C16"] != reference:
+        if path == "/v1/execute":
+            substrates.add(body["backend"])
+            if chaos and body["outputs"]["C16"] != reference:
                 faults["wrong"] += 1
                 continue
         faults["ok"] += 1
         outcomes.append(body["cached"])
-    return latencies_ms, outcomes, faults
+    return latencies_ms, outcomes, faults, sorted(substrates)
 
 
 def main(argv=None) -> int:
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
             await app.stop()
 
     started = time.perf_counter()
-    (latencies_ms, outcomes, faults), stats = asyncio.run(run())
+    (latencies_ms, outcomes, faults, substrates), stats = asyncio.run(run())
     wall_s = time.perf_counter() - started
 
     warm = sum(1 for outcome in outcomes if outcome in ("memory", "disk"))
@@ -202,6 +204,10 @@ def main(argv=None) -> int:
         ["wall s", f"{wall_s:.2f}"],
         ["pool reuse", stats["pools"]["reused"]],
     ]
+    if not args.chaos:
+        # which substrate the execute slice ran on, as the service
+        # reports it ("process" on the warm pool for this gridded spec)
+        rows.append(["execute substrate", ", ".join(substrates) or "none"])
     metrics = {
         "requests": args.requests,
         "warm_hit_rate": round(warm_rate, 4),

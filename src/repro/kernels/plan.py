@@ -27,9 +27,12 @@ paths are bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from repro.kernels.arena import BufferArena
 from repro.kernels.einsum_cache import cached_einsum
 from repro.kernels.lowering import GemmSpec, exec_gemm_arena, lower_binary_term
 from repro.robustness.errors import SpecError
+from repro.robustness.validation import validate_shapes
 from repro.semiring import get_semiring, require_unit_coef
 
 __all__ = [
@@ -110,6 +114,15 @@ class StatementPlan:
     terms: Tuple[TermPlan, ...]
     release: Tuple[str, ...] = ()
 
+    @property
+    def reads_self(self) -> bool:
+        """Whether a term reads the array this statement writes."""
+        return any(
+            op.name == self.result and not op.is_function
+            for term in self.terms
+            for op in term.operands
+        )
+
 
 @dataclass(frozen=True)
 class FusedGroup:
@@ -153,6 +166,51 @@ class KernelPlan:
     #: scalar algebra every term folds with (see :mod:`repro.semiring`);
     #: non-default algebras carry no GEMM terms by construction
     semiring: str = "plus_times"
+    #: ``(name, shape)`` of every caller-supplied array a term reads
+    #: before the plan produces that name -- the shapes the kernels
+    #: (GEMM reshapes, einsum paths, compiled nests) were specialized
+    #: to, which :meth:`KernelRunner.run` holds its inputs to
+    input_shapes: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    #: ``(name, shape)`` of every result first produced by ``+=``: it
+    #: starts from the caller's array of that name when one is given
+    seed_shapes: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+
+    def peak_live_elements(self, keep: Collection[str] = ()) -> int:
+        """High-water mark of the elements a :class:`KernelRunner` holds
+        in produced arrays while running this plan.
+
+        The runner's own accounting: a result is allocated at its
+        (first) producing statement, a temporary is handed back at the
+        statement in whose ``release`` it appears, outputs and ``keep``
+        names stay to the end, a re-assignment that reads its old value
+        holds old and new side by side, and a fused group allocates all
+        its results before releasing anything.  Caller inputs and the
+        transient pack scratch inside one GEMM are not counted -- the
+        same convention as :func:`repro.codegen.loops.peak_memory` for
+        the fused structure, which is what makes the two comparable.
+        """
+        kept = set(self.outputs) | set(keep)
+        group_stop = {g.start: g.stop for g in self.fused_groups}
+        live: Dict[str, int] = {}
+        total = peak = 0
+        k = 0
+        while k < len(self.statements):
+            step = self.statements[k:group_stop.get(k, k + 1)]
+            k += len(step)
+            scratch = 0
+            for sp in step:
+                size = math.prod(sp.out_shape)
+                if sp.result not in live:
+                    live[sp.result] = size
+                    total += size
+                elif not sp.accumulate and sp.reads_self:
+                    scratch = size
+            peak = max(peak, total + scratch)
+            for sp in step:
+                for name in sp.release:
+                    if name not in kept:
+                        total -= live.pop(name, 0)
+        return peak
 
     def describe(self) -> str:
         text = (
@@ -358,6 +416,9 @@ def compile_kernel_plan(
         lower_native = lower_native_term
     stmt_plans: List[StatementPlan] = []
     gemm_terms = einsum_terms = copy_terms = native_terms = 0
+    written: set = set()
+    input_shapes: Dict[str, Tuple[int, ...]] = {}
+    seed_shapes: Dict[str, Tuple[int, ...]] = {}
     for stmt in statements:
         target = tuple(stmt.result.indices)
         out_shape = tuple(i.extent(bindings) for i in target)
@@ -366,6 +427,12 @@ def compile_kernel_plan(
             require_unit_coef(
                 coef, sr, stage="codegen", statement=stmt.result.name
             )
+            for ref in refs:
+                name = ref.tensor.name
+                if not ref.tensor.is_function and name not in written:
+                    input_shapes.setdefault(
+                        name, tuple(i.extent(bindings) for i in ref.indices)
+                    )
             operands = tuple(
                 OperandSpec(
                     ref.tensor.name,
@@ -412,6 +479,9 @@ def compile_kernel_plan(
                 if native is not None:
                     native_terms += 1
             terms.append(TermPlan(coef, operands, kind, gemm, spec, native))
+        if stmt.accumulate and stmt.result.name not in written:
+            seed_shapes[stmt.result.name] = out_shape
+        written.add(stmt.result.name)
         stmt_plans.append(
             StatementPlan(stmt.result.name, stmt.accumulate, out_shape, tuple(terms))
         )
@@ -454,6 +524,7 @@ def compile_kernel_plan(
     return KernelPlan(
         tuple(stmt_plans), outputs, gemm_terms, einsum_terms, copy_terms,
         mode, native_terms, fused_groups, fused_statements, semiring,
+        tuple(input_shapes.items()), tuple(seed_shapes.items()),
     )
 
 
@@ -565,17 +636,10 @@ class KernelRunner:
 
     @staticmethod
     def _fetch(op: OperandSpec, env, inputs) -> np.ndarray:
+        # run() has checked that every name read before the plan
+        # produces it is present in ``inputs``
         got = env.get(op.name)
-        if got is not None:
-            return got
-        try:
-            return np.asarray(inputs[op.name])
-        except KeyError:
-            raise SpecError(
-                f"no array provided for tensor {op.name!r}",
-                stage="execution",
-                tensor=op.name,
-            ) from None
+        return got if got is not None else np.asarray(inputs[op.name])
 
     # -- term execution ----------------------------------------------------
 
@@ -778,7 +842,22 @@ class KernelRunner:
 
         Returned output arrays alias runner-owned buffers that the next
         ``run()`` overwrites; ``copy=True`` returns detached copies.
+
+        Every array the plan takes from ``inputs`` is first checked
+        against the shape the plan was compiled for
+        (:attr:`KernelPlan.input_shapes`, and
+        :attr:`~KernelPlan.seed_shapes` where given): a missing one is
+        a :class:`~repro.robustness.errors.SpecError`, a mis-shaped or
+        non-numeric one a :class:`~repro.robustness.errors.ShapeError`,
+        both naming the tensor, raised before any kernel step.
         """
+        # the kernels are specialized to these shapes -- a compiled nest
+        # handed a smaller array reads past its end
+        validate_shapes(inputs, self.plan.input_shapes, stage="execution")
+        validate_shapes(
+            inputs, self.plan.seed_shapes, stage="execution",
+            require_present=False,
+        )
         funcs = dict(self.functions)
         if functions:
             funcs.update(functions)
@@ -797,12 +876,7 @@ class KernelRunner:
                 sp = statements[k]
                 k += 1
                 existing = env.get(sp.result)
-                reads_self = any(
-                    op.name == sp.result and not op.is_function
-                    for term in sp.terms
-                    for op in term.operands
-                )
-                if existing is not None and not sp.accumulate and reads_self:
+                if existing is not None and not sp.accumulate and sp.reads_self:
                     # re-assignment reading the old value: write elsewhere
                     out = self.arena.take(sp.out_shape)
                     old = existing

@@ -20,8 +20,11 @@
    (:mod:`repro.codegen.pygen`).
 
 The result object carries every stage's report, the final loop
-structure, the generated source, and an ``execute`` method validated
-against the reference einsum executor.
+structure, the generated source, the compiled kernel plan, and two ways
+to evaluate, both validated against the reference einsum executor:
+``run`` (the practical one: compiled kernels unless the program is
+sparse or does not fit in memory) and ``execute`` (the counted
+element-by-element interpreter of the loop structure).
 """
 
 from __future__ import annotations
@@ -63,8 +66,10 @@ from repro.robustness.errors import BudgetExceeded
 #: version 3: kernel_threads / fuse_statements config and fused-group
 #: kernel plans; version 4: semiring-generalized contractions -- the
 #: config carries a semiring id, kernel plans record their algebra, and
-#: nest IR moved to v3 with semiring-aware emission).
-RESULT_VERSION = 5
+#: nest IR moved to v3 with semiring-aware emission; version 6: kernel
+#: plans record the input shapes they were compiled for, which
+#: ``KernelRunner.run`` checks before any kernel step).
+RESULT_VERSION = 6
 
 
 @dataclass
@@ -152,11 +157,16 @@ class SynthesisResult:
     #: the budget tracker that drove the run (None without a budget);
     #: its ``degradations`` list which stages fell back and why
     budget_tracker: Optional[BudgetTracker] = None
-    #: per-statement notes from the most recent :meth:`run_parallel`
-    #: call: statements that could not run distributed (no partition
-    #: plan, or they materialize function tensors) are listed here so
-    #: callers know exactly what executed where
+    #: notes from the most recent :meth:`run` / :meth:`run_parallel`
+    #: call, so callers know exactly what executed where: ``run`` leads
+    #: with why it picked its substrate (see :meth:`run`) followed by
+    #: the kernel runner's own notes; ``run_parallel`` lists the
+    #: statements that could not run distributed (no partition plan, or
+    #: they materialize function tensors)
     last_run_notes: List[str] = field(default_factory=list)
+    #: the substrate the most recent :meth:`run` call executed on:
+    #: ``"kernels"`` or ``"interp"`` (None before the first call)
+    last_substrate: Optional[str] = None
     #: the formula sequence compiled ahead of time to execution kernels
     #: (:mod:`repro.kernels`): GEMM lowerings, einsum fallback specs,
     #: and buffer liveness, all resolved at synthesis time.  Pickle-safe,
@@ -223,7 +233,11 @@ class SynthesisResult:
         check_finite: bool = False,
         checkpoint: Optional[str] = None,
     ) -> Dict[str, np.ndarray]:
-        """Run the synthesized computation (interpreter, counted).
+        """Run the synthesized computation on the *counting oracle*:
+        the element-by-element interpreter of the fused/tiled loop
+        structure, which tallies flops and accesses into ``counters``
+        and is the one substrate that honours the Section-5 memory
+        bound.  To just get the result, call :meth:`run`.
 
         With a mixed :attr:`execution_plan` (program declares sparsity),
         statements with sparse operands run on the nonzero-iterating
@@ -265,6 +279,62 @@ class SynthesisResult:
             semiring=self.config.semiring,
         )
 
+    def run(
+        self,
+        inputs: Mapping[str, np.ndarray],
+        functions: Optional[Mapping[str, Callable]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Run the synthesized computation the practical way, on the
+        substrate picked from what the result already knows:
+
+        * a mixed :attr:`execution_plan` (the program declares
+          sparsity) keeps its dense/sparse dispatch on the interpreter
+          -- noted ``"mixed sparse plan"``;
+        * otherwise the compiled :attr:`kernel_plan` runs when the
+          arrays it holds at its peak fit ``config.machine.memory`` --
+          noted ``"kernels"``;
+        * a program that does not fit runs on the interpreter over the
+          fused/tiled structure, the one substrate that honours the
+          Section-5 memory bound -- noted ``"interp: peak N elements
+          exceeds memory capacity M"``.
+
+        :attr:`last_substrate` records which ran (``"kernels"`` or
+        ``"interp"``) and :attr:`last_run_notes` why, followed by
+        whatever the kernel runner noted (native fallbacks, a thread
+        pin).
+
+        Returns ``inputs`` plus every array a program statement names.
+        Kernels run on a runner built for this call and dropped after
+        it, so the returned arrays are the caller's alone.  Results
+        agree with :meth:`execute` to floating-point reassociation
+        tolerance (~1e-12 relative; exactly, for idempotent semirings).
+        """
+        # every array the program's own statements name is returned,
+        # as execute() does, so the runner keeps them all to the end
+        declared = [stmt.result.name for stmt in self.program.statements]
+        why = "kernels"
+        if self.execution_plan is not None:
+            why = "mixed sparse plan"
+        elif self.kernel_plan is None:
+            why = "interp: no kernel plan was compiled"
+        else:
+            peak = self.kernel_plan.peak_live_elements(declared)
+            capacity = self.config.machine.memory.capacity
+            if peak > capacity:
+                why = (
+                    f"interp: peak {peak} elements exceeds memory "
+                    f"capacity {capacity}"
+                )
+        self.last_run_notes = notes = [why]
+        self.last_substrate = "kernels" if why == "kernels" else "interp"
+        if self.last_substrate == "interp":
+            return self.execute(inputs, functions)
+        runner = self.kernel_runner(functions, keep=declared)
+        try:
+            return runner.run(inputs)
+        finally:
+            notes.extend(runner.notes)
+
     def _require_default_semiring(self, where: str) -> None:
         """The loop source generator hard-codes ``(+, ×)``."""
         if self.config.semiring != "plus_times":
@@ -287,11 +357,13 @@ class SynthesisResult:
         """The *formula sequence* as a callable ``kernel(arrays,
         functions=None)`` over :meth:`kernel_runner`.
 
-        This is the practical execution path at real sizes, under any
-        semiring: the compiled :attr:`kernel_plan` (GEMM, compiled
-        nests, cached-path einsum; no fusion/tiling -- use it when the
-        problem fits in memory).  Every call returns detached arrays
-        and leaves its inputs untouched.  Numerically it matches the
+        This is the kernel path held across calls, under any semiring:
+        the compiled :attr:`kernel_plan` (GEMM, compiled nests,
+        cached-path einsum; no fusion/tiling -- :meth:`run` is the
+        one-shot form that first checks the problem fits in memory).
+        Every call returns detached arrays and leaves its inputs
+        untouched, after checking each input against the shape the plan
+        was compiled for.  Numerically it matches the
         reference executor to floating-point reassociation tolerance
         (~1e-12 relative).
         """

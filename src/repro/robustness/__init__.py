@@ -39,6 +39,7 @@ from repro.robustness.validation import (
     expected_input_shapes,
     validate_block_inputs,
     validate_env,
+    validate_shapes,
 )
 
 __all__ = [
@@ -67,4 +68,5 @@ __all__ = [
     "save_checkpoint",
     "validate_block_inputs",
     "validate_env",
+    "validate_shapes",
 ]

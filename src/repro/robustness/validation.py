@@ -1,13 +1,18 @@
 """Input validation: arrays are checked against declarations *before*
 execution, so every failure names the offending tensor.
 
-Two entry points cover the two representations a computation exists in:
+Three entry points cover the three representations a computation
+exists in:
 
 * :func:`validate_env` -- statement/expression level: each
   :class:`~repro.expr.ast.TensorRef`'s backing array must exist, have
   the declared extents, and carry a numeric dtype (used by
   :mod:`repro.engine.executor`, :mod:`repro.sparse.executor`, and
   :mod:`repro.parallel.simulate`);
+* :func:`validate_shapes` -- plan level: named arrays against the
+  shapes a compiled :class:`~repro.kernels.plan.KernelPlan` recorded
+  (used by :class:`~repro.kernels.plan.KernelRunner`; ``validate_env``
+  is this check over a statement's declared extents);
 * :func:`validate_block_inputs` -- loop-IR level: expected input shapes
   are inferred from the subscripts of the structure itself, including
   split ``(tile, intra)`` subscript pairs (used by
@@ -82,26 +87,23 @@ def _check_value(
         )
 
 
-def validate_env(
+def validate_shapes(
     arrays: Mapping[str, object],
-    refs: Iterable[TensorRef],
-    bindings: Optional[Bindings] = None,
+    shapes: Iterable[Tuple[str, Tuple[int, ...]]],
     stage: Optional[str] = None,
     check_finite: bool = False,
     require_present: bool = True,
 ) -> None:
-    """Check every referenced tensor's backing array against its
-    declaration.
+    """Check every named array against the shape expected of it.
 
-    Function tensors are skipped (they materialize on demand).  With
-    ``require_present=False`` missing arrays are ignored (callers that
-    allocate lazily); otherwise a missing array is a
-    :class:`SpecError`.
+    ``shapes`` yields ``(name, shape)`` pairs (a name is checked once,
+    against its first pair).  With ``require_present=False`` missing
+    arrays are ignored (callers that allocate lazily); otherwise a
+    missing array is a :class:`SpecError`.
     """
     seen: set = set()
-    for ref in refs:
-        name = ref.tensor.name
-        if ref.tensor.is_function or name in seen:
+    for name, want in shapes:
+        if name in seen:
             continue
         seen.add(name)
         if name not in arrays:
@@ -112,8 +114,33 @@ def validate_env(
                     tensor=name,
                 )
             continue
-        want = tuple(i.extent(bindings) for i in ref.indices)
         _check_value(name, arrays[name], want, stage, check_finite)
+
+
+def validate_env(
+    arrays: Mapping[str, object],
+    refs: Iterable[TensorRef],
+    bindings: Optional[Bindings] = None,
+    stage: Optional[str] = None,
+    check_finite: bool = False,
+    require_present: bool = True,
+) -> None:
+    """Check every referenced tensor's backing array against its
+    declaration (:func:`validate_shapes` over the declared extents).
+
+    Function tensors are skipped (they materialize on demand).
+    """
+    validate_shapes(
+        arrays,
+        (
+            (ref.tensor.name, tuple(i.extent(bindings) for i in ref.indices))
+            for ref in refs
+            if not ref.tensor.is_function
+        ),
+        stage,
+        check_finite,
+        require_present,
+    )
 
 
 def expected_input_shapes(

@@ -10,9 +10,10 @@ Request lifecycle: the event loop parses and routes; handler
 coroutines (:mod:`repro.server.handlers`) push all blocking pipeline
 work into a thread executor; error mapping is uniform and structured
 -- client mistakes (:class:`SpecError`, :class:`ShapeError`) are 400s
-with a diagnostic body, pipeline failures are 500s with the same
-shape, and over-budget tenants are **not errors at all** (they degrade
-to 200s with a ``degraded`` field).
+with a diagnostic body (plus the offending ``tensor`` when the error
+names one), pipeline failures are 500s with the same shape, and
+over-budget tenants are **not errors at all** (they degrade to 200s
+with a ``degraded`` field).
 
 Lifecycle: :meth:`ReproServer.start` binds the socket and starts the
 pool reaper; :meth:`ReproServer.stop` stops accepting, waits for
@@ -315,6 +316,8 @@ class ReproServer:
                     "error": type(exc).__name__,
                     "detail": exc.diagnostic(),
                 }
+                if exc.tensor is not None:
+                    response["tensor"] = exc.tensor
             except ParseError as exc:
                 status, response = 400, {
                     "error": "ParseError",

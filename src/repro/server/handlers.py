@@ -32,6 +32,7 @@ from repro.expr.parser import parse_program
 from repro.robustness.budget import Budget
 from repro.robustness.errors import DeadlineExceeded, SpecError
 from repro.robustness.faults import ChaosState
+from repro.robustness.validation import validate_shapes
 from repro.runtime.plan_cache import plan_key
 from repro.runtime.supervisor import PoolSupervisor, deadline_clock
 from repro.server import wire
@@ -193,11 +194,21 @@ class Handlers:
                 inputs = random_inputs(
                     program, config.bindings, seed=req.seed
                 )
-            backend = req.backend
-            if backend == "auto":
-                backend = (
-                    "process" if result.partition_plans else "interp"
+            else:
+                # client arrays are outside input to every substrate
+                # (SPMD ranks slice them unchecked): a bad one is the
+                # client's 400 naming the tensor, never a worker's 500
+                validate_shapes(
+                    inputs,
+                    (
+                        (t.name, t.shape(config.bindings))
+                        for t in program.inputs()
+                    ),
+                    stage="execution",
                 )
+            backend = req.backend
+            if backend == "auto" and result.partition_plans:
+                backend = "process"
             if backend in ("process", "local") and not result.partition_plans:
                 raise SpecError(
                     f"backend {backend!r} needs partition plans; request "
@@ -257,8 +268,14 @@ class Handlers:
                 out = result.run_parallel(
                     inputs, faults=req.faults, backend="local"
                 )
-            else:
+            elif backend == "interp":
+                # the counting oracle, asked for by name
                 out = result.execute(inputs)
+            else:
+                # "auto" without partition plans: the result picks its
+                # own substrate and the response reports the one that ran
+                out = result.run(inputs)
+                backend = result.last_substrate
             execution_s = time.perf_counter() - t0
             return out, backend, pool_meta, execution_s
 

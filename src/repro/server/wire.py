@@ -36,6 +36,25 @@ server-side failures, never for over-budget or ill-formed requests.
       "result": "arrays" | "checksum"       # payload size control
     }
 
+``backend`` asks for an execution substrate.  ``"auto"`` (the default)
+is ``"process"`` -- the SPMD rank programs on a warm worker pool -- when
+the plan was partitioned (``options.grid`` / ``options.processors``);
+otherwise it is :meth:`SynthesisResult.run
+<repro.pipeline.SynthesisResult.run>`, which reports ``"kernels"``: the
+cached kernel plan (GEMM / einsum / compiled nests) on a runner built
+for the request and dropped after it.  A program that declares
+sparsity keeps its mixed dense/sparse plan and one whose arrays would
+not fit ``options.memory_elements`` runs on the loop interpreter, both
+reported as ``"interp"``; the response's ``backend`` is always the
+substrate that ran and ``notes[0]`` says why.  ``"kernels"`` is only
+ever reported, never requested.  ``"interp"`` asks for the
+element-by-element interpreter by name -- the counting oracle, tens to
+hundreds of times slower -- and ``"local"`` for the in-process SPMD
+driver.  ``inputs`` are checked once, here at the handler, against the
+program's declarations before any substrate sees them: a missing,
+mis-shaped or non-numeric array is a ``400`` whose body names the
+``tensor``.
+
 ``deadline_ms`` bounds the *whole* request: it narrows the synthesis
 budget (degrading search stages the same way tenant admission does)
 and what remains after synthesis bounds execution -- the recv watchdog

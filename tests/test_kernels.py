@@ -35,6 +35,7 @@ from repro.kernels import (
     lower_binary_term,
 )
 from repro.pipeline import SynthesisConfig, synthesize
+from repro.robustness.errors import ShapeError, SpecError
 
 COMMON = dict(
     deadline=None,
@@ -325,6 +326,135 @@ class TestKernelPlan:
         got = runner.run(inputs)["R"]
         np.testing.assert_array_equal(got, want)
         assert runner.arena.outstanding == baseline
+
+
+def _matmul_stmt(accumulate=False):
+    i, j, k = _indices([5, 6, 7])
+    A = Tensor("A", (i, k))
+    B = Tensor("B", (k, j))
+    S = Tensor("S", (i, j))
+    return Statement(
+        S,
+        Sum((k,), Mul((TensorRef(A, (i, k)), TensorRef(B, (k, j))))),
+        accumulate=accumulate,
+    )
+
+
+#: (case, tensor at fault, its bad value or None for "left out", error)
+BAD_INPUTS = [
+    ("undersized", "B", np.ones((3, 3)), ShapeError),
+    ("oversized", "B", np.ones((9, 9)), ShapeError),
+    ("transposed same-size", "B", np.ones((6, 7)), ShapeError),
+    ("object dtype", "B", np.empty((7, 6), dtype=object), ShapeError),
+    ("missing", "B", None, SpecError),
+    ("bad += seed", "S", np.ones((6, 5)), ShapeError),
+]
+
+
+def bad_input_run(runner, tensor, value):
+    """Run the ``S (+)= A B`` plan with one input at fault; returns the
+    typed error, having proved no kernel step ran before it."""
+    inputs = {"A": np.ones((5, 7)), "B": np.ones((7, 6))}
+    if value is None:
+        del inputs[tensor]
+    else:
+        inputs[tensor] = value
+
+    def entered(*args, **kwargs):
+        raise AssertionError("a kernel step ran on unchecked inputs")
+
+    runner._exec_term = entered
+    with pytest.raises((ShapeError, SpecError)) as caught:
+        runner.run(inputs)
+    return caught.value
+
+
+class TestInputValidation:
+    """``KernelRunner.run`` holds caller arrays to the shapes the plan
+    was compiled for, before any kernel step (the native twin is in
+    ``test_kernels_native.py``)."""
+
+    @pytest.mark.parametrize("mode", ["gemm", "einsum"])
+    @pytest.mark.parametrize(
+        "case, tensor, value, error", BAD_INPUTS,
+        ids=[row[0] for row in BAD_INPUTS],
+    )
+    def test_bad_input_is_a_typed_error(self, mode, case, tensor, value, error):
+        plan = compile_kernel_plan(
+            [_matmul_stmt(accumulate=tensor == "S")], mode=mode
+        )
+        exc = bad_input_run(KernelRunner(plan), tensor, value)
+        assert type(exc) is error
+        assert exc.stage == "execution" and exc.tensor == tensor
+
+    def test_plan_records_the_shapes_it_was_compiled_for(self):
+        plan = compile_kernel_plan([_matmul_stmt(accumulate=True)])
+        assert dict(plan.input_shapes) == {"A": (5, 7), "B": (7, 6)}
+        assert dict(plan.seed_shapes) == {"S": (5, 6)}
+        # a name the plan produces before reading it is not an input
+        prog = ccsd_doubles_program(V=4, O=2)
+        res = synthesize(prog)
+        assert {n for n, _ in res.kernel_plan.input_shapes} == {
+            t.name for t in prog.inputs()
+        }
+        assert res.kernel_plan.seed_shapes == ()
+
+    def test_words_the_error_as_the_reference_executor_does(self):
+        stmt = _matmul_stmt()
+        inputs = {"A": np.ones((5, 7)), "B": np.ones((3, 3))}
+        with pytest.raises(ShapeError) as want:
+            run_statements([stmt], inputs)
+        with pytest.raises(ShapeError) as got:
+            KernelRunner(compile_kernel_plan([stmt])).run(inputs)
+        assert str(got.value) == str(want.value)
+
+    def test_valid_lists_and_integer_arrays_still_run(self):
+        stmt = _matmul_stmt()
+        a = np.arange(35).reshape(5, 7)
+        b = np.arange(42).reshape(7, 6)
+        got = KernelRunner(compile_kernel_plan([stmt])).run(
+            {"A": a.tolist(), "B": b}
+        )["S"]
+        np.testing.assert_array_equal(got, a @ b)
+
+
+class TestPeakLiveElements:
+    def test_ccsd_hand_count(self):
+        res = synthesize(ccsd_doubles_program(V=4, O=2))
+        plan = res.kernel_plan
+        # seven statements, every result V*V*O*O = 64 elements: five
+        # temporaries, then T6 (six live; T7 dies there), then R (five
+        # temporaries + R; they die there)
+        assert [sp.result for sp in plan.statements] == [
+            "T1", "T3", "T4", "T5", "T7", "T6", "R",
+        ]
+        assert plan.peak_live_elements() == 6 * 64
+        # a kept temporary is never handed back
+        assert plan.peak_live_elements(keep=["T7"]) == 7 * 64
+
+    def test_reassignment_chain_hand_count(self):
+        i, j, k = (Index(n, IndexRange("R", 4)) for n in "ijk")
+        A = Tensor("A", (i, k))
+        X = Tensor("X", (i, j))
+        Y = Tensor("Y", (i, j))
+        square = lambda t: Sum(  # noqa: E731
+            (k,), Mul((TensorRef(t, (i, k)), TensorRef(t, (k, j))))
+        )
+        stmts = [
+            Statement(X, square(A)),   # X allocated: 16
+            Statement(X, square(X)),   # reads its old value: 16 + 16
+            Statement(Y, square(X)),   # Y beside X: 32
+            Statement(X, square(A)),   # overwritten in place: still 32
+        ]
+        plan = compile_kernel_plan(stmts)
+        assert plan.peak_live_elements() == 32
+        assert compile_kernel_plan(stmts[:1]).peak_live_elements() == 16
+        assert compile_kernel_plan(stmts[:2]).peak_live_elements() == 32
+        a = np.random.default_rng(0).standard_normal((4, 4))
+        got = KernelRunner(plan).run({"A": a})
+        want = run_statements(stmts, {"A": a})
+        for name in ("X", "Y"):
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10)
 
 
 class TestBufferArena:

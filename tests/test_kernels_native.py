@@ -45,7 +45,10 @@ from repro.kernels import (
     native_available,
 )
 from repro.pipeline import SynthesisConfig, synthesize
+from repro.robustness.errors import ShapeError
 from repro.semiring import available_semirings
+from tests.test_kernels import BAD_INPUTS, bad_input_run
+from tests.test_kernels import _matmul_stmt as shared_matmul_stmt
 
 COMMON = dict(
     deadline=None,
@@ -459,6 +462,56 @@ class TestCompiledParity:
             np.testing.assert_allclose(
                 got[name], want[name], rtol=1e-11, atol=1e-11
             )
+
+
+@needs_compiler
+class TestInputValidation:
+    """The native leg of ``test_kernels.py::TestInputValidation``: a
+    compiled nest indexes raw pointers by the extents it was generated
+    for, so a wrong array must be refused before the call."""
+
+    @pytest.mark.parametrize(
+        "case, tensor, value, error", BAD_INPUTS,
+        ids=[row[0] for row in BAD_INPUTS],
+    )
+    def test_bad_input_never_enters_a_compiled_nest(
+        self, case, tensor, value, error
+    ):
+        plan = compile_kernel_plan(
+            [shared_matmul_stmt(accumulate=tensor == "S")], mode="native"
+        )
+        runner = KernelRunner(plan)
+        good = {"A": np.ones((5, 7)), "B": np.ones((7, 6))}
+        np.testing.assert_array_equal(runner.run(good)["S"], 7.0)
+        # the nest is loaded now: any further entry is through this table
+        assert any(fn is not None for fn in runner._compiled_fns.values())
+        entered = []
+        for key, fn in list(runner._compiled_fns.items()):
+            runner._compiled_fns[key] = (
+                lambda *args, **kw: entered.append(args)
+            )
+        exc = bad_input_run(runner, tensor, value)
+        assert type(exc) is error
+        assert exc.stage == "execution" and exc.tensor == tensor
+        assert entered == []
+
+    @pytest.mark.parametrize("mode", ["gemm", "einsum", "native"])
+    def test_undersized_input_through_the_pipeline(self, mode):
+        """The reproducer: at the parent a native plan read past the
+        end of ``B`` and returned garbage with no error."""
+        result = synthesize(
+            "range N = 64; index i, j, k : N;\n"
+            "tensor A(i, k); tensor B(k, j);\n"
+            "C(i, j) = sum(k) A(i, k) * B(k, j);",
+            SynthesisConfig(codegen=mode),
+        )
+        rng = np.random.default_rng(0)
+        bad = {"A": rng.random((64, 64)), "B": rng.random((8, 8))}
+        for entry in (
+            result.kernel_runner().run, result.compile_fast(), result.run,
+        ):
+            with pytest.raises(ShapeError, match=r"'B' has shape \(8, 8\)"):
+                entry(bad)
 
 
 @needs_compiler

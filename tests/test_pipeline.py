@@ -247,3 +247,95 @@ class TestRunParallelNotes:
         res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
         with pytest.raises(ValueError, match="backend"):
             res.run_parallel(random_inputs(prog, seed=0), backend="mpi")
+
+
+class TestRun:
+    """``SynthesisResult.run``: the practical entry picks its substrate
+    from what the result knows and says which ran."""
+
+    def test_kernels_when_the_plan_fits(self, fig1_result):
+        inputs = random_inputs(fig1_result.program, seed=2)
+        assert fig1_result.last_substrate is None
+        out = fig1_result.run(inputs)
+        assert fig1_result.last_substrate == "kernels"
+        assert fig1_result.last_run_notes == ["kernels"]
+        want = fig1_result.execute(inputs)
+        np.testing.assert_allclose(out["S"], want["S"], rtol=1e-9)
+        # the arrays are the caller's: a second run does not rewrite them
+        kept = out["S"].copy()
+        fig1_result.run(random_inputs(fig1_result.program, seed=3))
+        np.testing.assert_array_equal(out["S"], kept)
+
+    def test_returns_every_declared_result(self):
+        prog = parse_program("""
+        range N = 4;
+        index i, j, k : N;
+        tensor W(i, j);
+        S1(i, j) = sum(k) W(i, k) * W(k, j);
+        D(i, j) = sum(k) S1(i, k) * S1(k, j);
+        """)
+        res = synthesize(prog)
+        # S1 is a temporary of the kernel plan, but the program names it
+        assert res.kernel_plan.outputs == ("D",)
+        w = random_inputs(prog, seed=0)["W"]
+        out = res.run({"W": w})
+        np.testing.assert_allclose(out["S1"], w @ w, rtol=1e-12)
+        np.testing.assert_allclose(out["D"], w @ w @ w @ w, rtol=1e-12)
+        assert res.kernel_plan.peak_live_elements() == 32
+        assert res.kernel_plan.peak_live_elements(keep=["S1", "D"]) == 32
+
+    def test_interp_past_the_memory_limit_and_says_why(self):
+        problem = a3a_problem(V=4, O=2, Ci=50)
+        machine = MachineModel(
+            cache=MemoryLevel("cache", 16, 8.0),
+            memory=MemoryLevel("memory", 64, 512.0),
+        )
+        tight = synthesize(
+            problem.program,
+            SynthesisConfig(machine=machine, optimize_cache=False),
+        )
+        roomy = synthesize(
+            problem.program, SynthesisConfig(optimize_cache=False)
+        )
+        declared = [s.result.name for s in problem.program.statements]
+        peak = tight.kernel_plan.peak_live_elements(declared)
+        assert peak > 64
+        inputs = random_inputs(problem.program, seed=1)
+        want = run_statements(
+            problem.statements, inputs, functions=problem.functions
+        )["E"]
+        for res in (tight, roomy):
+            got = res.run(inputs, functions=problem.functions)["E"]
+            assert float(got) == pytest.approx(float(want), rel=1e-9)
+        assert tight.last_substrate == "interp"
+        assert tight.last_run_notes == [
+            f"interp: peak {peak} elements exceeds memory capacity 64"
+        ]
+        assert roomy.last_substrate == "kernels"
+        assert roomy.last_run_notes[0] == "kernels"
+
+    def test_sparse_program_keeps_its_mixed_plan(self):
+        prog = parse_program("""
+        range N = 6;
+        index i, j, k : N;
+        tensor A(i, k) sparse(0.2);
+        tensor B(k, j);
+        C(i, j) = sum(k) A(i, k) * B(k, j);
+        """)
+        res = synthesize(prog)
+        inputs = random_inputs(prog, seed=0)
+        np.testing.assert_allclose(
+            res.run(inputs)["C"], inputs["A"] @ inputs["B"], rtol=1e-12
+        )
+        assert res.last_substrate == "interp"
+        assert res.last_run_notes == ["mixed sparse plan"]
+
+    def test_without_a_kernel_plan_the_interpreter_runs(self, fig1_result):
+        from dataclasses import replace
+
+        bare = replace(fig1_result, kernel_plan=None)
+        inputs = random_inputs(bare.program, seed=2)
+        np.testing.assert_array_equal(
+            bare.run(inputs)["S"], bare.execute(inputs)["S"]
+        )
+        assert bare.last_substrate == "interp"

@@ -14,8 +14,14 @@ import asyncio
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.chem.workloads import ccsd_doubles_program, fig1_program
+from repro.engine.executor import random_inputs, run_statements
+from repro.expr.parser import parse_program
+from repro.expr.printer import program_to_source
+from repro.graphs import apsp_program
 from repro.pipeline import synthesize
 from repro.robustness.budget import Budget
 from repro.server.app import ReproServer, ServerConfig
@@ -346,26 +352,176 @@ class TestTenants:
             TenantRegistry.from_file(str(path))
 
 
+#: a sparse-declared operand: the pipeline plans a mixed dense/sparse
+#: execution for it
+SPARSE = """
+range N = 8;
+index i, j, k : N;
+tensor A(i, k) sparse(0.1);
+tensor B(k, j);
+C(i, j) = sum(k) A(i, k) * B(k, j);
+"""
+
+#: matmul, a 4-chain, small Fig. 1, small CCSD, a repeated-squaring
+#: sequence (its intermediate squarings are declared results too)
+SERVED_PROGRAMS = {
+    "matmul": MATMUL,
+    "chain4": """
+        range N = 5;
+        index i, j, k, l, m : N;
+        tensor M1(i, j); tensor M2(j, k); tensor M3(k, l); tensor M4(l, m);
+        P(i, m) = sum(j, k, l) M1(i, j) * M2(j, k) * M3(k, l) * M4(l, m);
+    """,
+    "fig1": program_to_source(fig1_program(V=3, O=2)),
+    "ccsd": program_to_source(ccsd_doubles_program(V=3, O=2)),
+    "squaring": apsp_program(6)[0],
+}
+
+
+def _assert_outputs_agree(got, want, rel=1e-9):
+    assert sorted(got) == sorted(want)
+    for name, cells in want.items():
+        cells = np.asarray(cells)
+        np.testing.assert_allclose(
+            np.asarray(got[name]), cells, rtol=rel,
+            atol=rel * np.abs(cells).max(), err_msg=name,
+        )
+
+
 class TestExecute:
     def test_process_and_interp_agree(self):
+        """``auto`` is the kernel fast path without a grid and the
+        process backend with one; both agree with the interpreter
+        asked for by name."""
+
         async def check(app, host, port):
-            _, dist = await arequest(
-                host, port, "POST", "/v1/execute",
-                {"program": MATMUL, "options": {"grid": "2x2"},
-                 "result": "checksum", "seed": 7},
+            for name, program in SERVED_PROGRAMS.items():
+                base = {"program": program, "seed": 7}
+                _, fast = await arequest(
+                    host, port, "POST", "/v1/execute", base
+                )
+                _, oracle = await arequest(
+                    host, port, "POST", "/v1/execute",
+                    {**base, "backend": "interp"},
+                )
+                _, dist = await arequest(
+                    host, port, "POST", "/v1/execute",
+                    {**base, "options": {"grid": "2x2"}},
+                )
+                assert fast["backend"] == "kernels", name
+                assert fast["notes"][0] == "kernels", name
+                assert oracle["backend"] == "interp", name
+                assert dist["backend"] == "process", name
+                declared = [
+                    s.result.name for s in parse_program(program).statements
+                ]
+                assert sorted(oracle["outputs"]) == sorted(declared), name
+                _assert_outputs_agree(fast["outputs"], oracle["outputs"])
+                _assert_outputs_agree(dist["outputs"], oracle["outputs"])
+
+        serve(check)
+
+    def test_program_over_the_memory_limit_runs_on_interp(self):
+        async def check(app, host, port):
+            payload = {"program": MATMUL, "result": "checksum", "seed": 7}
+            _, roomy = await arequest(
+                host, port, "POST", "/v1/execute", payload
             )
-            _, local = await arequest(
+            # the plan holds C, 64 elements, at its peak
+            status, tight = await arequest(
                 host, port, "POST", "/v1/execute",
-                {"program": MATMUL, "result": "checksum", "seed": 7},
+                {**payload, "options": {"memory_elements": 32}},
             )
-            assert dist["backend"] == "process"
-            assert local["backend"] == "interp"
-            assert dist["outputs"]["C"]["shape"] == [8, 8]
-            assert dist["outputs"]["C"]["sum"] == pytest.approx(
-                local["outputs"]["C"]["sum"], rel=1e-9
+            assert status == 200
+            assert roomy["backend"] == "kernels"
+            assert tight["backend"] == "interp"
+            assert tight["notes"][0] == (
+                "interp: peak 64 elements exceeds memory capacity 32"
+            )
+            assert tight["outputs"]["C"]["sum"] == pytest.approx(
+                roomy["outputs"]["C"]["sum"], rel=1e-9
             )
 
         serve(check)
+
+    def test_sparse_program_keeps_its_mixed_plan(self):
+        async def check(app, host, port):
+            rng = np.random.default_rng(3)
+            a = np.where(rng.random((8, 8)) < 0.1, rng.random((8, 8)), 0.0)
+            b = rng.random((8, 8))
+            status, body = await arequest(
+                host, port, "POST", "/v1/execute",
+                {"program": SPARSE,
+                 "inputs": {"A": a.tolist(), "B": b.tolist()}},
+            )
+            assert status == 200
+            assert body["backend"] == "interp"
+            assert body["notes"][0] == "mixed sparse plan"
+            np.testing.assert_allclose(
+                np.asarray(body["outputs"]["C"]), a @ b, rtol=1e-12
+            )
+
+        serve(check)
+
+    def test_concurrent_executes_of_one_plan_do_not_share_buffers(self):
+        """Eight requests resolve to one plan key; each runs on its own
+        runner over its own unpickled result, so each gets the product
+        of *its* inputs."""
+        program = parse_program(MATMUL)
+
+        async def check(app, host, port):
+            await arequest(
+                host, port, "POST", "/v1/synthesize", {"program": MATMUL}
+            )
+            replies = await asyncio.gather(*(
+                arequest(
+                    host, port, "POST", "/v1/execute",
+                    {"program": MATMUL, "seed": seed},
+                )
+                for seed in range(8)
+            ))
+            assert len({body["key"] for _, body in replies}) == 1
+            for seed, (status, body) in enumerate(replies):
+                assert status == 200
+                assert body["backend"] == "kernels"
+                want = run_statements(
+                    program.statements, random_inputs(program, seed=seed)
+                )["C"]
+                np.testing.assert_allclose(
+                    np.asarray(body["outputs"]["C"]), want, rtol=1e-9
+                )
+
+        serve(check)
+
+    @pytest.mark.parametrize(
+        "backend", ["auto", "interp", "process", "local"]
+    )
+    def test_bad_input_is_a_400_naming_the_tensor(self, backend):
+        ones = [[1.0] * 8 for _ in range(8)]
+        cases = {
+            "wrong shape": ({"A": ones, "B": [[1.0] * 4] * 4}, "ShapeError"),
+            "non-numeric": ({"A": ones, "B": [["x"] * 8] * 8}, "SpecError"),
+            "ragged": ({"A": ones, "B": [[1.0], [1.0, 2.0]]}, "SpecError"),
+            "missing": ({"A": ones}, "SpecError"),
+        }
+        options = {"grid": 2} if backend in ("process", "local") else {}
+
+        async def check(app, host, port):
+            for case, (inputs, error) in cases.items():
+                status, body = await arequest(
+                    host, port, "POST", "/v1/execute",
+                    {"program": MATMUL, "inputs": inputs,
+                     "backend": backend, "options": options},
+                )
+                assert status == 400, (case, body)
+                assert body["error"] == error, case
+                assert body["tensor"] == "B", case
+                assert "'B'" in body["detail"], case
+            # four client mistakes against a threshold of two: they say
+            # nothing about the route's health
+            assert app.breakers["/v1/execute"].state == "closed"
+
+        serve(check, ServerConfig(port=0, breaker_threshold=2))
 
     def test_explicit_inputs_arrays_mode(self):
         async def check(app, host, port):
