@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --run and --backend process: inject process-level "
         "chaos, e.g. 'kill_worker@0', 'hang_worker@1', 'drop_reply@2' "
         "(joined with ';'); a supervised pool recovers by respawn + "
-        "statement retry with bit-identical results",
+        "session replay with bit-identical results",
     )
     parser.add_argument(
         "--backend",

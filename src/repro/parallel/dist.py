@@ -104,6 +104,21 @@ class Distribution:
         )
         return Distribution(entries)
 
+    def renamed(
+        self, declared: Sequence[Index], use: Sequence[Index]
+    ) -> "Distribution":
+        """The distribution as a reference ``T(use)`` sees an array that
+        was produced as ``T(declared)``: tuple indices are renamed
+        position by position, and tuple indices absent from ``declared``
+        act as replication."""
+        mapping = dict(zip(declared, use))
+        return Distribution(
+            tuple(
+                mapping.get(e, REPLICATED) if isinstance(e, Index) else e
+                for e in self.entries
+            )
+        )
+
     def local_ranges(
         self,
         array_indices: Sequence[Index],

@@ -18,7 +18,7 @@ for true inputs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.expr.ast import Add, Expr, Mul, Statement, Sum, TensorRef
 from repro.expr.indices import Bindings
@@ -166,36 +166,50 @@ def _plan_statementwise(
     bindings: Optional[Bindings],
     tracker=None,
 ) -> SequencePlan:
-    produced: Dict[str, Distribution] = {}
+    #: result name -> (declared result indices, chosen distribution)
+    produced: Dict[str, Tuple[Tuple, Distribution]] = {}
     plans: List[Tuple[str, PartitionPlan]] = []
     total = 0.0
+
+    def held_as(ref: TensorRef) -> Optional[Distribution]:
+        """Where an already produced operand lies, in the index names of
+        the reference that uses it."""
+        held = produced.get(ref.tensor.name)
+        if held is None or len(set(ref.indices)) < len(ref.indices):
+            # a diagonal is read from a gathered copy, like an input
+            return None
+        return held[1].renamed(held[0], ref.indices)
+
     for stmt in statements:
         try:
             tree = expression_to_ptree(stmt.expr)
         except TypeError:
             # multi-term combine: keep every operand where it is; the
             # elementwise addition is local if distributions match --
-            # charge the cost of aligning all operands to the first's
-            refs = list(stmt.expr.refs())
-            base = produced.get(refs[0].tensor.name)
-            cost = 0.0
+            # charge the cost of aligning all operands to the first
+            # produced one's (what the session's rank-local fold does)
+            held = [(ref, held_as(ref)) for ref in stmt.expr.refs()]
+            base = next((d for _, d in held if d is not None), None)
             if base is not None:
-                for ref in refs[1:]:
-                    src = produced.get(ref.tensor.name)
+                for ref, src in held:
                     if src is not None and src != base:
-                        cost += model.comm_cost * move_cost_elements(
-                            tuple(sorted(ref.indices)), src, base, grid, bindings
+                        total += model.comm_cost * move_cost_elements(
+                            tuple(sorted(ref.indices)), src, base, grid,
+                            bindings,
                         )
-                produced[stmt.result.name] = base
-            total += cost
+                produced[stmt.result.name] = (tuple(stmt.result.indices), base)
             continue
         plan = _plan_with_pinned_leaves(
-            tree, grid, model, bindings, produced, tracker
+            tree, grid, model, bindings, held_as, tracker
         )
         plans.append((stmt.result.name, plan))
-        produced[stmt.result.name] = plan.dist[id(tree)]
+        produced[stmt.result.name] = (
+            tuple(stmt.result.indices), plan.dist[id(tree)]
+        )
         total += plan.total_cost
-    return SequencePlan(plans, total, produced)
+    return SequencePlan(
+        plans, total, {name: dist for name, (_, dist) in produced.items()}
+    )
 
 
 def _plan_with_pinned_leaves(
@@ -203,11 +217,12 @@ def _plan_with_pinned_leaves(
     grid: ProcessorGrid,
     model: CommModel,
     bindings: Optional[Bindings],
-    produced: Mapping[str, Distribution],
+    held_as,
     tracker=None,
 ) -> PartitionPlan:
     """Run the DP but charge pinned leaves their redistribution cost
-    from the distribution they were produced in."""
+    from the distribution they were produced in (``held_as(ref)``,
+    ``None`` for a true input)."""
     # cheap approach: run the standard DP, then add the fixed cost of
     # moving each pinned leaf from its produced distribution to the
     # distribution the plan assumed for it (free placement otherwise).
@@ -222,7 +237,7 @@ def _plan_with_pinned_leaves(
     extra = 0.0
     for node in tree.walk():
         if isinstance(node, PLeaf):
-            src = produced.get(node.ref.tensor.name)
+            src = held_as(node.ref)
             if src is None:
                 continue
             dst = plan.gamma[id(node)]

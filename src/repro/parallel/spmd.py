@@ -17,9 +17,16 @@ supersteps.  A superstep is a **communication boundary** and nothing
 else: the program ``yield``s exactly once per ``move`` / ``combine`` /
 ``bcast``, between its send half and its receive half; placing inputs,
 local contractions, partial sums and exposing the result are rank-local
-and run straight through.  The driver (:func:`run_spmd`) advances all
-ranks in lock step -- the in-process stand-in for ``mpiexec`` (see the
-mpi4py substitution note in DESIGN.md).
+and run straight through.  ``arrays[name]`` is an entry of the rank's
+**tensor table**: a ``(box, block)`` pair in the tensor's declared axis
+order (a plain ndarray stands for its whole box) -- a box the router
+shipped, which a ``slice`` step reads its region out of, or the block an
+earlier statement of the same session left ``resident``, which is
+picked up and moved from the distribution it was produced under.  The
+driver (:mod:`repro.parallel.session`; :func:`run_spmd` is its
+one-statement form) advances all ranks in lock step -- the in-process
+stand-in for ``mpiexec`` (see the mpi4py substitution note in
+DESIGN.md).
 
 Local arithmetic is the cost model's: a product and the partial sums
 directly above it are **one** ``contract`` step, emitted through the
@@ -57,8 +64,7 @@ from repro.parallel.dist import Distribution, REPLICATED, SINGLE
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import PartitionPlan
 from repro.parallel.ptree import PLeaf, PMul, PNode, PSum
-from repro.parallel.spmd_runtime import paste
-from repro.robustness.errors import CommFailure, InjectedFault
+from repro.robustness.errors import CommFailure
 from repro.robustness.faults import FaultSchedule
 
 Rank = Tuple[int, ...]
@@ -164,9 +170,22 @@ class LocalComm:
 class Step:
     """One typed schedule entry."""
 
-    kind: str  # 'slice' | 'move' | 'contract' | 'partial' | 'combine' | 'bcast' | 'result'
+    #: 'slice' | 'resident' | 'move' | 'contract' | 'partial' | 'combine'
+    #: | 'bcast' | 'fold' | 'result'
+    kind: str
     out: str
     args: Tuple
+
+
+@dataclass(frozen=True)
+class Resident:
+    """What a later statement must know of a block an earlier one left
+    in the ranks' tensor tables: the axis order it is stored in (the
+    producing statement's declared result indices) and the distribution
+    it is held under."""
+
+    indices: Tuple[Index, ...]
+    dist: Distribution
 
 
 def _dist_meta(
@@ -188,35 +207,76 @@ def _dist_meta(
     return positions, single, dedup
 
 
-def compile_schedule(plan: PartitionPlan) -> List[Step]:
-    """Lower a partition plan to the static step schedule."""
-    steps: List[Step] = []
-    counter = itertools.count()
+class _Schedule:
+    """The step list under construction and the three things every
+    schedule does: name a value, redistribute one, read a tensor."""
 
-    def fresh() -> str:
-        return f"v{next(counter)}"
+    def __init__(self, resident: Optional[Mapping[str, Resident]]) -> None:
+        self.steps: List[Step] = []
+        self.resident = resident or {}
+        self._counter = itertools.count()
 
-    def move(var: str, indices, src: Distribution, dst: Distribution) -> str:
-        out = fresh()
-        steps.append(Step("move", out, (var, tuple(indices), src, dst)))
+    def fresh(self) -> str:
+        return f"v{next(self._counter)}"
+
+    def add(self, kind: str, args: Tuple) -> str:
+        out = self.fresh()
+        self.steps.append(Step(kind, out, args))
         return out
+
+    def move(self, var: str, indices, src: Distribution, dst: Distribution) -> str:
+        return self.add("move", (var, tuple(indices), src, dst))
+
+    def leaf(self, ref, indices, gamma: Distribution) -> str:
+        """``ref`` placed as ``gamma``: an input is sliced there for
+        free; a block an earlier statement left resident is picked up
+        where it is and moved -- the redistribution
+        ``_plan_with_pinned_leaves`` charges, seen through the use
+        site's index names."""
+        name = ref.tensor.name
+        held = self.resident.get(name)
+        if held is None:
+            return self.add(
+                "slice", (name, tuple(ref.indices), tuple(indices), gamma)
+            )
+        src = held.dist.renamed(held.indices, ref.indices)
+        var = self.add(
+            "resident", (name, tuple(ref.indices), tuple(indices), src)
+        )
+        if src.effective(indices) != gamma.effective(indices):
+            var = self.move(var, indices, src, gamma)
+        return var
+
+    def result(self, var: str, indices, dist: Distribution, declared) -> List[Step]:
+        """Close the schedule: expose ``var`` in ``declared`` axis order
+        (default: the sorted order it was computed in)."""
+        indices = tuple(indices)
+        exposed = tuple(declared) if declared is not None else indices
+        perm = tuple(indices.index(i) for i in exposed)
+        self.steps.append(Step("result", var, (exposed, dist, perm)))
+        return self.steps
+
+
+def compile_schedule(
+    plan: PartitionPlan,
+    resident: Optional[Mapping[str, Resident]] = None,
+    declared: Optional[Sequence[Index]] = None,
+) -> List[Step]:
+    """Lower a partition plan to the static step schedule.
+
+    ``resident`` names the tensors whose blocks an earlier statement of
+    the same session left in the ranks' tables (their leaves become
+    ``resident`` + ``move`` instead of ``slice``); ``declared`` is the
+    axis order the result is exposed in.
+    """
+    sched = _Schedule(resident)
+    steps = sched.steps
+    move = sched.move
 
     def visit(node: PNode) -> Tuple[str, Distribution]:
         if isinstance(node, PLeaf):
-            var = fresh()
             dist = plan.gamma[id(node)]
-            steps.append(
-                Step(
-                    "slice",
-                    var,
-                    (
-                        node.ref.tensor.name,
-                        tuple(node.ref.indices),
-                        tuple(node.indices),
-                        dist,
-                    ),
-                )
-            )
+            var = sched.leaf(node.ref, node.indices, dist)
             out_dist = plan.dist[id(node)]
             if out_dist.effective(node.indices) != dist.effective(node.indices):
                 return move(var, node.indices, dist, out_dist), out_dist
@@ -232,21 +292,17 @@ def compile_schedule(plan: PartitionPlan) -> List[Step]:
                 lvar = move(lvar, node.left.indices, ldist, leff)
             if rdist.effective(node.right.indices) != reff:
                 rvar = move(rvar, node.right.indices, rdist, reff)
-            var = fresh()
-            steps.append(
-                Step(
-                    "contract",
-                    var,
-                    (
-                        lvar,
-                        tuple(node.left.indices),
-                        rvar,
-                        tuple(node.right.indices),
-                        (),  # summed indices: the PSum chain above adds them
-                        tuple(node.indices),
-                        gamma,
-                    ),
-                )
+            var = sched.add(
+                "contract",
+                (
+                    lvar,
+                    tuple(node.left.indices),
+                    rvar,
+                    tuple(node.right.indices),
+                    (),  # summed indices: the PSum chain above adds them
+                    tuple(node.indices),
+                    gamma,
+                ),
             )
             out_dist = plan.dist[id(node)]
             if out_dist.effective(node.indices) != gamma.effective(node.indices):
@@ -273,35 +329,24 @@ def compile_schedule(plan: PartitionPlan) -> List[Step]:
                      tuple(node.indices), cgamma),
                 )
             else:
-                pvar = fresh()
-                steps.append(
-                    Step(
-                        "partial",
-                        pvar,
-                        (cvar, tuple(node.child.indices), node.index,
-                         tuple(node.indices), gamma),
-                    )
+                pvar = sched.add(
+                    "partial",
+                    (cvar, tuple(node.child.indices), node.index,
+                     tuple(node.indices), gamma),
                 )
             option = plan.sum_option[id(node)]
             d = gamma.position_of(node.index)
             if d is None:
                 var, cur = pvar, gamma
             else:
-                var = fresh()
-                steps.append(
-                    Step(
-                        "combine",
-                        var,
-                        (pvar, tuple(node.indices), d, gamma),
-                    )
+                var = sched.add(
+                    "combine", (pvar, tuple(node.indices), d, gamma)
                 )
                 cur = reduction_result_dist(gamma, node.index, replicate=False)
                 if option == "replicate":
-                    bvar = fresh()
-                    steps.append(
-                        Step("bcast", bvar, (var, tuple(node.indices), d, cur))
+                    var = sched.add(
+                        "bcast", (var, tuple(node.indices), d, cur)
                     )
-                    var = bvar
                     cur = reduction_result_dist(
                         gamma, node.index, replicate=True
                     )
@@ -313,10 +358,56 @@ def compile_schedule(plan: PartitionPlan) -> List[Step]:
         raise TypeError(type(node).__name__)
 
     root_var, root_dist = visit(plan.root)
-    steps.append(
-        Step("result", root_var, (tuple(plan.root.indices), root_dist))
-    )
-    return steps
+    return sched.result(root_var, plan.root.indices, root_dist, declared)
+
+
+def fold_schedule(
+    statement, resident: Mapping[str, Resident], semiring: str = "plus_times"
+) -> Optional[List[Step]]:
+    """The schedule of a multi-term combine over resident operands, or
+    ``None`` when the statement is not one.
+
+    ``R = c0*T0 + c1*T1 + ...`` with every term one reference carrying
+    exactly ``R``'s indices, and at least one ``T`` resident, needs no
+    contraction and no global array: each operand is aligned to the
+    first resident operand's distribution (the moves
+    ``_plan_statementwise`` prices) and the terms are folded rank-locally
+    in the reference executor's order, so the blocks equal the
+    executor's result element for element.
+    """
+    from repro.expr.ast import Add
+    from repro.expr.canonical import flatten
+    from repro.semiring import get_semiring
+
+    if statement.accumulate or not isinstance(statement.expr, Add):
+        return None
+    try:
+        terms = flatten(statement.expr)
+    except OverflowError:
+        return None
+    indices = tuple(sorted(statement.result.indices))
+    weighted = not get_semiring(semiring).is_default
+    refs = []
+    for coef, sums, factors in terms:
+        # a coefficient outside plus_times is the executor's error to report
+        if sums or len(factors) != 1 or (weighted and coef != 1.0):
+            return None
+        (ref,) = factors
+        if ref.tensor.is_function or tuple(sorted(ref.indices)) != indices:
+            return None
+        refs.append(ref)
+    if len(set(indices)) != len(indices):
+        return None
+    anchor = next((r for r in refs if r.tensor.name in resident), None)
+    if anchor is None:
+        return None
+    held = resident[anchor.tensor.name]
+    base = held.dist.renamed(held.indices, anchor.indices)
+    sched = _Schedule(resident)
+    operands = tuple(sched.leaf(ref, indices, base) for ref in refs)
+    coefs = tuple(float(coef) for coef, _, _ in terms)
+    var = sched.add("fold", (operands, coefs, indices, base))
+    return sched.result(var, indices, base, statement.result.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +435,8 @@ def generate_spmd_source(
     plan: PartitionPlan,
     name: str = "rank_program",
     semiring: str = "plus_times",
+    resident: Optional[Mapping[str, Resident]] = None,
+    declared: Optional[Sequence[Index]] = None,
 ) -> str:
     """Emit the per-rank program source for a partition plan.
 
@@ -353,16 +446,28 @@ def generate_spmd_source(
     ufunc's axis reduction, and the combine superstep's cross-rank
     accumulation emits the reduce ufunc -- the emitted text is what
     ships to process-backend workers, so every execution substrate
-    inherits the algebra from this one emission site.
+    inherits the algebra from this one emission site.  ``resident`` and
+    ``declared`` as in :func:`compile_schedule`.
     """
+    return emit_rank_program(
+        compile_schedule(plan, resident, declared),
+        plan.grid, plan.bindings, name, semiring,
+    )
+
+
+def emit_rank_program(
+    steps: Sequence[Step],
+    grid: ProcessorGrid,
+    bindings: Optional[Bindings],
+    name: str,
+    semiring: str = "plus_times",
+) -> str:
+    """The source text of the rank program running ``steps``."""
     from repro.expr.indices import einsum_letters
     from repro.kernels.lowering import lower_binary_term
     from repro.semiring import get_semiring
 
     sr = get_semiring(semiring)
-    grid = plan.grid
-    bindings = plan.bindings
-    steps = compile_schedule(plan)
     ranks = list(grid.ranks())
 
     L: List[str] = [
@@ -378,6 +483,20 @@ def generate_spmd_source(
     def emit(text: str = "") -> None:
         L.append(("    " + text) if text else "")
 
+    def emit_permuted(target: str, held: str, perm) -> None:
+        """``target = held`` with its axes (box and block) in ``perm``."""
+        if perm == tuple(range(len(perm))):
+            emit(f"{target} = {held}")
+            return
+        emit(f"_held = {held}")
+        emit("if _held[0] is not None:")
+        emit(
+            f"    {target} = (tuple(_held[0][_p] for _p in {perm!r}), "
+            f"np.transpose(_held[1], {perm!r}))"
+        )
+        emit("else:")
+        emit(f"    {target} = (None, None)")
+
     for knum, step in enumerate(steps):
         tag = f"s{knum}"
         if step.kind == "slice":
@@ -388,12 +507,20 @@ def generate_spmd_source(
             emit(f"if holds(rank, {single!r}):")
             emit(f"    _box = region(rank, {pos!r}, {ext(node_indices)!r}, GRID)")
             emit(
-                f"    state[{step.out!r}] = (_box, slice_of("
-                f"np.transpose(np.asarray(arrays[{tensor_name!r}], "
-                f"dtype=np.float64), {perm!r}), _box))"
+                f"    state[{step.out!r}] = (_box, "
+                f"take(arrays[{tensor_name!r}], {perm!r}, _box))"
             )
             emit("else:")
             emit(f"    state[{step.out!r}] = (None, None)")
+
+        elif step.kind == "resident":
+            tensor_name, ref_indices, node_indices, src = step.args
+            emit(f"# step {knum}: pick up resident {tensor_name} held as {src}")
+            emit_permuted(
+                f"state[{step.out!r}]",
+                f"arrays[{tensor_name!r}]",
+                _leaf_perm(ref_indices, node_indices),
+            )
 
         elif step.kind == "move":
             var, indices, src, dst = step.args
@@ -531,10 +658,33 @@ def generate_spmd_source(
                 "else (None, None)"
             )
 
+        elif step.kind == "fold":
+            operands, coefs, oind, base = step.args
+            opos, osingle, _ = _dist_meta(base, oind)
+            emit(f"# step {knum}: fold {len(operands)} terms under {base}")
+            emit(f"if holds(rank, {osingle!r}):")
+            emit(f"    _box = region(rank, {opos!r}, {ext(oind)!r}, GRID)")
+            # the reference executor's fold, term for term
+            emit(
+                "    _blk = np.full(tuple(hi - lo for lo, hi in _box), "
+                f"float({str(sr.zero)!r}))"
+            )
+            for var, coef in zip(operands, coefs):
+                if sr.is_default:
+                    emit(f"    _blk = _blk + {coef!r} * state[{var!r}][1]")
+                else:
+                    emit(
+                        f"    _blk = np.{sr.reduce_ufunc}"
+                        f"(_blk, state[{var!r}][1])"
+                    )
+            emit(f"    state[{step.out!r}] = (_box, _blk)")
+            emit("else:")
+            emit(f"    state[{step.out!r}] = (None, None)")
+
         elif step.kind == "result":
-            indices, dist = step.args
+            indices, dist, perm = step.args
             emit(f"# step {knum}: expose the result block")
-            emit(f"state['__result__'] = state[{step.out!r}]")
+            emit_permuted("state['__result__']", f"state[{step.out!r}]", perm)
 
         else:  # pragma: no cover - exhaustive
             raise TypeError(step.kind)
@@ -547,7 +697,7 @@ def generate_spmd_source(
         *sorted(kernels),
         "from repro.parallel.spmd_runtime import (",
         "    region, holds, canonical_sender, box_intersect, box_empty,",
-        "    box_difference, slice_of, paste, extract,",
+        "    box_difference, take, paste, extract,",
         ")",
         "",
         f"GRID = {tuple(grid.dims)!r}",
@@ -559,9 +709,11 @@ def generate_spmd_source(
 
 @dataclass
 class SpmdRun:
-    """Outcome of an SPMD execution (either driver)."""
+    """Outcome of one statement's rank programs (either backend)."""
 
-    result: np.ndarray
+    #: the statement's global array, axes as its program exposes them;
+    #: ``None`` when the blocks stayed resident and nobody gathered them
+    result: Optional[np.ndarray]
     comm: LocalComm
     source: str
     supersteps: int
@@ -575,10 +727,19 @@ class SpmdRun:
 class SpmdSequenceRun:
     """Outcome of executing a whole formula sequence as SPMD programs."""
 
-    arrays: Dict[str, np.ndarray]  # produced global arrays (declared axes)
+    #: the inputs plus every array the router holds at the end: the
+    #: requested outputs, results of statements it executed itself, and
+    #: what those read (declared axes)
+    arrays: Dict[str, np.ndarray]
     runs: List[Tuple[str, SpmdRun]]
-    total_traffic: int
-    total_supersteps: int
+    total_traffic: int = 0
+    total_supersteps: int = 0
+    #: elements the router sent to workers as tensor boxes / took back
+    #: as result blocks -- what the run moved besides rank-to-rank traffic
+    shipped_elements: int = 0
+    gathered_elements: int = 0
+    #: worker notes, each said once (see :attr:`SpmdRun.notes`)
+    notes: List[str] = field(default_factory=list)
 
 
 def load_rank_program(source: str, name: str) -> Callable:
@@ -586,21 +747,6 @@ def load_rank_program(source: str, name: str) -> Callable:
     namespace: Dict[str, object] = {}
     exec(compile(source, "<generated spmd>", "exec"), namespace)
     return namespace[name]
-
-
-def assemble_result(plan: PartitionPlan, blocks, semiring: str) -> np.ndarray:
-    """Paste the ranks' ``(box, block)`` result pairs into the global
-    array.  The blocks partition the output; the reduce identity is the
-    only neutral background for whatever a degenerate plan leaves out."""
-    from repro.semiring import get_semiring
-
-    shape = tuple(i.extent(plan.bindings) for i in plan.root.indices)
-    out = np.full(shape, get_semiring(semiring).zero, dtype=np.float64)
-    whole = tuple((0, n) for n in shape)
-    for box, blk in blocks:
-        if box is not None:
-            paste(out, whole, box, blk)
-    return out
 
 
 def run_spmd(
@@ -613,79 +759,29 @@ def run_spmd(
     retry_backoff: float = 0.0,
     sleep: Callable[[float], None] = time.sleep,
     semiring: str = "plus_times",
-    source: Optional[str] = None,
 ) -> SpmdRun:
     """Generate, compile, and execute the rank program on all ranks.
 
-    The driver advances every rank program one superstep at a time
-    (lock-step, like a BSP machine), then assembles the distributed
-    result into a global array.  ``source`` is the already generated
-    text of this plan's program named ``name`` under ``semiring`` (a
-    caller that runs one plan repeatedly generates it once).
+    A one-statement session (:mod:`repro.parallel.session`) on the
+    in-process backend: every rank's program is advanced one superstep
+    at a time (lock-step, like a BSP machine) and the distributed result
+    is assembled into a global array, axes in sorted-index order.
 
     ``faults`` injects failures: message drops are retried inside the
     communicator (see :class:`LocalComm`), and a scheduled superstep
-    crash aborts the statement, which is restarted from its inputs with
-    a fresh communicator (statement-level restart: inputs are never
-    mutated, so a rerun is bit-identical).  Each scheduled crash fires
-    once; exceeding ``max_restarts`` raises
+    crash aborts the statement, which is restarted from the tensor
+    tables with a fresh communicator (statement-level restart: table
+    entries are never mutated, so a rerun is bit-identical).  Each
+    scheduled crash fires once; exceeding ``max_restarts`` raises
     :class:`~repro.robustness.errors.CommFailure`.
     """
-    if source is None:
-        source = generate_spmd_source(plan, name, semiring=semiring)
-    program = load_rank_program(source, name)
+    from repro.parallel.session import run_single
 
-    grid = plan.grid
-    restarts = 0
-    fired_crashes: set = set()
-    while True:
-        comm = LocalComm(
-            grid, faults=faults, max_retries=max_retries,
-            retry_backoff=retry_backoff, sleep=sleep,
-        )
-        states: Dict[Rank, Dict] = {r: {} for r in grid.ranks()}
-        gens = {
-            r: program(r, comm, inputs, states[r]) for r in grid.ranks()
-        }
-        supersteps = 0
-        live = dict(gens)
-        try:
-            while live:
-                if (
-                    faults is not None
-                    and supersteps in faults.crash_supersteps
-                    and supersteps not in fired_crashes
-                ):
-                    fired_crashes.add(supersteps)
-                    raise InjectedFault(
-                        f"rank crash injected at superstep {supersteps}",
-                        stage="spmd",
-                    )
-                done = []
-                for rank, gen in live.items():
-                    try:
-                        next(gen)
-                    except StopIteration:
-                        done.append(rank)
-                supersteps += 1
-                for rank in done:
-                    del live[rank]
-            break
-        except InjectedFault:
-            restarts += 1
-            if restarts > max_restarts:
-                raise CommFailure(
-                    f"execution did not complete within {max_restarts} "
-                    "restarts",
-                    stage="spmd",
-                ) from None
-
-    result = assemble_result(
-        plan,
-        (state.get("__result__", (None, None)) for state in states.values()),
-        semiring,
+    return run_single(
+        plan, inputs, name, semiring, faults=faults,
+        max_retries=max_retries, max_restarts=max_restarts,
+        retry_backoff=retry_backoff, sleep=sleep,
     )
-    return SpmdRun(result, comm, source, supersteps, restarts)
 
 
 def run_spmd_sequence(
@@ -700,86 +796,41 @@ def run_spmd_sequence(
     pool=None,
     transport: str = "shm",
     semiring: str = "plus_times",
-    sources: Optional[Mapping[str, str]] = None,
+    outputs: Optional[Sequence[str]] = None,
 ) -> SpmdSequenceRun:
     """Execute a whole-sequence plan (:func:`repro.parallel.program_plan.
-    plan_sequence`) as a series of generated SPMD programs.
+    plan_sequence`) as one session of generated SPMD programs.
 
-    Each statement's result is gathered and handed to the next program
-    with its axes restored to the result tensor's declared order (the
-    storage convention of the rest of the repository).  The per-program
-    gather/re-scatter is an artifact of running programs independently;
-    traffic inside each program still matches the cost model.
+    A statement's result stays on the ranks that computed it, under its
+    plan's root distribution; a later statement reading it redistributes
+    from there (the move the sequence planner charges), a multi-term
+    combine over such results folds rank-locally, and consecutive
+    statements run back to back on the ranks.  Only ``outputs`` (default:
+    the planned statements' results) and what a statement without a
+    program reads are gathered, with axes restored to the result
+    tensor's declared order -- see :mod:`repro.parallel.session`.
 
     ``faults`` applies to *every* statement's program (drop ordinals
     and crash supersteps restart per statement).
 
-    ``backend`` selects the driver: ``"local"`` is the in-process
-    lock-step driver (:func:`run_spmd`); ``"process"`` runs every rank
-    in a worker OS process (:mod:`repro.runtime.process`) with at most
-    ``procs`` workers, reusing one worker ``pool`` across the sequence
-    when given.  ``transport`` (``"shm"`` or ``"pipe"``) selects the
-    process backend's ndarray wire (ignored for ``"local"`` and when an
-    existing ``pool`` is passed -- the pool's own transport wins).
+    ``backend`` selects where the ranks live: ``"local"`` keeps them in
+    this process; ``"process"`` runs them in worker OS processes
+    (:mod:`repro.runtime.process`) with at most ``procs`` workers,
+    reusing a worker ``pool`` when given.  ``transport`` (``"shm"`` or
+    ``"pipe"``) selects the process backend's ndarray wire (ignored for
+    ``"local"`` and when an existing ``pool`` is passed -- the pool's
+    own transport wins).
 
-    ``sources`` maps statement names to already generated program text
-    (:meth:`repro.pipeline.SynthesisResult.spmd_sources`: the function
-    of statement ``X`` is ``rank_program_X``); statements it does not
-    name are generated here.
+    A caller that runs one sequence repeatedly plans it once
+    (:func:`repro.parallel.session.plan_session`, as
+    :meth:`repro.pipeline.SynthesisResult.spmd_session` does) and calls
+    :func:`repro.parallel.session.run_session`.
     """
-    if backend not in ("local", "process"):
-        raise ValueError(
-            f"unknown SPMD backend {backend!r} (use 'local' or 'process')"
-        )
-    run_one = run_spmd
-    owned_pool = None
-    if backend == "process":
-        from repro.runtime.process import SpmdProcessPool, run_spmd_process
+    from repro.parallel.session import plan_session, run_session
 
-        if pool is None and seq_plan.plans:
-            grid_size = seq_plan.plans[0][1].grid.size
-            pool = owned_pool = SpmdProcessPool(
-                procs or grid_size, transport=transport
-            )
-
-        def run_one(plan, arrays, **kw):
-            return run_spmd_process(plan, arrays, pool=pool, procs=procs, **kw)
-
-    declared = {s.result.name: tuple(s.result.indices) for s in statements}
-    try:
-        return _run_sequence(
-            seq_plan, run_one, dict(inputs), declared,
-            faults, max_retries, max_restarts, semiring, sources or {},
-        )
-    finally:
-        if owned_pool is not None:
-            owned_pool.close()
-
-
-def _run_sequence(
-    seq_plan, run_one, arrays, declared, faults, max_retries, max_restarts,
-    semiring, sources,
-) -> SpmdSequenceRun:
-    runs: List[Tuple[str, SpmdRun]] = []
-    traffic = 0
-    steps = 0
-    for name, plan in seq_plan.plans:
-        run = run_one(
-            plan, arrays, name=f"rank_program_{name}",
-            source=sources.get(name), faults=faults,
-            max_retries=max_retries, max_restarts=max_restarts,
-            semiring=semiring,
-        )
-        runs.append((name, run))
-        traffic += run.comm.total_traffic
-        steps += run.supersteps
-        # run_spmd returns axes in sorted-index order (the ptree
-        # convention); store under the producing statement's declared
-        # order so later references slice correctly
-        sorted_idx = tuple(plan.root.indices)
-        order = declared.get(name, sorted_idx)
-        perm = tuple(sorted_idx.index(i) for i in order)
-        arrays[name] = (
-            np.transpose(run.result, perm) if perm else run.result
-        )
-    return SpmdSequenceRun(arrays, runs, traffic, steps)
+    session = plan_session(statements, seq_plan.plans, semiring, outputs)
+    return run_session(
+        session, inputs, faults=faults, max_retries=max_retries,
+        max_restarts=max_restarts, backend=backend, procs=procs, pool=pool,
+        transport=transport,
+    )

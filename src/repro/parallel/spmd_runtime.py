@@ -85,9 +85,27 @@ def box_difference(a: Box, b: Box) -> List[Box]:
     return [p for p in pieces if not box_empty(p)]
 
 
-def slice_of(global_array: np.ndarray, box: Box) -> np.ndarray:
+def take(entry, perm: Sequence[int], box: Box) -> np.ndarray:
+    """The piece ``box`` of a tensor, read out of a table entry.
+
+    ``entry`` is what ``arrays[name]`` holds: a ``(held_box, block)``
+    pair in the tensor's declared axis order and global coordinates (the
+    box the router shipped, or a block a statement left resident), or a
+    plain ndarray standing for its whole box.  ``perm[k]`` is the
+    declared axis behind dimension ``k`` of ``box``; the result is a
+    private float64 copy in ``box``'s axis order.
+    """
+    if isinstance(entry, tuple):
+        held, block = entry
+    else:
+        block = np.asarray(entry)
+        held = tuple((0, n) for n in block.shape)
+    sel = tuple(
+        slice(lo - held[p][0], hi - held[p][0])
+        for p, (lo, hi) in zip(perm, box)
+    )
     return np.ascontiguousarray(
-        global_array[tuple(slice(lo, hi) for lo, hi in box)]
+        np.transpose(block, perm)[sel], dtype=np.float64
     )
 
 

@@ -69,7 +69,7 @@ from repro.robustness.errors import BudgetExceeded
 #: nest IR moved to v3 with semiring-aware emission; version 6: kernel
 #: plans record the input shapes they were compiled for, which
 #: ``KernelRunner.run`` checks before any kernel step).
-RESULT_VERSION = 6
+RESULT_VERSION = 7
 
 
 @dataclass
@@ -202,13 +202,13 @@ class SynthesisResult:
     #: (:data:`RESULT_VERSION`); results pickled by older releases lack
     #: the attribute entirely and read as stale, never as broken objects
     result_version: int = RESULT_VERSION
-    #: :meth:`spmd_sources` memo, statement -> (plan, generated text):
-    #: repeated :meth:`run_parallel` calls neither regenerate a program
-    #: nor change the text workers key their compiled programs by.  The
-    #: plan rides along because the autotuner swaps ``partition_plans``
-    #: under the same statement names.
-    _spmd_sources: Dict[str, Tuple[PartitionPlan, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: :meth:`spmd_session` memo: the plans it was built for and the
+    #: session.  Repeated :meth:`run_parallel` calls neither regenerate
+    #: a program nor change the text workers key their compiled programs
+    #: by.  The plans ride along because the autotuner swaps
+    #: ``partition_plans`` under the same statement names.
+    _spmd_session: Optional[Tuple[Tuple[PartitionPlan, ...], object]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
@@ -405,26 +405,44 @@ class SynthesisResult:
             )
         return KernelRunner(plan, functions=functions, **kwargs)
 
+    def spmd_session(self):
+        """The formula sequence planned as one resident SPMD session
+        (:class:`repro.parallel.session.SessionPlan`): the rank programs
+        :meth:`run_parallel` runs, the statements in between that the
+        router evaluates itself, and what is shipped and gathered when.
+        Planned once per result and set of partition plans; the outputs
+        are the program's declared statement results."""
+        from repro.parallel.session import plan_session
+
+        plans = tuple(self.partition_plans.values())
+        memo = self._spmd_session
+        if (
+            memo is None
+            or len(memo[0]) != len(plans)
+            or any(a is not b for a, b in zip(memo[0], plans))
+        ):
+            session = plan_session(
+                self.statements, self.partition_plans, self.config.semiring,
+                [s.result.name for s in self.program.statements],
+            )
+            memo = self._spmd_session = (plans, session)
+        return memo[1]
+
     def spmd_sources(self) -> Dict[str, str]:
-        """Generated per-rank SPMD program source per planned statement.
+        """Generated per-rank SPMD program source per statement that
+        runs as one: the planned contractions, and multi-term combines
+        folded over resident operands.
 
-        Empty when no grid was configured.  See
-        :mod:`repro.parallel.spmd` for the execution driver.  Generated
-        once per result: this is the text :meth:`run_parallel` runs and
-        ``--emit-spmd`` writes.
+        Empty when no grid was configured.  Generated once per result:
+        this is the text :meth:`run_parallel` runs and ``--emit-spmd``
+        writes (see :mod:`repro.parallel.session` for the driver).
         """
-        from repro.parallel.spmd import generate_spmd_source
-
-        memo = self._spmd_sources
-        for name, plan in self.partition_plans.items():
-            if name not in memo or memo[name][0] is not plan:
-                source = generate_spmd_source(
-                    plan,
-                    name=f"rank_program_{name}",
-                    semiring=self.config.semiring,
-                )
-                memo[name] = (plan, source)
-        return {name: memo[name][1] for name in self.partition_plans}
+        if not self.partition_plans:
+            return {}
+        return {
+            stage.name: stage.source
+            for stage in self.spmd_session().programs()
+        }
 
     def run_parallel(
         self,
@@ -440,30 +458,38 @@ class SynthesisResult:
         pool=None,
         supervisor=None,
     ) -> Dict[str, np.ndarray]:
-        """Execute the generated SPMD programs for the whole sequence;
-        returns produced arrays.
+        """Execute the whole sequence as one SPMD session; returns the
+        inputs plus the program's declared statement results (and
+        whatever else the router ended up holding).
 
-        ``backend`` selects the SPMD driver: ``"local"`` advances every
-        rank in-process in lock step; ``"process"`` runs the same
-        generated rank programs across worker OS processes
+        One call is one session (:mod:`repro.parallel.session`): every
+        input is shipped to the ranks once, as the box they read of it;
+        a statement's result stays distributed where it was computed and
+        later statements redistribute from there; only the declared
+        results come back.
+
+        ``backend`` selects where the ranks live: ``"local"`` keeps them
+        in this process; ``"process"`` runs the same generated rank
+        programs across worker OS processes
         (:mod:`repro.runtime.process`, at most ``procs`` workers, one
-        pool shared across the sequence) with bit-identical results.
+        pool for the session) with bit-identical results.
         ``procs`` beyond the machine's CPU count is clamped to
         ``os.cpu_count()`` (oversubscribing cores only adds scheduler
         thrash; the clamp is recorded in :attr:`last_run_notes`).
         ``transport`` selects the process backend's ndarray wire:
-        ``"shm"`` ships arrays through shared-memory segments,
+        ``"shm"`` ships arrays through per-worker shared-memory arenas,
         ``"pipe"`` pickles them into the worker pipes.  Left ``None``,
         ``transport`` and ``procs`` default to the measured
         :attr:`tuning` decisions when the autotune stage ran
         (:mod:`repro.autotune`), else to ``"shm"`` / one worker per
         rank.
 
-        Statements without partition plans (multi-term combines kept
-        data-local) and statements materializing primitive functions are
-        evaluated in place between the SPMD runs; each such statement is
-        recorded in :attr:`last_run_notes` so callers can tell which
-        statements actually ran distributed.
+        Statements that cannot run on the ranks -- no partition plan and
+        not a combine over resident operands, or materializing primitive
+        functions -- are evaluated by the router between the rank
+        programs (what they read is gathered first); each is recorded in
+        :attr:`last_run_notes` so callers can tell which statements
+        actually ran distributed.
 
         ``pool`` (process backend only) executes on an existing
         :class:`~repro.runtime.process.SpmdProcessPool` instead of
@@ -474,18 +500,19 @@ class SynthesisResult:
 
         ``faults`` (a :class:`~repro.robustness.faults.FaultSchedule`)
         injects message drops and rank crashes into every statement's
-        SPMD run; recovery is by bounded retry and statement restart
-        (see :func:`repro.parallel.spmd.run_spmd`).
+        rank programs; recovery is by bounded retry and statement
+        restart (see :func:`repro.parallel.spmd.run_spmd`).
 
         ``supervisor`` (process backend only, a
-        :class:`~repro.runtime.supervisor.PoolSupervisor`) executes
-        every statement under supervision: dead workers are detected,
-        the pool is respawned, and the failed statement is re-run on
-        the fresh pool with bit-identical results.  The supervisor's
-        recovery log (respawns, retries) is merged into
-        :attr:`last_run_notes`.  Mutually exclusive with ``pool`` --
-        the supervisor owns its pool (adopt a warm pool by passing it
-        to the supervisor's constructor instead).
+        :class:`~repro.runtime.supervisor.PoolSupervisor`) executes the
+        session under supervision: dead workers are detected, the pool
+        is respawned, and -- the dead worker's resident blocks being
+        gone -- the session is replayed on the fresh pool from the
+        inputs, with bit-identical results.  The supervisor's recovery
+        log (respawns, retries) is merged into :attr:`last_run_notes`.
+        Mutually exclusive with ``pool`` -- the supervisor owns its pool
+        (adopt a warm pool by passing it to the supervisor's constructor
+        instead).
         """
         if not self.partition_plans:
             raise ValueError("no partition plans: configure a grid first")
@@ -509,9 +536,7 @@ class SynthesisResult:
                 "pass pool= or supervisor=, not both (a supervisor owns "
                 "its pool; adopt a warm pool via PoolSupervisor(pool=...))"
             )
-        from repro.engine.executor import run_statements as run_local
-        from repro.parallel.program_plan import SequencePlan
-        from repro.parallel.spmd import run_spmd_sequence
+        from repro.parallel.session import run_session
 
         if transport is None:
             transport = (
@@ -523,7 +548,6 @@ class SynthesisResult:
             procs = self.tuning.procs
 
         notes: List[str] = []
-        owned_pool = pool is None and supervisor is None
         if backend == "process":
             import os
 
@@ -538,8 +562,6 @@ class SynthesisResult:
                     "oversubscribe"
                 )
 
-            from repro.runtime.process import SpmdProcessPool
-
             grid_size = next(
                 iter(self.partition_plans.values())
             ).grid.size
@@ -550,83 +572,36 @@ class SynthesisResult:
                     f"procs clamped {nworkers} -> {ncpu} "
                     f"(os.cpu_count(); oversubscription disabled)"
                 )
-                nworkers = ncpu
                 procs = ncpu
-            if supervisor is not None:
-                # the supervisor keeps its own transport and worker cap
-                transport = supervisor.transport
-                if nworkers > supervisor.procs:
-                    procs = supervisor.procs
-            elif pool is None:
-                pool = SpmdProcessPool(nworkers, transport=transport)
-            else:
-                # a warm pool keeps its own transport and worker cap
-                transport = pool.transport
-                if nworkers > pool.procs:
-                    procs = pool.procs
 
-        arrays: Dict[str, np.ndarray] = dict(inputs)
-        sources = self.spmd_sources()
+        session = self.spmd_session()
+        notes.extend(
+            f"{stage.name}: executed locally -- {stage.reason}"
+            for stage in session.local()
+        )
+
+        def run(pool):
+            return run_session(
+                session, inputs, faults=faults, max_retries=max_retries,
+                max_restarts=max_restarts, backend=backend, procs=procs,
+                pool=pool, transport=transport, functions=functions,
+            )
+
         try:
-            for stmt in self.statements:
-                name = stmt.result.name
-                plan = self.partition_plans.get(name)
-                uses_functions = any(
-                    ref.tensor.is_function for ref in stmt.expr.refs()
+            # a pool keeps its own transport and worker cap; one made
+            # for this call is the session's to close
+            out = run(pool) if supervisor is None else supervisor.run_statement(run)
+            for reason in out.notes:
+                notes.append(
+                    "BLAS threads not pinned to 1 in SPMD "
+                    f"workers ({reason}): procs x BLAS threads "
+                    "may oversubscribe the cores"
                 )
-                if plan is None or uses_functions:
-                    reason = (
-                        "materializes function tensors"
-                        if uses_functions
-                        else "no partition plan "
-                        "(multi-term combine kept data-local)"
-                    )
-                    notes.append(f"{name}: executed locally -- {reason}")
-                    arrays = run_local(
-                        [stmt], arrays, self.config.bindings, functions,
-                        semiring=self.config.semiring,
-                    )
-                    continue
-                seq_plan = SequencePlan([(name, plan)], plan.total_cost)
-                if supervisor is not None:
-                    out = supervisor.run_statement(
-                        lambda p, stmt=stmt, seq_plan=seq_plan: (
-                            run_spmd_sequence(
-                                [stmt], seq_plan, arrays, faults=faults,
-                                max_retries=max_retries,
-                                max_restarts=max_restarts,
-                                backend=backend, procs=procs, pool=p,
-                                transport=p.transport,
-                                semiring=self.config.semiring,
-                                sources=sources,
-                            )
-                        )
-                    )
-                else:
-                    out = run_spmd_sequence(
-                        [stmt], seq_plan, arrays, faults=faults,
-                        max_retries=max_retries, max_restarts=max_restarts,
-                        backend=backend, procs=procs, pool=pool,
-                        transport=transport,
-                        semiring=self.config.semiring, sources=sources,
-                    )
-                arrays.update(out.arrays)
-                for _, run in out.runs:
-                    for reason in run.notes:
-                        note = (
-                            "BLAS threads not pinned to 1 in SPMD "
-                            f"workers ({reason}): procs x BLAS threads "
-                            "may oversubscribe the cores"
-                        )
-                        if note not in notes:
-                            notes.append(note)
         finally:
             if supervisor is not None and supervisor.notes:
                 notes.extend(supervisor.notes)
             self.last_run_notes = notes
-            if pool is not None and owned_pool:
-                pool.close()
-        return arrays
+        return out.arrays
 
 
 def synthesize(

@@ -7,23 +7,27 @@ That is the right contract for a library primitive -- fail fast, never
 guess -- but a serving runtime needs the next request to succeed, not
 an apology.  :class:`PoolSupervisor` owns that recovery:
 
-* **dead-worker detection** -- before every statement the supervisor
+* **dead-worker detection** -- before every session the supervisor
   health-checks its pool (:meth:`SpmdProcessPool.healthy`: not marked
   broken *and* every worker process alive), catching workers killed
-  between statements that no mid-protocol EOF could reveal;
+  between sessions that no mid-protocol EOF could reveal;
 * **automatic respawn** -- an unhealthy pool is closed (terminate ->
-  kill escalation, shm segments unlinked) and replaced with a fresh one
-  with the same shape, watchdog, and chaos state; an ``on_respawn``
-  callback lets registries (``repro.server.pools``) re-key their
-  bookkeeping to the replacement;
-* **bounded statement-level retry** -- the BSP statement is the
-  transaction: inputs are never mutated, so re-running a failed
-  statement on a repaired pool is bit-identical to an undisturbed run.
+  kill escalation, every shared-memory arena unlinked) and replaced with
+  a fresh one with the same shape, watchdog, and chaos state; an
+  ``on_respawn`` callback lets registries (``repro.server.pools``)
+  re-key their bookkeeping to the replacement;
+* **bounded session-level retry** -- the transaction is the *session*
+  (:mod:`repro.parallel.session`): workers keep the blocks statements
+  left resident, a dead or hung worker takes its blocks with it, and
+  the router holds only the run's inputs.  So the retried transaction
+  is the whole resident chain replayed from those inputs on the
+  repaired pool -- inputs are never mutated, so the replay is
+  bit-identical to an undisturbed run.
   Only *process-level* failures (``CommFailure`` with
   ``stage="spmd-process"``: worker death, watchdog timeout, broken
   pipe) are retried; logical failures (injected rank crashes beyond
-  the restart limit, worker-side exceptions re-raised as ``stage=
-  "spmd"``) are deterministic and propagate immediately.
+  the restart limit, ``stage="spmd"``) are deterministic and propagate
+  immediately.
 
 Every respawn and retry is recorded in :attr:`PoolSupervisor.notes`,
 which :meth:`repro.pipeline.SynthesisResult.run_parallel` merges into
@@ -72,8 +76,8 @@ class PoolSupervisor:
     chaos:
         A :class:`ChaosState` attached to every supervised pool.
     max_statement_retries:
-        How many times :meth:`run_statement` re-runs a statement after
-        a process-level failure before giving up (0 = fail fast).
+        How many times :meth:`run_statement` re-runs its transaction
+        after a process-level failure before giving up (0 = fail fast).
     time_left:
         Optional callable returning remaining seconds of the caller's
         deadline; when it is non-positive at retry time the supervisor
@@ -114,7 +118,7 @@ class PoolSupervisor:
         self.on_respawn = on_respawn
         #: pools spawned to replace dead/broken ones (adoption excluded)
         self.respawns = 0
-        #: statements re-run after a process-level failure
+        #: transactions re-run after a process-level failure
         self.retries = 0
         #: human-readable recovery log, merged into ``last_run_notes``
         self.notes: List[str] = []
@@ -159,12 +163,14 @@ class PoolSupervisor:
     ) -> T:
         """Run ``run(pool)`` with respawn-and-retry recovery.
 
-        ``run`` must be a statement-shaped transaction: it reads its
-        inputs, never mutates them, and returns the result -- exactly
-        the contract of ``run_spmd_sequence`` on one statement.  On a
-        process-level :class:`CommFailure` the pool is respawned and
-        ``run`` re-invoked, up to ``max_statement_retries`` times; the
-        rerun is bit-identical to an undisturbed execution.
+        ``run`` must be a transaction: it reads its inputs, never
+        mutates them, leaves nothing behind on the pool that a rerun
+        depends on, and returns the result -- the contract of
+        :func:`repro.parallel.session.run_session`, whose first ``load``
+        drops whatever the workers held.  On a process-level
+        :class:`CommFailure` the pool is respawned and ``run``
+        re-invoked from the start, up to ``max_statement_retries``
+        times; the rerun is bit-identical to an undisturbed execution.
         """
         attempt = 0
         while True:
@@ -184,14 +190,16 @@ class PoolSupervisor:
                     raise
                 if self.time_left is not None and self.time_left() <= 0:
                     raise DeadlineExceeded(
-                        "deadline expired before statement retry "
+                        "deadline expired before retry "
                         f"(attempt {attempt})",
                         stage="supervisor",
                     ) from exc
                 self.retries += 1
                 self.notes.append(
-                    f"supervisor: statement retry {attempt}/"
-                    f"{self.max_statement_retries} after {exc.message!r}"
+                    f"supervisor: retry {attempt}/"
+                    f"{self.max_statement_retries} after {exc.message!r}: "
+                    "resident blocks lost with the worker, session "
+                    "replayed from the router-held inputs"
                 )
 
     def detach(self) -> Optional[SpmdProcessPool]:

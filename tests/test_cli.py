@@ -252,11 +252,13 @@ class TestProcessBackend:
 
     def test_local_fallback_warning_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.tce"
+        # F + G combines two inputs: no rank holds anything to fold it
+        # over, so the router evaluates it, and says so
         path.write_text("""
         range N = 4;
         index a, b, c : N;
-        tensor A(a, b); tensor B(b, c); tensor G(a, c);
-        R(a, c) = sum(b) A(a, b) * B(b, c) + G(a, c);
+        tensor F(a, b); tensor G(a, b); tensor B(b, c);
+        R(a, c) = sum(b) (F(a, b) + G(a, b)) * B(b, c);
         """)
         rc = main([str(path), "--no-cache-opt", "--grid", "2", "--run"])
         assert rc == 0

@@ -1,0 +1,284 @@
+"""One SPMD run is one resident session (:mod:`repro.parallel.session`).
+
+What the router moves is asserted, not assumed: every tensor a run reads
+is shipped to a worker once, as the box its ranks slice; a statement's
+result stays where it was produced, a later statement redistributes from
+there (the moves the sequence planner charges) and a multi-term combine
+folds rank-locally; only what the caller asked for comes back.  Every
+program shape that bends those rules -- renamed indices at the use site,
+two consumers, a re-assigned name, a diagonal, a statement the router
+has to evaluate mid-chain -- runs on the process backend, bit for bit
+equal to the in-process one, and matches the reference executor.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.chem.workloads import ccsd_doubles_program
+from repro.engine.executor import random_inputs, run_statements
+from repro.expr.parser import parse_program
+from repro.parallel.commcost import move_cost_elements
+from repro.parallel.grid import ProcessorGrid
+from repro.parallel.program_plan import plan_sequence
+from repro.parallel.session import Chain, plan_session, run_session
+from repro.parallel.spmd import run_spmd
+from repro.pipeline import SynthesisConfig, synthesize
+from repro.runtime.process import SpmdProcessPool
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with SpmdProcessPool(2, shm_min_bytes=0) as made:
+        yield made
+
+
+class TestCcsdResidency:
+    """CCSD doubles V=6 O=3 on two workers: six contractions, one fold."""
+
+    @pytest.fixture(scope="class")
+    def ccsd(self):
+        prog = ccsd_doubles_program(V=6, O=3)
+        res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
+        inputs = random_inputs(prog, seed=14)
+        return res, inputs, run_statements(res.statements, inputs)
+
+    def test_one_chain_and_only_r_comes_back(self, ccsd, pool):
+        res, inputs, _ = ccsd
+        session = res.spmd_session()
+        (chain,) = session.items  # one load, no statement on the router
+        assert isinstance(chain, Chain)
+        assert [st.name for st in chain.stages][-1] == "R"
+        assert [st.name for st in chain.want] == ["R"]
+        out = run_session(session, inputs, backend="process", pool=pool)
+        assert sorted(out.arrays) == sorted(list(inputs) + ["R"])
+        assert out.gathered_elements == out.arrays["R"].size
+
+    def test_every_tensor_is_shipped_once_as_its_box(self, ccsd, pool):
+        res, inputs, _ = ccsd
+        session = res.spmd_session()
+        (chain,) = session.items
+        ranks = list(session.grid.ranks())
+        # T2 is read by six statements under four distributions: each
+        # worker needs all of it, and gets it once
+        for rank in ranks:
+            assert chain.ships["T2"][rank] == tuple(
+                (0, n) for n in inputs["T2"].shape
+            )
+        # Wabef is read once, split along a: the two boxes tile it
+        boxes = [chain.ships["Wabef"][rank] for rank in ranks]
+        assert boxes[0][0][1] == boxes[1][0][0]
+        sizes = {
+            name: sum(
+                int(np.prod([hi - lo for lo, hi in box]))
+                for box in chain.ships[name].values()
+            )
+            for name in chain.ships
+        }
+        assert sizes["T2"] == 2 * inputs["T2"].size
+        for name in ("Fae", "Fmi", "Wabef", "Wmnij", "Vmnef"):
+            assert sizes[name] == inputs[name].size, name
+        first = run_session(session, inputs, backend="process", pool=pool)
+        again = run_session(session, inputs, backend="process", pool=pool)
+        assert first.shipped_elements == sum(sizes.values())
+        assert again.shipped_elements == first.shipped_elements  # per run
+
+    def test_traffic_is_each_statements_own_plus_the_planned_moves(
+        self, ccsd, pool
+    ):
+        res, inputs, want = ccsd
+        session = res.spmd_session()
+        out = run_session(session, inputs, backend="process", pool=pool)
+        runs = dict(out.runs)
+        # a contraction communicates what it does run alone from global
+        # arrays: its operands were either shipped or already in place
+        for name, plan in res.partition_plans.items():
+            alone = run_spmd(plan, want)
+            assert runs[name].comm.total_traffic == alone.comm.total_traffic
+            assert runs[name].supersteps == alone.supersteps, name
+        # the fold's whole traffic is the alignment the planner priced:
+        # every operand not already where the first one lies moves there
+        grid = session.grid
+        stmt = res.statements[-1]
+        indices = tuple(sorted(stmt.result.indices))
+        held = {
+            st.name: st.held.dist for st in session.programs()
+        }
+        refs = list(stmt.expr.refs())
+        base = held[refs[0].tensor.name]
+        planned = sum(
+            move_cost_elements(indices, held[r.tensor.name], base, grid)
+            for r in refs
+            if held[r.tensor.name].effective(indices) != base.effective(indices)
+        )
+        assert planned > 0
+        assert max(runs["R"].comm.received_elements.values()) == planned
+        assert out.total_traffic == sum(
+            run.comm.total_traffic for run in runs.values()
+        )
+
+    def test_process_equals_local_bit_for_bit(self, ccsd, pool):
+        res, inputs, want = ccsd
+        local = res.run_parallel(dict(inputs), backend="local")
+        proc = res.run_parallel(dict(inputs), backend="process", pool=pool)
+        assert sorted(local) == sorted(proc)
+        np.testing.assert_array_equal(local["R"], proc["R"])
+        np.testing.assert_allclose(proc["R"], want["R"], rtol=1e-9)
+
+
+# every shape that bends the rules, as (text, functions, what to check)
+RENAMED = """
+range N = {n};
+index a, b, c, i, j, k : N;
+tensor A(a, c); tensor B(c, b);
+X(a, b) = sum(c) A(a, c) * B(c, b);
+S(i, j) = sum(k) X(i, k) * X(k, j);
+"""
+TWO_CONSUMERS = """
+range N = {n};
+index a, b, c : N;
+tensor A(a, b); tensor B(b, c);
+X(b, a) = A(a, b);
+S(a, c) = sum(b) X(b, a) * B(b, c);
+Y(a) = sum(b) X(b, a) * A(a, b);
+"""
+REASSIGNED = """
+range N = {n};
+index a, b, c : N;
+tensor A(a, c); tensor B(c, b);
+X(a, b) = sum(c) A(a, c) * B(c, b);
+X(a, b) = sum(c) X(a, c) * B(c, b);
+S(a, b) = sum(c) X(a, c) * A(c, b);
+"""
+DIAGONAL = """
+range N = {n};
+index a, b, c : N;
+tensor A(a, c); tensor B(c, b);
+X(a, b) = sum(c) A(a, c) * B(c, b);
+Y(a) = sum(b) X(b, b) * A(a, b);
+Z(a) = sum(b) B(b, b) * X(a, b);
+"""
+FUNCTION = """
+range N = {n};
+index a, b, c : N;
+tensor A(a, c); tensor B(c, b);
+function f(a, b) cost 10;
+X(a, b) = sum(c) A(a, c) * B(c, b);
+F(a, b) = f(a, b) * X(a, b);
+S(a, b) = sum(c) F(a, c) * X(c, b);
+"""
+FOLD = """
+range N = {n};
+index a, b, c : N;
+tensor A(a, c); tensor B(c, b); tensor G(a, b);
+X(a, b) = sum(c) A(a, c) * B(c, b);
+Y(b, a) = sum(c) B(c, b) * A(a, c);
+R(a, b) = X(a, b) + Y(b, a) + G(a, b);
+"""
+CASES = {
+    "renamed": (RENAMED, ["S"]),
+    "two-consumers": (TWO_CONSUMERS, ["S", "Y"]),
+    "reassigned": (REASSIGNED, ["X", "S"]),
+    "diagonal": (DIAGONAL, ["Y", "Z"]),
+    "function": (FUNCTION, ["S"]),
+    "fold": (FOLD, ["R"]),
+}
+FUNCTIONS = {"f": lambda a, b: 1.0 + a + 2.0 * b}
+
+
+def both_backends(text, outputs, dims, semiring, seed, pool):
+    prog = parse_program(text)
+    grid = ProcessorGrid(dims)
+    seq = plan_sequence(prog.statements, grid)
+    session = plan_session(prog.statements, seq.plans, semiring, outputs)
+    inputs = random_inputs(prog, seed=seed)
+    how = dict(functions=FUNCTIONS)
+    local = run_session(session, inputs, **how)
+    proc = run_session(session, inputs, backend="process", pool=pool, **how)
+    want = run_statements(
+        prog.statements, inputs, functions=FUNCTIONS, semiring=semiring
+    )
+    return session, local, proc, want
+
+
+class TestProgramShapes:
+    @settings(
+        max_examples=12, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        case=st.sampled_from(sorted(CASES)),
+        n=st.integers(3, 5),
+        dims=st.sampled_from([(2,), (2, 2), (3,)]),
+        semiring=st.sampled_from(["plus_times", "min_plus"]),
+        seed=st.integers(0, 1000),
+    )
+    def test_process_equals_local_and_matches_the_reference(
+        self, pool, case, n, dims, semiring, seed
+    ):
+        text, outputs = CASES[case]
+        _, local, proc, want = both_backends(
+            text.format(n=n), outputs, dims, semiring, seed, pool
+        )
+        for name in outputs:
+            np.testing.assert_array_equal(
+                local.arrays[name], proc.arrays[name], err_msg=name
+            )
+            np.testing.assert_allclose(
+                proc.arrays[name], want[name], rtol=1e-9, atol=1e-12,
+                err_msg=name,
+            )
+        assert local.total_traffic == proc.total_traffic
+        assert local.total_supersteps == proc.total_supersteps
+        # (what is shipped depends on how many workers share the ranks)
+        assert local.gathered_elements == proc.gathered_elements
+
+    def test_renamed_use_moves_from_the_producers_distribution(self, pool):
+        """``X(i,k)`` and ``X(k,j)`` read one resident block through
+        two renamings: neither is shipped, neither is gathered."""
+        session, _, proc, _ = both_backends(
+            RENAMED.format(n=4), ["S"], (2,), "plus_times", 0, pool
+        )
+        (chain,) = session.items
+        assert "X" not in chain.ships
+        assert [st.name for st in chain.want] == ["S"]
+        assert "X" not in proc.arrays
+
+    def test_reassigned_name_binds_a_new_entry(self, pool):
+        """The second ``X`` reads the first and replaces it; both are
+        planned, and only the last one comes back."""
+        session, _, proc, want = both_backends(
+            REASSIGNED.format(n=4), ["X", "S"], (2,), "plus_times", 1, pool
+        )
+        assert [st.name for st in session.programs()] == ["X", "X", "S"]
+        np.testing.assert_allclose(proc.arrays["X"], want["X"], rtol=1e-9)
+
+    def test_diagonal_of_a_resident_tensor_forces_a_gather(self, pool):
+        session, _, proc, _ = both_backends(
+            DIAGONAL.format(n=4), ["Y", "Z"], (2,), "plus_times", 2, pool
+        )
+        first, second = session.items
+        # X(b,b) is no distribution's block: X comes back and is
+        # re-shipped as the box the diagonal's readers need
+        assert [st.name for st in first.want] == ["X"]
+        assert "X" in second.ships
+        assert "X" in proc.arrays
+
+    def test_function_statement_splits_the_chain(self, pool):
+        session, _, proc, _ = both_backends(
+            FUNCTION.format(n=4), ["S"], (2,), "plus_times", 3, pool
+        )
+        first, local, second = session.items
+        assert [st.name for st in first.want] == ["X"]  # what F reads
+        assert local.name == "F" and "function" in local.reason
+        assert "F" in second.ships  # the router's result goes back out
+        assert "X" not in second.ships  # X is still where it was made
+        assert [st.name for st in second.want] == ["S"]
+
+    def test_unwanted_statement_is_not_run(self, pool):
+        session, _, proc, _ = both_backends(
+            TWO_CONSUMERS.format(n=4), ["S"], (2,), "plus_times", 4, pool
+        )
+        assert [st.name for st in session.programs()] == ["X", "S"]
+        assert "Y" not in proc.arrays

@@ -236,33 +236,18 @@ class TestMemoryClaim:
         res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
         arrays = dict(random_inputs(prog, seed=14))
         want = run_statements(res.statements, arrays)
-        sources = res.spmd_sources()
-        assert sources
-        for stmt in res.statements:
-            name = stmt.result.name
-            plan = res.partition_plans.get(name)
-            if plan is None:
-                arrays[name] = want[name]
-                continue
-            steps = compile_schedule(plan)
-            ndim = {}
-            for step in steps:
-                if step.kind == "slice":
-                    ndim[step.out] = len(step.args[2])
-                elif step.kind == "move":
-                    ndim[step.out] = len(step.args[1])
-                elif step.kind == "contract":
-                    ndim[step.out] = len(step.args[5])
-            limit = max(ndim.values())
-
-            program = load_rank_program(
-                sources[name], f"rank_program_{name}"
-            )
-            comm = LocalComm(plan.grid)
-            states = {r: {} for r in plan.grid.ranks()}
+        session = res.spmd_session()
+        ranks = list(session.grid.ranks())
+        # the session by hand: one tensor table per rank (a plain array
+        # stands for its whole box), results entered where they are made
+        tables = {r: dict(arrays) for r in ranks}
+        planned = 0
+        for stage in session.programs():
+            program = load_rank_program(stage.source, stage.fname)
+            comm = LocalComm(session.grid)
+            states = {r: {} for r in ranks}
             live = {
-                r: program(r, comm, arrays, states[r])
-                for r in plan.grid.ranks()
+                r: program(r, comm, tables[r], states[r]) for r in ranks
             }
             while live:
                 for rank in list(live):
@@ -270,14 +255,29 @@ class TestMemoryClaim:
                         next(live[rank])
                     except StopIteration:
                         del live[rank]
+            for r in ranks:
+                tables[r][stage.name] = states[r].pop("__result__")
+            plan = res.partition_plans.get(stage.name)
+            if plan is None:
+                continue  # the rank-local fold of R: no contraction in it
+            planned += 1
+            ndim = {}
+            for step in compile_schedule(plan):
+                if step.kind == "slice":
+                    ndim[step.out] = len(step.args[2])
+                elif step.kind == "move":
+                    ndim[step.out] = len(step.args[1])
+                elif step.kind == "contract":
+                    ndim[step.out] = len(step.args[5])
+            limit = max(ndim.values())
             blocks = 0
             for state in states.values():
                 for box, blk in state.values():
                     if blk is not None:
                         blocks += 1
-                        assert blk.ndim <= limit, (name, blk.shape)
+                        assert blk.ndim <= limit, (stage.name, blk.shape)
             assert blocks
 
-            _, report = GridSimulator(plan.grid).run(plan, arrays)
-            assert comm.total_traffic == report.total_received, name
-            arrays[name] = want[name]
+            _, report = GridSimulator(plan.grid).run(plan, want)
+            assert comm.total_traffic == report.total_received, stage.name
+        assert planned == len(res.partition_plans)

@@ -157,6 +157,95 @@ class TestFaultParity:
             )
 
 
+class TestSessionFaults:
+    """Faults in a resident chain: table entries are never mutated, so
+    the statement in flight restarts from the table, bit-identically."""
+
+    @pytest.fixture(scope="class")
+    def ccsd(self):
+        prog = ccsd_doubles_program(V=4, O=3)
+        res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
+        inputs = random_inputs(prog, seed=2)
+        from repro.parallel.session import run_session
+
+        clean = run_session(res.spmd_session(), inputs)
+        return res.spmd_session(), inputs, clean, run_session
+
+    def _assert_same_but_for_restarts(self, clean, local, proc, restarted):
+        np.testing.assert_array_equal(clean.arrays["R"], local.arrays["R"])
+        np.testing.assert_array_equal(clean.arrays["R"], proc.arrays["R"])
+        assert [n for n, _ in local.runs] == [n for n, _ in clean.runs]
+        for (name, c), (_, a), (_, b) in zip(clean.runs, local.runs, proc.runs):
+            assert a.restarts == b.restarts == restarted(name, c), name
+            assert a.supersteps == b.supersteps == c.supersteps, name
+            assert_comm_equal(a.comm, b.comm)
+            assert_comm_equal(a.comm, c.comm)
+
+    def test_crash_at_superstep_zero_restarts_every_statement(self, ccsd):
+        """Superstep 0 of a chained statement runs unasked, in the step
+        that retires its predecessor -- unless a crash is scheduled
+        there: then the router starts each statement itself, fires the
+        crash before any rank advances, and the statement begins again
+        from the table."""
+        session, inputs, clean, run_session = ccsd
+        faults = FaultSchedule(crash_supersteps={0})
+        local = run_session(session, inputs, faults=faults)
+        with SpmdProcessPool(2) as pool:
+            proc = run_session(
+                session, inputs, faults=faults, backend="process", pool=pool
+            )
+            again = run_session(
+                session, inputs, faults=faults, backend="process", pool=pool
+            )
+        self._assert_same_but_for_restarts(
+            clean, local, proc, lambda name, run: 1
+        )
+        np.testing.assert_array_equal(clean.arrays["R"], again.arrays["R"])
+
+    def test_crash_mid_chain_restarts_the_statement_in_flight(self, ccsd):
+        """A crash at superstep 1 bites every statement that
+        communicates: its ranks are mid-program, their half-built state
+        is dropped, and the statement reruns from the blocks earlier
+        statements left in the table."""
+        session, inputs, clean, run_session = ccsd
+        faults = FaultSchedule(drop_messages=(0,), crash_supersteps={1})
+        local = run_session(session, inputs, faults=faults)
+        with SpmdProcessPool(2) as pool:
+            proc = run_session(
+                session, inputs, faults=faults, backend="process", pool=pool
+            )
+        assert any(run.supersteps > 1 for _, run in clean.runs)
+        np.testing.assert_array_equal(clean.arrays["R"], local.arrays["R"])
+        np.testing.assert_array_equal(clean.arrays["R"], proc.arrays["R"])
+        for (name, c), (_, a), (_, b) in zip(clean.runs, local.runs, proc.runs):
+            assert a.restarts == b.restarts == (1 if c.supersteps > 1 else 0)
+            assert a.supersteps == b.supersteps == c.supersteps, name
+            assert_comm_equal(a.comm, b.comm)
+            assert a.comm.received_elements == c.comm.received_elements
+
+    def test_restart_budget_is_per_statement(self, ccsd):
+        session, inputs, _, run_session = ccsd
+        faults = FaultSchedule(crash_supersteps={0, 1, 2, 3, 4, 5})
+        with pytest.raises(CommFailure, match="restarts"):
+            run_session(session, inputs, faults=faults, max_restarts=1)
+
+    def test_failure_mid_chain_leaves_no_stale_reply(self, ccsd):
+        """A statement deep in the chain fails on one worker's side
+        (its input never arrived): every worker's reply to that step is
+        read before the failure surfaces, and the next session on the
+        same pool starts from a dropped table."""
+        session, inputs, clean, run_session = ccsd
+        bad = {k: v for k, v in inputs.items() if k != "Vmnef"}
+        with SpmdProcessPool(2) as pool:
+            with pytest.raises(CommFailure, match="worker failed"):
+                run_session(session, bad, backend="process", pool=pool)
+            assert not pool.broken
+            proc = run_session(session, inputs, backend="process", pool=pool)
+        np.testing.assert_array_equal(clean.arrays["R"], proc.arrays["R"])
+        for (_, c), (_, b) in zip(clean.runs, proc.runs):
+            assert_comm_equal(b.comm, c.comm)
+
+
 class TestPool:
     def test_pool_reused_across_statements(self):
         """One pool serves a whole sequence and repeated runs."""
@@ -210,17 +299,17 @@ class TestNoRepeatedWork:
     once per worker."""
 
     def test_run_parallel_generates_each_source_once(self, monkeypatch):
-        import repro.parallel.spmd as spmd
+        import repro.parallel.session as session
 
         _, inputs, res = matmul_plan()
         calls = []
-        real = spmd.generate_spmd_source
+        real = session.emit_rank_program
 
-        def counting(plan, name="rank_program", semiring="plus_times"):
+        def counting(steps, grid, bindings, name, semiring="plus_times"):
             calls.append(name)
-            return real(plan, name, semiring=semiring)
+            return real(steps, grid, bindings, name, semiring)
 
-        monkeypatch.setattr(spmd, "generate_spmd_source", counting)
+        monkeypatch.setattr(session, "emit_rank_program", counting)
         first = res.run_parallel(dict(inputs))
         second = res.run_parallel(dict(inputs))
         assert calls == ["rank_program_C"]
@@ -240,20 +329,20 @@ class TestNoRepeatedWork:
     def test_worker_compiles_a_program_text_once(self, monkeypatch):
         import multiprocessing as mp
 
-        from repro.runtime import process
+        from repro.parallel import session
 
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("the counter reaches the worker by fork")
         plan, inputs, _ = matmul_plan()
         compiles = mp.get_context("fork").Value("i", 0)
-        real = process.load_rank_program
+        real = session.load_rank_program
 
         def counting(source, name):
             with compiles.get_lock():
                 compiles.value += 1
             return real(source, name)
 
-        monkeypatch.setattr(process, "load_rank_program", counting)
+        monkeypatch.setattr(session, "load_rank_program", counting)
         with SpmdProcessPool(1) as pool:
             runs = [
                 run_spmd_process(plan, inputs, pool=pool) for _ in range(3)

@@ -10,6 +10,8 @@ through the supervisor to check that contract holds regardless of
 which ordinals fire which actions.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,10 +156,17 @@ class TestCloseEscalation:
             def close(self):
                 self.closed = True
 
+        from repro.runtime.process import _Port
+
         pool = SpmdProcessPool(1)
         proc, conn = StubbornProc(), DeadConn()
-        pool._workers = [(proc, conn)]
+        port = _Port(pool, proc, conn)
+        arenas = [port.down.name, port.up.name]
+        pool._workers = [port]
         pool.close()
+        assert not any(
+            os.path.exists(f"/dev/shm/{name.lstrip('/')}") for name in arenas
+        )
         assert proc.terminated and proc.killed
         assert not proc.alive
         assert conn.closed
@@ -260,6 +269,58 @@ class TestSupervisor:
         t[0] = 100.6
         assert left() < 0
         assert deadline_clock(None) is None
+
+
+class TestSupervisedSession:
+    """A worker lost mid-chain takes its resident blocks with it: the
+    supervisor's transaction is the session, replayed from the inputs
+    the router still holds."""
+
+    @pytest.fixture(scope="class")
+    def ccsd(self):
+        from repro.chem.workloads import ccsd_doubles_program
+
+        prog = ccsd_doubles_program(V=4, O=3)
+        res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
+        inputs = random_inputs(prog, seed=2)
+        return res, inputs, res.run_parallel(dict(inputs))["R"]
+
+    @pytest.mark.parametrize("spec", [
+        "kill_worker@7", "hang_worker@9", "drop_reply@4",
+        "kill_worker@3;hang_worker@12",
+    ])
+    def test_lost_worker_mid_chain_replays_the_session(self, ccsd, spec):
+        res, inputs, expect = ccsd
+        state = ChaosState(parse_chaos_spec(spec))
+        events = spec.count("@")
+        sup = PoolSupervisor(
+            2, chaos=state, recv_timeout_s=1.0,
+            max_statement_retries=events,
+        )
+        with sup:
+            out = res.run_parallel(
+                dict(inputs), backend="process", procs=2, supervisor=sup
+            )
+        np.testing.assert_array_equal(out["R"], expect)
+        assert len(state.fired) == events  # every event bit mid-chain
+        assert sup.retries == sup.respawns == events
+        replays = [n for n in res.last_run_notes if "replayed" in n]
+        assert len(replays) == events
+        assert all("router-held inputs" in n for n in replays)
+
+    def test_replay_is_bounded_by_the_retry_budget(self, ccsd):
+        res, inputs, _ = ccsd
+        state = ChaosState(ChaosSchedule(kill_worker=tuple(range(2, 60, 3))))
+        sup = PoolSupervisor(
+            2, chaos=state, recv_timeout_s=5.0, max_statement_retries=2
+        )
+        with sup:
+            with pytest.raises(CommFailure):
+                res.run_parallel(
+                    dict(inputs), backend="process", procs=2, supervisor=sup
+                )
+        assert sup.retries == 2
+        assert any("giving up" in n for n in sup.notes)
 
 
 class TestChaosProperty:

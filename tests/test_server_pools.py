@@ -178,8 +178,8 @@ class TestRealPools:
         pool, _ = registry.lease(2, "shm")
         # force the workers up, then kill one under the router
         workers = pool.workers(2)
-        workers[0][0].terminate()
-        workers[0][0].join(timeout=10)
+        workers[0].proc.terminate()
+        workers[0].proc.join(timeout=10)
         with pytest.raises(CommFailure):
             result.run_parallel(
                 inputs, backend="process", procs=2, pool=pool
@@ -218,9 +218,9 @@ class TestServerPath:
             assert app.pools.stats()["idle"] == 1
             # kill the parked pool's workers behind the registry's back
             ((parked, _),) = next(iter(app.pools._idle.values()))
-            for proc, _ in parked._workers:
-                proc.terminate()
-                proc.join(timeout=10)
+            for worker in parked._workers:
+                worker.proc.terminate()
+                worker.proc.join(timeout=10)
             status, second = await arequest(
                 host, port, "POST", "/v1/execute", payload
             )
