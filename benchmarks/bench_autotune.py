@@ -1,27 +1,25 @@
-"""E20: empirical autotuning vs the analytical model alone.
+"""E20: empirical autotuning vs the analytical choice alone.
 
-Two workloads, two claims:
+Every stopwatch the tuner holds is on code that ships -- a steady-state
+``KernelRunner.run`` for the ``kernel`` and ``threads`` dimensions, the
+SPMD session for ``grid`` -- so the claim is the one measurement can
+actually back: **the measured choice is never slower than the
+analytical one** (beyond noise), because the analytical choice is always
+in the measured candidate set.  Two workloads, one per sequential
+dimension:
 
-* **tiled contraction under cache pressure** -- the Section-6 tile
-  search prices memory traffic only; at interpreter-executed sizes the
-  tiled loop nest also pays per-iteration loop overhead the miss model
-  cannot see.  The autotuner times the search's own top candidates
-  (plus the untiled baseline) and keeps the measured winner; on this
-  machine that choice must execute at least ``E20_MIN_SPEEDUP`` faster
-  than the model's.
-* **CCSD doubles GEMM plan** -- the kernel dimension (compiled GEMM
-  lowering vs the cached einsum path) is measured per machine instead
-  of assumed; either answer is correct, and the tuned result must never
-  be slower than the analytical one beyond noise.
+* **CCSD doubles GEMM plan** -- the ``kernel`` dimension (compiled GEMM
+  lowering vs the cached einsum path vs native nests where a compiler
+  exists) is measured per machine instead of assumed;
+* **Fig. 1 native nests** -- the ``threads`` dimension (1 / 2 / half /
+  all cores) on compiled nests.  Needs a C compiler and two cores; on a
+  box without them the leg says "skipped", never "passed".
 
 Plus the persistence claim: a warm :class:`~repro.autotune.db.TuningDB`
 hit re-applies the stored decisions with **zero** measurement runs.
 
-Floor: ``E20_MIN_SPEEDUP`` (default 1.2; the CI perf smoke relaxes it
-for shared-runner noise).  The floor applies to the best of the two
-workloads -- on machines where model and measurement agree everywhere
-there is nothing for tuning to win, but the cache-pressure workload is
-constructed so they disagree.
+Ceiling: ``E20_MAX_SLOWDOWN`` (default 1.25: measured / analytical wall
+time; the CI perf smoke relaxes it for shared-runner noise).
 """
 
 from __future__ import annotations
@@ -29,41 +27,18 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro import AutotuneOptions, SynthesisConfig, TuningDB, synthesize
-from repro.chem.workloads import ccsd_doubles_program
-from repro.codegen.pygen import compile_loops
-from repro.engine.executor import random_inputs, run_statements
-from repro.engine.machine import MachineModel, MemoryLevel
+from repro.chem.workloads import ccsd_doubles_program, fig1_formula_sequence
+from repro.engine.executor import random_inputs
 from repro.expr.printer import program_to_source
+from repro.kernels import native_available
 
-MIN_SPEEDUP = float(os.environ.get("E20_MIN_SPEEDUP", "1.2"))
+MAX_SLOWDOWN = float(os.environ.get("E20_MAX_SLOWDOWN", "1.25"))
 
-# Sized so the tile search tiles every loop down to 2-element tiles
-# (the cache holds almost nothing) while the per-candidate micro-runs
-# stay in the tens of milliseconds.  The deep tile nest pays ~1.5x in
-# interpreter loop overhead the miss model cannot see -- the structural
-# model-vs-measurement gap this experiment quantifies.
-N = 24
-CACHE_ELEMENTS = 16
-
-TILED_SRC = f"""
-range N = {N};
-index i, j, k : N;
-tensor A(i, k); tensor B(k, j);
-C(i, j) = sum(k) A(i, k) * B(k, j);
-"""
-
-
-def tiny_cache_config():
-    machine = MachineModel(
-        cache=MemoryLevel("cache", CACHE_ELEMENTS, 8.0),
-        memory=MemoryLevel("memory", 1 << 24, 512.0),
-        disk=MemoryLevel("disk", 1 << 31, 100_000.0),
-    )
-    return SynthesisConfig(machine=machine)
+CCSD_SRC = program_to_source(ccsd_doubles_program(V=16, O=5))
+FIG1_SRC = program_to_source(fig1_formula_sequence(V=16, O=4))
 
 
 def _best(fn, repeats: int = 7) -> float:
@@ -79,82 +54,83 @@ def _report(result):
     return next(r for r in result.reports if r.name == "Autotuning")
 
 
+def _analytical_vs_measured(source: str, config: SynthesisConfig):
+    """Steady-state runner wall time of the analytical result and of
+    the tuned one, and the tuned result."""
+    base = synthesize(source, config)
+    tuned = synthesize(source, config, autotune=AutotuneOptions(trials=3))
+    inputs = random_inputs(base.program, None, seed=0)
+    runner_a, runner_t = base.kernel_runner(), tuned.kernel_runner()
+    runner_a.run(inputs), runner_t.run(inputs)  # warm
+    t_a = _best(lambda: runner_a.run(inputs))
+    t_t = _best(lambda: runner_t.run(inputs))
+    return t_a, t_t, base, tuned
+
+
 class TestE20Autotune:
-    def test_measured_beats_analytical(self, record_rows):
+    def test_measured_choice_is_never_slower(self, record_rows):
         """The E20 headline: wall time of the analytical choice vs the
-        measured choice, per workload."""
+        measured choice, per tuned dimension."""
         rows = []
-        metrics = {"min_speedup_floor": MIN_SPEEDUP}
-        speedups = []
+        metrics = {"max_slowdown_ceiling": MAX_SLOWDOWN}
+        ratios = {}
 
-        # -- workload 1: tiled contraction under cache pressure --
-        analytical = synthesize(TILED_SRC, tiny_cache_config())
-        tuned = synthesize(
-            TILED_SRC, tiny_cache_config(),
-            autotune=AutotuneOptions(trials=3),
+        # -- kernel dimension: CCSD doubles GEMM plan --
+        t_a, t_t, base, tuned = _analytical_vs_measured(
+            CCSD_SRC, SynthesisConfig()
         )
-        inputs = random_inputs(analytical.program, None, seed=0)
-        kern_a = compile_loops(analytical.structure, None)
-        kern_t = compile_loops(tuned.structure, None)
-        kern_a(inputs), kern_t(inputs)  # warm
-        t_a = _best(lambda: kern_a(inputs))
-        t_t = _best(lambda: kern_t(inputs))
-        speedup = t_a / t_t
-        speedups.append(speedup)
-        disagrees = tuned.locality_tiles != analytical.locality_tiles
+        ratios["kernel"] = t_t / t_a
         rows.append([
-            f"tiled contraction (N={N}, cache={CACHE_ELEMENTS})",
-            f"{t_a * 1e3:.3f}", f"{t_t * 1e3:.3f}", f"{speedup:.2f}x",
-            "yes" if disagrees else "no",
+            "kernel", "CCSD doubles (V=16, O=5)",
+            base.kernel_plan.mode, tuned.kernel_plan.mode,
+            f"{t_a * 1e3:.3f}", f"{t_t * 1e3:.3f}", f"{t_t / t_a:.2f}x",
         ])
-        metrics["tiled_analytical_s"] = t_a
-        metrics["tiled_measured_s"] = t_t
-        metrics["tiled_speedup"] = speedup
-        metrics["tiled_model_tiles"] = dict(analytical.locality_tiles)
-        metrics["tiled_measured_tiles"] = dict(tuned.locality_tiles)
+        metrics["kernel_analytical_s"] = t_a
+        metrics["kernel_measured_s"] = t_t
+        metrics["kernel_mode"] = tuned.kernel_plan.mode
 
-        # the tuned result must stay correct
-        want = run_statements(analytical.program.statements, inputs, None)
-        np.testing.assert_allclose(kern_t(inputs)["C"], want["C"])
-
-        # -- workload 2: CCSD doubles GEMM plan --
-        ccsd_src = program_to_source(ccsd_doubles_program(V=16, O=5))
-        base = synthesize(ccsd_src)
-        tuned_ccsd = synthesize(
-            ccsd_src, autotune=AutotuneOptions(trials=3)
-        )
-        ccsd_inputs = random_inputs(base.program, None, seed=0)
-        runner_a = base.kernel_runner()
-        runner_t = tuned_ccsd.kernel_runner()
-        runner_a.run(ccsd_inputs), runner_t.run(ccsd_inputs)
-        t_a = _best(lambda: runner_a.run(ccsd_inputs))
-        t_t = _best(lambda: runner_t.run(ccsd_inputs))
-        speedup = t_a / t_t
-        speedups.append(speedup)
-        rows.append([
-            "CCSD doubles (V=16, O=5) kernel plan",
-            f"{t_a * 1e3:.3f}", f"{t_t * 1e3:.3f}", f"{speedup:.2f}x",
-            "yes"
-            if tuned_ccsd.kernel_plan.mode != base.kernel_plan.mode
-            else "no",
-        ])
-        metrics["ccsd_analytical_s"] = t_a
-        metrics["ccsd_measured_s"] = t_t
-        metrics["ccsd_speedup"] = speedup
-        metrics["ccsd_kernel_mode"] = tuned_ccsd.kernel_plan.mode
+        # -- threads dimension: Fig. 1 as native nests --
+        if not native_available():
+            skipped = "no C compiler"
+        elif (os.cpu_count() or 1) < 2:
+            skipped = "nproc < 2"
+        else:
+            skipped = None
+        if skipped is None:
+            t_a, t_t, base, tuned = _analytical_vs_measured(
+                FIG1_SRC, SynthesisConfig(codegen="native")
+            )
+            ratios["threads"] = t_t / t_a
+            rows.append([
+                "threads", "Fig. 1 (V=16, O=4) native",
+                "1", str(tuned.tuning.threads),
+                f"{t_a * 1e3:.3f}", f"{t_t * 1e3:.3f}",
+                f"{t_t / t_a:.2f}x",
+            ])
+            metrics["threads_analytical_s"] = t_a
+            metrics["threads_measured_s"] = t_t
+            metrics["threads_chosen"] = tuned.tuning.threads
+        else:
+            rows.append([
+                "threads", "Fig. 1 (V=16, O=4) native",
+                "1", f"skipped ({skipped})", "-", "-", "-",
+            ])
+            metrics["threads_skipped"] = skipped
 
         record_rows(
             "E20: analytical vs measured (autotuned) execution",
-            ["workload", "analytical ms", "measured ms", "speedup",
-             "rank disagreement"],
+            ["dimension", "workload", "analytical", "measured",
+             "analytical ms", "measured ms", "measured / analytical"],
             rows,
             metrics=metrics,
         )
-        best = max(speedups)
-        assert best >= MIN_SPEEDUP, (
-            f"autotuning won only {best:.2f}x on its best workload "
-            f"(floor {MIN_SPEEDUP}x)"
-        )
+        for dimension, ratio in ratios.items():
+            assert ratio <= MAX_SLOWDOWN, (
+                f"{dimension}: the measured choice ran {ratio:.2f}x the "
+                f"analytical one's time (ceiling {MAX_SLOWDOWN}x)"
+            )
+        if skipped is not None:
+            pytest.skip(f"threads dimension not measured: {skipped}")
 
     def test_warm_db_skips_all_measurement(self, tmp_path, record_rows):
         """Cold run measures and stores; warm run applies the stored
@@ -163,16 +139,14 @@ class TestE20Autotune:
 
         t0 = time.perf_counter()
         cold = synthesize(
-            TILED_SRC, tiny_cache_config(),
-            autotune=AutotuneOptions(trials=3, db=db),
+            CCSD_SRC, autotune=AutotuneOptions(trials=3, db=db)
         )
         cold_s = time.perf_counter() - t0
         cold_runs = _report(cold).details["measurement runs"]
 
         t0 = time.perf_counter()
         warm = synthesize(
-            TILED_SRC, tiny_cache_config(),
-            autotune=AutotuneOptions(trials=3, db=db),
+            CCSD_SRC, autotune=AutotuneOptions(trials=3, db=db)
         )
         warm_s = time.perf_counter() - t0
         warm_runs = _report(warm).details["measurement runs"]
@@ -195,5 +169,5 @@ class TestE20Autotune:
         assert cold_runs > 0
         assert warm_runs == 0
         assert warm.tuning.source.startswith("db:")
-        assert warm.tuning.tiles == cold.tuning.tiles
         assert warm.tuning.kernel_mode == cold.tuning.kernel_mode
+        assert warm.tuning.threads == cold.tuning.threads

@@ -1,17 +1,18 @@
 """Empirical autotuning: measure the model's top candidates, remember
 the winners.
 
-The locality and distribution stages pick tile sizes and processor
-grids from purely analytical cost models (the paper's Section-6
-doubling search and Section-7 DP).  On real hardware those models
-misrank candidates that differ in loop overhead, GEMM shape, or
-transport cost.  This package closes the gap the way SparseAuto and
-CoNST do -- analytical candidate generation, empirical selection:
+The code generation and distribution stages pick a kernel lowering, a
+thread count and a processor grid from purely analytical rules (the
+paper's Section-7 DP, a fixed lowering ladder).  On real hardware those
+misrank candidates that differ in GEMM shape, thread scaling, or
+message pattern.  This package closes the gap the way SparseAuto and
+CoNST do -- analytical candidate generation, empirical selection -- and
+every stopwatch is on code that ships (``KernelRunner.run``, the SPMD
+session):
 
-* :mod:`repro.autotune.candidates` -- the top-K pareto candidates of
-  each analytical search (tile combinations, grid shapes, kernel
-  lowering variants, transport/procs), each wrapped as a measurable
-  runner;
+* :mod:`repro.autotune.candidates` -- the top-K candidates of each
+  analytical search (kernel lowering variants, native thread counts,
+  grid shapes), each wrapped as a measurable runner;
 * :mod:`repro.autotune.measure` -- timed micro-runs with warmup,
   repetition, median-of-N ``perf_counter_ns`` timing, and outlier
   rejection, charged against a shared search budget;

@@ -5,11 +5,6 @@ what the analytical stages already searched, which is what keeps
 measurement cheap (SparseAuto's insight: prune with the model, decide
 with the stopwatch).  One :class:`DimensionTuner` per tunable decision:
 
-``tiles``
-    the Section-6 tile search's lowest-modeled-miss combinations
-    (:func:`repro.locality.tile_search.top_candidates`), re-applied to
-    the pre-locality structure and timed through the compiled loop
-    kernel;
 ``kernel``
     the kernel lowering variants -- GEMM lowering vs the cached einsum
     path (:func:`repro.kernels.plan.compile_kernel_plan` modes) --
@@ -17,10 +12,7 @@ with the stopwatch).  One :class:`DimensionTuner` per tunable decision:
 ``grid``
     the Section-7 grid-shape DP's cheapest shapes
     (:func:`repro.parallel.gridsearch.top_shapes`), re-planned and
-    timed through the SPMD driver;
-``transport``
-    the process backend's wire and worker count (shm vs pipe transport,
-    procs), timed through real worker pools;
+    timed through the SPMD session;
 ``threads``
     the native nest thread count (1 / 2 / half / all cores), timed
     through steady-state runners built at each count -- thread scaling
@@ -39,15 +31,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = [
     "Candidate",
     "DimensionTuner",
-    "TileTuner",
     "KernelTuner",
     "GridTuner",
-    "TransportTuner",
     "ThreadsTuner",
     "build_tuners",
 ]
@@ -93,101 +83,6 @@ class DimensionTuner:
             if cand.analytical:
                 return cand
         return min(cands, key=lambda c: c.model_cost)
-
-
-class TileTuner(DimensionTuner):
-    """Section-6 tile sizes, re-ranked by compiled-loop wall time.
-
-    The miss model prices memory traffic only; at real sizes the tiled
-    loop nest also pays per-iteration loop overhead the model cannot
-    see, so the modeled best tiling and the fastest structure routinely
-    disagree -- exactly the gap measurement closes.
-    """
-
-    dimension = "tiles"
-
-    def __init__(self, result, inputs, top_k: int) -> None:
-        from repro.locality.tile_search import (
-            tileable_indices,
-            top_candidates,
-        )
-
-        self.result = result
-        self.inputs = inputs
-        self.top_k = top_k
-        self.base = result.pre_locality_structure
-        self.table = result.locality_table
-        self._by_name = (
-            {i.name: i for i in tileable_indices(self.base)}
-            if self.base is not None
-            else {}
-        )
-        self._structures: Dict[str, object] = {}
-        self._top = top_candidates if self.table else None
-
-    def active(self) -> bool:
-        return bool(self.table) and self.base is not None
-
-    def _structure(self, tiles_by_name: Dict[str, int]):
-        from repro.codegen.builder import apply_tiling
-        from repro.codegen.loops import Alloc, walk
-
-        if not tiles_by_name:
-            return self.base
-        tiles = {
-            self._by_name[name]: size
-            for name, size in tiles_by_name.items()
-        }
-        keep_global = [
-            n.array for n in walk(self.base) if isinstance(n, Alloc)
-        ]
-        return apply_tiling(self.base, tiles, keep_global=keep_global)
-
-    def candidates(self) -> List[Candidate]:
-        from repro.locality.tile_search import top_candidates
-
-        out: List[Candidate] = []
-        chosen = dict(self.result.locality_tiles)
-        for row in top_candidates(self.table, self.top_k):
-            tiles = dict(row["tiles"])
-            if any(name not in self._by_name for name in tiles):
-                continue
-            label = (
-                "tiles " + ",".join(
-                    f"{n}={b}" for n, b in sorted(tiles.items())
-                )
-                if tiles
-                else "untiled"
-            )
-            self._structures[label] = self._structure(tiles)
-            out.append(
-                Candidate(
-                    label,
-                    tiles,
-                    model_cost=float(row["cost"]),
-                    analytical=(tiles == chosen),
-                )
-            )
-        return out
-
-    def runner(self, cand: Candidate) -> Callable[[], object]:
-        from repro.codegen.pygen import compile_loops
-
-        kernel = compile_loops(
-            self._structures[cand.label], self.result.config.bindings
-        )
-        inputs = self.inputs
-        return lambda: kernel(inputs)
-
-    def apply(self, cand: Candidate) -> None:
-        from repro.codegen.pygen import generate_source
-
-        structure = self._structures[cand.label]
-        self.result.structure = structure
-        self.result.locality_tiles = dict(cand.payload)
-        self.result.source = generate_source(
-            structure, self.result.config.bindings
-        )
 
 
 class KernelTuner(DimensionTuner):
@@ -343,54 +238,6 @@ class GridTuner(DimensionTuner):
         self.result.partition_plans = self._plans_for(tuple(cand.payload))
 
 
-class TransportTuner(DimensionTuner):
-    """Process-backend wire (shm vs pipe) and worker count."""
-
-    dimension = "transport"
-
-    def __init__(self, result, inputs, measure_parallel: bool) -> None:
-        self.result = result
-        self.inputs = inputs
-        self.measure_parallel = measure_parallel
-
-    def active(self) -> bool:
-        return self.measure_parallel and bool(self.result.partition_plans)
-
-    def candidates(self) -> List[Candidate]:
-        grid_size = next(
-            iter(self.result.partition_plans.values())
-        ).grid.size
-        default_procs = min(grid_size, os.cpu_count() or 1)
-        procs_options = sorted({1, default_procs})
-        out = []
-        for transport in ("shm", "pipe"):
-            for procs in procs_options:
-                out.append(
-                    Candidate(
-                        f"{transport} procs={procs}",
-                        {"transport": transport, "procs": procs},
-                        model_cost=0.0 if transport == "shm" else 1.0,
-                        analytical=(
-                            transport == "shm" and procs == default_procs
-                        ),
-                    )
-                )
-        return out
-
-    def runner(self, cand: Candidate) -> Callable[[], object]:
-        result, inputs = self.result, self.inputs
-        transport = cand.payload["transport"]
-        procs = cand.payload["procs"]
-        return lambda: result.run_parallel(
-            inputs, backend="process", procs=procs, transport=transport
-        )
-
-    def apply(self, cand: Candidate) -> None:
-        # the decision lands in result.tuning (run_parallel's defaults);
-        # nothing structural changes
-        pass
-
-
 class ThreadsTuner(DimensionTuner):
     """Native nest thread count (1 / 2 / half / all cores).
 
@@ -457,10 +304,8 @@ class ThreadsTuner(DimensionTuner):
 def build_tuners(result, config, inputs, options) -> List[DimensionTuner]:
     """The active tuners for one synthesis result, in a fixed order."""
     tuners: List[DimensionTuner] = [
-        TileTuner(result, inputs, options.top_k),
         KernelTuner(result, inputs),
         ThreadsTuner(result, inputs),
         GridTuner(result, config, inputs, options.top_k),
-        TransportTuner(result, inputs, options.measure_parallel),
     ]
     return [t for t in tuners if t.active()]

@@ -47,10 +47,9 @@ class AutotuneOptions:
     ``top_k`` caps how many analytical candidates per dimension are
     measured; ``db`` enables the persistent
     :class:`~repro.autotune.db.TuningDB`; ``budget`` bounds the whole
-    stage (wall clock and/or run count); ``measure_parallel`` opts into
-    the process-backend transport sweep (spawns real worker pools);
-    ``timer`` is injectable for deterministic tests; ``seed`` fixes the
-    synthetic measurement inputs.
+    stage (wall clock and/or run count); ``timer`` is injectable for
+    deterministic tests; ``seed`` fixes the synthetic measurement
+    inputs.
     """
 
     trials: int = 3
@@ -58,7 +57,6 @@ class AutotuneOptions:
     top_k: int = 4
     db: Optional[TuningDB] = None
     budget: Optional[Budget] = None
-    measure_parallel: bool = False
     seed: int = 0
     timer: Callable[[], int] = time.perf_counter_ns
 
@@ -75,11 +73,8 @@ class TuningDecisions:
     """
 
     source: str = "analytical"
-    tiles: Optional[Dict[str, int]] = None
     kernel_mode: Optional[str] = None
     grid: Optional[Tuple[int, ...]] = None
-    transport: Optional[str] = None
-    procs: Optional[int] = None
     #: measured native-nest thread count (kernel_runner()'s default
     #: when the config does not pin one)
     threads: Optional[int] = None
@@ -88,32 +83,20 @@ class TuningDecisions:
     def as_payload(self) -> Dict[str, object]:
         """JSON-able decision mapping for the TuningDB."""
         out: Dict[str, object] = {}
-        if self.tiles is not None:
-            out["tiles"] = dict(self.tiles)
         if self.kernel_mode is not None:
             out["kernel"] = self.kernel_mode
         if self.grid is not None:
             out["grid"] = list(self.grid)
-        if self.transport is not None or self.procs is not None:
-            out["transport"] = {
-                "transport": self.transport,
-                "procs": self.procs,
-            }
         if self.threads is not None:
             out["threads"] = self.threads
         return out
 
 
 def _absorb(decisions: TuningDecisions, dimension: str, payload) -> None:
-    if dimension == "tiles":
-        decisions.tiles = dict(payload)
-    elif dimension == "kernel":
+    if dimension == "kernel":
         decisions.kernel_mode = payload
     elif dimension == "grid":
         decisions.grid = tuple(payload)
-    elif dimension == "transport":
-        decisions.transport = payload["transport"]
-        decisions.procs = payload["procs"]
     elif dimension == "threads":
         decisions.threads = int(payload)
 
@@ -128,11 +111,6 @@ def _apply_record(result, config, options, record, tier) -> StageReport:
     applied: List[str] = []
     payloads = record.get("decisions", {})
     for dimension, payload in sorted(payloads.items()):
-        if dimension == "transport":
-            decisions.transport = payload.get("transport")
-            decisions.procs = payload.get("procs")
-            applied.append(dimension)
-            continue
         tuner = tuners.get(dimension)
         if tuner is not None and tuner.apply_payload(payload):
             _absorb(decisions, dimension, payload)

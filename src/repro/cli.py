@@ -175,13 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--run", action="store_true",
-        help="execute the synthesized computation on deterministic "
-        "random inputs and validate against the reference executor",
+        help="execute the synthesized computation (compiled kernels "
+        "unless the program is sparse or exceeds --memory) on "
+        "deterministic random inputs and validate against the "
+        "reference executor",
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="with --run: checkpoint/restart directory for the "
-        "interpreter execution",
+        help="with --run: execute on the loop interpreter, with "
+        "checkpoint/restart in DIR",
     )
     parser.add_argument(
         "--inject-fault", metavar="SPEC", default=None,
@@ -243,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--autotune", action="store_true",
-        help="measure the analytical searches' top candidates (tile "
-        "sizes, kernel lowering, grid shape) on this machine and keep "
+        help="measure the analytical searches' top candidates (kernel "
+        "lowering, nest threads, grid shape) on this machine and keep "
         "the fastest",
     )
     parser.add_argument(
@@ -473,7 +475,13 @@ def _run_and_validate(
         )
     inputs = random_inputs(program, bindings, seed=0)
     try:
-        env = result.execute(inputs, checkpoint=checkpoint_dir)
+        if checkpoint_dir is not None:
+            # checkpoint/restart is a feature of the interpreter
+            env = result.execute(inputs, checkpoint=checkpoint_dir)
+            substrate = "interp"
+        else:
+            env = result.run(inputs)
+            substrate = result.last_substrate
         want = run_statements(
             program.statements, inputs, bindings,
             semiring=result.config.semiring,
@@ -490,10 +498,11 @@ def _run_and_validate(
                     ),
                     EXIT_EXECUTION,
                 )
-        print("run: outputs match the reference executor")
+        print(f"run: outputs match the reference executor ({substrate})")
         if result.partition_plans:
             supervisor = None
             if chaos is not None and chaos.any_chaos:
+                from repro.parallel.session import worker_count
                 from repro.robustness.faults import ChaosState
                 from repro.runtime.supervisor import PoolSupervisor
 
@@ -501,7 +510,7 @@ def _run_and_validate(
                     iter(result.partition_plans.values())
                 ).grid.size
                 supervisor = PoolSupervisor(
-                    max(1, min(procs or grid_size, grid_size)),
+                    worker_count(grid_size, procs)[0],
                     chaos=ChaosState(chaos),
                 )
             if supervisor is not None:

@@ -10,6 +10,7 @@ against the reference einsum executor.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.codegen.loops import (
     ZeroArr,
     sub_extent,
 )
+from repro.semiring import get_semiring, require_unit_coef
 
 
 def _sub_expr(sub: Tuple[LoopVar, ...]) -> str:
@@ -58,12 +60,24 @@ def generate_source(
     block: Block,
     bindings: Optional[Bindings] = None,
     name: str = "kernel",
+    semiring: str = "plus_times",
 ) -> str:
     """Render the structure as the source of a Python function
-    ``name(_arrays, _funcs)`` mutating/returning the array dict."""
-    lines: List[str] = [
-        f"def {name}(_arrays, _funcs):",
-    ]
+    ``name(_arrays, _funcs)`` mutating/returning the array dict.
+
+    ``semiring`` selects the scalar algebra (:mod:`repro.semiring`):
+    allocations and re-zeroes fill its reduce identity, a product folds
+    with its combine and an accumulation with its reduce, spelled
+    through the same ``py_zero`` / ``py_expr_*`` templates as
+    :mod:`repro.codegen.cgen`'s Python rendering.  ``plus_times`` keeps
+    ``+=`` and the coefficient; under any other algebra only
+    coefficient-1 assignments are legal, and an infinite identity makes
+    the text start with ``import math``.
+    """
+    sr = get_semiring(semiring)
+    zero = sr.py_zero()
+    lines: List[str] = ["import math"] if "math." in zero else []
+    lines.append(f"def {name}(_arrays, _funcs):")
 
     def emit(blk: Block, depth: int, guards: Dict[str, Tuple[str, int, int]]) -> None:
         pad = "    " * (depth + 1)
@@ -88,27 +102,39 @@ def generate_source(
                 shape = tuple(
                     sub_extent(dim, bindings) for dim in node.dims
                 )
-                lines.append(
-                    f"{pad}_arrays[{node.array!r}] = _np.zeros({shape!r})"
+                fill = (
+                    f"_np.zeros({shape!r})"
+                    if sr.zero == 0.0
+                    else f"_np.full({shape!r}, {zero})"
                 )
+                lines.append(f"{pad}_arrays[{node.array!r}] = {fill}")
             elif isinstance(node, ZeroArr):
-                lines.append(f"{pad}_arrays[{node.array!r}][...] = 0.0")
+                lines.append(f"{pad}_arrays[{node.array!r}][...] = {zero}")
             elif isinstance(node, Assign):
                 conds = _guard_conditions(node, guards)
                 inner_pad = pad
                 if conds:
                     lines.append(f"{pad}if {' and '.join(conds)}:")
                     inner_pad = pad + "    "
-                rhs = " * ".join(_term_expr(t) for t in node.terms)
+                require_unit_coef(node.coef, sr, stage="codegen")
+                rhs = functools.reduce(
+                    sr.py_expr_combine, map(_term_expr, node.terms)
+                )
                 if node.coef != 1.0:
                     rhs = f"{node.coef} * {rhs}"
-                op = "+=" if node.accumulate else "="
                 if node.target.subs:
                     idx = ", ".join(_sub_expr(s) for s in node.target.subs)
                     tgt = f"_arrays[{node.target.array!r}][{idx}]"
                 else:
                     tgt = f"_arrays[{node.target.array!r}][()]"
-                lines.append(f"{inner_pad}{tgt} {op} {rhs}")
+                if not node.accumulate:
+                    lines.append(f"{inner_pad}{tgt} = {rhs}")
+                elif sr.is_default:
+                    lines.append(f"{inner_pad}{tgt} += {rhs}")
+                else:
+                    lines.append(
+                        f"{inner_pad}{tgt} = {sr.py_expr_reduce(tgt, rhs)}"
+                    )
             else:  # pragma: no cover - exhaustive
                 raise TypeError(f"unknown node {type(node).__name__}")
 
@@ -146,13 +172,14 @@ def compile_loops(
     block: Block,
     bindings: Optional[Bindings] = None,
     name: str = "kernel",
+    semiring: str = "plus_times",
 ) -> Callable[[Dict[str, np.ndarray], Mapping[str, Callable]], Dict[str, np.ndarray]]:
     """Compile the generated source; returns ``kernel(arrays, funcs)``.
 
     The caller's ``arrays`` dict is copied, mutated with allocated
     results, and returned.
     """
-    source = generate_source(block, bindings, name)
+    source = generate_source(block, bindings, name, semiring)
     namespace: Dict[str, object] = {"_np": np}
     exec(compile(source, f"<generated {name}>", "exec"), namespace)
     fn = namespace[name]

@@ -58,9 +58,10 @@ def top_candidates(
     baseline always included.
 
     The tile search's ``table`` rows are ``{"tiles": {name: size},
-    "cost": int}``; this is the pareto head the empirical autotuner
-    re-ranks by measurement (:mod:`repro.autotune`).  Ties break toward
-    fewer tiled indices, matching the search's own preference.
+    "cost": int}``.  Ties break toward fewer tiled indices, matching
+    the search's own preference.  Nothing in the package calls this any
+    more (the autotuner's tile dimension was its reader); it stays for
+    ``benchmarks/e2e/replay.py``, which only a benchmark PR may edit.
     """
     ranked = sorted(
         table, key=lambda row: (row["cost"], len(row["tiles"]))

@@ -64,6 +64,7 @@ Wire vocabulary (router -> worker, then the reply):
 from __future__ import annotations
 
 import functools
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -95,6 +96,7 @@ from repro.parallel.spmd_runtime import (
 )
 from repro.robustness.errors import CommFailure
 from repro.robustness.faults import FaultSchedule
+from repro.robustness.validation import validate_env
 
 Rank = Tuple[int, ...]
 
@@ -153,6 +155,10 @@ class SessionPlan:
     bindings: object
     semiring: str
     items: List[Union[Chain, Stage]]
+    #: references to the tensors shipped from the caller's own arrays
+    #: (no earlier statement produces them): :func:`run_session` checks
+    #: each is there, in its declared shape, before anything is shipped
+    external: List = field(default_factory=list)
 
     @classmethod
     def single(
@@ -167,7 +173,9 @@ class SessionPlan:
             semiring,
         )
         chain = Chain([stage], dict(stage.slices), [stage])
-        return cls(plan.grid, plan.bindings, semiring, [chain])
+        return cls(
+            plan.grid, plan.bindings, semiring, [chain], _leaf_refs(plan)
+        )
 
     def programs(self) -> List[Stage]:
         """The rank-program stages, in execution order."""
@@ -336,6 +344,10 @@ def plan_session(
     away = set()
     #: name -> the `ships` entry its current router-held version has
     shipping: Dict[str, Dict[Rank, Box]] = {}
+    #: names bound so far, and (by name) a ref to each tensor sliced
+    #: from the caller's arrays
+    bound = set()
+    external: Dict[str, object] = {}
 
     def fetch(names) -> None:
         """The router needs ``names``: gather those it lacks when the
@@ -348,6 +360,7 @@ def plan_session(
             chain = None
 
     def rebind(name: str, stage: Optional[Stage]) -> None:
+        bound.add(name)
         shipping.pop(name, None)
         away.discard(name)
         resident.pop(name, None)
@@ -388,6 +401,10 @@ def plan_session(
             name, steps, grid, bindings, f"rank_program_{name}", semiring
         )
         fetch(stage.slices)
+        for ref in refs:
+            tensor = ref.tensor.name
+            if tensor in stage.slices and tensor not in bound:
+                external.setdefault(tensor, ref)
         if chain is None:
             chain = Chain()
             chains.append(chain)
@@ -403,7 +420,9 @@ def plan_session(
         rebind(name, stage)
 
     fetch(outputs)
-    return SessionPlan(grid, bindings, semiring, items)
+    return SessionPlan(
+        grid, bindings, semiring, items, list(external.values())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +602,24 @@ def _recv_all(ports) -> List:
     return replies
 
 
+def worker_count(
+    nranks: int, procs: Optional[int] = None
+) -> Tuple[int, Optional[str]]:
+    """How many worker processes run ``nranks`` ranks when the caller
+    asked for ``procs``: one per rank unless told fewer, and never more
+    than the machine has cores (oversubscribing them only adds scheduler
+    thrash).  Second value: the note to leave when that last clamp bit.
+    """
+    wanted = max(1, min(procs or nranks, nranks))
+    ncpu = os.cpu_count() or 1
+    if wanted <= ncpu:
+        return wanted, None
+    return ncpu, (
+        f"procs clamped {wanted} -> {ncpu} "
+        "(os.cpu_count(); oversubscription disabled)"
+    )
+
+
 def run_session(
     session: SessionPlan,
     inputs,
@@ -599,19 +636,25 @@ def run_session(
     functions: Optional[Mapping[str, Callable]] = None,
 ) -> SpmdSequenceRun:
     """Run a planned session; see :func:`repro.parallel.spmd.
-    run_spmd_sequence` for the arguments."""
+    run_spmd_sequence` for the arguments.  Raises
+    :class:`~repro.robustness.errors.SpecError` /
+    :class:`~repro.robustness.errors.ShapeError` naming the tensor when
+    an array the ranks would slice is missing or mis-shaped."""
     if backend not in ("local", "process"):
         raise ValueError(
             f"unknown SPMD backend {backend!r} (use 'local' or 'process')"
         )
-    owned = None
+    # rank programs slice what they are sent unchecked
+    validate_env(
+        inputs, session.external, session.bindings, stage="execution"
+    )
+    owned = clamped = None
     if backend == "local" or not session.programs():
         ports = [_Loopback()]
     else:
         from repro.runtime.process import SpmdProcessPool
 
-        nranks = session.grid.size
-        nworkers = max(1, min(procs or nranks, nranks))
+        nworkers, clamped = worker_count(session.grid.size, procs)
         if pool is None:
             pool = owned = SpmdProcessPool(nworkers, transport=transport)
         ports = pool.workers(nworkers)
@@ -620,12 +663,15 @@ def run_session(
         retry_backoff=retry_backoff, sleep=sleep,
     )
     try:
-        return _Router(
+        out = _Router(
             ports, session, inputs, faults, max_restarts, new_comm, functions
         ).run()
     finally:
         if owned is not None:
             owned.close()
+    if clamped:
+        out.notes.append(clamped)
+    return out
 
 
 def run_single(

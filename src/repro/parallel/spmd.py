@@ -718,8 +718,9 @@ class SpmdRun:
     source: str
     supersteps: int
     restarts: int = 0
-    #: things a worker process could not do as configured (today: pin
-    #: its BLAS to one thread); always empty under the in-process driver
+    #: things the process backend could not do as configured (pin a
+    #: worker's BLAS to one thread, give every rank asked for its own
+    #: worker); always empty under the in-process driver
     notes: List[str] = field(default_factory=list)
 
 
@@ -738,7 +739,7 @@ class SpmdSequenceRun:
     #: as result blocks -- what the run moved besides rank-to-rank traffic
     shipped_elements: int = 0
     gathered_elements: int = 0
-    #: worker notes, each said once (see :attr:`SpmdRun.notes`)
+    #: process-backend notes, each said once (see :attr:`SpmdRun.notes`)
     notes: List[str] = field(default_factory=list)
 
 

@@ -173,14 +173,10 @@ class SynthesisResult:
     #: so it rides the plan cache; ``None`` only when lowering was not
     #: applicable (see the Code generation stage report).
     kernel_plan: Optional["KernelPlan"] = None
-    #: the structure as it stood *before* the locality stage tiled it,
-    #: kept so the empirical autotuner (:mod:`repro.autotune`) can
-    #: re-apply alternative tile combinations; ``None`` when the
-    #: locality search did not run
+    #: inert: nothing in the package fills or reads these two (their
+    #: one reader, the autotuner's tile dimension, is gone); declared so
+    #: callers that still pass the keywords keep constructing
     pre_locality_structure: Optional[Block] = None
-    #: the head of the locality search table (``{"tiles": .., "cost":
-    #: ..}`` rows, modeled-cost ascending) -- the autotuner's tile
-    #: candidate pool
     locality_table: List[Dict[str, object]] = field(default_factory=list)
     #: ``(shape, modeled cost)`` rows from the grid-shape search when
     #: ``processors`` was given -- the autotuner's grid candidate pool
@@ -335,23 +331,12 @@ class SynthesisResult:
         finally:
             notes.extend(runner.notes)
 
-    def _require_default_semiring(self, where: str) -> None:
-        """The loop source generator hard-codes ``(+, ×)``."""
-        if self.config.semiring != "plus_times":
-            from repro.robustness.errors import ReproError
-
-            raise ReproError(
-                f"{where} only supports the plus_times semiring; use "
-                "execute(), kernel_runner(), or the native codegen path "
-                f"for '{self.config.semiring}' programs",
-                stage="codegen",
-                semiring=self.config.semiring,
-            )
-
     def compile(self) -> Callable:
         """Compile the generated Python source to a callable kernel."""
-        self._require_default_semiring("compile()")
-        return compile_loops(self.structure, self.config.bindings)
+        return compile_loops(
+            self.structure, self.config.bindings,
+            semiring=self.config.semiring,
+        )
 
     def compile_fast(self) -> Callable:
         """The *formula sequence* as a callable ``kernel(arrays,
@@ -454,7 +439,7 @@ class SynthesisResult:
         max_restarts: int = 3,
         backend: str = "local",
         procs: Optional[int] = None,
-        transport: Optional[str] = None,
+        transport: str = "shm",
         pool=None,
         supervisor=None,
     ) -> Dict[str, np.ndarray]:
@@ -471,18 +456,14 @@ class SynthesisResult:
         ``backend`` selects where the ranks live: ``"local"`` keeps them
         in this process; ``"process"`` runs the same generated rank
         programs across worker OS processes
-        (:mod:`repro.runtime.process`, at most ``procs`` workers, one
-        pool for the session) with bit-identical results.
-        ``procs`` beyond the machine's CPU count is clamped to
-        ``os.cpu_count()`` (oversubscribing cores only adds scheduler
-        thrash; the clamp is recorded in :attr:`last_run_notes`).
+        (:mod:`repro.runtime.process`, one pool for the session) with
+        bit-identical results.  ``procs`` bounds the worker count:
+        one per rank by default, never more than ``os.cpu_count()``
+        (:func:`repro.parallel.session.worker_count`; a clamp that bites
+        is recorded in :attr:`last_run_notes`).
         ``transport`` selects the process backend's ndarray wire:
         ``"shm"`` ships arrays through per-worker shared-memory arenas,
-        ``"pipe"`` pickles them into the worker pipes.  Left ``None``,
-        ``transport`` and ``procs`` default to the measured
-        :attr:`tuning` decisions when the autotune stage ran
-        (:mod:`repro.autotune`), else to ``"shm"`` / one worker per
-        rank.
+        ``"pipe"`` pickles them into the worker pipes.
 
         Statements that cannot run on the ranks -- no partition plan and
         not a combine over resident operands, or materializing primitive
@@ -538,19 +519,8 @@ class SynthesisResult:
             )
         from repro.parallel.session import run_session
 
-        if transport is None:
-            transport = (
-                self.tuning.transport
-                if self.tuning is not None and self.tuning.transport
-                else "shm"
-            )
-        if procs is None and self.tuning is not None:
-            procs = self.tuning.procs
-
         notes: List[str] = []
         if backend == "process":
-            import os
-
             wanted_threads = self.config.kernel_threads
             if wanted_threads is None and self.tuning is not None:
                 wanted_threads = self.tuning.threads
@@ -561,18 +531,6 @@ class SynthesisResult:
                     "cores, and procs x nest threads must not "
                     "oversubscribe"
                 )
-
-            grid_size = next(
-                iter(self.partition_plans.values())
-            ).grid.size
-            nworkers = max(1, min(procs or grid_size, grid_size))
-            ncpu = os.cpu_count() or 1
-            if nworkers > ncpu:
-                notes.append(
-                    f"procs clamped {nworkers} -> {ncpu} "
-                    f"(os.cpu_count(); oversubscription disabled)"
-                )
-                procs = ncpu
 
         session = self.spmd_session()
         notes.extend(
@@ -591,12 +549,7 @@ class SynthesisResult:
             # a pool keeps its own transport and worker cap; one made
             # for this call is the session's to close
             out = run(pool) if supervisor is None else supervisor.run_statement(run)
-            for reason in out.notes:
-                notes.append(
-                    "BLAS threads not pinned to 1 in SPMD "
-                    f"workers ({reason}): procs x BLAS threads "
-                    "may oversubscribe the cores"
-                )
+            notes.extend(out.notes)
         finally:
             if supervisor is not None and supervisor.notes:
                 notes.extend(supervisor.notes)
@@ -848,8 +801,6 @@ def _synthesize_pipeline(
 
     # -- stage 4: data locality --------------------------------------------
     locality_tiles: Dict[str, int] = {}
-    pre_locality_structure: Optional[Block] = None
-    locality_table: List[Dict[str, object]] = []
     if config.optimize_cache:
         loc_report = StageReport(
             "Data locality optimization",
@@ -869,7 +820,6 @@ def _synthesize_pipeline(
         indices = sorted(
             indices, key=lambda i: -i.extent(bindings)
         )[: config.locality_max_indices]
-        pre_locality_structure = structure
         loc = optimize_locality(
             structure,
             config.machine.cache.capacity,
@@ -878,14 +828,6 @@ def _synthesize_pipeline(
             budget=tracker,
         )
         locality_tiles = {i.name: b for i, b in loc.tile_sizes.items()}
-        # keep the table head for the empirical autotuner (modeled-cost
-        # ascending; bounded so the result stays cheap to pickle)
-        from repro.locality.tile_search import top_candidates
-
-        locality_table = [
-            {"tiles": dict(row["tiles"]), "cost": row["cost"]}
-            for row in top_candidates(loc.table, 32)
-        ]
         structure = loc.structure
         loc_report.details.update(
             {
@@ -1015,7 +957,7 @@ def _synthesize_pipeline(
         reports.append(sp_report)
 
     # -- stage 6: code generation --------------------------------------------
-    src = generate_source(structure, bindings)
+    src = generate_source(structure, bindings, semiring=config.semiring)
     codegen_report = StageReport(
         "Code generation",
         {
@@ -1158,8 +1100,6 @@ def _synthesize_pipeline(
         sparsity_estimates,
         tracker,
         kernel_plan=kernel_plan,
-        pre_locality_structure=pre_locality_structure,
-        locality_table=locality_table,
         grid_table=grid_table,
         codegen_mode=codegen_mode,
         native_artifacts=native_artifacts,

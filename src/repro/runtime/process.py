@@ -148,7 +148,12 @@ def _worker_main(conn, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
     global IS_SPMD_WORKER
     IS_SPMD_WORKER = True
     # said once, in the first reply: why BLAS still runs multi-threaded
-    worker = RankWorker(note=_pin_blas_threads())
+    unpinned = _pin_blas_threads()
+    worker = RankWorker(
+        note=unpinned
+        and f"BLAS threads not pinned to 1 in SPMD workers ({unpinned}): "
+        "procs x BLAS threads may oversubscribe the cores"
+    )
     down = up = None
     try:
         while True:
@@ -456,11 +461,13 @@ def run_spmd_process(
     same :class:`~repro.parallel.spmd.SpmdRun` (the ``comm`` carries the
     router's traffic counters, which equal the in-process backend's).
 
-    ``procs`` bounds the worker count (default: one per rank); ``pool``
-    reuses an existing :class:`SpmdProcessPool` so callers executing a
-    sequence pay process startup once.  ``transport`` configures the
-    ndarray wire of a pool created here (a passed-in ``pool`` keeps its
-    own transport).
+    ``procs`` bounds the worker count (default: one per rank, never
+    more than ``os.cpu_count()`` -- a clamp that bites is recorded in
+    the run's ``notes``, see :func:`repro.parallel.session.
+    worker_count`); ``pool`` reuses an existing :class:`SpmdProcessPool`
+    so callers executing a sequence pay process startup once.
+    ``transport`` configures the ndarray wire of a pool created here (a
+    passed-in ``pool`` keeps its own transport).
     """
     return run_single(
         plan, inputs, name, semiring, faults=faults,

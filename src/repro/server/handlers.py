@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import os
 import time
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
@@ -29,10 +28,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.expr.parser import parse_program
+from repro.parallel.session import worker_count
 from repro.robustness.budget import Budget
 from repro.robustness.errors import DeadlineExceeded, SpecError
 from repro.robustness.faults import ChaosState
-from repro.robustness.validation import validate_shapes
 from repro.runtime.plan_cache import plan_key
 from repro.runtime.supervisor import PoolSupervisor, deadline_clock
 from repro.server import wire
@@ -194,18 +193,9 @@ class Handlers:
                 inputs = random_inputs(
                     program, config.bindings, seed=req.seed
                 )
-            else:
-                # client arrays are outside input to every substrate
-                # (SPMD ranks slice them unchecked): a bad one is the
-                # client's 400 naming the tensor, never a worker's 500
-                validate_shapes(
-                    inputs,
-                    (
-                        (t.name, t.shape(config.bindings))
-                        for t in program.inputs()
-                    ),
-                    stage="execution",
-                )
+            # client arrays are checked by the substrate that runs
+            # them: a bad one is its ShapeError/SpecError naming the
+            # tensor, hence the client's 400
             backend = req.backend
             if backend == "auto" and result.partition_plans:
                 backend = "process"
@@ -219,14 +209,7 @@ class Handlers:
                 grid_size = next(
                     iter(result.partition_plans.values())
                 ).grid.size
-                nworkers = max(
-                    1,
-                    min(
-                        req.procs or grid_size,
-                        grid_size,
-                        os.cpu_count() or 1,
-                    ),
-                )
+                nworkers, _ = worker_count(grid_size, req.procs)
                 pool, warm = app.pools.lease(nworkers, req.transport)
                 pool_meta = {
                     "leased": True,
@@ -255,7 +238,7 @@ class Handlers:
                         inputs,
                         faults=req.faults,
                         backend="process",
-                        procs=nworkers,
+                        procs=req.procs,
                         supervisor=supervisor,
                     )
                 finally:

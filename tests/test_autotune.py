@@ -328,8 +328,52 @@ class TestAutotuneStage:
         report = autotune_report(warm)
         assert report.details["measurement runs"] == 0
         assert warm.tuning.source == "db:memory"
-        assert warm.tuning.tiles == cold.tuning.tiles
         assert warm.tuning.kernel_mode == cold.tuning.kernel_mode
+
+    def test_stale_dimensions_in_a_stored_record_are_ignored(self, tmp_path):
+        """A record written when the tuner still had ``tiles`` and
+        ``transport`` dimensions re-applies kernel / threads / grid and
+        ignores the rest -- with zero measurement runs."""
+        config = tiny_cache_config(processors=4)
+        signature = machine_signature(config.machine)
+        program = synthesize(MATMUL, config).program
+        db = TuningDB(directory=str(tmp_path))
+        from repro import __version__
+
+        db.put(
+            tuning_key(program, config, signature),
+            {
+                "version": __version__,
+                "signature": signature,
+                "decisions": {
+                    "tiles": {"i": 2, "j": 2},
+                    "transport": {"transport": "pipe", "procs": 1},
+                    "kernel": "einsum",
+                    "threads": 1,
+                    "grid": [4],
+                },
+            },
+        )
+        warm = tune(config=config, db=db)
+        report = autotune_report(warm)
+        assert report.details["measurement runs"] == 0
+        # threads: no native nests in an einsum plan, so no such tuner
+        assert report.details["decisions applied"] == "grid, kernel"
+        assert warm.tuning.kernel_mode == "einsum"
+        assert warm.kernel_plan.mode == "einsum"
+        assert warm.tuning.grid == (4,)
+        plan = next(iter(warm.partition_plans.values()))
+        assert tuple(plan.grid.dims) == (4,)
+        assert sorted(vars(warm.tuning)) == [
+            "degraded", "grid", "kernel_mode", "source", "threads",
+        ]
+        # the result's own defaults stand where the record said pipe/1
+        inputs = random_inputs(warm.program, config.bindings, seed=4)
+        out = warm.run_parallel(inputs, backend="local")
+        want = run_statements(
+            warm.program.statements, inputs, config.bindings
+        )
+        assert np.allclose(out["C"], want["C"])
 
     def test_warm_hit_from_disk(self, tmp_path):
         tune(db=TuningDB(directory=str(tmp_path)))
@@ -368,7 +412,7 @@ class TestAutotuneStage:
     def test_exhausted_budget_degrades_not_raises(self):
         result = tune(budget=Budget(max_nodes=0))
         assert result.tuning.degraded is True
-        assert result.tuning.tiles is None  # analytical choice stands
+        assert result.tuning.kernel_mode is None  # analytical choice stands
         report = autotune_report(result)
         assert report.details["degraded"] == "true"
         assert any("budget exhausted" in n for n in report.notes)
@@ -379,10 +423,11 @@ class TestAutotuneStage:
         assert result.tuning.degraded is True
 
     def test_partial_budget_keeps_measured_dimensions(self):
-        """Enough budget for the tile sweep but not the kernel sweep:
+        """Enough budget for the kernel sweep but not the grid sweep:
         the measured winner stays, the rest degrades."""
-        full = autotune_report(tune()).details["measurement runs"]
-        result = tune(budget=Budget(max_nodes=full - 1))
+        config = tiny_cache_config(processors=4)
+        full = autotune_report(tune(config=config)).details["measurement runs"]
+        result = tune(config=config, budget=Budget(max_nodes=full - 1))
         report = autotune_report(result)
         assert result.tuning.degraded is True
         assert report.details["measurement runs"] < full
@@ -393,19 +438,10 @@ class TestAutotuneStage:
         tune(db=db, budget=Budget(max_nodes=0))
         assert list(tmp_path.rglob("*.tune.json")) == []
 
-    def test_top_k_bounds_tile_candidates(self):
-        r2 = autotune_report(tune(top_k=2))
-        r4 = autotune_report(tune(top_k=4))
-        tiles2 = [k for k in r2.details if k.startswith("tiles: ")]
-        tiles4 = [k for k in r4.details if k.startswith("tiles: ")]
-        assert len(tiles2) <= len(tiles4)
-
 
 class TestGridTuning:
     def test_grid_dimension_measured(self):
-        result = tune(
-            config=tiny_cache_config(processors=4), measure_parallel=False
-        )
+        result = tune(config=tiny_cache_config(processors=4))
         report = autotune_report(result)
         grid_rows = [k for k in report.details if k.startswith("grid: ")]
         assert grid_rows  # multiple shapes for 4 processors
@@ -428,30 +464,6 @@ class TestGridTuning:
         warm = tune(config=tiny_cache_config(processors=4), db=db)
         assert warm.tuning.grid == cold.tuning.grid
         assert autotune_report(warm).details["measurement runs"] == 0
-
-
-class TestTransportTuning:
-    def test_transport_swept_when_opted_in(self):
-        result = tune(
-            source=MATMUL,
-            config=tiny_cache_config(processors=2),
-            measure_parallel=True,
-            trials=1,
-            warmup=0,
-        )
-        report = autotune_report(result)
-        rows = [k for k in report.details if k.startswith("transport: ")]
-        assert rows
-        assert result.tuning.transport in ("shm", "pipe")
-        assert result.tuning.procs >= 1
-
-    def test_transport_skipped_by_default(self):
-        result = tune(config=tiny_cache_config(processors=2))
-        report = autotune_report(result)
-        assert not any(
-            k.startswith("transport: ") for k in report.details
-        )
-        assert result.tuning.transport is None
 
 
 class TestRemainingMs:

@@ -230,6 +230,66 @@ class TestRun:
         # checkpoint is cleared after a successful run
         assert not (ckpt / "checkpoint.pkl").exists()
 
+    def test_run_reports_the_substrate_it_ran_on(self, small_file, capsys):
+        """``--run`` executes what it compiled (``result.run``), under
+        every codegen mode; the substrate is on the report line."""
+        for mode in ("auto", "native"):
+            rc = main([small_file, "--no-cache-opt", "--codegen", mode, "--run"])
+            assert rc == 0
+            assert (
+                "run: outputs match the reference executor (kernels)"
+                in capsys.readouterr().out
+            )
+        # past --memory the chooser falls back, and says so
+        rc = main([small_file, "--no-cache-opt", "--memory", "8", "--run"])
+        assert rc == 0
+        assert "reference executor (interp)" in capsys.readouterr().out
+
+    def test_checkpoint_dir_resumes_on_the_interpreter(
+        self, small_file, tmp_path, capsys
+    ):
+        """An interrupted interpreter run leaves a checkpoint; ``--run
+        --checkpoint-dir`` picks it up instead of starting over (a
+        tampered snapshot shows in the result) and clears it."""
+        import pickle
+
+        from repro.engine.executor import random_inputs
+        from repro.pipeline import SynthesisConfig, synthesize
+        from repro.robustness.errors import InjectedFault
+
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        saved = ckpt / "checkpoint.pkl"
+        result = synthesize(SMALL_SRC, SynthesisConfig(optimize_cache=False))
+        inputs = random_inputs(result.program, None, seed=0)
+
+        def interrupt():
+            from repro.codegen.interp import execute
+
+            with pytest.raises(InjectedFault):
+                execute(
+                    result.structure, inputs, checkpoint=str(ckpt),
+                    interrupt_after=3,
+                )
+            assert saved.exists()
+
+        args = [
+            small_file, "--no-cache-opt", "--run",
+            "--checkpoint-dir", str(ckpt),
+        ]
+        interrupt()
+        assert main(args) == 0
+        assert "reference executor (interp)" in capsys.readouterr().out
+        assert not saved.exists()
+
+        interrupt()
+        state = pickle.loads(saved.read_bytes())
+        done = state["arrays"]["C"]
+        done[np.nonzero(done)[0][0]] += 1.0  # a row the run had finished
+        saved.write_bytes(pickle.dumps(state))
+        assert main(args) == 4
+        assert "does not match" in capsys.readouterr().err
+
 
 class TestProcessBackend:
     def test_run_with_process_backend(self, small_file, capsys):

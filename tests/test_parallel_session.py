@@ -282,3 +282,153 @@ class TestProgramShapes:
         )
         assert [st.name for st in session.programs()] == ["X", "S"]
         assert "Y" not in proc.arrays
+
+
+MATMUL_2X2 = """
+range N = 8;
+index i, j, k : N;
+tensor A(i, k); tensor B(k, j);
+C(i, j) = sum(k) A(i, k) * B(k, j);
+"""
+
+
+class TestInputsAreChecked:
+    """The router checks what it is about to ship: rank programs slice
+    their arrays unchecked, so a bad one used to die inside a worker as
+    a numpy reshape error naming no tensor."""
+
+    @pytest.mark.parametrize("backend", ["local", "process"])
+    def test_misshaped_input_is_a_shape_error_naming_it(self, backend, pool):
+        from repro.robustness.errors import ShapeError, SpecError
+
+        prog = ccsd_doubles_program(V=4, O=2)
+        res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
+        inputs = random_inputs(prog, seed=3)
+        how = {"backend": backend}
+        if backend == "process":
+            how["pool"] = pool
+        with pytest.raises(ShapeError, match="'T2'.*declared shape") as info:
+            res.run_parallel(dict(inputs, T2=inputs["T2"][:3]), **how)
+        assert info.value.tensor == "T2"
+        with pytest.raises(SpecError, match="'T2'") as info:
+            res.run_parallel(
+                {k: v for k, v in inputs.items() if k != "T2"}, **how
+            )
+        assert info.value.tensor == "T2"
+        # nothing was posted: the pool serves the next run as it is
+        out = res.run_parallel(inputs, **how)
+        want = run_statements(res.program.statements, inputs)
+        np.testing.assert_allclose(out["R"], want["R"], rtol=1e-10)
+
+    def test_an_intermediate_the_router_computes_is_not_demanded(self):
+        """Only what no earlier statement produces must be in ``inputs``."""
+        text = """
+        range N = 4;
+        index i, j, k : N;
+        tensor A(i, k); tensor B(k, j); function F(i, j) cost 5;
+        X(i, j) = F(i, j) * A(i, j);
+        C(i, j) = sum(k) X(i, k) * B(k, j);
+        """
+        prog = parse_program(text)
+        seq = plan_sequence(prog.statements, ProcessorGrid((2,)))
+        session = plan_session(prog.statements, seq.plans, outputs=["C"])
+        assert sorted({r.tensor.name for r in session.external}) == ["B"]
+
+
+class TestWorkerCount:
+    """One rule (:func:`repro.parallel.session.worker_count`) behind the
+    four places that each used to compute an SPMD worker count."""
+
+    @pytest.mark.parametrize(
+        "procs, ncpu, want, clamp",
+        [
+            (None, 8, 4, None),
+            (3, 8, 3, None),
+            (None, 2, 2, "procs clamped 4 -> 2"),
+            (9, 1, 1, "procs clamped 4 -> 1"),
+        ],
+    )
+    def test_every_front_end_agrees(
+        self, procs, ncpu, want, clamp, monkeypatch, tmp_path, capsys
+    ):
+        import asyncio
+        import os
+
+        from repro.cli import main
+        from repro.parallel.session import worker_count
+        from repro.server.app import ReproServer, ServerConfig
+        from repro.server.client import arequest
+
+        monkeypatch.setattr(os, "cpu_count", lambda: ncpu)
+        count, note = worker_count(4, procs)
+        assert count == want
+        assert (note or "").startswith(clamp or "")
+        assert bool(note) == bool(clamp)
+
+        used = []
+        real = SpmdProcessPool.workers
+
+        def spy(self, n):
+            ports = real(self, n)
+            used.append(len(ports))
+            return ports
+
+        monkeypatch.setattr(SpmdProcessPool, "workers", spy)
+        res = synthesize(
+            MATMUL_2X2, SynthesisConfig(grid=ProcessorGrid((2, 2)))
+        )
+        inputs = random_inputs(res.program, seed=0)
+        seen = {}
+
+        out = run_session(
+            res.spmd_session(), inputs, backend="process", procs=procs
+        )
+        seen["run_session"] = (used.pop(), out.notes)
+
+        res.run_parallel(inputs, backend="process", procs=procs)
+        seen["run_parallel"] = (used.pop(), res.last_run_notes)
+
+        path = tmp_path / "mm.tce"
+        path.write_text(MATMUL_2X2)
+        argv = [
+            str(path), "--no-cache-opt", "--grid", "2x2", "--run",
+            "--backend", "process", "--inject-chaos", "kill_worker@999",
+        ]
+        if procs is not None:
+            argv += ["--procs", str(procs)]
+        assert main(argv) == 0
+        warnings = [
+            line[len("warning: "):]
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning: ")
+        ]
+        seen["cli"] = (used.pop(), warnings)
+
+        async def served():
+            app = ReproServer(ServerConfig(port=0))
+            await app.start()
+            try:
+                request = {
+                    "program": MATMUL_2X2, "backend": "process",
+                    "options": {"grid": "2x2"}, "result": "checksum",
+                }
+                if procs is not None:
+                    request["procs"] = procs
+                status, body = await arequest(
+                    app.host, app.port, "POST", "/v1/execute", request
+                )
+                assert status == 200, body
+                return body
+            finally:
+                await app.stop()
+
+        body = asyncio.run(served())
+        assert body["pool"]["procs"] == want
+        seen["server"] = (used.pop(), body["notes"])
+
+        assert not used
+        for site, (workers, notes) in seen.items():
+            assert workers == want, site
+            assert [n for n in notes if "clamped" in n] == (
+                [note] if note else []
+            ), site

@@ -39,6 +39,44 @@ def matmul_plan():
     return res.partition_plans["C"], inputs, res
 
 
+@pytest.fixture
+def failing_rank(monkeypatch):
+    """``arm(fname, rank)`` makes rank ``rank`` of the rank program
+    ``fname`` raise, in whichever worker runs it, while the returned
+    switch is set.  Workers are forked after the patch and the switch is
+    shared memory, so the router's side can clear it between runs."""
+    import multiprocessing as mp
+
+    from repro.parallel import session
+
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("needs forked workers")
+    switch = mp.get_context("fork").Value("i", 0)
+    target = {}
+    real = session.load_rank_program
+
+    def load(source, name):
+        program = real(source, name)
+        if name != target.get("fname"):
+            return program
+
+        def flaky(rank, comm, arrays, state):
+            if switch.value and rank == target["rank"]:
+                raise RuntimeError("injected rank-program failure")
+            return program(rank, comm, arrays, state)
+
+        return flaky
+
+    monkeypatch.setattr(session, "load_rank_program", load)
+
+    def arm(fname, rank):
+        target.update(fname=fname, rank=rank)
+        switch.value = 1
+        return switch
+
+    return arm
+
+
 def assert_comm_equal(a, b):
     assert a.sent_elements == b.sent_elements
     assert a.received_elements == b.received_elements
@@ -229,17 +267,19 @@ class TestSessionFaults:
         with pytest.raises(CommFailure, match="restarts"):
             run_session(session, inputs, faults=faults, max_restarts=1)
 
-    def test_failure_mid_chain_leaves_no_stale_reply(self, ccsd):
-        """A statement deep in the chain fails on one worker's side
-        (its input never arrived): every worker's reply to that step is
-        read before the failure surfaces, and the next session on the
-        same pool starts from a dropped table."""
+    def test_failure_mid_chain_leaves_no_stale_reply(self, ccsd, failing_rank):
+        """A statement deep in the chain fails on one worker's side:
+        every worker's reply to that step is read before the failure
+        surfaces, and the next session on the same pool starts from a
+        dropped table."""
         session, inputs, clean, run_session = ccsd
-        bad = {k: v for k, v in inputs.items() if k != "Vmnef"}
+        deep = session.programs()[-2]
+        failing = failing_rank(deep.fname, list(session.grid.ranks())[-1])
         with SpmdProcessPool(2) as pool:
             with pytest.raises(CommFailure, match="worker failed"):
-                run_session(session, bad, backend="process", pool=pool)
+                run_session(session, inputs, backend="process", pool=pool)
             assert not pool.broken
+            failing.value = 0
             proc = run_session(session, inputs, backend="process", pool=pool)
         np.testing.assert_array_equal(clean.arrays["R"], proc.arrays["R"])
         for (_, c), (_, b) in zip(clean.runs, proc.runs):
@@ -261,25 +301,43 @@ class TestPool:
         with pytest.raises(ValueError):
             SpmdProcessPool(0)
 
-    def test_worker_failure_surfaces_as_comm_failure(self):
-        """A worker-side exception (missing input) must not hang the
-        router; it becomes a CommFailure carrying the traceback."""
+    def test_worker_failure_surfaces_as_comm_failure(self, failing_rank):
+        """A worker-side exception must not hang the router; it becomes
+        a CommFailure carrying the traceback."""
         plan, inputs, _ = matmul_plan()
-        bad = {k: v for k, v in inputs.items() if k != "B"}
-        with pytest.raises(CommFailure, match="worker failed"):
-            run_spmd_process(plan, bad)
+        failing_rank("rank_program", (1, 1))
+        with pytest.raises(CommFailure, match="worker failed") as info:
+            run_spmd_process(plan, inputs)
+        assert "injected rank-program failure" in str(info.value)
 
-    def test_pool_survives_a_worker_side_failure(self):
+    def test_missing_or_misshaped_input_never_reaches_a_worker(self):
+        """The router checks what it is about to ship: a bad array is a
+        structured error naming the tensor, on either backend."""
+        from repro.robustness.errors import ShapeError, SpecError
+
+        plan, inputs, _ = matmul_plan()
+        missing = {k: v for k, v in inputs.items() if k != "B"}
+        short = dict(inputs, B=inputs["B"][:4])
+        for run in (run_spmd, run_spmd_process):
+            with pytest.raises(SpecError, match="'B'") as info:
+                run(plan, missing)
+            assert info.value.tensor == "B"
+            with pytest.raises(ShapeError, match="'B'") as info:
+                run(plan, short)
+            assert info.value.tensor == "B"
+
+    def test_pool_survives_a_worker_side_failure(self, failing_rank):
         """Every worker's reply to the failed superstep is consumed
         before the failure surfaces, so the next statement on the same
         pool does not read a stale one."""
         plan, inputs, _ = matmul_plan()
-        bad = {k: v for k, v in inputs.items() if k != "B"}
         local = run_spmd(plan, inputs)
+        failing = failing_rank("rank_program", (1, 1))
         with SpmdProcessPool(2) as pool:
             with pytest.raises(CommFailure, match="worker failed"):
-                run_spmd_process(plan, bad, pool=pool)
+                run_spmd_process(plan, inputs, pool=pool)
             assert not pool.broken
+            failing.value = 0
             proc = run_spmd_process(plan, inputs, pool=pool)
         np.testing.assert_array_equal(local.result, proc.result)
         assert local.supersteps == proc.supersteps

@@ -182,6 +182,115 @@ class TestCLI:
         assert "outputs match the reference executor" in out
 
 
+class TestEmittedSource:
+    """``result.source`` / ``--emit`` / ``compile()`` are a program
+    under the result's semiring (they were ``(+, x)`` whatever the
+    config said), through the same ``py_*`` templates as ``cgen``."""
+
+    @staticmethod
+    def _graph(name, n=9):
+        from repro.graphs import random_weight_matrix
+
+        weights = random_weight_matrix(n, 0.4, seed=0)
+        if name == "or_and":
+            weights = np.isfinite(weights).astype(np.float64)
+        return weights
+
+    @pytest.mark.parametrize("tiled", [False, True])
+    @pytest.mark.parametrize("name", ["min_plus", "or_and"])
+    def test_source_runs_the_configured_algebra(self, name, tiled):
+        from repro.engine.machine import MachineModel, MemoryLevel
+        from repro.graphs import apsp_program
+
+        weights = self._graph(name)
+        if tiled:
+            # 9 = 4 * 2 + 1: the last tile is clipped by a guard
+            source = MM.replace("N = 4", "N = 9")
+            inputs = {"A": weights, "B": weights.T.copy()}
+        else:
+            source, inputs = apsp_program(9)[0], {"W": weights}
+        machine = MachineModel(
+            cache=MemoryLevel("cache", 64, 8.0),
+            memory=MemoryLevel("memory", 1 << 24, 512.0),
+            disk=MemoryLevel("disk", 1 << 31, 100_000.0),
+        )
+        result = synthesize(
+            source, SynthesisConfig(semiring=name, machine=machine)
+        )
+        assert bool(result.locality_tiles) == tiled
+        assert (" if " in result.source) == tiled
+        namespace = {"_np": np}
+        exec(result.source, namespace)
+        emitted = namespace["kernel"](dict(inputs), {})
+        compiled = result.compile()(inputs)
+        shipped = result.run(inputs)
+        assert result.last_substrate == "kernels"
+        for stmt in result.program.statements:
+            out = stmt.result.name
+            assert np.array_equal(emitted[out], shipped[out]), out
+            assert np.array_equal(compiled[out], shipped[out]), out
+
+    def test_plus_times_text_is_unchanged(self):
+        result = synthesize(MM, SynthesisConfig(optimize_cache=False))
+        assert result.source == (
+            "def kernel(_arrays, _funcs):\n"
+            "    _arrays['C'] = _np.zeros((4, 4))\n"
+            "    _arrays['C'][...] = 0.0\n"
+            "    for i in range(4):\n"
+            "        for j in range(4):\n"
+            "            for k in range(4):\n"
+            "                _arrays['C'][i, j] += "
+            "_arrays['A'][i, k] * _arrays['B'][k, j]\n"
+            "    return _arrays\n"
+        )
+
+    def test_coefficient_outside_plus_times_is_a_structured_error(self):
+        from repro.codegen.loops import Assign, Loop
+        from repro.codegen.pygen import generate_source
+
+        def doubled(block):
+            return tuple(
+                Loop(n.var, doubled(n.body)) if isinstance(n, Loop)
+                else Assign(n.target, n.terms, n.accumulate, 2.0)
+                if isinstance(n, Assign) else n
+                for n in block
+            )
+
+        block = doubled(synthesize(MM).structure)
+        assert "2.0 * " in generate_source(block)
+        with pytest.raises(ReproError, match="min_plus"):
+            generate_source(block, semiring="min_plus")
+
+    def test_cli_emit_writes_an_importable_min_plus_kernel(
+        self, tmp_path, capsys
+    ):
+        import importlib.util
+        import os
+
+        example = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "apsp_minplus.tce"
+        )
+        out_py = tmp_path / "k.py"
+        rc = cli_main([
+            example, "--semiring", "min_plus", "--no-cache-opt",
+            "--emit", str(out_py),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        spec = importlib.util.spec_from_file_location("k", out_py)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with open(example, encoding="utf-8") as handle:
+            result = synthesize(
+                handle.read(),
+                SynthesisConfig(semiring="min_plus", optimize_cache=False),
+            )
+        inputs = {"W": self._graph("min_plus")}
+        assert np.isinf(inputs["W"]).any()
+        got = module.kernel(dict(inputs), {})
+        assert np.array_equal(got["D"], result.run(inputs)["D"])
+
+
 class TestKeySeparation:
     """Plan-cache and artifact keys must distinguish semirings: the same
     program under two algebras is two different compilations."""

@@ -61,6 +61,50 @@ class TestVerifyResult:
         assert not report.ok
         assert "MISMATCH" in str(report)
 
+    def test_run_leg_is_checked_and_reported(self):
+        """The substrate that ships is a compared leg: a wrong kernel
+        plan fails verification even when the loop structure is right."""
+        result = synthesize(SRC, SynthesisConfig(optimize_cache=False))
+        report = verify_result(result)
+        assert report.ok and report.substrate == "kernels"
+        assert "on kernels" in str(report)
+        other = synthesize(
+            SRC.replace("A(a,c,i,k) *", "A(a,c,i,k) * A(a,c,i,k) *"),
+            SynthesisConfig(optimize_cache=False),
+        )
+        result.kernel_plan = other.kernel_plan
+        assert not verify_result(result).ok
+
+    def test_apsp_example_verifies_under_its_semiring(self):
+        """The reference runs under ``config.semiring`` and every leg
+        executes under it (``compile()`` used to raise here); infinite
+        entries compare equal, not ``inf - inf``."""
+        import os
+
+        from repro.graphs import random_weight_matrix
+
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "apsp_minplus.tce"
+        )
+        with open(path, encoding="utf-8") as handle:
+            result = synthesize(
+                handle.read(), SynthesisConfig(semiring="min_plus")
+            )
+        report = verify_result(result)
+        assert report.ok and report.max_error == 0.0
+        assert report.substrate == "kernels"
+        assert report.counters.total_ops > 0
+        # a sparse graph: D keeps unreachable pairs at inf
+        weights = random_weight_matrix(9, 0.12, seed=3)
+        report = verify_result(result, inputs={"W": weights})
+        assert report.ok and report.max_error == 0.0
+        # a wrong finite entry against an inf one is an inf error
+        result.kernel_plan = synthesize(
+            result.program, SynthesisConfig(semiring="max_plus")
+        ).kernel_plan
+        report = verify_result(result, inputs={"W": weights})
+        assert not report.ok
+
     def test_custom_inputs(self):
         result = synthesize(SRC, SynthesisConfig(optimize_cache=False))
         from repro.engine.executor import random_inputs
