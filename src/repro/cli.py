@@ -42,18 +42,17 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.engine.machine import MachineModel, MemoryLevel
+from repro.engine.machine import MachineModel
 from repro.expr.parser import ParseError
 from repro.parallel.commcost import CommModel
 from repro.parallel.grid import ProcessorGrid
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.budget import Budget
-from repro.robustness.errors import BudgetExceeded, ReproError, SpecError
+from repro.robustness.errors import ReproError, SpecError
 from repro.robustness.faults import parse_chaos_spec, parse_fault_spec
 
 #: exit codes by failure class (mirrors ReproError.exit_code)
 EXIT_SPEC = 2
-EXIT_BUDGET = 3
 EXIT_EXECUTION = 4
 
 
@@ -61,16 +60,6 @@ def _fail(exc: Exception, code: int) -> int:
     """One structured diagnostic line on stderr, then the exit code."""
     print(f"error: {exc}", file=sys.stderr)
     return code
-
-
-def _parse_grid(text: str) -> ProcessorGrid:
-    try:
-        dims = tuple(int(p) for p in text.lower().split("x"))
-        return ProcessorGrid(dims)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad grid {text!r}: use forms like 4 or 2x2x2"
-        ) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,33 +73,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="source file (or - for stdin)")
     parser.add_argument(
         "--grid",
-        type=_parse_grid,
+        type=ProcessorGrid.parse,
         default=None,
-        help="processor grid, e.g. 4 or 2x2x2 (default: sequential)",
+        help="processor grid, e.g. 4 or 2x2x2 (default: sequential; "
+        "exclusive with --processors)",
     )
     parser.add_argument(
         "--processors",
         type=int,
         default=None,
         help="processor count; the synthesis system picks the best "
-        "logical grid shape (alternative to --grid)",
+        "logical grid shape (exclusive with --grid)",
     )
     parser.add_argument(
-        "--cache", type=int, default=32 * 1024,
+        "--cache", type=int, default=MachineModel.cache.capacity,
         help="cache capacity in elements",
     )
     parser.add_argument(
-        "--memory", type=int, default=16 * 1024 * 1024,
+        "--memory", type=int, default=MachineModel.memory.capacity,
         help="physical memory capacity in elements",
     )
     parser.add_argument(
-        "--disk", type=int, default=2 * 1024**3,
+        "--disk", type=int, default=MachineModel.disk.capacity,
         help="disk capacity in elements",
     )
     parser.add_argument(
         "--capacity-level",
-        choices=("memory", "disk"),
-        default="memory",
+        default="memory", metavar="{memory,disk}",
         help="level the fused computation must fit into",
     )
     parser.add_argument(
@@ -213,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--codegen",
-        choices=("auto", "native", "gemm", "einsum"),
-        default="auto",
+        default="auto", metavar="{auto,native,gemm,einsum}",
         help="kernel codegen target: 'native' compiles fused tiled "
         "loop nests (C; machines without a compiler degrade "
         "to gemm and say so), 'gemm'/'einsum' force those lowerings, "
@@ -262,42 +250,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_args(args) -> Optional[SpecError]:
-    """Range checks argparse types cannot express; None when valid."""
+def _check_flags(args) -> None:
+    """Range checks on the flags that are not ``SynthesisConfig`` fields
+    (those are ``SynthesisConfig.validate``'s)."""
     if args.procs is not None and args.procs < 1:
-        return SpecError(
+        raise SpecError(
             f"--procs must be a positive worker count, got {args.procs}"
         )
-    if args.processors is not None and args.processors < 1:
-        return SpecError(
-            "--processors must be a positive processor count, "
-            f"got {args.processors}"
-        )
     if args.budget_ms is not None and args.budget_ms <= 0:
-        return SpecError(
+        raise SpecError(
             f"--budget-ms must be a positive deadline, got {args.budget_ms:g}"
         )
     if args.budget_nodes is not None and args.budget_nodes < 0:
-        return SpecError(
+        raise SpecError(
             f"--budget-nodes must be >= 0, got {args.budget_nodes}"
         )
     if args.tune_trials < 1:
-        return SpecError(
-            f"--tune-trials must be >= 1, got {args.tune_trials}"
-        )
-    if args.kernel_threads is not None and args.kernel_threads < 1:
-        return SpecError(
-            f"--kernel-threads must be >= 1, got {args.kernel_threads}"
-        )
+        raise SpecError(f"--tune-trials must be >= 1, got {args.tune_trials}")
     if args.tuning_db is not None and not args.autotune:
-        return SpecError("--tuning-db requires --autotune")
-    try:
-        from repro.semiring import get_semiring
-
-        get_semiring(args.semiring)
-    except SpecError as exc:
-        return exc
-    return None
+        raise SpecError("--tuning-db requires --autotune")
+    if args.inject_fault is not None and not args.run:
+        raise SpecError("--inject-fault requires --run")
+    if args.inject_chaos is not None and not (
+        args.run and args.backend == "process"
+    ):
+        raise SpecError(
+            "--inject-chaos requires --run --backend process "
+            "(chaos acts on worker OS processes)"
+        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -309,9 +289,45 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "run":
         return _demo_main(argv[1:])
     args = build_parser().parse_args(argv)
-    invalid = _validate_args(args)
-    if invalid is not None:
-        return _fail(invalid, EXIT_SPEC)
+    try:
+        # every bad flag value is diagnosed here, before the input is opened
+        _check_flags(args)
+        faults = chaos = None
+        if args.inject_fault is not None:
+            faults = parse_fault_spec(args.inject_fault)
+        if args.inject_chaos is not None:
+            chaos = parse_chaos_spec(args.inject_chaos)
+        budget = None
+        if (
+            args.budget_ms is not None
+            or args.budget_nodes is not None
+            or args.budget_strict
+        ):
+            budget = Budget(
+                deadline_ms=args.budget_ms,
+                max_nodes=args.budget_nodes,
+                strict=args.budget_strict,
+            )
+        config = SynthesisConfig(
+            machine=MachineModel.with_capacities(
+                args.cache, args.memory, args.disk
+            ),
+            grid=args.grid,
+            processors=args.processors,
+            comm=CommModel(comm_cost=args.comm_cost),
+            capacity_level=args.capacity_level,
+            optimize_cache=not args.no_cache_opt,
+            sparse_aware=args.sparse_aware,
+            sparse_execution=not args.no_sparse_exec,
+            budget=budget,
+            codegen=args.codegen,
+            kernel_threads=args.kernel_threads,
+            fuse_statements=args.fuse_statements,
+            semiring=args.semiring,
+        )
+        config.validate()
+    except SpecError as exc:
+        return _fail(exc, EXIT_SPEC)
     if args.input == "-":
         source = sys.stdin.read()
     else:
@@ -321,65 +337,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
             return 2
-
-    faults = None
-    if args.inject_fault is not None:
-        try:
-            faults = parse_fault_spec(args.inject_fault)
-        except SpecError as exc:
-            return _fail(exc, EXIT_SPEC)
-        if not args.run:
-            return _fail(
-                SpecError("--inject-fault requires --run"), EXIT_SPEC
-            )
-
-    chaos = None
-    if args.inject_chaos is not None:
-        try:
-            chaos = parse_chaos_spec(args.inject_chaos)
-        except SpecError as exc:
-            return _fail(exc, EXIT_SPEC)
-        if not args.run or args.backend != "process":
-            return _fail(
-                SpecError(
-                    "--inject-chaos requires --run --backend process "
-                    "(chaos acts on worker OS processes)"
-                ),
-                EXIT_SPEC,
-            )
-
-    budget = None
-    if (
-        args.budget_ms is not None
-        or args.budget_nodes is not None
-        or args.budget_strict
-    ):
-        budget = Budget(
-            deadline_ms=args.budget_ms,
-            max_nodes=args.budget_nodes,
-            strict=args.budget_strict,
-        )
-
-    machine = MachineModel(
-        cache=MemoryLevel("cache", args.cache, 8.0),
-        memory=MemoryLevel("memory", args.memory, 512.0),
-        disk=MemoryLevel("disk", args.disk, 100_000.0),
-    )
-    config = SynthesisConfig(
-        machine=machine,
-        grid=args.grid,
-        processors=args.processors,
-        comm=CommModel(comm_cost=args.comm_cost),
-        capacity_level=args.capacity_level,
-        optimize_cache=not args.no_cache_opt,
-        sparse_aware=args.sparse_aware,
-        sparse_execution=not args.no_sparse_exec,
-        budget=budget,
-        codegen=args.codegen,
-        kernel_threads=args.kernel_threads,
-        fuse_statements=args.fuse_statements,
-        semiring=args.semiring,
-    )
     if args.artifact_store is not None:
         from repro.kernels import configure_default_engine
 
@@ -404,8 +361,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     try:
         result = synthesize(source, config, cache=cache, autotune=autotune)
-    except BudgetExceeded as exc:
-        return _fail(exc, EXIT_BUDGET)
     except ParseError as exc:
         return _fail(exc, EXIT_SPEC)
     except ReproError as exc:

@@ -12,6 +12,9 @@ the same units as array sizes throughout the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+from repro.robustness.errors import SpecError
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,33 @@ class MachineModel:
     memory: MemoryLevel = MemoryLevel("memory", 16 * 1024 * 1024, 512.0)
     disk: MemoryLevel = MemoryLevel("disk", 2 * 1024 * 1024 * 1024, 100_000.0)
     flop_cost: float = 1.0
+
+    @classmethod
+    def with_capacities(
+        cls,
+        cache: Optional[int] = None,
+        memory: Optional[int] = None,
+        disk: Optional[int] = None,
+    ) -> "MachineModel":
+        """The default machine resized: capacities in elements (``None``
+        keeps a level's default) at the default miss costs -- what the
+        CLI's ``--cache`` / ``--memory`` / ``--disk`` and the service's
+        ``cache_elements`` / ``memory_elements`` mean.  A capacity below
+        1 is a :class:`~repro.robustness.errors.SpecError`."""
+        levels = []
+        for level, capacity in (
+            (cls.cache, cache), (cls.memory, memory), (cls.disk, disk)
+        ):
+            if capacity is not None:
+                if capacity < 1:
+                    raise SpecError(
+                        f"{level.name} capacity must be a positive element "
+                        f"count, got {capacity}",
+                        stage="spec",
+                    )
+                level = MemoryLevel(level.name, capacity, level.miss_cost)
+            levels.append(level)
+        return cls(*levels)
 
     def level(self, name: str) -> MemoryLevel:
         """Look a level up by name ('cache' | 'memory' | 'disk')."""

@@ -102,15 +102,15 @@ def build_forest(statements: Sequence[Statement]) -> List[CompNode]:
     products) become roots of their own trees and appear as unfusible
     leaf references in each consumer -- a conservative treatment that
     keeps each tree a genuine tree for the fusion DP while counting the
-    shared array's storage exactly once.
+    shared array's storage exactly once.  A statement no other
+    statement reads is a result of the program and roots a tree too.
 
-    The final statement's tree is last in the returned list.
+    Trees come in program order; the final statement's is last.
     """
     if not statements:
         raise ValueError("empty formula sequence")
 
     producers: Dict[str, Statement] = {}
-    order: List[str] = []
     for stmt in statements:
         if stmt.result.name in producers:
             raise ValueError(
@@ -118,7 +118,6 @@ def build_forest(statements: Sequence[Statement]) -> List[CompNode]:
                 "on single-assignment formula sequences"
             )
         producers[stmt.result.name] = stmt
-        order.append(stmt.result.name)
 
     # a temporary is shared when *distinct statements* consume it, or
     # when one statement references it under different index tuples
@@ -167,32 +166,22 @@ def build_forest(statements: Sequence[Statement]) -> List[CompNode]:
                 node.fusible.append(False)
         return node
 
-    roots = [node_for(producers[name]) for name in order if name in shared]
-    roots.append(node_for(statements[-1]))
-
-    # every statement must appear in exactly one tree
-    produced = set()
-    for root in roots:
-        for n in root.subtree():
-            if n.stmt is not None:
-                produced.add(n.stmt.result.name)
-    missing = set(order) - produced
-    if missing:
-        names = ", ".join(sorted(missing))
-        raise ValueError(
-            f"statements producing {names} are not consumed by the final "
-            "result (dead code)"
-        )
-    return roots
+    return [
+        node_for(stmt)
+        for stmt in statements[:-1]
+        if stmt.result.name in shared
+        or stmt.result.name not in consumer_counts
+    ] + [node_for(statements[-1])]
 
 
 def build_tree(statements: Sequence[Statement]) -> CompNode:
     """Build the computation tree of a formula sequence that has no
-    multi-consumer temporaries (the common case).  The last statement is
-    the root."""
+    multi-consumer temporaries and one result (the common case).  The
+    last statement is the root."""
     forest = build_forest(statements)
     if len(forest) != 1:
         raise ValueError(
-            "sequence has shared temporaries; use build_forest instead"
+            "sequence has shared temporaries or several results; use "
+            "build_forest instead"
         )
     return forest[0]

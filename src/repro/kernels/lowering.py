@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.expr.indices import Index
+from repro.kernels.arena import BufferArena
 from repro.robustness.errors import ReproError
 
 __all__ = ["GemmSpec", "lower_binary_term", "exec_gemm", "exec_gemm_arena"]
@@ -169,44 +170,36 @@ def exec_gemm(
     operm: Tuple[int, ...],
     semiring: str = "plus_times",
 ) -> np.ndarray:
-    """Execute a lowered binary contraction (allocation-per-call form).
-
-    This is the standalone form; :class:`~repro.kernels.plan.
-    KernelRunner` uses :func:`exec_gemm_arena` instead to reuse buffers.
+    """Execute a lowered binary contraction, allocating per call:
+    :func:`exec_gemm_arena` on an arena of its own that pools nothing.
+    The fields arrive as keywords because emitted rank programs
+    (:mod:`repro.parallel.spmd`) spell the call that way.
     """
     _require_plus_times(semiring, "exec_gemm")
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if lred:
-        a = a.sum(axis=lred)
-    if rred:
-        b = b.sum(axis=rred)
-    at = a.transpose(lperm)
-    bt = b.transpose(rperm)
-    bshape = at.shape[:nb]
-    mshape = at.shape[nb : nb + nm]
-    kshape = at.shape[nb + nm :]
-    nshape = bt.shape[nb + nk :]
-    a2 = at.reshape(bshape + (prod(mshape), prod(kshape)))
-    b2 = bt.reshape(bshape + (prod(kshape), prod(nshape)))
-    c = np.matmul(a2, b2).reshape(bshape + mshape + nshape)
-    return c if _identity(operm) else c.transpose(operm)
+    spec = GemmSpec(lred, rred, lperm, rperm, nb, nm, nk, nn, operm)
+    return exec_gemm_arena(a, b, spec, BufferArena(enabled=False))[0]
 
 
-def _pack_operand(x, perm, nlead, ngroups, arena, taken: List):
-    """Permute ``x`` and flatten its trailing groups, copying through an
-    arena buffer only when the permuted view is not contiguous."""
+def _pack_operand(x, red, perm, nlead, ngroups, arena, taken: List):
+    """Sum ``x`` over its ``red`` axes, permute it and flatten its
+    trailing groups, going through an arena buffer only where a sum or a
+    non-contiguous permuted view needs one.  Returns the packed operand
+    and the permuted (unflattened) shape."""
+    if red:
+        kept = tuple(s for ax, s in enumerate(x.shape) if ax not in red)
+        x = np.sum(x, axis=red, out=arena.take(kept, x.dtype))
+        taken.append(x)
     xt = x.transpose(perm) if not _identity(perm) else x
     lead = xt.shape[: nlead]
     g1 = prod(xt.shape[nlead : nlead + ngroups[0]])
     g2 = prod(xt.shape[nlead + ngroups[0] :])
     target = lead + (g1, g2)
     if xt.flags.c_contiguous:
-        return xt.reshape(target)
+        return xt.reshape(target), xt.shape
     buf = arena.take(target, xt.dtype)
     np.copyto(buf.reshape(xt.shape), xt)
     taken.append(buf)
-    return buf
+    return buf, xt.shape
 
 
 def exec_gemm_arena(
@@ -215,48 +208,21 @@ def exec_gemm_arena(
     spec: GemmSpec,
     arena,
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Arena-buffered twin of :func:`exec_gemm`.
+    """Run ``spec`` on ``a`` and ``b`` with every buffer from ``arena``.
 
     Returns ``(result_view, live_buffers)``: the view aliases arena
     buffers listed in ``live_buffers``, which the caller must release
     back to the arena once the term has been accumulated.  Pack scratch
     is released internally right after the matmul.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
     pack_taken: List[np.ndarray] = []
-    live: List[np.ndarray] = []
-    if spec.lred:
-        red = arena.take(
-            tuple(
-                s
-                for ax, s in enumerate(a.shape)
-                if ax not in spec.lred
-            ),
-            a.dtype,
-        )
-        np.sum(a, axis=spec.lred, out=red)
-        pack_taken.append(red)
-        a = red
-    if spec.rred:
-        red = arena.take(
-            tuple(
-                s
-                for ax, s in enumerate(b.shape)
-                if ax not in spec.rred
-            ),
-            b.dtype,
-        )
-        np.sum(b, axis=spec.rred, out=red)
-        pack_taken.append(red)
-        b = red
-    a2 = _pack_operand(a, spec.lperm, spec.nb, (spec.nm, spec.nk), arena, pack_taken)
-    b2 = _pack_operand(b, spec.rperm, spec.nb, (spec.nk, spec.nn), arena, pack_taken)
-    at_shape = (
-        a.transpose(spec.lperm).shape if not _identity(spec.lperm) else a.shape
+    a2, at_shape = _pack_operand(
+        np.asarray(a), spec.lred, spec.lperm, spec.nb, (spec.nm, spec.nk),
+        arena, pack_taken,
     )
-    bt_shape = (
-        b.transpose(spec.rperm).shape if not _identity(spec.rperm) else b.shape
+    b2, bt_shape = _pack_operand(
+        np.asarray(b), spec.rred, spec.rperm, spec.nb, (spec.nk, spec.nn),
+        arena, pack_taken,
     )
     bshape = at_shape[: spec.nb]
     mshape = at_shape[spec.nb : spec.nb + spec.nm]
@@ -266,8 +232,7 @@ def exec_gemm_arena(
     np.matmul(a2, b2, out=cbuf)
     for buf in pack_taken:
         arena.release(buf)
-    live.append(cbuf)
     c = cbuf.reshape(bshape + mshape + nshape)
     if not _identity(spec.operm):
         c = c.transpose(spec.operm)
-    return c, live
+    return c, [cbuf]

@@ -28,10 +28,10 @@ paths are bit-for-bit.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import (
-    Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Collection, Dict, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -55,16 +55,6 @@ __all__ = [
     "KernelRunner",
     "compile_kernel_plan",
 ]
-
-
-def _in_spmd_worker() -> bool:
-    """Whether this process is an SPMD worker of the process backend.
-
-    Checked lazily through :data:`sys.modules` so importing the kernel
-    layer never drags in the multiprocessing runtime.
-    """
-    mod = sys.modules.get("repro.runtime.process")
-    return bool(mod is not None and getattr(mod, "IS_SPMD_WORKER", False))
 
 
 @dataclass(frozen=True)
@@ -115,13 +105,19 @@ class StatementPlan:
     release: Tuple[str, ...] = ()
 
     @property
-    def reads_self(self) -> bool:
-        """Whether a term reads the array this statement writes."""
-        return any(
-            op.name == self.result and not op.is_function
+    def reads(self) -> frozenset:
+        """Names of the arrays (not functions) the terms read."""
+        return frozenset(
+            op.name
             for term in self.terms
             for op in term.operands
+            if not op.is_function
         )
+
+    @property
+    def reads_self(self) -> bool:
+        """Whether a term reads the array this statement writes."""
+        return self.result in self.reads
 
 
 @dataclass(frozen=True)
@@ -175,28 +171,40 @@ class KernelPlan:
     #: starts from the caller's array of that name when one is given
     seed_shapes: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
 
+    def steps(
+        self,
+    ) -> Iterator[Tuple[Optional[FusedGroup], Tuple[StatementPlan, ...]]]:
+        """The plan in execution order, a step at a time -- a fused
+        group with its statements, or ``None`` with one statement --
+        as :class:`KernelRunner` runs it and :meth:`peak_live_elements`
+        counts it."""
+        group_at = {g.start: g for g in self.fused_groups}
+        k = 0
+        while k < len(self.statements):
+            group = group_at.get(k)
+            stop = group.stop if group is not None else k + 1
+            yield group, self.statements[k:stop]
+            k = stop
+
     def peak_live_elements(self, keep: Collection[str] = ()) -> int:
         """High-water mark of the elements a :class:`KernelRunner` holds
         in produced arrays while running this plan.
 
-        The runner's own accounting: a result is allocated at its
-        (first) producing statement, a temporary is handed back at the
-        statement in whose ``release`` it appears, outputs and ``keep``
-        names stay to the end, a re-assignment that reads its old value
-        holds old and new side by side, and a fused group allocates all
-        its results before releasing anything.  Caller inputs and the
-        transient pack scratch inside one GEMM are not counted -- the
-        same convention as :func:`repro.codegen.loops.peak_memory` for
-        the fused structure, which is what makes the two comparable.
+        The runner's own accounting, over the same :meth:`steps`: a
+        result is allocated at its (first) producing statement, a
+        temporary is handed back at the statement in whose ``release``
+        it appears, outputs and ``keep`` names stay to the end, a
+        re-assignment that reads its old value holds old and new side by
+        side, and a fused group allocates all its results before
+        releasing anything.  Caller inputs and the transient pack
+        scratch inside one GEMM are not counted -- the same convention
+        as :func:`repro.codegen.loops.peak_memory` for the fused
+        structure, which is what makes the two comparable.
         """
         kept = set(self.outputs) | set(keep)
-        group_stop = {g.start: g.stop for g in self.fused_groups}
         live: Dict[str, int] = {}
         total = peak = 0
-        k = 0
-        while k < len(self.statements):
-            step = self.statements[k:group_stop.get(k, k + 1)]
-            k += len(step)
+        for _, step in self.steps():
             scratch = 0
             for sp in step:
                 size = math.prod(sp.out_shape)
@@ -272,22 +280,12 @@ def _fuse_groups(stmt_plans: Sequence[StatementPlan]) -> Tuple[FusedGroup, ...]:
     n = len(stmt_plans)
     while i < n:
         sp0 = stmt_plans[i]
-        if not _statement_fusable(sp0) or any(
-            op.name == sp0.result
-            for t in sp0.terms
-            for op in t.operands
-            if not op.is_function
-        ):
+        if not _statement_fusable(sp0) or sp0.reads_self:
             i += 1
             continue
         run = [i]
         results = {sp0.result}
-        reads = {
-            op.name
-            for t in sp0.terms
-            for op in t.operands
-            if not op.is_function
-        }
+        reads = set(sp0.reads)
         aliased = False
         j = i + 1
         while j < n:
@@ -319,12 +317,7 @@ def _fuse_groups(stmt_plans: Sequence[StatementPlan]) -> Tuple[FusedGroup, ...]:
                 break
             run.append(j)
             results.add(sp.result)
-            reads |= {
-                op.name
-                for t in sp.terms
-                for op in t.operands
-                if not op.is_function
-            }
+            reads |= sp.reads
             aliased = aliased or member_alias
             j += 1
         if len(run) >= 2:
@@ -507,13 +500,7 @@ def compile_kernel_plan(
     for name in temps:
         release_at.setdefault(last_read[name], []).append(name)
     stmt_plans = [
-        StatementPlan(
-            sp.result,
-            sp.accumulate,
-            sp.out_shape,
-            sp.terms,
-            tuple(sorted(release_at.get(k, ()))),
-        )
+        replace(sp, release=tuple(sorted(release_at.get(k, ()))))
         for k, sp in enumerate(stmt_plans)
     ]
     fused_groups: Tuple[FusedGroup, ...] = ()
@@ -526,6 +513,17 @@ def compile_kernel_plan(
         mode, native_terms, fused_groups, fused_statements, semiring,
         tuple(input_shapes.items()), tuple(seed_shapes.items()),
     )
+
+
+def _contiguous(ops, dtype) -> List[np.ndarray]:
+    """``ops`` as C-contiguous ``dtype`` arrays (what a compiled nest
+    indexes), copying only the ones that are not already."""
+    return [
+        op
+        if op.dtype == dtype and op.flags.c_contiguous
+        else np.ascontiguousarray(op, dtype=dtype)
+        for op in ops
+    ]
 
 
 class KernelRunner:
@@ -547,15 +545,19 @@ class KernelRunner:
     :class:`~repro.kernels.native.NativeEngine` executing the compiled
     nests (default: the process-wide engine) and ``threads`` the nest
     thread count (default: the engine's; capped per nest by its outer
-    output extent).  Inside an SPMD worker of the process backend,
-    ``threads`` is pinned to 1 -- the process grid already owns the
-    cores, and the pin is recorded in :attr:`notes`.  Terms whose nest
-    is unavailable -- no compiler, unsupported dtype, compile failure
-    -- run on their embedded GEMM/einsum fallback, and each fallback is
-    recorded once in :attr:`notes`; a fused group that cannot compile
-    runs its statements individually the same way.  A kernel step that
-    raises mid-run releases every live arena buffer before propagating,
-    so callers that catch and retry do not accumulate leaked scratch.
+    output extent).  Terms whose nest is unavailable -- no compiler,
+    unsupported dtype, compile failure -- run on their embedded
+    GEMM/einsum fallback, and each fallback is recorded once in
+    :attr:`notes`; a fused group that cannot compile runs its statements
+    individually the same way.
+
+    Every :meth:`KernelPlan.steps` step, group or single statement,
+    follows one buffer discipline: *acquire* each result buffer
+    (``pending``: lent by the arena, not yet named by ``env``), compute,
+    *publish* to ``env``, *release* the temporaries it read last.  A
+    kernel that raises hands ``pending`` and every arena buffer in
+    ``env`` back before propagating, so a caller that catches and
+    retries does not accumulate leaked scratch.
     """
 
     def __init__(
@@ -579,7 +581,6 @@ class KernelRunner:
         self.notes: List[str] = []
         self._engine = engine
         self._compiled_fns: Dict[int, Optional[Callable]] = {}
-        self._groups_by_start = {g.start: g for g in plan.fused_groups}
         if engine is None and plan.native_terms:
             from repro.kernels.native import default_engine
 
@@ -587,30 +588,14 @@ class KernelRunner:
         if threads is not None and threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         if threads is None:
-            threads = (
-                getattr(self._engine, "threads", 1)
-                if self._engine is not None
-                else 1
-            )
-        if threads > 1 and _in_spmd_worker():
-            self.notes.append(
-                f"kernel threads pinned to 1 (was {threads}) inside the "
-                "SPMD worker: the process grid owns the cores, and "
-                "procs x nest threads must not oversubscribe"
-            )
-            threads = 1
+            threads = getattr(self._engine, "threads", 1)
         #: nest thread count used for every native/fused compile
         self.threads = threads
-        if plan.native_terms and (
-            self._engine is None or not self._engine.available()
-        ):
-            reason = (
-                self._engine.unavailable_reason()
-                if self._engine is not None
-                else "no native engine"
-            )
+        # (a plan with native terms has an engine by now)
+        if plan.native_terms and not self._engine.available():
             self.notes.append(
-                f"native kernels unavailable ({reason}); "
+                "native kernels unavailable "
+                f"({self._engine.unavailable_reason()}); "
                 f"{plan.native_terms} compiled nests fall back to the "
                 "gemm/einsum path"
             )
@@ -634,12 +619,15 @@ class KernelRunner:
             self._func_cache[key] = value
         return value
 
-    @staticmethod
-    def _fetch(op: OperandSpec, env, inputs) -> np.ndarray:
+    def _operands(self, term: TermPlan, env, inputs, funcs) -> List[np.ndarray]:
         # run() has checked that every name read before the plan
         # produces it is present in ``inputs``
-        got = env.get(op.name)
-        return got if got is not None else np.asarray(inputs[op.name])
+        return [
+            self._materialize(op, funcs) if op.is_function
+            else env[op.name] if op.name in env
+            else np.asarray(inputs[op.name])
+            for op in term.operands
+        ]
 
     # -- term execution ----------------------------------------------------
 
@@ -669,13 +657,6 @@ class KernelRunner:
             finally:
                 self.arena.release(scratch)
 
-    def _note_recovery(self, spec, dtype) -> None:
-        """Record (once) that the engine replaced a damaged stored
-        artifact of this nest by a fresh compile."""
-        note = self._engine.recovery(spec, dtype, threads=self.threads)
-        if note is not None and note not in self.notes:
-            self.notes.append(note)
-
     def _compiled(
         self, owner, spec, dtype, what: str, fallback: str
     ) -> Optional[Callable]:
@@ -696,34 +677,26 @@ class KernelRunner:
                 self.notes.append(
                     f"{what} not compiled ({reason}); {fallback}"
                 )
-            self._note_recovery(spec, dtype)
+            # a damaged stored artifact replaced by a fresh compile
+            note = self._engine.recovery(spec, dtype, threads=self.threads)
+            if note is not None and note not in self.notes:
+                self.notes.append(note)
         self._compiled_fns[key] = fn
         return fn
 
     def _exec_term(self, term: TermPlan, out, env, inputs, funcs, first: bool):
-        ops = [
-            self._materialize(op, funcs)
-            if op.is_function
-            else self._fetch(op, env, inputs)
-            for op in term.operands
-        ]
+        ops = self._operands(term, env, inputs, funcs)
         if term.native is not None and out.flags.c_contiguous:
             fn = self._compiled(
                 term, term.native, out.dtype, "native nest",
                 f"term falls back to the {term.kind} path",
             )
             if fn is not None:
-                ops = [
-                    op
-                    if op.dtype == out.dtype and op.flags.c_contiguous
-                    else np.ascontiguousarray(op, dtype=out.dtype)
-                    for op in ops
-                ]
                 if first:
                     # the nest only ever reduces into the buffer; seed
                     # it with the algebra's identity element
                     out.fill(self._sr.zero)
-                fn(term.coef, ops, out)
+                fn(term.coef, _contiguous(ops, out.dtype), out)
                 return
         if term.kind == "gemm":
             value, live = exec_gemm_arena(ops[0], ops[1], term.gemm, self.arena)
@@ -749,78 +722,6 @@ class KernelRunner:
 
     # -- statement/sequence execution --------------------------------------
 
-    def _exec_group(self, group: FusedGroup, env, inputs, funcs) -> bool:
-        """Run ``statements[start:stop]`` as one fused kernel call.
-
-        Returns ``False`` (caller runs the statements unfused) when the
-        group kernel is unavailable.  Output buffers are zeroed up
-        front -- the fusion pass only admits plain assignments whose
-        old values no group member wants -- and published to ``env``
-        together after the call; statement releases are applied after
-        publication (deferring a temp's release past its in-group last
-        read is safe because liveness already proves no later reader).
-        """
-        fn = self._compiled(
-            group, group.spec, np.float64,
-            f"fused group of {len(group.outputs)} statements",
-            "statements run unfused",
-        )
-        if fn is None:
-            return False
-        sps = self.plan.statements[group.start:group.stop]
-        outs: List[np.ndarray] = []
-        fresh: List[np.ndarray] = []  # arena-owned, not yet in env
-        try:
-            for sp in sps:
-                existing = env.get(sp.result)
-                if existing is not None:
-                    out = existing
-                else:
-                    out = self._out_buffer(sp.result, sp.out_shape)
-                    if sp.result not in self._kept:
-                        fresh.append(out)
-                outs.append(out)
-            by_name = dict(zip(group.outputs, outs))
-            coefs: List[float] = []
-            ops: List[np.ndarray] = []
-            for si, ti in group.members:
-                term = self.plan.statements[si].terms[ti]
-                coefs.append(term.coef)
-                for op in term.operands:
-                    if op.is_function:
-                        arr = self._materialize(op, funcs)
-                    elif op.name in by_name:
-                        # intra-group read: alias the producer's output
-                        # buffer so the value the producer's nest wrote
-                        # earlier in the same call is the one read
-                        arr = by_name[op.name]
-                    else:
-                        arr = self._fetch(op, env, inputs)
-                    if (
-                        arr.dtype != np.float64
-                        or not arr.flags.c_contiguous
-                    ):
-                        arr = np.ascontiguousarray(arr, dtype=np.float64)
-                    ops.append(arr)
-            for out in outs:
-                # the fused nest only ever reduces into its slots
-                out.fill(self._sr.zero)
-            fn(coefs, ops, outs)
-        except BaseException:
-            for buf in fresh:
-                self.arena.release(buf)
-            raise
-        for sp, out in zip(sps, outs):
-            env[sp.result] = out
-        for sp in sps:
-            for name in sp.release:
-                if name in self._kept:
-                    continue
-                buf = env.pop(name, None)
-                if buf is not None:
-                    self.arena.release(buf)
-        return True
-
     def _out_buffer(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         if name in self._kept:
             buf = self._persistent.get(name)
@@ -830,6 +731,88 @@ class KernelRunner:
                 self.arena.allocations += 1
             return buf
         return self.arena.take(shape)
+
+    def _acquire(self, sp: StatementPlan, env, inputs, pending):
+        """The buffer ``sp`` folds its terms into, and whether the first
+        fold overwrites it (``False``: it holds a value to add to).  One
+        the arena lends waits in ``pending`` for :meth:`_publish`."""
+        name = sp.result
+        existing = env.get(name)
+        if existing is not None and (sp.accumulate or not sp.reads_self):
+            return existing, not sp.accumulate  # rewritten in place
+        if existing is None:
+            out = self._out_buffer(name, sp.out_shape)
+        else:  # a re-assignment reading its old value folds into scratch
+            out = self.arena.take(sp.out_shape)
+        if existing is not None or name not in self._kept:
+            pending[name] = out
+        if sp.accumulate and name in inputs:
+            # ``+=`` on a name the plan has not produced yet starts from
+            # the caller's (unmutated) array
+            np.copyto(out, np.asarray(inputs[name]))
+            return out, False
+        return out, True
+
+    def _publish(self, sp: StatementPlan, out, env, pending) -> None:
+        name = sp.result
+        old = env.get(name)
+        if old is not None and old is not out and name in self._kept:
+            # re-assigned output: the value moves into the buffer the
+            # runner owns and the scratch goes back
+            np.copyto(old, out)
+            out, old = old, out
+        env[name] = out
+        pending.pop(name, None)
+        if old is not None and old is not out:
+            self.arena.release(old)
+
+    def _run_step(self, group, sps, env, inputs, funcs, pending) -> None:
+        fn = None
+        if group is not None:
+            fn = self._compiled(
+                group, group.spec, np.float64,
+                f"fused group of {len(group.outputs)} statements",
+                "statements run unfused",
+            )
+            if fn is None:
+                for sp in sps:
+                    self._run_step(None, (sp,), env, inputs, funcs, pending)
+                return
+        acquired = [self._acquire(sp, env, inputs, pending) for sp in sps]
+        outs = [out for out, _ in acquired]
+        if fn is None:
+            sp, (out, first) = sps[0], acquired[0]
+            for term in sp.terms:
+                self._exec_term(term, out, env, inputs, funcs, first)
+                first = False
+        else:
+            # one call runs every member's nest in order; a member that
+            # reads an earlier member's result reads the buffer that
+            # nest has just written (the fusion pass admits only plain
+            # assignments whose old values no member wants)
+            scope = {**env, **dict(zip(group.outputs, outs))}
+            terms = [
+                self.plan.statements[si].terms[ti] for si, ti in group.members
+            ]
+            ops: List[np.ndarray] = []
+            for term in terms:
+                ops += self._operands(term, scope, inputs, funcs)
+            for out in outs:
+                # the fused nest only ever reduces into its slots
+                out.fill(self._sr.zero)
+            fn(
+                [term.coef for term in terms],
+                _contiguous(ops, np.float64),
+                outs,
+            )
+        for sp, out in zip(sps, outs):
+            self._publish(sp, out, env, pending)
+        for sp in sps:
+            for name in sp.release:
+                if name not in self._kept:
+                    buf = env.pop(name, None)
+                    if buf is not None:
+                        self.arena.release(buf)
 
     def run(
         self,
@@ -862,74 +845,14 @@ class KernelRunner:
         if functions:
             funcs.update(functions)
         env: Dict[str, np.ndarray] = {}
-        pending: Optional[np.ndarray] = None
+        pending: Dict[str, np.ndarray] = {}
         try:
-            k = 0
-            statements = self.plan.statements
-            while k < len(statements):
-                group = self._groups_by_start.get(k)
-                if group is not None and self._exec_group(
-                    group, env, inputs, funcs
-                ):
-                    k = group.stop
-                    continue
-                sp = statements[k]
-                k += 1
-                existing = env.get(sp.result)
-                if existing is not None and not sp.accumulate and sp.reads_self:
-                    # re-assignment reading the old value: write elsewhere
-                    out = self.arena.take(sp.out_shape)
-                    old = existing
-                    existing = None
-                else:
-                    old = None
-                    out = (
-                        existing
-                        if existing is not None
-                        else self._out_buffer(sp.result, sp.out_shape)
-                    )
-                # arena-owned and not yet tracked by env: must be released
-                # if a kernel raises before this statement publishes it
-                # (re-assignment scratch is always arena-owned; fresh
-                # non-kept outputs come from the arena too)
-                pending = (
-                    out
-                    if old is not None
-                    or (existing is None and sp.result not in self._kept)
-                    else None
-                )
-                first = True
-                if sp.accumulate:
-                    if existing is not None:
-                        first = False  # += onto our own buffer in place
-                    elif sp.result in inputs:
-                        np.copyto(out, np.asarray(inputs[sp.result]))
-                        first = False  # seed from (unmutated) caller array
-                for term in sp.terms:
-                    self._exec_term(term, out, env, inputs, funcs, first)
-                    first = False
-                if old is not None:
-                    if sp.result in self._kept:
-                        np.copyto(old, out)
-                        self.arena.release(out)
-                        out = old
-                    else:
-                        self.arena.release(old)
-                env[sp.result] = out
-                pending = None
-                for name in sp.release:
-                    if name in self._kept:
-                        continue
-                    buf = env.pop(name, None)
-                    if buf is not None:
-                        self.arena.release(buf)
+            for group, sps in self.plan.steps():
+                self._run_step(group, sps, env, inputs, funcs, pending)
         except BaseException:
-            # a kernel step raised mid-run: hand every live arena
-            # buffer back before propagating, so a caught failure does
-            # not leak the whole working set (persistent output buffers
-            # stay -- they are reused, not pooled)
-            if pending is not None:
-                self.arena.release(pending)
+            # persistent output buffers stay: they are reused, not pooled
+            for buf in pending.values():
+                self.arena.release(buf)
             for name, buf in env.items():
                 if name not in self._kept:
                     self.arena.release(buf)

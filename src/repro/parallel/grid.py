@@ -41,6 +41,25 @@ class ProcessorGrid:
         if any(p <= 0 for p in self.dims):
             raise ValueError("grid extents must be positive")
 
+    @classmethod
+    def parse(cls, spec: "int | str") -> "ProcessorGrid":
+        """The grid a command line or a request writes: a processor
+        count (``4``) or extents joined by ``x`` (``"2x2x2"``).  Anything
+        else is a :class:`ValueError` quoting it."""
+        if isinstance(spec, str):
+            try:
+                return cls(tuple(int(p) for p in spec.lower().split("x")))
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad grid {spec!r}: use forms like 4 or 2x2x2"
+                ) from exc
+        if isinstance(spec, int):
+            return cls((spec,))
+        raise ValueError(
+            "grid must be an int or a string like '2x2', "
+            f"got {type(spec).__name__}"
+        )
+
     @property
     def ndims(self) -> int:
         return len(self.dims)

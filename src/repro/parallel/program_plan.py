@@ -41,7 +41,9 @@ def inline_sequence(statements: Sequence[Statement]) -> Expr:
     Each temporary must have exactly one consumer; the final statement's
     expression is returned with every temporary reference replaced by
     its (recursively inlined) definition.  Raises :class:`ValueError`
-    for shared temporaries or ``+=`` accumulation.
+    for shared temporaries, ``+=`` accumulation, or an earlier result
+    nothing reads (the sequence is a forest; inlining its last tree
+    would drop the others).
     """
     producers: Dict[str, Statement] = {}
     for stmt in statements:
@@ -63,6 +65,12 @@ def inline_sequence(statements: Sequence[Statement]) -> Expr:
         raise ValueError(
             f"temporaries with several consumers cannot be inlined: "
             f"{sorted(shared)}"
+        )
+
+    unread = set(producers) - set(consumers) - {statements[-1].result.name}
+    if unread:
+        raise ValueError(
+            f"results no later statement reads are not inlined: {sorted(unread)}"
         )
 
     def uses_functions(stmt: Statement) -> bool:
@@ -120,6 +128,16 @@ class SequencePlan:
         return "\n".join(out)
 
 
+def sequence_tree(statements: Sequence[Statement]) -> Optional[PNode]:
+    """The whole sequence as the one operator tree a Section-7 DP run
+    plans, or ``None`` when it is not one (shared or unread results,
+    ``+=``, multi-term combines)."""
+    try:
+        return expression_to_ptree(inline_sequence(statements))
+    except (ValueError, TypeError):
+        return None
+
+
 def plan_sequence(
     statements: Sequence[Statement],
     grid: ProcessorGrid,
@@ -141,10 +159,8 @@ def plan_sequence(
     """
     model = model or CommModel()
     tracker = as_tracker(budget)
-    try:
-        whole = inline_sequence(statements)
-        tree = expression_to_ptree(whole)
-    except (ValueError, TypeError):
+    tree = sequence_tree(statements)
+    if tree is None:
         return _plan_statementwise(statements, grid, model, bindings, tracker)
     try:
         plan = optimize_distribution(tree, grid, model, bindings, budget=tracker)

@@ -71,6 +71,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
+from repro.expr.ast import Add
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import PartitionPlan
 from repro.parallel.ptree import PLeaf
@@ -388,7 +389,9 @@ def plan_session(
         elif plan is not None:
             steps = compile_schedule(plan, usable, stmt.result.indices)
         else:
-            reason = "no partition plan (multi-term combine kept data-local)"
+            reason = "no partition plan"
+            if isinstance(stmt.expr, Add):
+                reason += " (multi-term combine kept data-local)"
             if grid is not None:
                 steps = fold_schedule(stmt, usable, semiring)
         if steps is None:

@@ -48,7 +48,6 @@ from repro.locality.tile_search import optimize_locality, tileable_indices
 from repro.parallel.commcost import CommModel
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import PartitionPlan, optimize_distribution
-from repro.parallel.ptree import expression_to_ptree
 from repro.codegen.builder import build_fused
 from repro.codegen.interp import execute as interp_execute
 from repro.codegen.loops import Block, loop_op_count, peak_memory, render, total_memory
@@ -56,7 +55,7 @@ from repro.codegen.pygen import compile_loops, generate_source
 from repro.engine.counters import Counters
 from repro.report import StageReport
 from repro.robustness.budget import Budget, BudgetTracker
-from repro.robustness.errors import BudgetExceeded
+from repro.robustness.errors import BudgetExceeded, SpecError
 
 #: schema version of :class:`SynthesisResult` as stored in the plan
 #: cache.  Bumped whenever the result grows fields that executing code
@@ -133,6 +132,37 @@ class SynthesisConfig:
     #: part of the config fingerprint, so plan-cache entries never
     #: collide across algebras.
     semiring: str = "plus_times"
+
+    def validate(self) -> None:
+        """The one range check of these fields: :func:`synthesize`, the
+        CLI (exit code 2) and the service (400) all refuse a bad value
+        through it, before any stage runs, with the same
+        :class:`~repro.robustness.errors.SpecError`.  (A bad capacity
+        is :meth:`MachineModel.with_capacities`'s to refuse.)"""
+        from repro.semiring import get_semiring
+
+        get_semiring(self.semiring)
+        problem = None
+        if self.codegen not in ("auto", "native", "gemm", "einsum"):
+            problem = (
+                f"unknown codegen mode {self.codegen!r} "
+                "(use 'auto', 'native', 'gemm', or 'einsum')"
+            )
+        elif self.kernel_threads is not None and self.kernel_threads < 1:
+            problem = f"kernel_threads must be >= 1, got {self.kernel_threads}"
+        elif self.grid is not None and self.processors is not None:
+            problem = "give either 'grid' or 'processors', not both"
+        elif self.processors is not None and self.processors < 1:
+            problem = (
+                f"processors must be a positive count, got {self.processors}"
+            )
+        elif self.capacity_level not in ("memory", "disk"):
+            problem = (
+                "capacity_level must be 'memory' or 'disk', "
+                f"got {self.capacity_level!r}"
+            )
+        if problem is not None:
+            raise SpecError(problem, stage="spec")
 
 
 @dataclass
@@ -296,8 +326,7 @@ class SynthesisResult:
 
         :attr:`last_substrate` records which ran (``"kernels"`` or
         ``"interp"``) and :attr:`last_run_notes` why, followed by
-        whatever the kernel runner noted (native fallbacks, a thread
-        pin).
+        whatever the kernel runner noted (native fallbacks).
 
         Returns ``inputs`` plus every array a program statement names.
         Kernels run on a runner built for this call and dropped after
@@ -519,24 +548,11 @@ class SynthesisResult:
             )
         from repro.parallel.session import run_session
 
-        notes: List[str] = []
-        if backend == "process":
-            wanted_threads = self.config.kernel_threads
-            if wanted_threads is None and self.tuning is not None:
-                wanted_threads = self.tuning.threads
-            if wanted_threads is not None and wanted_threads > 1:
-                notes.append(
-                    f"kernel threads pinned to 1 (was {wanted_threads}) "
-                    "under the process backend: the SPMD grid owns the "
-                    "cores, and procs x nest threads must not "
-                    "oversubscribe"
-                )
-
         session = self.spmd_session()
-        notes.extend(
+        notes = [
             f"{stage.name}: executed locally -- {stage.reason}"
             for stage in session.local()
-        )
+        ]
 
         def run(pool):
             return run_session(
@@ -582,19 +598,7 @@ def synthesize(
     synthesis, a TuningDB hit additionally skips all measurement.
     """
     config = config or SynthesisConfig()
-    from repro.semiring import get_semiring
-
-    # fail fast on a bad config value, before any search stage runs
-    get_semiring(config.semiring)
-    if config.codegen not in ("auto", "native", "gemm", "einsum"):
-        raise ValueError(
-            f"unknown codegen mode {config.codegen!r} "
-            "(use 'auto', 'native', 'gemm', or 'einsum')"
-        )
-    if config.kernel_threads is not None and config.kernel_threads < 1:
-        raise ValueError(
-            f"kernel_threads must be >= 1, got {config.kernel_threads}"
-        )
+    config.validate()
     program = (
         parse_program(source) if isinstance(source, str) else source
     )
@@ -706,8 +710,8 @@ def _synthesize_pipeline(
 
     # -- stage 2: memory minimization --------------------------------------
     forest = build_forest(statements)
-    # roots of non-final trees are shared temporaries: their storage
-    # counts toward the temporary-memory objective
+    # roots of non-final trees are shared temporaries or further
+    # results: their storage counts toward the memory objective
     fusion_results = [
         minimize_memory(
             root,
@@ -853,18 +857,13 @@ def _synthesize_pipeline(
         # shape minimizing the whole-sequence (or first plannable
         # statement's) distribution cost
         from repro.parallel.gridsearch import choose_grid
-        from repro.parallel.program_plan import inline_sequence
+        from repro.parallel.program_plan import sequence_tree
 
-        try:
-            tree = expression_to_ptree(inline_sequence(statements))
-        except (ValueError, TypeError):
-            tree = None
-            for stmt in statements:
-                try:
-                    tree = expression_to_ptree(stmt.expr)
-                    break
-                except TypeError:
-                    continue
+        trees = (
+            sequence_tree(seq)
+            for seq in [statements, *([stmt] for stmt in statements)]
+        )
+        tree = next((t for t in trees if t is not None), None)
         if tree is not None:
             choice = choose_grid(
                 tree, config.processors, config.comm, bindings,

@@ -60,13 +60,6 @@ from repro.runtime.shm import (
     unpack_message,
 )
 
-#: True inside an SPMD worker process (set by ``_worker_main``).  Two
-#: things are pinned to one thread there, because the process grid owns
-#: the cores: compiled native nests (``KernelRunner`` reads this flag
-#: lazily) and the BLAS behind rank-local GEMMs (:func:`_pin_blas_threads`,
-#: called once at worker start)
-IS_SPMD_WORKER = False
-
 #: On the pipe a command is ``(down, up, spans, body)`` -- the names of
 #: the arenas this worker reads commands from and writes replies to
 #: (``None`` under the pipe transport), then the message as
@@ -145,9 +138,9 @@ def _attached(arena: Optional[Arena], name: Optional[str]) -> Optional[Arena]:
 def _worker_main(conn, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
     """Entry point of one worker process: a
     :class:`~repro.parallel.session.RankWorker` answering the pipe."""
-    global IS_SPMD_WORKER
-    IS_SPMD_WORKER = True
-    # said once, in the first reply: why BLAS still runs multi-threaded
+    # the process grid owns the cores, so the BLAS behind rank-local
+    # GEMMs runs on one thread; if it cannot be pinned, the first reply
+    # says why once
     unpinned = _pin_blas_threads()
     worker = RankWorker(
         note=unpinned

@@ -72,7 +72,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.engine.machine import MachineModel, MemoryLevel
+from repro.engine.machine import MachineModel
 from repro.parallel.grid import ProcessorGrid
 from repro.pipeline import SynthesisConfig
 from repro.robustness.errors import SpecError
@@ -157,22 +157,6 @@ def _expect(payload: Mapping, key: str, types, default=None, required=False):
     return value
 
 
-def _parse_grid(value) -> ProcessorGrid:
-    try:
-        if isinstance(value, int):
-            return ProcessorGrid((value,))
-        if isinstance(value, str):
-            return ProcessorGrid(
-                tuple(int(p) for p in value.lower().split("x"))
-            )
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"bad grid {value!r}: {exc}") from exc
-    raise SpecError(
-        f"grid must be an int or a string like '2x2', "
-        f"got {type(value).__name__}"
-    )
-
-
 def config_from_options(options: Optional[Mapping]) -> SynthesisConfig:
     """Build a :class:`SynthesisConfig` from a request's ``options``.
 
@@ -194,17 +178,11 @@ def config_from_options(options: Optional[Mapping]) -> SynthesisConfig:
             f"allowed: {sorted(_OPTION_KEYS)}"
         )
     config = SynthesisConfig()
-    if "grid" in options and "processors" in options:
-        raise SpecError("give either 'grid' or 'processors', not both")
     if "grid" in options:
-        config = replace(config, grid=_parse_grid(options["grid"]))
-    if "processors" in options:
-        processors = _expect(options, "processors", int, required=True)
-        if processors < 1:
-            raise SpecError(
-                f"processors must be a positive count, got {processors}"
-            )
-        config = replace(config, processors=processors)
+        try:
+            config = replace(config, grid=ProcessorGrid.parse(options["grid"]))
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
     if "bindings" in options:
         bindings = _expect(options, "bindings", Mapping, required=True)
         clean: Dict[str, int] = {}
@@ -216,50 +194,36 @@ def config_from_options(options: Optional[Mapping]) -> SynthesisConfig:
                 )
             clean[str(name)] = extent
         config = replace(config, bindings=clean)
-    for key in (
-        "optimize_cache", "sparse_aware", "sparse_execution", "factorize",
+    for key, kind in (
+        ("processors", int), ("capacity_level", str), ("optimize_cache", bool),
+        ("sparse_aware", bool), ("sparse_execution", bool), ("factorize", bool),
     ):
         if key in options:
             config = replace(
-                config, **{key: _expect(options, key, bool, required=True)}
+                config, **{key: _expect(options, key, kind, required=True)}
             )
-    if "capacity_level" in options:
-        level = _expect(options, "capacity_level", str, required=True)
-        if level not in ("memory", "disk"):
-            raise SpecError(
-                f"capacity_level must be 'memory' or 'disk', got {level!r}"
-            )
-        config = replace(config, capacity_level=level)
     if "cache_elements" in options or "memory_elements" in options:
-        cache = _expect(
-            options, "cache_elements", int, default=32 * 1024
-        )
-        memory = _expect(
-            options, "memory_elements", int, default=16 * 1024 * 1024
-        )
-        if cache < 1 or memory < 1:
-            raise SpecError(
-                "cache_elements/memory_elements must be positive capacities"
-            )
-        default = MachineModel()
         config = replace(
             config,
-            machine=MachineModel(
-                cache=MemoryLevel("cache", cache, default.cache.miss_cost),
-                memory=MemoryLevel(
-                    "memory", memory, default.memory.miss_cost
-                ),
-                disk=default.disk,
+            machine=MachineModel.with_capacities(
+                cache=_expect(options, "cache_elements", int),
+                memory=_expect(options, "memory_elements", int),
             ),
         )
+    config.validate()
     return config
 
 
-def _parse_common(payload: Mapping):
+def _parse_common(payload: Mapping, allowed: set):
     if not isinstance(payload, Mapping):
         raise SpecError(
             f"request body must be a JSON object, "
             f"got {type(payload).__name__}"
+        )
+    unknown = set(payload) - allowed
+    if unknown:
+        raise SpecError(
+            f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
     program = _expect(payload, "program", str, required=True)
     if not program.strip():
@@ -277,13 +241,9 @@ def _parse_common(payload: Mapping):
 
 def parse_synthesize_request(payload: Mapping) -> SynthesizeRequest:
     """Validate a ``/v1/synthesize`` body (see module docstring)."""
-    allowed = {"program", "tenant", "options", "deadline_ms"}
-    unknown = set(payload) - allowed if isinstance(payload, Mapping) else set()
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    program, tenant, config, deadline_ms = _parse_common(payload)
+    program, tenant, config, deadline_ms = _parse_common(
+        payload, {"program", "tenant", "options", "deadline_ms"}
+    )
     return SynthesizeRequest(
         program=program,
         tenant=tenant,
@@ -294,16 +254,10 @@ def parse_synthesize_request(payload: Mapping) -> SynthesizeRequest:
 
 def parse_execute_request(payload: Mapping) -> ExecuteRequest:
     """Validate a ``/v1/execute`` body (see module docstring)."""
-    allowed = {
+    program, tenant, config, deadline_ms = _parse_common(payload, {
         "program", "tenant", "options", "deadline_ms", "inputs", "seed",
         "backend", "procs", "transport", "faults", "chaos", "result",
-    }
-    unknown = set(payload) - allowed if isinstance(payload, Mapping) else set()
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    program, tenant, config, deadline_ms = _parse_common(payload)
+    })
     backend = _expect(payload, "backend", str, default="auto")
     if backend not in _BACKENDS:
         raise SpecError(

@@ -371,8 +371,9 @@ class TestArgumentValidation:
         self._assert_spec_error(capsys, rc, "--procs")
 
     def test_processors_zero_is_exit_2(self, small_file, capsys):
+        # a config field: SynthesisConfig.validate's one message
         rc = main([small_file, "--processors", "0"])
-        self._assert_spec_error(capsys, rc, "--processors")
+        self._assert_spec_error(capsys, rc, "processors must be")
 
     def test_negative_budget_ms_is_exit_2(self, small_file, capsys):
         rc = main([small_file, "--budget-ms", "-5"])

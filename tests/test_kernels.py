@@ -9,6 +9,7 @@ and path-cache paths must be **bit-for-bit** equal to the uncached
 reference.
 """
 
+import dataclasses
 import pickle
 import threading
 
@@ -34,6 +35,7 @@ from repro.kernels import (
     exec_gemm,
     lower_binary_term,
 )
+from repro.kernels.lowering import exec_gemm_arena
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.errors import ShapeError, SpecError
 
@@ -109,6 +111,46 @@ class TestGemmLowering:
         )
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+    @settings(max_examples=60, **COMMON)
+    @given(term=binary_terms(), seed=st.integers(0, 2**16))
+    def test_exec_gemm_is_the_arena_executor_without_an_arena(
+        self, term, seed
+    ):
+        """One executor: the keyword form rank programs call returns the
+        arena form's bits, and shares no arena between callers -- two
+        threads at once would trip a shared arena's thread guard."""
+        left, right, out = term
+        sums = frozenset(set(left) | set(right)) - set(out)
+        spec = lower_binary_term(left, right, sums, out)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal([i.extent() for i in left])
+        b = rng.standard_normal([i.extent() for i in right])
+        arena = BufferArena()
+        want, live = exec_gemm_arena(a, b, spec, arena)
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def call(slot):
+            start.wait(timeout=10)
+            try:
+                for _ in range(20):
+                    got[slot] = exec_gemm(a, b, **dataclasses.asdict(spec))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                got[slot] = exc
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        for value in got:
+            assert isinstance(value, np.ndarray), value
+            assert np.array_equal(value, want)
+        for buf in live:
+            arena.release(buf)
+        assert arena.outstanding == 0
 
     def test_scalar_result(self):
         i, j = _indices([3, 4])

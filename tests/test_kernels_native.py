@@ -45,7 +45,7 @@ from repro.kernels import (
     native_available,
 )
 from repro.pipeline import SynthesisConfig, synthesize
-from repro.robustness.errors import ShapeError
+from repro.robustness.errors import ShapeError, SpecError
 from repro.semiring import available_semirings
 from tests.test_kernels import BAD_INPUTS, bad_input_run
 from tests.test_kernels import _matmul_stmt as shared_matmul_stmt
@@ -851,7 +851,7 @@ class TestPipelineIntegration:
     def test_unknown_mode_rejected(self, monkeypatch):
         # rejected up front: no search stage runs on a bad config
         monkeypatch.setattr("repro.pipeline.optimize_program", None)
-        with pytest.raises(ValueError, match="unknown codegen mode"):
+        with pytest.raises(SpecError, match="unknown codegen mode"):
             synthesize(self.SRC, SynthesisConfig(codegen="fortran"))
 
     def test_native_result_survives_the_plan_cache(self, tmp_path):

@@ -10,6 +10,7 @@ fork under an 8-thread hammer) and the arena's single-threaded
 contract (structured error, never silent corruption).
 """
 
+import math
 import os
 import re
 import threading
@@ -27,7 +28,7 @@ from repro.codegen.cgen import (
     py_fused_source,
     render_fused_ir,
 )
-from repro.engine.executor import random_inputs, run_statements
+from repro.engine.executor import run_statements
 from repro.expr.parser import parse_program
 from repro.kernels import (
     ArtifactStore,
@@ -41,7 +42,7 @@ from repro.kernels import (
 )
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.semiring import available_semirings, get_semiring
-from repro.robustness.errors import ReproError
+from repro.robustness.errors import ReproError, SpecError
 
 from tests.test_kernels_native import (
     COMMON,
@@ -843,40 +844,133 @@ class TestArenaOwnership:
         assert len(err) == 1 and "single-threaded" in str(err[0])
 
 
+class _CountingArena(BufferArena):
+    """An arena that tracks the elements it has lent out."""
+
+    live = peak = 0
+
+    def lend(self, elements):
+        self.live += elements
+        self.peak = max(self.peak, self.live)
+
+    def take(self, shape, dtype=np.float64):
+        buf = super().take(shape, dtype)
+        self.lend(buf.size)
+        return buf
+
+    def release(self, array):
+        self.live -= array.size
+        super().release(array)
+
+
+class _CountingRunner(KernelRunner):
+    """Counts the output buffers the runner owns beside the arena's, from
+    the step that first hands each out."""
+
+    def _out_buffer(self, name, shape):
+        if name in self._kept:
+            self.arena.lend(math.prod(shape))
+        return super()._out_buffer(name, shape)
+
+
+# a step of each kind the runner's one buffer discipline has to serve:
+# (source, fuse, which compiled kernel -- in first-use order -- is in
+# flight when the case's buffers are)
+STEP_CASES = {
+    # T1 and T2 are one fused group, R folds them and releases both
+    "fused": (PIPE_SRC, True, 0),
+    # X is rewritten from its own old value: old and scratch side by side
+    "re-assignment": ("""
+        range V = 6; index a, b, c : V;
+        tensor A(a, c);
+        X(a, b) = sum(c) A(a, c) * A(c, b);
+        X(a, b) = sum(c) X(a, c) * X(c, b);
+        Y(a, b) = sum(c) X(a, c) * A(c, b);
+    """, False, 1),
+    # S starts from the caller's array, then is added to in place
+    "+= seeded": ("""
+        range V = 6; index a, b, c : V;
+        tensor A(a, c);
+        T(a, b) = sum(c) A(a, c) * A(c, b);
+        S(a, b) += sum(c) T(a, c) * A(c, b);
+        S(a, b) += sum(c) A(a, c) * T(c, b);
+    """, False, 2),
+}
+
+
 @needs_compiler
-class TestSpmdPinning:
-    def test_runner_pins_threads_inside_spmd_workers(self, monkeypatch):
-        import repro.runtime.process as process
+class TestRunnerSteps:
+    """Group or single statement, every step acquires, computes,
+    publishes and releases the same way -- and unwinds the same way."""
 
-        monkeypatch.setattr(process, "IS_SPMD_WORKER", True)
-        plan = compile_kernel_plan([_matmul_stmt()], mode="native")
-        runner = KernelRunner(plan, threads=4)
-        assert runner.threads == 1
-        assert any("pinned to 1" in n for n in runner.notes)
+    def _case(self, name):
+        src, fuse, _ = STEP_CASES[name]
+        stmts = list(parse_program(src).statements)
+        plan = compile_kernel_plan(stmts, mode="native", fuse=fuse)
+        assert bool(plan.fused_groups) == fuse
+        inputs = _parity_inputs(stmts, seed=11)
+        if name == "+= seeded":
+            inputs["S"] = np.ones((6, 6))
+        return stmts, plan, inputs
 
-    def test_no_pin_outside_workers(self):
-        plan = compile_kernel_plan([_matmul_stmt()], mode="native")
-        runner = KernelRunner(plan, threads=4)
-        assert runner.threads == 4
+    @pytest.mark.parametrize("name", sorted(STEP_CASES))
+    def test_peak_live_elements_is_the_observed_high_water(self, name):
+        stmts, plan, inputs = self._case(name)
+        runner = _CountingRunner(plan, arena=_CountingArena())
+        got = runner.run(inputs)
+        assert runner.notes == []
+        want = run_statements(stmts, dict(inputs))
+        for out in plan.outputs:
+            np.testing.assert_allclose(got[out], want[out], rtol=RTOL)
+        assert runner.arena.peak == plan.peak_live_elements()
+        assert runner.arena.outstanding == 0
 
-    def test_run_parallel_records_the_pin(self):
-        src = (
-            "range N = 4;\n"
-            "index i, j, k : N;\n"
-            "tensor A(i, k); tensor B(k, j);\n"
-            "C(i, j) = sum(k) A(i, k) * B(k, j);"
+    @pytest.mark.parametrize("name", sorted(STEP_CASES))
+    def test_a_raising_kernel_leaves_nothing_outstanding(self, name):
+        """Mid-group or mid-statement, with a re-assignment's scratch or
+        a group's fresh outputs in flight."""
+        _, plan, inputs = self._case(name)
+        runner = KernelRunner(plan)
+        want = runner.run(inputs, copy=True)
+
+        def raising(*args):
+            raise RuntimeError("injected kernel failure")
+
+        compiled = dict(runner._compiled_fns)
+        victim = list(compiled)[STEP_CASES[name][2]]
+        runner._compiled_fns[victim] = raising
+        with pytest.raises(RuntimeError, match="injected"):
+            runner.run(inputs)
+        assert runner.arena.outstanding == 0
+        runner._compiled_fns.update(compiled)
+        got = runner.run(inputs)
+        for out in plan.outputs:
+            assert np.array_equal(got[out], want[out])
+        assert runner.arena.outstanding == 0
+
+    def test_unavailable_group_runs_unfused_through_the_same_steps(self):
+        _, plan, inputs = self._case("fused")
+        real = NativeEngine(backend="cc")
+
+        class NoGroups:
+            def __getattr__(self, attr):
+                return getattr(real, attr)
+
+            def function(self, spec, dtype, threads=1):
+                if isinstance(spec, FusedSpec):
+                    return None
+                return real.function(spec, dtype, threads=threads)
+
+        want = KernelRunner(plan, engine=real).run(inputs, copy=True)
+        runner = _CountingRunner(
+            plan, engine=NoGroups(), arena=_CountingArena()
         )
-        result = synthesize(
-            src,
-            SynthesisConfig(
-                processors=2, codegen="native", kernel_threads=2
-            ),
-        )
-        inputs = random_inputs(result.program, None, seed=3)
-        result.run_parallel(inputs, backend="process", procs=1)
-        assert any(
-            "pinned to 1" in note for note in result.last_run_notes
-        )
+        got = runner.run(inputs)
+        assert any("statements run unfused" in n for n in runner.notes)
+        for out in plan.outputs:
+            assert np.array_equal(got[out], want[out])
+        assert runner.arena.outstanding == 0
+        assert runner.arena.peak <= plan.peak_live_elements()
 
 
 @needs_compiler
@@ -900,7 +994,7 @@ class TestPipelineParallel:
     def test_invalid_kernel_threads_rejected(self, monkeypatch):
         # rejected up front: no search stage runs on a bad config
         monkeypatch.setattr("repro.pipeline.optimize_program", None)
-        with pytest.raises(ValueError, match="kernel_threads"):
+        with pytest.raises(SpecError, match="kernel_threads"):
             synthesize(
                 PIPE_SRC,
                 SynthesisConfig(codegen="native", kernel_threads=0),

@@ -11,6 +11,7 @@ from repro.parallel.grid import ProcessorGrid
 from repro.parallel.program_plan import (
     inline_sequence,
     plan_sequence,
+    sequence_tree,
 )
 from repro.parallel.ptree import expression_to_ptree
 from repro.parallel.simulate import GridSimulator
@@ -21,6 +22,16 @@ range N = 6;
 index i, j, k, l : N;
 tensor A(i, k); tensor B(k, l); tensor C(l, j);
 D(i, j) = sum(k, l) A(i, k) * B(k, l) * C(l, j);
+"""
+
+# two results: C (through the temporary T) and D, which nothing reads
+THREE_SRC = """
+range N = 6;
+index i, j, k : N;
+tensor A(i, k); tensor B(k, j);
+T(i, j) = sum(k) A(i, k) * B(k, j);
+C(i, j) = sum(k) T(i, k) * B(k, j);
+D(i, j) = sum(k) B(i, k) * A(k, j);
 """
 
 
@@ -66,6 +77,16 @@ class TestInlineSequence:
         prog = parse_program(src)
         with pytest.raises(ValueError, match="accumulating"):
             inline_sequence(prog.statements)
+
+    def test_unread_result_rejected(self):
+        """A second result is a second tree: inlining the last one would
+        drop it, so the sequence is the statementwise planner's."""
+        prog = parse_program(THREE_SRC)
+        with pytest.raises(ValueError, match="no later statement reads"):
+            inline_sequence(prog.statements)
+        assert sequence_tree(prog.statements) is None
+        # ... while the chain that feeds the last result still inlines
+        assert sequence_tree(prog.statements[:2]) is not None
 
     def test_renamed_temp_reference(self):
         """A temp referenced with renamed indices inlines correctly."""
@@ -118,6 +139,11 @@ class TestPlanSequence:
         grid = ProcessorGrid((2,))
         plan = plan_sequence(prog.statements, grid)
         assert len(plan.plans) == 2
+
+    def test_every_statement_of_a_two_result_program_is_planned(self):
+        prog = parse_program(THREE_SRC)
+        plan = plan_sequence(prog.statements, ProcessorGrid((2,)))
+        assert [name for name, _ in plan.plans] == ["T", "C", "D"]
 
     def test_fallback_charges_pinned_leaf_moves(self):
         """In statement-wise planning the produced distribution of a

@@ -276,6 +276,17 @@ class TestProgramShapes:
         assert "X" not in second.ships  # X is still where it was made
         assert [st.name for st in second.want] == ["S"]
 
+    def test_router_says_why_a_statement_is_not_distributed(self):
+        """Only a multi-term combine is "kept data-local"; a contraction
+        that was handed no plan says just that."""
+        prog = parse_program(FOLD.format(n=4))
+        session = plan_session(prog.statements, [], outputs=["R"])
+        assert {st.name: st.reason for st in session.local()} == {
+            "X": "no partition plan",
+            "Y": "no partition plan",
+            "R": "no partition plan (multi-term combine kept data-local)",
+        }
+
     def test_unwanted_statement_is_not_run(self, pool):
         session, _, proc, _ = both_backends(
             TWO_CONSUMERS.format(n=4), ["S"], (2,), "plus_times", 4, pool

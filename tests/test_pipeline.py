@@ -253,6 +253,62 @@ class TestRunParallelNotes:
             res.run_parallel(random_inputs(prog, seed=0), backend="mpi")
 
 
+#: programs that name more than one result: two unrelated products, and
+#: a chain ``T -> C`` beside a product ``D`` nothing reads
+SEVERAL_RESULTS = {
+    "two results": """
+        range N = 6; index i, j, k : N;
+        tensor A(i, k); tensor B(k, j);
+        C(i, j) = sum(k) A(i, k) * B(k, j);
+        D(i, j) = sum(k) B(i, k) * A(k, j);
+    """,
+    "three statements, two results": """
+        range N = 6; index i, j, k : N;
+        tensor A(i, k); tensor B(k, j);
+        T(i, j) = sum(k) A(i, k) * B(k, j);
+        C(i, j) = sum(k) T(i, k) * B(k, j);
+        D(i, j) = sum(k) B(i, k) * A(k, j);
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_RESULTS))
+class TestSeveralResults:
+    """A statement nothing reads is a result, not dead code."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"codegen": "native"}, {"processors": 2}],
+        ids=["default", "native", "processors=2"],
+    )
+    def test_every_substrate_agrees_with_the_reference(self, name, config):
+        from repro.validate import verify_result
+
+        res = synthesize(SEVERAL_RESULTS[name], SynthesisConfig(**config))
+        report = verify_result(res)
+        assert report.ok, report
+        inputs = random_inputs(res.program, seed=3)
+        want = run_statements(res.program.statements, inputs)
+        compiled = res.compile()(inputs, {})
+        for out in ("C", "D"):
+            np.testing.assert_allclose(compiled[out], want[out], rtol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["local", "process"])
+    def test_every_statement_is_distributed(self, name, backend):
+        res = synthesize(SEVERAL_RESULTS[name], SynthesisConfig(processors=2))
+        assert sorted(res.partition_plans) == sorted(
+            stmt.result.name for stmt in res.statements
+        )
+        inputs = random_inputs(res.program, seed=3)
+        want = run_statements(res.program.statements, inputs)
+        out = res.run_parallel(inputs, backend=backend, procs=2)
+        assert res.last_run_notes == []
+        for stmt in res.program.statements:
+            np.testing.assert_allclose(
+                out[stmt.result.name], want[stmt.result.name], rtol=1e-10
+            )
+
+
 class TestRun:
     """``SynthesisResult.run``: the practical entry picks its substrate
     from what the result knows and says which ran."""

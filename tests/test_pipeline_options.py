@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import SynthesisConfig, synthesize
-from repro import MachineModel, MemoryLevel
+from repro import MachineModel, MemoryLevel, ProcessorGrid
 from repro.chem.workloads import ccsd_like_program
+from repro.robustness.errors import SpecError
 from repro.validate import verify_result
 
 SRC = """
@@ -98,22 +99,6 @@ class TestProcessorsOption:
         assert any("chose grid" in n for n in report.notes)
         assert verify_result(result).ok
 
-    def test_explicit_grid_wins_over_count(self):
-        from repro import ProcessorGrid
-
-        config = SynthesisConfig(
-            optimize_cache=False,
-            grid=ProcessorGrid((2,)),
-            processors=16,
-        )
-        result = synthesize(SRC, config)
-        report = next(
-            r
-            for r in result.reports
-            if r.name == "Data distribution and partitioning"
-        )
-        assert report.details["processors"] == 2
-
 
 class TestParallelExecution:
     def test_spmd_sources_and_run_parallel(self):
@@ -158,3 +143,72 @@ class TestParallelExecutionWithFunctions:
         )["E"]
         got = result.run_parallel(inputs, functions=problem.functions)["E"]
         assert float(got) == pytest.approx(float(want), rel=1e-9)
+
+
+def _bad(**fields):
+    return lambda: SynthesisConfig(**fields)
+
+
+#: (field at fault, library config, CLI flags, service options or None
+#: where the wire has no key for the field, what the refusal says)
+BAD_CONFIGS = [
+    ("codegen", _bad(codegen="fortran"), ["--codegen", "fortran"], None,
+     "unknown codegen mode 'fortran'"),
+    ("kernel_threads", _bad(kernel_threads=0), ["--kernel-threads", "0"],
+     None, "kernel_threads must be >= 1, got 0"),
+    ("semiring", _bad(semiring="tropical"), ["--semiring", "tropical"], None,
+     "unknown semiring 'tropical'"),
+    ("processors", _bad(processors=0), ["--processors", "0"],
+     {"processors": 0}, "processors must be a positive count, got 0"),
+    ("grid+processors", _bad(grid=ProcessorGrid((2,)), processors=4),
+     ["--grid", "2", "--processors", "4"], {"grid": 2, "processors": 4},
+     "give either 'grid' or 'processors', not both"),
+    ("capacity_level", _bad(capacity_level="tape"),
+     ["--capacity-level", "tape"], {"capacity_level": "tape"},
+     "capacity_level must be 'memory' or 'disk', got 'tape'"),
+    ("capacities",
+     lambda: SynthesisConfig(machine=MachineModel.with_capacities(cache=0)),
+     ["--cache", "0"], {"cache_elements": 0},
+     "cache capacity must be a positive element count, got 0"),
+]
+
+
+class TestOneValidator:
+    """A bad configuration is refused once, the same way, wherever it
+    comes in: ``SpecError`` from the library before any stage runs, exit
+    code 2 from the CLI, a 400 from the service -- one text."""
+
+    @pytest.mark.parametrize(
+        "field, make, flags, options, says", BAD_CONFIGS,
+        ids=[row[0] for row in BAD_CONFIGS],
+    )
+    def test_same_refusal_everywhere(
+        self, field, make, flags, options, says, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.server.wire import parse_synthesize_request
+
+        # refused up front: no search stage runs on a bad config
+        monkeypatch.setattr("repro.pipeline.optimize_program", None)
+        with pytest.raises(SpecError) as library:
+            synthesize(SRC, make())
+        text = str(library.value)
+        assert says in text
+
+        path = tmp_path / "in.tce"
+        path.write_text(SRC)
+        assert main([str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+        with pytest.raises(SpecError) as wire:
+            parse_synthesize_request(
+                {"program": SRC, "options": options or {field: 0}}
+            )
+        if options is None:
+            # not a field a request can set at all
+            assert "unknown option" in str(wire.value)
+        else:
+            assert str(wire.value) == text
+
+    def test_a_good_config_passes(self):
+        SynthesisConfig(processors=4, capacity_level="disk").validate()

@@ -129,6 +129,25 @@ class TestHttpSurface:
 
         serve(check)
 
+    def test_bad_option_value_is_400_in_the_validators_words(self):
+        """The wire column of ``test_pipeline_options.TestOneValidator``,
+        over HTTP: the body is ``SynthesisConfig.validate``'s text."""
+        from repro.pipeline import SynthesisConfig
+
+        with pytest.raises(SpecError) as library:
+            SynthesisConfig(capacity_level="tape").validate()
+
+        async def check(app, host, port):
+            status, body = await arequest(
+                host, port, "POST", "/v1/synthesize",
+                {"program": MATMUL, "options": {"capacity_level": "tape"}},
+            )
+            assert status == 400
+            assert body["detail"] == str(library.value)
+            assert "capacity_level" in body["detail"]
+
+        serve(check)
+
     def test_parse_error_is_400_not_500(self):
         async def check(app, host, port):
             status, body = await arequest(
