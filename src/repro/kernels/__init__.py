@@ -6,9 +6,9 @@ optimize=True)`` re-plans the contraction path; fresh intermediates are
 allocated every execution).  Here each formula-sequence statement is
 compiled **once** into a :class:`~repro.kernels.plan.KernelPlan`:
 
-* binary contractions are lowered to axis-permute + reshape +
-  ``np.matmul`` (GEMM) with every permutation and axis grouping
-  computed at synthesis time (:mod:`repro.kernels.lowering`);
+* binary contractions are lowered to one ``np.matmul`` (GEMM) on
+  operand views, with every permutation and axis grouping computed at
+  synthesis time (:mod:`repro.kernels.lowering`);
 * degenerate terms (repeated indices, 3+ operand products) fall back to
   ``einsum`` through a process-wide contraction-path cache
   (:mod:`repro.kernels.einsum_cache`), so even the fallback stops

@@ -5,10 +5,14 @@ arrays on every run.  The arena turns those allocations into pool hits:
 ``take(shape, dtype)`` pops a previously released buffer of the exact
 ``(shape, dtype)`` key (or allocates one on first demand), ``release``
 returns it.  :class:`~repro.kernels.plan.KernelRunner` takes statement
-outputs and GEMM scratch from here and releases temporaries at their
-last-use statement (liveness comes from the compiled plan), so the
-steady state of a repeated execution performs **zero** array
-allocations -- asserted by ``tests/test_kernels.py``.
+outputs, GEMM products and pack scratch from here and releases
+temporaries at their last-use statement (liveness comes from the
+compiled plan), so the steady state of a repeated execution performs
+**zero** array allocations -- asserted by ``tests/test_kernels.py``.
+A temporary may be held as a view of its buffer -- a GEMM product
+published reshaped, un-permuted or transposed (a tall product lives in
+an ``(N, M)`` buffer) -- and ``release`` accepts the view: it pools the
+base buffer under the base's own key.
 
 Buffers come back uninitialized (``np.empty`` semantics): every kernel
 writes its full output (``out=`` / ``copyto``), never reads one.

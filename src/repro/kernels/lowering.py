@@ -10,20 +10,33 @@ A binary contraction ``C[out] = sum(k) A[ia] * B[ib]`` is an instance of
 * indices summed but present in only one operand are reduced away
   *before* the multiply (``lred`` / ``rred``).
 
-The lowering is then: sum out the single-operand axes, permute each
-operand to ``(batch..., m..., k...)`` / ``(batch..., k..., n...)``,
-reshape the ``m``/``k``/``n`` groups flat, call ``np.matmul`` (which
-hits the BLAS GEMM and broadcasts over the batch dims), reshape back,
-and un-permute to the requested output order.
+Executing a lowered term is one ``np.matmul`` on views, in three moves:
+
+* **bind** -- each operand, permuted to ``(batch..., m..., k...)`` /
+  ``(batch..., k..., n...)``, is read in place as a 2-D view over its
+  two index groups whenever each group is one contiguous block of
+  memory; a view whose unit stride lies in the first group is a
+  transposed matrix, which BLAS's transpose flag absorbs.  Only an
+  operand whose groups interleave is packed into an arena buffer.
+* **orient** -- a result whose layout is the caller's to choose (a
+  temporary nothing but later terms reads) with no batch group and
+  ``M > N`` is computed as ``np.matmul(a2, b2, out=buf.T)`` into an
+  ``(N, M)`` buffer: numpy's transpose equivalence hands BLAS the wide
+  product ``Cᵀ = Bᵀ Aᵀ``, the orientation OpenBLAS is faster at.  Every
+  other result is C-ordered ``(batch..., m..., n...)``.
+* **publish** -- the result is that buffer seen through a reshape and
+  the output un-permute, never copied; a caller that supplies a
+  C-contiguous output buffer and needs no un-permute gets the product
+  written straight into it.
 
 Everything shape-independent -- the axis classification, both
 permutations, the group arity counts, the output un-permute -- is
 computed **once** by :func:`lower_binary_term` and stored as a
 :class:`GemmSpec` (a pickle-safe tuple-of-ints value object).  At run
-time only trivial shape products remain.  Degenerate terms (repeated
-indices within an operand, indices missing from both operands) return
-``None`` and the caller falls back to the cached-path einsum
-(:mod:`repro.kernels.einsum_cache`).
+time only strides and shape products remain.  Degenerate terms
+(repeated indices within an operand, indices missing from both
+operands) return ``None`` and the caller falls back to the cached-path
+einsum (:mod:`repro.kernels.einsum_cache`).
 """
 
 from __future__ import annotations
@@ -171,35 +184,72 @@ def exec_gemm(
     semiring: str = "plus_times",
 ) -> np.ndarray:
     """Execute a lowered binary contraction, allocating per call:
-    :func:`exec_gemm_arena` on an arena of its own that pools nothing.
-    The fields arrive as keywords because emitted rank programs
-    (:mod:`repro.parallel.spmd`) spell the call that way.
+    :func:`exec_gemm_arena` on an arena of its own that pools nothing,
+    with a C-ordered result.  The fields arrive as keywords because
+    emitted rank programs (:mod:`repro.parallel.spmd`) spell the call
+    that way.
     """
     _require_plus_times(semiring, "exec_gemm")
     spec = GemmSpec(lred, rred, lperm, rperm, nb, nm, nk, nn, operm)
     return exec_gemm_arena(a, b, spec, BufferArena(enabled=False))[0]
 
 
-def _pack_operand(x, red, perm, nlead, ngroups, arena, taken: List):
-    """Sum ``x`` over its ``red`` axes, permute it and flatten its
-    trailing groups, going through an arena buffer only where a sum or a
-    non-contiguous permuted view needs one.  Returns the packed operand
-    and the permuted (unflattened) shape."""
+def _flat_stride(shape, strides) -> Optional[int]:
+    """The stride of ``shape``'s axes walked as one row-major axis, or
+    ``None`` when they do not nest (another axis lies between them).
+    Extent-1 axes place no constraint; a group of them reads 0."""
+    flat = span = None
+    for n, s in zip(reversed(shape), reversed(strides)):
+        if n == 1:
+            continue
+        if flat is None:
+            flat = s
+        elif s != span:
+            return None
+        span = s * n
+    return 0 if flat is None else flat
+
+
+def _pack(xt: np.ndarray, target, arena, scratch: List) -> np.ndarray:
+    """Copy the permuted operand ``xt`` into an arena buffer of the
+    flattened ``target`` shape (listed in ``scratch`` for release)."""
+    buf = arena.take(target, xt.dtype)
+    scratch.append(buf)
+    np.copyto(buf.reshape(xt.shape), xt)
+    return buf
+
+
+def _bind(x, red, perm, nlead, ngroups, arena, scratch: List):
+    """``x`` summed over its ``red`` axes and permuted, as a
+    ``(lead..., g1, g2)`` matrix over its two index groups, and its
+    permuted (unflattened) shape.
+
+    The matrix is a view of ``x`` when each group is one block and one
+    of the two has unit stride (a transposed view when it is the first:
+    BLAS reads it through its transpose flag); otherwise the operand is
+    packed.  A pre-reduced operand lives in arena scratch either way.
+    """
     if red:
         kept = tuple(s for ax, s in enumerate(x.shape) if ax not in red)
         x = np.sum(x, axis=red, out=arena.take(kept, x.dtype))
-        taken.append(x)
-    xt = x.transpose(perm) if not _identity(perm) else x
-    lead = xt.shape[: nlead]
-    g1 = prod(xt.shape[nlead : nlead + ngroups[0]])
-    g2 = prod(xt.shape[nlead + ngroups[0] :])
-    target = lead + (g1, g2)
-    if xt.flags.c_contiguous:
-        return xt.reshape(target), xt.shape
-    buf = arena.take(target, xt.dtype)
-    np.copyto(buf.reshape(xt.shape), xt)
-    taken.append(buf)
-    return buf, xt.shape
+        scratch.append(x)
+    xt = x if _identity(perm) else x.transpose(perm)
+    split = nlead + ngroups[0]
+    g1 = prod(xt.shape[nlead:split])
+    g2 = prod(xt.shape[split:])
+    target = xt.shape[:nlead] + (g1, g2)
+    s1 = _flat_stride(xt.shape[nlead:split], xt.strides[nlead:split])
+    s2 = _flat_stride(xt.shape[split:], xt.strides[split:])
+    if s1 is not None and s2 is not None:
+        # an extent-1 group is a vector's free axis: any stride serves
+        item = xt.itemsize
+        s1 = g2 * item if g1 == 1 else s1
+        s2 = g1 * item if g2 == 1 else s2
+        row_major = s2 == item and s1 >= g2 * item
+        column_major = s1 == item and s2 >= g1 * item
+        if row_major or column_major:
+            return xt.reshape(target), xt.shape
+    return _pack(xt, target, arena, scratch), xt.shape
 
 
 def exec_gemm_arena(
@@ -207,32 +257,63 @@ def exec_gemm_arena(
     b: np.ndarray,
     spec: GemmSpec,
     arena,
+    *,
+    out: Optional[np.ndarray] = None,
+    any_layout: bool = False,
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Run ``spec`` on ``a`` and ``b`` with every buffer from ``arena``.
+    """Run ``spec`` on ``a`` and ``b`` as one ``np.matmul`` on views,
+    with every buffer from ``arena``.
 
-    Returns ``(result_view, live_buffers)``: the view aliases arena
-    buffers listed in ``live_buffers``, which the caller must release
-    back to the arena once the term has been accumulated.  Pack scratch
-    is released internally right after the matmul.
+    Returns ``(result, live_buffers)``.  ``result`` is ``out`` itself
+    when ``out`` -- a C-contiguous array of the output shape -- was
+    given and the output order is the product's own (identity
+    ``operm``); ``live_buffers`` is then empty.  Otherwise ``result`` is
+    a view of the one arena buffer in ``live_buffers``, which the caller
+    hands back to the arena once it is done with the value.  That buffer
+    is C-ordered ``(batch..., m..., n...)``, except that with
+    ``any_layout`` a product with no batch group and ``M > N`` is
+    stored as its transpose (see the module docstring).  Pack scratch is
+    released right after the matmul, and everything taken is released
+    if the product raises.
     """
-    pack_taken: List[np.ndarray] = []
-    a2, at_shape = _pack_operand(
-        np.asarray(a), spec.lred, spec.lperm, spec.nb, (spec.nm, spec.nk),
-        arena, pack_taken,
-    )
-    b2, bt_shape = _pack_operand(
-        np.asarray(b), spec.rred, spec.rperm, spec.nb, (spec.nk, spec.nn),
-        arena, pack_taken,
-    )
-    bshape = at_shape[: spec.nb]
-    mshape = at_shape[spec.nb : spec.nb + spec.nm]
-    nshape = bt_shape[spec.nb + spec.nk :]
-    cdtype = np.result_type(a2.dtype, b2.dtype)
-    cbuf = arena.take(a2.shape[:-1] + (b2.shape[-1],), cdtype)
-    np.matmul(a2, b2, out=cbuf)
-    for buf in pack_taken:
-        arena.release(buf)
-    c = cbuf.reshape(bshape + mshape + nshape)
+    scratch: List[np.ndarray] = []
+    cbuf = None
+    try:
+        a2, at_shape = _bind(
+            np.asarray(a), spec.lred, spec.lperm, spec.nb,
+            (spec.nm, spec.nk), arena, scratch,
+        )
+        b2, bt_shape = _bind(
+            np.asarray(b), spec.rred, spec.rperm, spec.nb,
+            (spec.nk, spec.nn), arena, scratch,
+        )
+        lead = a2.shape[:-2]
+        m, n = a2.shape[-2], b2.shape[-1]
+        shape = (
+            at_shape[: spec.nb + spec.nm] + bt_shape[spec.nb + spec.nk :]
+        )
+        if (
+            out is not None
+            and _identity(spec.operm)
+            and out.flags.c_contiguous
+        ):
+            np.matmul(a2, b2, out=out.reshape(lead + (m, n)))
+            return out, []
+        dtype = np.result_type(a2.dtype, b2.dtype)
+        if any_layout and not lead and m > n:
+            cbuf = arena.take((n, m), dtype)
+            c = cbuf.T
+        else:
+            cbuf = c = arena.take(lead + (m, n), dtype)
+        np.matmul(a2, b2, out=c)
+    except BaseException:
+        if cbuf is not None:
+            arena.release(cbuf)
+        raise
+    finally:
+        for buf in scratch:
+            arena.release(buf)
+    c = c.reshape(shape)
     if not _identity(spec.operm):
         c = c.transpose(spec.operm)
     return c, [cbuf]

@@ -11,13 +11,24 @@ which is what lets it ride the content-addressed plan cache
 (:mod:`repro.runtime.plan_cache`) inside a
 :class:`~repro.pipeline.SynthesisResult`.
 
-:class:`KernelRunner` executes a plan against input arrays.  All
-intermediate and output storage comes from a
+:class:`KernelRunner` executes a plan against input arrays, cast once
+to float64 at entry.  All intermediate and output storage comes from a
 :class:`~repro.kernels.arena.BufferArena`; temporaries are released at
 their last-use statement and statement outputs live in buffers the
 runner owns and rewrites, so repeated runs allocate nothing in the
 steady state.  Consequently the arrays a ``run()`` returns are **valid
 until the next** ``run()`` unless ``copy=True`` detaches them.
+
+A GEMM term is one ``np.matmul`` on views
+(:func:`~repro.kernels.lowering.exec_gemm_arena`), and its result is
+copied only where a fold needs it: a statement that is one
+coefficient-1 product into a temporary *publishes* the product's own
+arena buffer as its value, laid out as the GEMM wrote it (a tall one
+transposed), and the temporary's ``release`` hands that buffer back; a
+first coefficient-1 product in its output's own order is written
+straight into the statement's buffer; everything else folds.  Declared
+outputs and ``keep`` names always come back C-contiguous in their
+declared index order.
 
 Numerics: the GEMM path regroups the contraction sums, so results agree
 with the einsum reference to floating-point reassociation tolerance
@@ -196,10 +207,12 @@ class KernelPlan:
         it appears, outputs and ``keep`` names stay to the end, a
         re-assignment that reads its old value holds old and new side by
         side, and a fused group allocates all its results before
-        releasing anything.  Caller inputs and the transient pack
-        scratch inside one GEMM are not counted -- the same convention
-        as :func:`repro.codegen.loops.peak_memory` for the fused
-        structure, which is what makes the two comparable.
+        releasing anything.  A published GEMM product *is* its
+        statement's result buffer and is counted as one.  Caller inputs
+        and the transient scratch inside one term -- pack buffers, a
+        product folded into its statement's buffer -- are not counted:
+        the same convention as :func:`repro.codegen.loops.peak_memory`
+        for the fused structure, which is what makes the two comparable.
         """
         kept = set(self.outputs) | set(keep)
         live: Dict[str, int] = {}
@@ -378,7 +391,7 @@ def compile_kernel_plan(
     fallback otherwise.  The empirical autotuner
     (:mod:`repro.autotune`) measures the variants and keeps the
     fastest plan -- on some shapes einsum's fused path beats the GEMM
-    pack/permute sequence, and small dense nests beat both.
+    call, and small dense nests beat both.
 
     ``fuse=True`` (mode ``"native"`` only) additionally runs the
     cross-statement fusion pass (:func:`_fuse_groups`): maximal runs of
@@ -555,9 +568,16 @@ class KernelRunner:
     follows one buffer discipline: *acquire* each result buffer
     (``pending``: lent by the arena, not yet named by ``env``), compute,
     *publish* to ``env``, *release* the temporaries it read last.  A
-    kernel that raises hands ``pending`` and every arena buffer in
-    ``env`` back before propagating, so a caller that catches and
-    retries does not accumulate leaked scratch.
+    statement that is one coefficient-1 GEMM into a temporary acquires
+    nothing: its product's own buffer is what it publishes.  A kernel
+    that raises hands ``pending`` and every arena buffer in ``env``
+    back before propagating (a raising GEMM returns its own buffers
+    first), so a caller that catches and retries does not accumulate
+    leaked scratch.
+
+    Inputs of any numeric dtype are cast to float64 once per ``run``
+    (float64 arrays are read as given, and no input is mutated): every
+    kernel computes in float64, so an integer product cannot wrap.
     """
 
     def __init__(
@@ -619,13 +639,13 @@ class KernelRunner:
             self._func_cache[key] = value
         return value
 
-    def _operands(self, term: TermPlan, env, inputs, funcs) -> List[np.ndarray]:
+    def _operands(self, term: TermPlan, env, arrays, funcs) -> List[np.ndarray]:
         # run() has checked that every name read before the plan
-        # produces it is present in ``inputs``
+        # produces it is present, and cast it into ``arrays``
         return [
             self._materialize(op, funcs) if op.is_function
             else env[op.name] if op.name in env
-            else np.asarray(inputs[op.name])
+            else arrays[op.name]
             for op in term.operands
         ]
 
@@ -684,24 +704,36 @@ class KernelRunner:
         self._compiled_fns[key] = fn
         return fn
 
-    def _exec_term(self, term: TermPlan, out, env, inputs, funcs, first: bool):
-        ops = self._operands(term, env, inputs, funcs)
-        if term.native is not None and out.flags.c_contiguous:
-            fn = self._compiled(
-                term, term.native, out.dtype, "native nest",
-                f"term falls back to the {term.kind} path",
-            )
-            if fn is not None:
-                if first:
-                    # the nest only ever reduces into the buffer; seed
-                    # it with the algebra's identity element
-                    out.fill(self._sr.zero)
-                fn(term.coef, _contiguous(ops, out.dtype), out)
-                return
+    def _nest(self, term: TermPlan) -> Optional[Callable]:
+        """The compiled nest ``term`` runs on, or None for its numpy
+        path (no native lowering, or none that loads)."""
+        if term.native is None:
+            return None
+        return self._compiled(
+            term, term.native, np.float64, "native nest",
+            f"term falls back to the {term.kind} path",
+        )
+
+    def _exec_term(self, term: TermPlan, out, env, arrays, funcs, first: bool):
+        ops = self._operands(term, env, arrays, funcs)
+        fn = self._nest(term) if out.flags.c_contiguous else None
+        if fn is not None:
+            if first:
+                # the nest only ever reduces into the buffer; seed it
+                # with the algebra's identity element
+                out.fill(self._sr.zero)
+            fn(term.coef, _contiguous(ops, out.dtype), out)
+            return
         if term.kind == "gemm":
-            value, live = exec_gemm_arena(ops[0], ops[1], term.gemm, self.arena)
+            # a first coefficient-1 product in the output's own order is
+            # written straight into ``out``; anything else is folded
+            direct = out if first and term.coef == 1.0 else None
+            value, live = exec_gemm_arena(
+                ops[0], ops[1], term.gemm, self.arena, out=direct
+            )
             try:
-                self._accumulate(out, value, term.coef, first)
+                if value is not out:
+                    self._accumulate(out, value, term.coef, first)
             finally:
                 for buf in live:
                     self.arena.release(buf)
@@ -732,7 +764,7 @@ class KernelRunner:
             return buf
         return self.arena.take(shape)
 
-    def _acquire(self, sp: StatementPlan, env, inputs, pending):
+    def _acquire(self, sp: StatementPlan, env, arrays, pending):
         """The buffer ``sp`` folds its terms into, and whether the first
         fold overwrites it (``False``: it holds a value to add to).  One
         the arena lends waits in ``pending`` for :meth:`_publish`."""
@@ -746,12 +778,38 @@ class KernelRunner:
             out = self.arena.take(sp.out_shape)
         if existing is not None or name not in self._kept:
             pending[name] = out
-        if sp.accumulate and name in inputs:
+        if sp.accumulate and name in arrays:
             # ``+=`` on a name the plan has not produced yet starts from
             # the caller's (unmutated) array
-            np.copyto(out, np.asarray(inputs[name]))
+            np.copyto(out, arrays[name])
             return out, False
         return out, True
+
+    def _publishes(self, sp: StatementPlan) -> bool:
+        """Whether ``sp``'s value is its GEMM's own buffer: one
+        coefficient-1 product on the numpy path, assigned to a
+        temporary (whose layout nothing outside the plan sees)."""
+        if len(sp.terms) != 1 or sp.accumulate or sp.result in self._kept:
+            return False
+        term = sp.terms[0]
+        return (
+            term.kind == "gemm" and term.coef == 1.0
+            and self._nest(term) is None
+        )
+
+    def _product(self, sp: StatementPlan, env, arrays, funcs) -> np.ndarray:
+        """A publishing statement's value: its product, laid out as the
+        GEMM wrote it, in the arena buffer the temporary's ``release``
+        hands back."""
+        if not sp.reads_self:
+            # the old value is dead: return it before the product is
+            # taken, as an in-place rewrite would hold one buffer
+            old = env.pop(sp.result, None)
+            if old is not None:
+                self.arena.release(old)
+        term = sp.terms[0]
+        a, b = self._operands(term, env, arrays, funcs)
+        return exec_gemm_arena(a, b, term.gemm, self.arena, any_layout=True)[0]
 
     def _publish(self, sp: StatementPlan, out, env, pending) -> None:
         name = sp.result
@@ -766,7 +824,7 @@ class KernelRunner:
         if old is not None and old is not out:
             self.arena.release(old)
 
-    def _run_step(self, group, sps, env, inputs, funcs, pending) -> None:
+    def _run_step(self, group, sps, env, arrays, funcs, pending) -> None:
         fn = None
         if group is not None:
             fn = self._compiled(
@@ -776,16 +834,19 @@ class KernelRunner:
             )
             if fn is None:
                 for sp in sps:
-                    self._run_step(None, (sp,), env, inputs, funcs, pending)
+                    self._run_step(None, (sp,), env, arrays, funcs, pending)
                 return
-        acquired = [self._acquire(sp, env, inputs, pending) for sp in sps]
-        outs = [out for out, _ in acquired]
-        if fn is None:
-            sp, (out, first) = sps[0], acquired[0]
+        if fn is None and self._publishes(sps[0]):
+            outs = [self._product(sps[0], env, arrays, funcs)]
+        elif fn is None:
+            sp = sps[0]
+            out, first = self._acquire(sp, env, arrays, pending)
+            outs = [out]
             for term in sp.terms:
-                self._exec_term(term, out, env, inputs, funcs, first)
+                self._exec_term(term, out, env, arrays, funcs, first)
                 first = False
         else:
+            outs = [self._acquire(sp, env, arrays, pending)[0] for sp in sps]
             # one call runs every member's nest in order; a member that
             # reads an earlier member's result reads the buffer that
             # nest has just written (the fusion pass admits only plain
@@ -796,7 +857,7 @@ class KernelRunner:
             ]
             ops: List[np.ndarray] = []
             for term in terms:
-                ops += self._operands(term, scope, inputs, funcs)
+                ops += self._operands(term, scope, arrays, funcs)
             for out in outs:
                 # the fused nest only ever reduces into its slots
                 out.fill(self._sr.zero)
@@ -841,6 +902,14 @@ class KernelRunner:
             inputs, self.plan.seed_shapes, stage="execution",
             require_present=False,
         )
+        # one cast at entry: the runner computes in float64 whatever the
+        # caller's dtype (an integer product would wrap), and a float64
+        # array is read as given, never copied
+        arrays = {
+            name: np.asarray(inputs[name], dtype=np.float64)
+            for name, _ in self.plan.input_shapes + self.plan.seed_shapes
+            if name in inputs
+        }
         funcs = dict(self.functions)
         if functions:
             funcs.update(functions)
@@ -848,7 +917,7 @@ class KernelRunner:
         pending: Dict[str, np.ndarray] = {}
         try:
             for group, sps in self.plan.steps():
-                self._run_step(group, sps, env, inputs, funcs, pending)
+                self._run_step(group, sps, env, arrays, funcs, pending)
         except BaseException:
             # persistent output buffers stay: they are reused, not pooled
             for buf in pending.values():

@@ -103,8 +103,8 @@ class SynthesisConfig:
     #: greedy fallback and the stage report records it (strict budgets
     #: raise :class:`~repro.robustness.errors.BudgetExceeded` instead)
     budget: Optional[Budget] = None
-    #: kernel codegen target: ``"gemm"`` (permute+reshape+matmul,
-    #: einsum fallback), ``"einsum"`` (cached-path einsum everywhere),
+    #: kernel codegen target: ``"gemm"`` (one matmul per binary term on
+    #: operand views, einsum fallback), ``"einsum"`` (cached-path einsum everywhere),
     #: ``"native"`` (compiled fused tiled loop nests via
     #: :mod:`repro.kernels.native`, per-term GEMM/einsum fallback when
     #: no nest compiles), or ``"auto"`` (gemm; the autotune stage may

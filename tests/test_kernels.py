@@ -10,8 +10,10 @@ reference.
 """
 
 import dataclasses
+import math
 import pickle
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.chem.workloads import ccsd_doubles_program, random_contraction_progra
 from repro.engine.executor import random_inputs, run_statements
 from repro.expr.ast import Mul, Statement, Sum, TensorRef
 from repro.expr.indices import Index, IndexRange
+from repro.expr.parser import parse_program
 from repro.expr.tensor import Tensor
 from repro.kernels import (
     BufferArena,
@@ -35,6 +38,7 @@ from repro.kernels import (
     exec_gemm,
     lower_binary_term,
 )
+from repro.kernels import lowering
 from repro.kernels.lowering import exec_gemm_arena
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.errors import ShapeError, SpecError
@@ -640,3 +644,375 @@ class TestEinsumPathCache:
             threads * rounds * len(specs)
         )
         assert stats["misses"] < stats["hits"]
+
+
+def _stored(rng, shape, order):
+    """Random values of ``shape`` laid out in memory in axis ``order``."""
+    base = rng.standard_normal([shape[ax] for ax in order])
+    return base.transpose(np.argsort(order))
+
+
+def _product_term(m, n, k=5, batch=0):
+    """``C(b, i, j) = sum(l) A(b, i, l) * B(b, l, j)`` at the given
+    extents (no ``b`` without a batch)."""
+    b, i, j, l = _indices([max(batch, 1), m, n, k])
+    lead = (b,) if batch else ()
+    spec = lower_binary_term(lead + (i, l), lead + (l, j), frozenset({l}),
+                             lead + (i, j))
+    rng = np.random.default_rng(m * n)
+    a = rng.standard_normal([x.extent() for x in lead + (i, l)])
+    bb = rng.standard_normal([x.extent() for x in lead + (l, j)])
+    return spec, a, bb
+
+
+class TestGemmOnViews:
+    """A binary term is one ``np.matmul`` on operand views: bound in
+    place where its index groups are blocks, oriented by its shape when
+    the caller leaves the result layout free."""
+
+    @settings(max_examples=120, **COMMON)
+    @given(term=binary_terms(), data=st.data())
+    def test_every_binding_and_orientation_matches_einsum(self, term, data):
+        left, right, out = term
+        sums = frozenset(set(left) | set(right)) - set(out)
+        spec = lower_binary_term(left, right, sums, out)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        # operands stored in any axis order: read in place, read through
+        # a transposed view, or packed, as their strides allow
+        a = _stored(rng, [i.extent() for i in left],
+                    data.draw(st.permutations(range(len(left)))))
+        b = _stored(rng, [i.extent() for i in right],
+                    data.draw(st.permutations(range(len(right)))))
+        want = _oracle(left, right, out, a, b)
+        arena = BufferArena()
+        for any_layout in (False, True):
+            got, live = exec_gemm_arena(a, b, spec, arena,
+                                        any_layout=any_layout)
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+            for buf in live:
+                arena.release(buf)
+        direct = np.empty(want.shape)
+        got, live = exec_gemm_arena(a, b, spec, arena, out=direct)
+        assert (got is direct) == (spec.operm == tuple(range(len(out))))
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+        for buf in live:
+            arena.release(buf)
+        assert arena.outstanding == 0
+
+    @pytest.mark.parametrize("case, m, n, batch, stored", [
+        ("tall", 12, 3, 0, (3, 12)),
+        ("square", 6, 6, 0, (6, 6)),
+        ("wide", 3, 12, 0, (3, 12)),
+        ("batched", 12, 3, 2, (2, 12, 3)),
+    ])
+    def test_only_a_tall_free_result_is_stored_transposed(
+        self, case, m, n, batch, stored
+    ):
+        spec, a, b = _product_term(m, n, batch=batch)
+        want = np.matmul(a, b)
+        arena = BufferArena()
+        got, (buf,) = exec_gemm_arena(a, b, spec, arena, any_layout=True)
+        assert buf.shape == stored and np.shares_memory(got, buf)
+        assert got.flags.c_contiguous == (case != "tall")
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+        # a result whose layout is not free is always C-ordered
+        got, (buf,) = exec_gemm_arena(a, b, spec, arena)
+        assert buf.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+
+    def test_two_block_operands_are_read_in_place(self):
+        x = np.random.default_rng(0).standard_normal((6, 5, 4, 3))
+        arena = BufferArena()
+        scratch = []
+        # (m l | i j) as stored, and (i j | m l): a transposed view
+        for perm in [(0, 1, 2, 3), (2, 3, 0, 1)]:
+            x2, _ = lowering._bind(x, (), perm, 0, (2, 2), arena, scratch)
+            assert np.shares_memory(x2, x)
+            np.testing.assert_array_equal(
+                x2, x.transpose(perm).reshape(x2.shape)
+            )
+        assert scratch == [] and arena.allocations == 0
+        # (m i | l j): the groups interleave, so the operand is packed
+        x2, _ = lowering._bind(x, (), (0, 2, 1, 3), 0, (2, 2), arena, scratch)
+        assert not np.shares_memory(x2, x) and len(scratch) == 1
+        np.testing.assert_array_equal(
+            x2, x.transpose(0, 2, 1, 3).reshape(x2.shape)
+        )
+
+    def test_ccsd_packs_four_operands_and_folds_no_product(self, monkeypatch):
+        """Per run of the V=16 O=6 default plan: T3, T7 and T6 read
+        operands whose groups interleave; every other operand binds in
+        place, and every product is its statement's value."""
+        prog = ccsd_doubles_program(V=16, O=6)
+        res = synthesize(prog)
+        runner = res.kernel_runner()
+        inputs = random_inputs(prog, seed=0)
+        runner.run(inputs)
+        packs, folds = _count_copies(runner, monkeypatch)
+        got = runner.run(inputs)["R"]
+        products = [
+            sp.result for sp in res.kernel_plan.statements
+            if [t.kind for t in sp.terms] == ["gemm"]
+        ]
+        assert {name: packs[name] for name in products} == {
+            "T1": 0, "T3": 1, "T4": 0, "T5": 0, "T7": 2, "T6": 1,
+        }
+        assert sum(packs.values()) == 4
+        assert folds == {"R": 5}  # the output folds its five copy terms
+        want = run_statements(res.statements, inputs)["R"]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _count_copies(runner, monkeypatch):
+    """Counters, per statement result, of the operands ``runner`` packs
+    and the values it folds into a statement's buffer from now on."""
+    packs, folds = Counter(), Counter()
+    current = []
+    step, pack, accumulate = (
+        runner._run_step, lowering._pack, runner._accumulate
+    )
+
+    def run_step(group, sps, *args):
+        current[:] = [sps[0].result]
+        return step(group, sps, *args)
+
+    def counting_pack(*args):
+        packs[current[0]] += 1
+        return pack(*args)
+
+    def counting_accumulate(*args):
+        folds[current[0]] += 1
+        return accumulate(*args)
+
+    runner._run_step = run_step
+    runner._accumulate = counting_accumulate
+    monkeypatch.setattr(lowering, "_pack", counting_pack)
+    return packs, folds
+
+
+class _CountingArena(BufferArena):
+    """An arena that tracks the elements it has lent out."""
+
+    live = peak = 0
+
+    def lend(self, elements):
+        self.live += elements
+        self.peak = max(self.peak, self.live)
+
+    def take(self, shape, dtype=np.float64):
+        buf = super().take(shape, dtype)
+        self.lend(buf.size)
+        return buf
+
+    def release(self, array):
+        self.live -= array.size
+        super().release(array)
+
+
+class _CountingRunner(KernelRunner):
+    """Counts the output buffers the runner owns beside the arena's, from
+    the step that first hands each out."""
+
+    def _out_buffer(self, name, shape):
+        if name in self._kept:
+            self.arena.lend(math.prod(shape))
+        return super()._out_buffer(name, shape)
+
+
+class _PublishSampler(_CountingRunner):
+    """Reads the elements held as each step publishes, when every
+    transient buffer of the step (pack scratch, a folded product) is
+    back."""
+
+    published_peak = 0
+
+    def _publish(self, sp, out, env, pending):
+        self.published_peak = max(self.published_peak, self.arena.live)
+        super()._publish(sp, out, env, pending)
+
+
+GEMM_STEP_SOURCES = {
+    # X is rewritten from its own old value (old and new side by side),
+    # then overwritten (its old value goes back before the new is taken)
+    "re-assignment": """
+        range V = 6; index a, b, c : V;
+        tensor A(a, c); tensor w(c);
+        X(a, b) = sum(c) A(a, c) * A(c, b);
+        X(a, b) = sum(c) X(a, c) * X(c, b);
+        Y(a, b) = sum(c) X(a, c) * A(c, b);
+        X(a, b) = sum(c) A(a, c) * A(c, b);
+        z(a) = sum(c) X(a, c) * w(c);
+    """,
+    # S starts from the caller's array; each product is folded into it
+    "+= seeded": """
+        range V = 6; index a, b, c : V;
+        tensor A(a, c);
+        T(a, b) = sum(c) A(a, c) * A(c, b);
+        S(a, b) += sum(c) T(a, c) * A(c, b);
+        S(a, b) += sum(c) A(a, c) * T(c, b);
+    """,
+}
+
+
+def _gemm_step_case(name):
+    """``(statements, gemm plan, inputs)`` of a step case; ``"ccsd"`` is
+    the factorized CCSD doubles sequence (published, tall and packed
+    products)."""
+    if name == "ccsd":
+        prog = ccsd_doubles_program(V=6, O=3)
+        stmts = list(synthesize(prog).statements)
+        inputs = random_inputs(prog, seed=11)
+    else:
+        prog = parse_program(GEMM_STEP_SOURCES[name])
+        stmts = list(prog.statements)
+        inputs = random_inputs(prog, seed=11)
+        if name == "+= seeded":
+            inputs["S"] = np.ones((6, 6))
+    return stmts, compile_kernel_plan(stmts), inputs
+
+
+GEMM_STEP_CASES = sorted(GEMM_STEP_SOURCES) + ["ccsd"]
+
+
+class TestGemmRunnerSteps:
+    """The gemm-mode twin of ``test_kernels_parallel.TestRunnerSteps``:
+    a product published as its statement's value, written into an
+    output, or folded, keeps the one buffer discipline."""
+
+    @pytest.mark.parametrize("name", GEMM_STEP_CASES)
+    def test_peak_live_elements_is_the_observed_high_water(self, name):
+        stmts, plan, inputs = _gemm_step_case(name)
+        assert plan.gemm_terms and not plan.native_terms
+        runner = _PublishSampler(plan, arena=_CountingArena())
+        got = runner.run(inputs)
+        want = run_statements(stmts, dict(inputs))
+        for out in plan.outputs:
+            np.testing.assert_allclose(got[out], want[out], rtol=1e-10)
+        assert runner.published_peak == plan.peak_live_elements()
+        assert runner.arena.outstanding == 0
+
+    @pytest.mark.parametrize("name", GEMM_STEP_CASES)
+    def test_a_raising_gemm_leaves_nothing_outstanding(
+        self, name, monkeypatch
+    ):
+        """Whichever product raises -- published, written into an
+        output, or folded -- its pack scratch, its own buffer and every
+        live temporary go back, and the runner stays usable."""
+        _, plan, inputs = _gemm_step_case(name)
+        runner = KernelRunner(plan)
+        want = runner.run(inputs, copy=True)
+        matmul = np.matmul
+        for victim in range(plan.gemm_terms):
+            calls = iter(range(plan.gemm_terms))
+
+            def raising(*args, **kwargs):
+                if next(calls) == victim:
+                    raise RuntimeError("injected GEMM failure")
+                return matmul(*args, **kwargs)
+
+            monkeypatch.setattr(np, "matmul", raising)
+            with pytest.raises(RuntimeError, match="injected"):
+                runner.run(inputs)
+            assert runner.arena.outstanding == 0
+            monkeypatch.setattr(np, "matmul", matmul)
+            got = runner.run(inputs)
+            for out in plan.outputs:
+                assert np.array_equal(got[out], want[out])
+            assert runner.arena.outstanding == 0
+
+    def test_steady_state_allocates_nothing_on_ccsd(self):
+        """Transposed ``(N, M)`` product buffers pool like any other."""
+        prog = ccsd_doubles_program(V=16, O=6)
+        runner = synthesize(prog).kernel_runner()
+        inputs = random_inputs(prog, seed=0)
+        runner.run(inputs)
+        before = runner.arena.allocations
+        for _ in range(3):
+            runner.run(inputs)
+        assert runner.arena.allocations == before
+        assert runner.arena.outstanding == 0
+
+    def test_outputs_and_kept_names_come_back_c_ordered(self, monkeypatch):
+        prog = ccsd_doubles_program(V=6, O=3)
+        res = synthesize(prog)
+        # a tall product, a square one un-permuted, a wide one un-permuted
+        keep = ["T4", "T7", "T5"]
+        runner = res.kernel_runner(keep=keep)
+        inputs = random_inputs(prog, seed=0)
+        _, folds = _count_copies(runner, monkeypatch)
+        got = runner.run(inputs)
+        # T4 is written straight into its buffer; an un-permute folds
+        assert folds == {"T7": 1, "T5": 1, "R": 5}
+        want = run_statements(res.statements, inputs)
+        shapes = {sp.result: sp.out_shape for sp in res.kernel_plan.statements}
+        for name in keep + ["R"]:
+            assert got[name].flags.c_contiguous, name
+            assert got[name].shape == shapes[name]
+            np.testing.assert_allclose(
+                got[name], want[name], rtol=1e-10, atol=1e-12, err_msg=name
+            )
+        detached = runner.run(inputs, copy=True)
+        again = runner.run(inputs)
+        for name in keep + ["R"]:
+            assert not np.shares_memory(detached[name], again[name])
+            np.testing.assert_array_equal(detached[name], again[name])
+
+
+MATMUL_40 = """
+range N = 40;
+index i, j, k : N;
+tensor A(i, k); tensor B(k, j);
+C(i, j) = sum(k) A(i, k) * B(k, j);
+"""
+
+
+def _draw(rng, dtype, shape):
+    if dtype == "float32":
+        return rng.standard_normal(shape).astype(dtype)
+    high = {"int32": 2**20, "int64": 2**20, "uint8": 256, "bool": 2}[dtype]
+    return rng.integers(0, high, shape).astype(dtype)
+
+
+class TestInputDtypes:
+    """``KernelRunner.run`` computes in float64 whatever the caller's
+    dtype: an integer product used to wrap on the gemm and einsum
+    paths."""
+
+    @pytest.mark.parametrize("mode", ["gemm", "einsum", "native"])
+    @pytest.mark.parametrize(
+        "dtype", ["int32", "int64", "uint8", "bool", "float32"]
+    )
+    def test_run_agrees_with_execute(self, dtype, mode):
+        rng = np.random.default_rng(5)
+        inputs = {name: _draw(rng, dtype, (40, 40)) for name in "AB"}
+        before = {name: a.copy() for name, a in inputs.items()}
+        res = synthesize(MATMUL_40, SynthesisConfig(codegen=mode))
+        want = res.execute(inputs)["C"]
+        got = res.run(inputs)["C"]
+        assert got.dtype == np.float64
+        if dtype == "float32":
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+        else:  # integer sums this small are exact in float64
+            np.testing.assert_array_equal(got, want)
+        for name, a in inputs.items():
+            assert a.dtype == before[name].dtype
+            np.testing.assert_array_equal(a, before[name])
+
+    def test_float64_inputs_are_read_in_place(self):
+        runner = KernelRunner(compile_kernel_plan([_matmul_stmt()]))
+        rng = np.random.default_rng(0)
+        inputs = {
+            "A": rng.standard_normal((5, 7)),
+            "B": np.asfortranarray(rng.standard_normal((7, 6))),
+        }
+        seen = []
+        operands = runner._operands
+
+        def recording(*args):
+            ops = operands(*args)
+            seen.extend(ops)
+            return ops
+
+        runner._operands = recording
+        runner.run(inputs)
+        assert seen[0] is inputs["A"] and seen[1] is inputs["B"]

@@ -10,7 +10,6 @@ fork under an 8-thread hammer) and the arena's single-threaded
 contract (structured error, never silent corruption).
 """
 
-import math
 import os
 import re
 import threading
@@ -44,6 +43,7 @@ from repro.pipeline import SynthesisConfig, synthesize
 from repro.semiring import available_semirings, get_semiring
 from repro.robustness.errors import ReproError, SpecError
 
+from tests.test_kernels import _CountingArena, _CountingRunner
 from tests.test_kernels_native import (
     COMMON,
     SCHEDULED,
@@ -842,35 +842,6 @@ class TestArenaOwnership:
         t.start()
         t.join()
         assert len(err) == 1 and "single-threaded" in str(err[0])
-
-
-class _CountingArena(BufferArena):
-    """An arena that tracks the elements it has lent out."""
-
-    live = peak = 0
-
-    def lend(self, elements):
-        self.live += elements
-        self.peak = max(self.peak, self.live)
-
-    def take(self, shape, dtype=np.float64):
-        buf = super().take(shape, dtype)
-        self.lend(buf.size)
-        return buf
-
-    def release(self, array):
-        self.live -= array.size
-        super().release(array)
-
-
-class _CountingRunner(KernelRunner):
-    """Counts the output buffers the runner owns beside the arena's, from
-    the step that first hands each out."""
-
-    def _out_buffer(self, name, shape):
-        if name in self._kept:
-            self.arena.lend(math.prod(shape))
-        return super()._out_buffer(name, shape)
 
 
 # a step of each kind the runner's one buffer discipline has to serve:
