@@ -35,9 +35,12 @@ import time
 from repro.server.app import ReproServer, ServerConfig
 from repro.server.client import arequest
 
+#: a long summed index: the 2x2 plan splits the sum, so every execution
+#: posts ``go`` commands for the chaos schedule to bite on (a square
+#: matmul only places its inputs and runs inside the ``load``)
 MATMUL = """
-range N = 16;
-index i, j, k : N;
+range N = 16; range K = 256;
+index i, j : N; index k : K;
 tensor A(i, k);
 tensor B(k, j);
 C(i, j) = sum(k) A(i, k) * B(k, j);

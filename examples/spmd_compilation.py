@@ -67,12 +67,16 @@ def main() -> None:
         [
             ["supersteps", run.supersteps],
             ["elements moved (generated program)", run.comm.total_traffic],
+            ["elements placed instead of moved", run.placed_elements],
             ["elements moved (cost-model simulator)", report.total_received],
             ["max |result error| vs einsum",
              f"{float(np.max(np.abs(run.result - want))):.2e}"],
         ],
     ))
-    assert run.comm.total_traffic == report.total_received
+    # an input the plan redistributes is sliced where it is needed: the
+    # model's charge for that move is counted as placed, not sent
+    moved = run.comm.total_traffic + run.placed_elements
+    assert moved == report.total_received
     print("\ngenerated parallel program verified: exact numerics, traffic "
           "equals the model  [OK]")
 

@@ -60,7 +60,17 @@ C{n}(i, j) = sum(k) A(i, k) * B(k, j);
 #: these and must be served warm
 COLD_SET = [PROGRAM_TEMPLATE.format(n=n) for n in range(8, 24, 2)]
 
-EXECUTE_PROGRAM = PROGRAM_TEMPLATE.format(n=16)
+#: the execute slice sums over a long index: on the process grid the
+#: plan splits the sum, so the ranks communicate and ``--chaos`` has a
+#: ``go`` command to kill a worker on (a square matmul only places its
+#: inputs and runs inside the ``load``)
+EXECUTE_PROGRAM = """
+range N = 16; range K = 256;
+index i, j : N; index k : K;
+tensor A(i, k);
+tensor B(k, j);
+C16(i, j) = sum(k) A(i, k) * B(k, j);
+"""
 
 
 def _percentile(samples, q):

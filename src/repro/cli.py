@@ -478,8 +478,15 @@ def _run_and_validate(
                 out = result.run_parallel(
                     inputs, faults=faults, backend=backend, procs=procs
                 )
+            from repro.parallel.session import FAULT_NOTE
+
+            # what injected faults did is a report, not a warning
+            reported = []
             for note in result.last_run_notes:
-                print(f"warning: {note}", file=sys.stderr)
+                if note.startswith(FAULT_NOTE):
+                    reported.append(note)
+                else:
+                    print(f"warning: {note}", file=sys.stderr)
             for stmt in program.statements:
                 name = stmt.result.name
                 if name not in out:
@@ -496,21 +503,14 @@ def _run_and_validate(
                         ),
                         EXIT_EXECUTION,
                     )
-            recovered = []
-            if faults is not None and faults.any_faults:
-                recovered.append("injected faults")
             if supervisor is not None and (
                 supervisor.respawns or supervisor.retries
             ):
-                recovered.append(
+                reported.append(
                     f"process chaos: {supervisor.respawns} respawn(s), "
                     f"{supervisor.retries} retried statement(s)"
                 )
-            suffix = (
-                f" (with {'; '.join(recovered)} recovered)"
-                if recovered
-                else ""
-            )
+            suffix = f" ({'; '.join(reported)})" if reported else ""
             print(f"run: parallel outputs match the reference executor{suffix}")
         elif faults is not None:
             print(

@@ -13,16 +13,22 @@ holding some of the grid's ranks:
   worker **once per run**, as the bounding box of what that worker's
   ranks slice out of it; a statement's result is entered under its
   plan's root distribution and *stays there*;
-* a later statement's leaf over such a result is a ``resident`` pick-up
-  plus the ``move`` the sequence planner charged; a multi-term combine
-  over such results is a rank-local ``fold``
+* input placement is the router's: a rank program slices an input
+  where its plan first needs it, so the redistribution of an input the
+  §7 DP charges is part of the box shipped with the ``load``, not a
+  ``move`` (:attr:`Stage.placed_elements` counts what it would have
+  sent);
+* a later statement's leaf over a resident result is a ``resident``
+  pick-up plus the ``move`` the sequence planner charged; a multi-term
+  combine over such results is a rank-local ``fold``
   (:func:`repro.parallel.spmd.fold_schedule`); only the requested
   outputs, and what a statement without a program reads, are gathered;
 * consecutive statements are a **chain**: a worker runs from one
-  communication boundary to the next straight through statement
-  boundaries, so a round trip is a communication boundary and nothing
-  else.  The first superstep rides on the chain's ``load``, the gather
-  on the reply that completes it.
+  communication round to the next straight through statement
+  boundaries, so a round trip is a communication round and nothing
+  else (independent moves share one).  The first superstep rides on
+  the chain's ``load``, the gather on the reply that completes it: the
+  CCSD doubles chain on two workers is a ``load`` and one ``go``.
 
 Table entries are never mutated -- a statement binds its result only
 when all of its ranks have finished -- so an injected rank crash
@@ -34,7 +40,8 @@ counters, :class:`~repro.robustness.faults.FaultSchedule` drops,
 bounded retry and ``CommFailure`` semantics are per statement, and
 messages are ordered by the sender's grid-rank position (stable within
 a rank) whatever the worker count, so every backend produces the same
-bits and the same counters.
+bits and the same counters.  A run under a fault schedule carries one
+note saying what actually fired (:func:`fault_note`).
 
 The router talks to a worker through a **port** (``post(msg)`` /
 ``recv()``).  The in-process backend is a port around a
@@ -127,6 +134,9 @@ class Stage:
     #: input tensors the program slices: name -> rank -> box it reads,
     #: in the tensor's declared axis order
     slices: Dict[str, Dict[Rank, Box]] = field(default_factory=dict)
+    #: elements the program's input placements spare its moves
+    #: (:attr:`repro.parallel.spmd.SpmdRun.placed_elements`)
+    placed_elements: int = 0
     #: how the result lies in the tables, the ranks whose blocks tile it
     #: (one per replica group), and its global shape as exposed
     held: Optional[Resident] = None
@@ -219,10 +229,12 @@ def _program_stage(
     source = emit_rank_program(steps, grid, bindings, fname, semiring)
     ranks = list(grid.ranks())
     slices: Dict[str, Dict[Rank, Box]] = {}
+    placed = 0
     for step in steps:
         if step.kind != "slice":
             continue
-        tensor, ref_indices, node_indices, dist = step.args
+        tensor, ref_indices, node_indices, dist, spared = step.args
+        placed += spared
         pos, single, _ = _dist_meta(dist, node_indices)
         perm = _leaf_perm(ref_indices, node_indices)
         extents = tuple(i.extent(bindings) for i in node_indices)
@@ -238,7 +250,7 @@ def _program_stage(
     _, single, dedup = _dist_meta(dist, exposed)
     return Stage(
         name, fname=fname, source=source,
-        key=content_key(source), slices=slices,
+        key=content_key(source), slices=slices, placed_elements=placed,
         held=Resident(tuple(exposed), dist),
         holders=tuple(
             r for r in ranks
@@ -623,6 +635,24 @@ def worker_count(
     )
 
 
+#: how the run note on injected faults begins (:func:`fault_note`)
+FAULT_NOTE = "injected faults: "
+
+
+def fault_note(runs: Sequence[SpmdRun]) -> str:
+    """The run note on injected faults: what fired, read off the
+    counters (drops retried, statement restarts), or that nothing did."""
+    dropped = sum(run.comm.dropped for run in runs)
+    restarts = sum(run.restarts for run in runs)
+    fired = []
+    if dropped:
+        s = "s" if dropped > 1 else ""
+        fired.append(f"{dropped} dropped message{s} retried")
+    if restarts:
+        fired.append(f"{restarts} restart{'s' if restarts > 1 else ''}")
+    return FAULT_NOTE + (", ".join(fired) or "scheduled, none fired")
+
+
 def run_session(
     session: SessionPlan,
     inputs,
@@ -727,11 +757,20 @@ class _Router:
                 )
         out.total_traffic = sum(r.comm.total_traffic for _, r in out.runs)
         out.total_supersteps = sum(r.supersteps for _, r in out.runs)
+        out.placed_elements = sum(r.placed_elements for _, r in out.runs)
+        if self.faults is not None and self.faults.any_faults:
+            out.notes.append(fault_note([run for _, run in out.runs]))
         return out
 
     def _chain(self, chain: Chain, fresh: bool, final: bool) -> None:
         ports, stages = self.ports, chain.stages
-        runs = [SpmdRun(None, self.new_comm(), st.source, 0) for st in stages]
+        runs = [
+            SpmdRun(
+                None, self.new_comm(), st.source, 0,
+                placed_elements=st.placed_elements,
+            )
+            for st in stages
+        ]
         fired = [set() for _ in stages]
         crash = self.faults.crash_supersteps if self.faults is not None else ()
         pos, mid, loaded = 0, False, False

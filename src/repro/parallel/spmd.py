@@ -8,21 +8,25 @@ the Python source of a **rank program** (:func:`generate_spmd_source`):
 
     def rank_program(rank, comm, arrays, state):
         ...
-        yield   # communication boundary
+        yield   # end of a communication round
 
 Every rank executes the same code, branching on its own grid
 coordinates -- classic SPMD.  Communication goes through an explicit
 communicator (``comm.send`` / ``comm.recv_all``) in bulk-synchronous
-supersteps.  A superstep is a **communication boundary** and nothing
-else: the program ``yield``s exactly once per ``move`` / ``combine`` /
-``bcast``, between its send half and its receive half; placing inputs,
-local contractions, partial sums and exposing the result are rank-local
-and run straight through.  ``arrays[name]`` is an entry of the rank's
-**tensor table**: a ``(box, block)`` pair in the tensor's declared axis
-order (a plain ndarray stands for its whole box) -- a box the router
-shipped, which a ``slice`` step reads its region out of, or the block an
-earlier statement of the same session left ``resident``, which is
-picked up and moved from the distribution it was produced under.  The
+supersteps.  A superstep is a **communication round** and nothing else:
+the program ``yield``s once per round.  A ``move`` sends where it stands
+and receives only when a later step reads the moved value (or at a
+``combine`` / ``bcast`` / the end of the program), so consecutive
+independent moves share one ``yield``; a ``combine`` or ``bcast`` is a
+round of its own.  Placing inputs, local contractions, partial sums and
+exposing the result are rank-local and run straight through -- an input
+is sliced where the plan first needs it, so it is never moved.
+``arrays[name]`` is an entry of the rank's **tensor table**: a ``(box,
+block)`` pair in the tensor's declared axis order (a plain ndarray
+stands for its whole box) -- a box the router shipped, which a
+``slice`` step reads its region out of, or the block an earlier
+statement of the same session left ``resident``, which is picked up and
+moved from the distribution it was produced under.  The
 driver (:mod:`repro.parallel.session`; :func:`run_spmd` is its
 one-statement form) advances all ranks in lock step -- the in-process
 stand-in for ``mpiexec`` (see the mpi4py substitution note in
@@ -44,7 +48,8 @@ Communication patterns match the cost model exactly:
 * redistribution: each receiver's needed-but-not-held region is
   decomposed into boxes; each box piece is sent by its canonical owner
   (disjoint senders, so transferred elements == the model's
-  received-element count);
+  received-element count, less what the schedule's input placements
+  count as ``placed`` instead of sending);
 * reduction: partial sums, combine to the coordinate-0 root along the
   summed processor dimension, optional broadcast.
 """
@@ -64,6 +69,14 @@ from repro.parallel.dist import Distribution, REPLICATED, SINGLE
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import PartitionPlan
 from repro.parallel.ptree import PLeaf, PMul, PNode, PSum
+from repro.parallel.spmd_runtime import (
+    box_difference,
+    box_intersect,
+    box_volume,
+    canonical_sender,
+    holds,
+    region,
+)
 from repro.robustness.errors import CommFailure
 from repro.robustness.faults import FaultSchedule
 
@@ -176,6 +189,19 @@ class Step:
     out: str
     args: Tuple
 
+    @property
+    def reads(self) -> Tuple[str, ...]:
+        """The values this step reads (``result`` exposes ``out``)."""
+        if self.kind in ("slice", "resident"):
+            return ()
+        if self.kind == "result":
+            return (self.out,)
+        if self.kind == "fold":
+            return tuple(self.args[0])
+        if self.kind == "contract":
+            return (self.args[0], self.args[2])
+        return (self.args[0],)
+
 
 @dataclass(frozen=True)
 class Resident:
@@ -207,14 +233,62 @@ def _dist_meta(
     return positions, single, dedup
 
 
+def _move_elements(
+    indices: Sequence[Index],
+    src: Distribution,
+    dst: Distribution,
+    grid: ProcessorGrid,
+    bindings: Optional[Bindings],
+) -> int:
+    """Cross-rank elements the emitted ``move`` of ``indices`` from
+    ``src`` to ``dst`` sends: the receiver's pieces and the canonical
+    senders' boxes of :func:`emit_rank_program`, counted instead of
+    sent."""
+    spos, ssingle, sdedup = _dist_meta(src, indices)
+    dpos, dsingle, _ = _dist_meta(dst, indices)
+    extents = tuple(i.extent(bindings) for i in indices)
+    ranks = list(grid.ranks())
+    senders = [
+        region(r, spos, extents, grid.dims)
+        for r in ranks
+        if holds(r, ssingle) and canonical_sender(r, sdedup)
+    ]
+    total = 0
+    for other in ranks:
+        if not holds(other, dsingle):
+            continue
+        need = region(other, dpos, extents, grid.dims)
+        pieces = (
+            box_difference(need, region(other, spos, extents, grid.dims))
+            if holds(other, ssingle)
+            else [need]
+        )
+        total += sum(
+            box_volume(box_intersect(piece, box))
+            for piece in pieces
+            for box in senders
+        )
+    return total
+
+
 class _Schedule:
     """The step list under construction and the three things every
     schedule does: name a value, redistribute one, read a tensor."""
 
-    def __init__(self, resident: Optional[Mapping[str, Resident]]) -> None:
+    def __init__(
+        self,
+        resident: Optional[Mapping[str, Resident]],
+        grid: Optional[ProcessorGrid] = None,
+        bindings: Optional[Bindings] = None,
+    ) -> None:
         self.steps: List[Step] = []
         self.resident = resident or {}
+        self.grid = grid
+        self.bindings = bindings
         self._counter = itertools.count()
+        #: value -> position of the ``slice`` step that reads it from an
+        #: input (the tree gives it exactly one consumer)
+        self._sliced: Dict[str, int] = {}
 
     def fresh(self) -> str:
         return f"v{next(self._counter)}"
@@ -225,20 +299,36 @@ class _Schedule:
         return out
 
     def move(self, var: str, indices, src: Distribution, dst: Distribution) -> str:
-        return self.add("move", (var, tuple(indices), src, dst))
+        """Redistribute ``var`` from ``src`` to ``dst``.  A value sliced
+        from an input is instead sliced at ``dst`` (no step is added);
+        its slice step's last argument counts the elements the elided
+        move would have sent."""
+        at = self._sliced.get(var)
+        if at is None:
+            return self.add("move", (var, tuple(indices), src, dst))
+        name, ref_indices, node_indices, _, placed = self.steps[at].args
+        placed += _move_elements(indices, src, dst, self.grid, self.bindings)
+        self.steps[at] = Step(
+            "slice", var, (name, ref_indices, node_indices, dst, placed)
+        )
+        return var
 
     def leaf(self, ref, indices, gamma: Distribution) -> str:
-        """``ref`` placed as ``gamma``: an input is sliced there for
-        free; a block an earlier statement left resident is picked up
-        where it is and moved -- the redistribution
+        """``ref`` placed as ``gamma``.  An input is sliced there, or
+        where the schedule first moves it (:meth:`move`): the router
+        ships every worker the box its ranks slice, so placing an input
+        never costs a round.  A block an earlier statement left resident
+        is picked up where it is and moved -- the redistribution
         ``_plan_with_pinned_leaves`` charges, seen through the use
         site's index names."""
         name = ref.tensor.name
         held = self.resident.get(name)
         if held is None:
-            return self.add(
-                "slice", (name, tuple(ref.indices), tuple(indices), gamma)
+            var = self.add(
+                "slice", (name, tuple(ref.indices), tuple(indices), gamma, 0)
             )
+            self._sliced[var] = len(self.steps) - 1
+            return var
         src = held.dist.renamed(held.indices, ref.indices)
         var = self.add(
             "resident", (name, tuple(ref.indices), tuple(indices), src)
@@ -267,9 +357,10 @@ def compile_schedule(
     ``resident`` names the tensors whose blocks an earlier statement of
     the same session left in the ranks' tables (their leaves become
     ``resident`` + ``move`` instead of ``slice``); ``declared`` is the
-    axis order the result is exposed in.
+    axis order the result is exposed in.  No ``move`` reads a ``slice``:
+    an input is sliced where it is first needed (:meth:`_Schedule.move`).
     """
-    sched = _Schedule(resident)
+    sched = _Schedule(resident, plan.grid, plan.bindings)
     steps = sched.steps
     move = sched.move
 
@@ -497,10 +588,24 @@ def emit_rank_program(
         emit("else:")
         emit(f"    {target} = (None, None)")
 
+    #: receive halves of the moves in flight, by the value each binds
+    landing: Dict[str, List[str]] = {}
+
+    def end_round() -> None:
+        """Close the round: one ``yield``, then every receive half."""
+        if landing:
+            emit("yield")
+            for text in itertools.chain.from_iterable(landing.values()):
+                emit(text)
+            landing.clear()
+
     for knum, step in enumerate(steps):
         tag = f"s{knum}"
+        waits = any(var in landing for var in step.reads)
+        if waits or step.kind in ("combine", "bcast"):
+            end_round()
         if step.kind == "slice":
-            tensor_name, ref_indices, node_indices, dist = step.args
+            tensor_name, ref_indices, node_indices, dist, _ = step.args
             pos, single, _ = _dist_meta(dist, node_indices)
             perm = _leaf_perm(ref_indices, node_indices)
             emit(f"# step {knum}: place input {tensor_name} as {dist}")
@@ -548,22 +653,23 @@ def emit_rank_program(
                 f"                comm.send(rank, _other, {tag!r}, "
                 "(_part, extract(_myblk, _mybox, _part)))"
             )
-            emit("yield")
-            emit(f"if holds(rank, {dsingle!r}):")
-            emit(f"    _box = region(rank, {dpos!r}, {extents!r}, GRID)")
-            emit("    _blk = np.zeros(tuple(hi - lo for lo, hi in _box))")
-            emit(f"    if holds(rank, {ssingle!r}):")
-            emit(f"        _own = box_intersect(_box, state[{var!r}][0])")
-            emit("        if not box_empty(_own):")
-            emit(
+            # the receive half waits for the round's end (end_round)
+            landing[step.out] = [
+                f"# step {knum}: receive {src} -> {dst}",
+                f"if holds(rank, {dsingle!r}):",
+                f"    _box = region(rank, {dpos!r}, {extents!r}, GRID)",
+                "    _blk = np.zeros(tuple(hi - lo for lo, hi in _box))",
+                f"    if holds(rank, {ssingle!r}):",
+                f"        _own = box_intersect(_box, state[{var!r}][0])",
+                "        if not box_empty(_own):",
                 f"            paste(_blk, _box, _own, "
-                f"extract(state[{var!r}][1], state[{var!r}][0], _own))"
-            )
-            emit(f"    for _pbox, _piece in comm.recv_all(rank, {tag!r}):")
-            emit("        paste(_blk, _box, _pbox, _piece)")
-            emit(f"    state[{step.out!r}] = (_box, _blk)")
-            emit("else:")
-            emit(f"    state[{step.out!r}] = (None, None)")
+                f"extract(state[{var!r}][1], state[{var!r}][0], _own))",
+                f"    for _pbox, _piece in comm.recv_all(rank, {tag!r}):",
+                "        paste(_blk, _box, _pbox, _piece)",
+                f"    state[{step.out!r}] = (_box, _blk)",
+                "else:",
+                f"    state[{step.out!r}] = (None, None)",
+            ]
 
         elif step.kind == "contract":
             lvar, lind, rvar, rind, sums, oind, gamma = step.args
@@ -688,11 +794,12 @@ def emit_rank_program(
 
         else:  # pragma: no cover - exhaustive
             raise TypeError(step.kind)
+    end_round()
 
     header = [
         "# generated SPMD rank program -- every rank runs this code,",
-        "# branching on its own grid coordinates; `yield` marks a",
-        "# communication boundary (the bulk-synchronous superstep).",
+        "# branching on its own grid coordinates; `yield` ends a",
+        "# communication round (the bulk-synchronous superstep).",
         "import numpy as np",
         *sorted(kernels),
         "from repro.parallel.spmd_runtime import (",
@@ -718,6 +825,10 @@ class SpmdRun:
     source: str
     supersteps: int
     restarts: int = 0
+    #: elements the moves of inputs would have sent, had the schedule not
+    #: sliced those inputs at the moves' destinations (plan-time; with
+    #: ``comm.total_traffic`` it is the §7 model's received-element count)
+    placed_elements: int = 0
     #: things the process backend could not do as configured (pin a
     #: worker's BLAS to one thread, give every rank asked for its own
     #: worker); always empty under the in-process driver
@@ -735,11 +846,14 @@ class SpmdSequenceRun:
     runs: List[Tuple[str, SpmdRun]]
     total_traffic: int = 0
     total_supersteps: int = 0
+    #: the runs' :attr:`SpmdRun.placed_elements`, summed
+    placed_elements: int = 0
     #: elements the router sent to workers as tensor boxes / took back
     #: as result blocks -- what the run moved besides rank-to-rank traffic
     shipped_elements: int = 0
     gathered_elements: int = 0
-    #: process-backend notes, each said once (see :attr:`SpmdRun.notes`)
+    #: what the run could not do as configured, each said once (see
+    #: :attr:`SpmdRun.notes`), and what injected faults actually fired
     notes: List[str] = field(default_factory=list)
 
 

@@ -141,10 +141,28 @@ C(i, j) = sum(k) A(i, k) * B(k, j);
 """
 
 
+#: a long summed index: on a 2x2 grid the plan splits the sum, so the
+#: ranks communicate in three rounds (supersteps 0-3, four messages)
+#: where SMALL_SRC only places its inputs and sends nothing
+SUMMED_SRC = """
+range N = 6; range K = 64;
+index i, j : N; index k : K;
+tensor A(i, k); tensor B(k, j);
+C(i, j) = sum(k) A(i, k) * B(k, j);
+"""
+
+
 @pytest.fixture
 def small_file(tmp_path):
     path = tmp_path / "small.tce"
     path.write_text(SMALL_SRC)
+    return str(path)
+
+
+@pytest.fixture
+def summed_file(tmp_path):
+    path = tmp_path / "summed.tce"
+    path.write_text(SUMMED_SRC)
     return str(path)
 
 
@@ -179,26 +197,30 @@ class TestExitCodes:
         assert rc == 2
         assert "requires --run" in capsys.readouterr().err
 
-    def test_unrecoverable_fault_is_exit_4(self, src_file, capsys):
-        # a superstep is a communication boundary, so outlasting the
-        # three restarts takes a statement with four of them: the
-        # Fig.-1 contraction on a 2x2 grid has seven
+    def test_unrecoverable_fault_is_exit_4(self, summed_file, capsys):
+        # a superstep is a communication round, so outlasting the three
+        # restarts takes a statement with four supersteps: the split
+        # sum on a 2x2 grid has exactly four
         rc = main([
-            src_file, "--no-cache-opt", "--grid", "2x2", "--run",
+            summed_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--inject-fault", "crash:0;crash:1;crash:2;crash:3;crash:4",
         ])
         assert rc == 4
         assert "restart" in capsys.readouterr().err
 
-    def test_recoverable_crashes_are_exit_0(self, src_file, capsys):
+    def test_recoverable_crashes_are_exit_0(self, summed_file, capsys):
         """The same program survives exactly as many crashes as the
-        restart budget allows -- the boundary the test above crosses."""
+        restart budget allows -- the boundary the test above crosses --
+        and says how many fired."""
         rc = main([
-            src_file, "--no-cache-opt", "--grid", "2x2", "--run",
+            summed_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--inject-fault", "crash:0;crash:1;crash:2",
         ])
         assert rc == 0
-        assert "injected faults recovered" in capsys.readouterr().out
+        assert (
+            "parallel outputs match the reference executor "
+            "(injected faults: 3 restarts)"
+        ) in capsys.readouterr().out
 
 
 class TestRun:
@@ -207,16 +229,32 @@ class TestRun:
         assert rc == 0
         assert "match the reference executor" in capsys.readouterr().out
 
-    def test_run_parallel_with_recovered_faults(self, small_file, capsys):
-        # 2x2: the plan on two processors keeps this matmul on one rank
-        # and sends nothing a drop could hit
+    def test_run_parallel_with_recovered_faults(self, summed_file, capsys):
         rc = main([
-            small_file, "--no-cache-opt", "--grid", "2x2", "--run",
+            summed_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--inject-fault", "drop:0",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "parallel outputs match" in out
+        assert (
+            "parallel outputs match the reference executor "
+            "(injected faults: 1 dropped message retried)"
+        ) in out
+
+    def test_faults_that_never_fire_are_not_claimed(self, small_file, capsys):
+        """The square matmul only places its inputs on a 2x2 grid: no
+        message exists for ``drop:0`` and no second superstep for
+        ``crash:1``, and the report says so instead of claiming a
+        recovery."""
+        rc = main([
+            small_file, "--no-cache-opt", "--grid", "2x2", "--run",
+            "--inject-fault", "drop:0;crash:1",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "(injected faults: scheduled, none fired)" in captured.out
+        assert "recovered" not in captured.out
+        assert "injected faults" not in captured.err
 
     def test_run_with_checkpoint_dir(self, small_file, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
@@ -300,15 +338,17 @@ class TestProcessBackend:
         assert rc == 0
         assert "parallel outputs match" in capsys.readouterr().out
 
-    def test_process_backend_recovers_faults(self, small_file, capsys):
-        # 2x2: two redistributions, so message 0 and superstep 1 exist
+    def test_process_backend_recovers_faults(self, summed_file, capsys):
+        # 2x2: three rounds, so message 0 and superstep 1 exist
         rc = main([
-            small_file, "--no-cache-opt", "--grid", "2x2", "--run",
+            summed_file, "--no-cache-opt", "--grid", "2x2", "--run",
             "--backend", "process", "--inject-fault", "drop:0;crash:1",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "injected faults recovered" in out
+        assert (
+            "(injected faults: 1 dropped message retried, 1 restart)" in out
+        )
 
     def test_local_fallback_warning_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.tce"

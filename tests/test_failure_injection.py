@@ -197,17 +197,25 @@ class TestFaultTolerantSpmd:
     """Injected faults recovered by the runtime: results stay exact."""
 
     def _plan_and_inputs(self, seed=3):
-        from repro.parallel.dist import Distribution, SINGLE
+        from repro.parallel.dist import Distribution, REPLICATED
         from repro.parallel.partition import canonical_plan
 
-        prog = matmul()
+        prog = parse_program("""
+        range N = 4;
+        index a, i, j : N;
+        tensor A(i, a); tensor B(a, j);
+        C(i, j) = sum(a) A(i, a) * B(a, j);
+        """)
         tree = expression_to_ptree(prog.statements[0].expr)
-        grid = ProcessorGrid((2,))
-        # canonical (unsearched) plan: every node block-distributed, so
-        # the program genuinely communicates (the searched optimum on
-        # this tiny workload is communication-free)
+        grid = ProcessorGrid((4,))
+        # canonical (unsearched) plan: every node block-distributed on
+        # the first sorted index, here the summed one, so the program
+        # genuinely communicates -- partials combine to a root, whose
+        # sum is then moved out to every rank: two rounds, six messages
+        # (the searched optimum on this tiny workload is
+        # communication-free, and an input is never moved)
         plan = canonical_plan(
-            tree, grid, result_dist=Distribution((SINGLE,))
+            tree, grid, result_dist=Distribution((REPLICATED,))
         )
         arrays = random_inputs(prog, seed=seed)
         want = evaluate_expression(prog.statements[0].expr, arrays)

@@ -11,6 +11,8 @@ has to evaluate mid-chain -- runs on the process backend, bit for bit
 equal to the in-process one, and matches the reference executor.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,12 +62,16 @@ class TestCcsdResidency:
         session = res.spmd_session()
         (chain,) = session.items
         ranks = list(session.grid.ranks())
-        # T2 is read by six statements under four distributions: each
-        # worker needs all of it, and gets it once
+        # T2 is read by six statements under four distributions, and
+        # the small operands are sliced where their contraction
+        # replicates them: each worker needs all of these, and gets
+        # each once
+        whole = ("T2", "Fae", "Fmi", "Wmnij", "Vmnef")
         for rank in ranks:
-            assert chain.ships["T2"][rank] == tuple(
-                (0, n) for n in inputs["T2"].shape
-            )
+            for name in whole:
+                assert chain.ships[name][rank] == tuple(
+                    (0, n) for n in inputs[name].shape
+                ), name
         # Wabef is read once, split along a: the two boxes tile it
         boxes = [chain.ships["Wabef"][rank] for rank in ranks]
         assert boxes[0][0][1] == boxes[1][0][0]
@@ -76,9 +82,10 @@ class TestCcsdResidency:
             )
             for name in chain.ships
         }
-        assert sizes["T2"] == 2 * inputs["T2"].size
-        for name in ("Fae", "Fmi", "Wabef", "Wmnij", "Vmnef"):
-            assert sizes[name] == inputs[name].size, name
+        assert sorted(sizes) == sorted(whole + ("Wabef",))
+        for name in whole:
+            assert sizes[name] == 2 * inputs[name].size, name
+        assert sizes["Wabef"] == inputs["Wabef"].size
         first = run_session(session, inputs, backend="process", pool=pool)
         again = run_session(session, inputs, backend="process", pool=pool)
         assert first.shipped_elements == sum(sizes.values())
@@ -96,7 +103,13 @@ class TestCcsdResidency:
         for name, plan in res.partition_plans.items():
             alone = run_spmd(plan, want)
             assert runs[name].comm.total_traffic == alone.comm.total_traffic
+            assert runs[name].placed_elements == alone.placed_elements
             assert runs[name].supersteps == alone.supersteps, name
+        assert out.placed_elements == sum(
+            run.placed_elements for run in runs.values()
+        ) > 0
+        # the fold's alignment moves are independent: one round
+        assert runs["R"].supersteps == 2
         # the fold's whole traffic is the alignment the planner priced:
         # every operand not already where the first one lies moves there
         grid = session.grid
@@ -125,6 +138,49 @@ class TestCcsdResidency:
         assert sorted(local) == sorted(proc)
         np.testing.assert_array_equal(local["R"], proc["R"])
         np.testing.assert_allclose(proc["R"], want["R"], rtol=1e-9)
+
+
+class TestTwoRoundTrips:
+    """The ``ccsd_spmd`` program (CCSD doubles V=16 O=6 on two workers)
+    is a ``load`` and one ``go``: every input is sliced where its
+    contraction needs it, and the fold's independent moves share a
+    round."""
+
+    def test_counts_per_run(self, pool, monkeypatch):
+        from repro.parallel import session as session_module
+
+        prog = ccsd_doubles_program(V=16, O=6)
+        res = synthesize(prog, SynthesisConfig(processors=2))
+        inputs = random_inputs(prog, seed=0)
+        session = res.spmd_session()
+        assert [
+            (st.name, st.source.count("\n    yield\n"))
+            for st in session.programs()
+        ] == [
+            ("T1", 0), ("T3", 0), ("T4", 0), ("T5", 0), ("T7", 0),
+            ("T6", 0), ("R", 1),
+        ]
+        trips = []
+        real = session_module._recv_all
+
+        def counting(ports):
+            trips.append(len(ports))
+            return real(ports)
+
+        monkeypatch.setattr(session_module, "_recv_all", counting)
+        first = run_session(session, inputs, backend="process", pool=pool)
+        trips.clear()  # the first run also sent the program texts
+        out = run_session(session, inputs, backend="process", pool=pool)
+        assert trips == [2, 2]
+        assert out.total_supersteps == 8
+        # only R's fold still sends anything
+        assert out.total_traffic == 18432
+        assert dict(out.runs)["R"].comm.total_traffic == 18432
+        assert out.placed_elements == 29236
+        assert out.shipped_elements == 105576
+        np.testing.assert_array_equal(first.arrays["R"], out.arrays["R"])
+        local = run_session(session, inputs)
+        np.testing.assert_array_equal(local.arrays["R"], out.arrays["R"])
 
 
 # every shape that bends the rules, as (text, functions, what to check)
@@ -176,6 +232,14 @@ X(a, b) = sum(c) A(a, c) * B(c, b);
 Y(b, a) = sum(c) B(c, b) * A(a, c);
 R(a, b) = X(a, b) + Y(b, a) + G(a, b);
 """
+#: a long summed index: the plan splits the sum, so partials combine
+SUMMED = """
+range N = {n}; range K = 64;
+index a, b, c : N; index k : K;
+tensor A(a, k); tensor B(k, b); tensor C(b, c);
+X(a, b) = sum(k) A(a, k) * B(k, b);
+S(a, c) = sum(b) X(a, b) * C(b, c);
+"""
 CASES = {
     "renamed": (RENAMED, ["S"]),
     "two-consumers": (TWO_CONSUMERS, ["S", "Y"]),
@@ -183,8 +247,16 @@ CASES = {
     "diagonal": (DIAGONAL, ["Y", "Z"]),
     "function": (FUNCTION, ["S"]),
     "fold": (FOLD, ["R"]),
+    "summed": (SUMMED, ["S"]),
 }
 FUNCTIONS = {"f": lambda a, b: 1.0 + a + 2.0 * b}
+
+
+def moved_inputs(source):
+    """Values a rank program slices out of an input and then moves."""
+    sliced = re.findall(r"state\[('v\d+')\] = \(_box, take\(", source)
+    moved = re.findall(r"_mybox, _myblk = state\[('v\d+')\]", source)
+    return set(sliced) & set(moved)
 
 
 def both_backends(text, outputs, dims, semiring, seed, pool):
@@ -218,21 +290,38 @@ class TestProgramShapes:
         self, pool, case, n, dims, semiring, seed
     ):
         text, outputs = CASES[case]
-        _, local, proc, want = both_backends(
+        session, local, proc, want = both_backends(
             text.format(n=n), outputs, dims, semiring, seed, pool
         )
         for name in outputs:
             np.testing.assert_array_equal(
                 local.arrays[name], proc.arrays[name], err_msg=name
             )
+            if semiring == "min_plus":  # min folds in any order, exactly
+                np.testing.assert_array_equal(
+                    proc.arrays[name], want[name], err_msg=name
+                )
             np.testing.assert_allclose(
                 proc.arrays[name], want[name], rtol=1e-9, atol=1e-12,
                 err_msg=name,
             )
         assert local.total_traffic == proc.total_traffic
         assert local.total_supersteps == proc.total_supersteps
+        assert local.placed_elements == proc.placed_elements
         # (what is shipped depends on how many workers share the ranks)
         assert local.gathered_elements == proc.gathered_elements
+        for stage in session.programs():
+            assert not moved_inputs(stage.source), stage.name
+
+    def test_split_sum_combines_in_its_own_round(self, pool):
+        """The ``summed`` case really exercises a ``combine``: partial
+        sums meet at a root, counted alike by both backends."""
+        session, local, proc, _ = both_backends(
+            SUMMED.format(n=4), ["S"], (2, 2), "plus_times", 5, pool
+        )
+        (stage,) = session.programs()
+        assert "combine partials" in stage.source
+        assert local.total_traffic == proc.total_traffic > 0
 
     def test_renamed_use_moves_from_the_producers_distribution(self, pool):
         """``X(i,k)`` and ``X(k,j)`` read one resident block through

@@ -8,7 +8,7 @@ from repro.engine.executor import evaluate_expression, random_inputs
 from repro.parallel.commcost import CommModel
 from repro.parallel.dist import enumerate_distributions
 from repro.parallel.grid import ProcessorGrid
-from repro.parallel.partition import optimize_distribution
+from repro.parallel.partition import canonical_plan, optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
 from repro.parallel.simulate import GridSimulator
 from repro.parallel.spmd import (
@@ -117,32 +117,52 @@ class TestGeneratedProgram:
         assert run.comm.total_traffic == 0
 
     def test_traffic_matches_simulator(self):
-        """The generated program's transferred volume equals the
-        simulator's received-element count (same model, two
-        implementations)."""
+        """The generated program's transferred volume plus what its
+        input placements spared equals the simulator's received-element
+        count (same model, two implementations)."""
         tree, stmt, prog = matmul()
         grid = ProcessorGrid((2, 2))
         arrays = random_inputs(prog, seed=3)
+        placed = 0
         for alpha in enumerate_distributions(tree.indices, grid)[:6]:
             plan = optimize_distribution(
                 tree, grid, CommModel(), result_dist=alpha
             )
             run = run_spmd(plan, arrays)
             _, report = GridSimulator(grid).run(plan, arrays)
-            assert run.comm.total_traffic == report.total_received, str(alpha)
+            assert (
+                run.comm.total_traffic + run.placed_elements
+                == report.total_received
+            ), str(alpha)
+            placed += run.placed_elements
+        assert placed > 0  # some plan redistributes an input
 
     def test_supersteps_bounded(self):
-        tree, _, prog = matmul()
-        plan = optimize_distribution(tree, ProcessorGrid((2,)))
-        run = run_spmd(plan, random_inputs(prog, seed=4))
-        comms = sum(
-            s.kind in ("move", "combine", "bcast")
-            for s in compile_schedule(plan)
+        """Only communication ends a superstep, and independent moves
+        share one: ``(A B)(C D)`` on a 2x2 grid moves both products
+        before the last contraction, in one round."""
+        prog = parse_program("""
+        range N = 4;
+        index i, j, k, l, m : N;
+        tensor A(i, k); tensor B(k, l); tensor C(l, m); tensor D(m, j);
+        E(i, j) = sum(k, l, m) (A(i, k) * B(k, l)) * (C(l, m) * D(m, j));
+        """)
+        stmt = prog.statements[0]
+        tree = expression_to_ptree(stmt.expr)
+        plan = canonical_plan(tree, ProcessorGrid((2, 2)))
+        steps = compile_schedule(plan)
+        moved = {s.out for s in steps if s.kind == "move"}
+        last = [s for s in steps if s.kind == "contract"][-1]
+        assert len(moved) == 2 and set(last.reads) == moved
+        rounds = generate_spmd_source(plan).count("\n    yield\n")
+        assert rounds == 1
+        arrays = random_inputs(prog, seed=4)
+        run = run_spmd(plan, arrays)
+        # one superstep per round, plus the final StopIteration one
+        assert run.supersteps == rounds + 1
+        np.testing.assert_allclose(
+            run.result, evaluate_expression(stmt.expr, arrays), rtol=1e-10
         )
-        # only communication ends a superstep: at most two per
-        # communicating step, plus the final StopIteration round
-        assert comms >= 1
-        assert run.supersteps <= 2 * comms + 1
 
     def test_three_factor_chain(self):
         prog = parse_program("""

@@ -25,9 +25,12 @@ from repro.runtime.process import (
     run_spmd_sequence_process,
 )
 
+#: a long summed index: the 2x2 plan splits the sum, so the ranks
+#: communicate in three rounds -- a combine, a broadcast and a move
+#: (four messages) -- where a square matmul would only place its inputs
 MATMUL = """
-range N = 6;
-index i, j, k : N;
+range N = 6; range K = 64;
+index i, j : N; index k : K;
 tensor A(i, k); tensor B(k, j);
 C(i, j) = sum(k) A(i, k) * B(k, j);
 """
@@ -158,7 +161,7 @@ class TestFaultParity:
 
     def test_drops_and_crash_together(self):
         plan, inputs, _ = matmul_plan()
-        # the 2x2 matmul has two redistributions: supersteps 0, 1, 2
+        # the 2x2 plan has three rounds: supersteps 0, 1, 2, 3
         faults = FaultSchedule(drop_messages=(1,), crash_supersteps=(1, 2))
         local = run_spmd(plan, inputs, faults=faults)
         proc = run_spmd_process(plan, inputs, faults=faults)

@@ -52,10 +52,21 @@ needs_shm = pytest.mark.skipif(
 )
 
 
-def matmul_plan():
-    res = synthesize(MATMUL, SynthesisConfig(grid=ProcessorGrid((2, 2))))
+def matmul_plan(text=MATMUL):
+    res = synthesize(text, SynthesisConfig(grid=ProcessorGrid((2, 2))))
     inputs = random_inputs(res.program, None, seed=0)
     return res.partition_plans["C"], inputs
+
+
+#: a long summed index: the 2x2 plan splits the sum, so the ranks
+#: communicate in three rounds (four messages), where the square
+#: matmul only places its inputs
+SUMMED = """
+range N = 6; range K = 64;
+index i, j : N; index k : K;
+tensor A(i, k); tensor B(k, j);
+C(i, j) = sum(k) A(i, k) * B(k, j);
+"""
 
 
 def ccsd(V=4, O=3):
@@ -312,7 +323,7 @@ class TestTransportParity:
             )
 
     def test_matmul_parity(self):
-        plan, inputs = matmul_plan()
+        plan, inputs = matmul_plan(SUMMED)
         local = run_spmd(plan, inputs)
         shm = self._run(plan, inputs, "shm")
         pipe = self._run(plan, inputs, "pipe")
@@ -323,7 +334,7 @@ class TestTransportParity:
         assert_comm_equal(shm.comm, local.comm)
 
     def test_fault_schedule_parity(self):
-        plan, inputs = matmul_plan()
+        plan, inputs = matmul_plan(SUMMED)
         faults = FaultSchedule(
             drop_messages=(0, 3), drop_attempts=2, crash_supersteps={2}
         )
@@ -331,8 +342,8 @@ class TestTransportParity:
         pipe = self._run(plan, inputs, "pipe", faults=faults)
         assert shm.restarts == pipe.restarts == 1
         np.testing.assert_array_equal(shm.result, pipe.result)
-        assert shm.comm.dropped == pipe.comm.dropped
-        assert shm.comm.retries == pipe.comm.retries
+        assert shm.comm.dropped == pipe.comm.dropped == 4
+        assert shm.comm.retries == pipe.comm.retries == 4
         assert_comm_equal(shm.comm, pipe.comm)
 
     def test_run_parallel_shm_matches_pipe(self):

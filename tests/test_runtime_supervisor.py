@@ -34,9 +34,12 @@ from repro.robustness.faults import (
 from repro.runtime.process import SpmdProcessPool, run_spmd_process
 from repro.runtime.supervisor import PoolSupervisor, deadline_clock
 
+#: a long summed index: the 2x2 plan splits the sum, so every run
+#: posts ``go`` commands (a combine, a broadcast and a move) for chaos
+#: to bite on, where a square matmul only places its inputs
 MATMUL = """
-range N = 6;
-index i, j, k : N;
+range N = 6; range K = 64;
+index i, j : N; index k : K;
 tensor A(i, k); tensor B(k, j);
 C(i, j) = sum(k) A(i, k) * B(k, j);
 """
@@ -274,7 +277,10 @@ class TestSupervisor:
 class TestSupervisedSession:
     """A worker lost mid-chain takes its resident blocks with it: the
     supervisor's transaction is the session, replayed from the inputs
-    the router still holds."""
+    the router still holds.  The contractions run inside the ``load``,
+    so a run's ``go`` commands (one per worker) are the fold's round,
+    with every other block already resident: ordinals 0 and 1 of the
+    first run, 2 and 3 of the first replay, and so on."""
 
     @pytest.fixture(scope="class")
     def ccsd(self):
@@ -286,8 +292,8 @@ class TestSupervisedSession:
         return res, inputs, res.run_parallel(dict(inputs))["R"]
 
     @pytest.mark.parametrize("spec", [
-        "kill_worker@7", "hang_worker@9", "drop_reply@4",
-        "kill_worker@3;hang_worker@12",
+        "kill_worker@1", "hang_worker@0", "drop_reply@1",
+        "kill_worker@1;hang_worker@2",
     ])
     def test_lost_worker_mid_chain_replays_the_session(self, ccsd, spec):
         res, inputs, expect = ccsd
@@ -310,7 +316,8 @@ class TestSupervisedSession:
 
     def test_replay_is_bounded_by_the_retry_budget(self, ccsd):
         res, inputs, _ = ccsd
-        state = ChaosState(ChaosSchedule(kill_worker=tuple(range(2, 60, 3))))
+        # every run loses its second worker in the fold's round
+        state = ChaosState(ChaosSchedule(kill_worker=tuple(range(1, 60, 2))))
         sup = PoolSupervisor(
             2, chaos=state, recv_timeout_s=5.0, max_statement_retries=2
         )
