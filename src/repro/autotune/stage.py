@@ -131,7 +131,11 @@ def _apply_record(result, config, options, record, tier) -> StageReport:
 
 
 def run_autotune(result, config, options: AutotuneOptions) -> StageReport:
-    """Tune ``result`` in place; returns the appended stage report."""
+    """Tune ``result`` in place; returns the appended stage report.
+
+    ``result`` must be the caller's own: ``synthesize()`` passes the
+    copy it is about to return, never the plan cache's stored result,
+    so tuning never reaches another caller."""
     report = StageReport("Autotuning")
     signature = machine_signature(config.machine)
     key = tuning_key(result.program, config, signature)

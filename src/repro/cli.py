@@ -436,7 +436,7 @@ def _run_and_validate(
             substrate = "interp"
         else:
             env = result.run(inputs)
-            substrate = result.last_substrate
+            substrate = env.substrate
         want = run_statements(
             program.statements, inputs, bindings,
             semiring=result.config.semiring,
@@ -482,7 +482,7 @@ def _run_and_validate(
 
             # what injected faults did is a report, not a warning
             reported = []
-            for note in result.last_run_notes:
+            for note in out.notes:
                 if note.startswith(FAULT_NOTE):
                     reported.append(note)
                 else:

@@ -80,9 +80,10 @@ class ArtifactStore(TwoTierStore):
 
     suffix = ".so"
 
-    def encode(self, blob: bytes) -> bytes:
-        """Compiled bytes followed by their seal."""
-        return blob + _SEAL + hashlib.sha256(blob).digest()
+    def put(self, key: str, blob: bytes) -> None:
+        """Store compiled bytes followed by their seal (in both tiers,
+        so a memory hit is checked like a disk hit)."""
+        super().put(key, blob + _SEAL + hashlib.sha256(blob).digest())
 
     def get(self, key: str) -> Optional[Tuple[bytes, str]]:
         """``(blob, tier)`` for a stored artifact, else ``None``.

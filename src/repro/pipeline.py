@@ -25,11 +25,19 @@ to evaluate, both validated against the reference einsum executor:
 ``run`` (the practical one: compiled kernels unless the program is
 sparse or does not fit in memory) and ``execute`` (the counted
 element-by-element interpreter of the loop structure).
+
+A result is a value once :func:`synthesize` returns: executing it
+assigns none of its attributes.  What a run did -- the substrate it
+picked and why -- comes back on the :class:`RunOutput` it returns, so
+one result may be shared by the plan cache's memory tier and run from
+many threads at once.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -67,8 +75,39 @@ from repro.robustness.errors import BudgetExceeded, SpecError
 #: config carries a semiring id, kernel plans record their algebra, and
 #: nest IR moved to v3 with semiring-aware emission; version 6: kernel
 #: plans record the input shapes they were compiled for, which
-#: ``KernelRunner.run`` checks before any kernel step).
-RESULT_VERSION = 7
+#: ``KernelRunner.run`` checks before any kernel step; version 8: runs
+#: report on their return value, and the synthesis-time notes are the
+#: ``synthesis_notes`` field).
+RESULT_VERSION = 8
+
+
+class RunOutput(dict):
+    """What one ``run()`` / ``run_parallel()`` call of a
+    :class:`SynthesisResult` returned: the arrays by name (it *is* the
+    ``dict`` callers index), plus :attr:`substrate` -- where they were
+    computed -- and :attr:`notes` -- why, and whatever the substrate
+    recorded on the way.  Each call's are its own."""
+
+    def __init__(self, arrays, substrate: str, notes: List[str]) -> None:
+        super().__init__(arrays)
+        #: ``"kernels"`` or ``"interp"`` for :meth:`SynthesisResult.run`,
+        #: the backend (``"local"`` or ``"process"``) for ``run_parallel``
+        self.substrate = substrate
+        self.notes = notes
+
+
+class _SessionMemo:
+    """:meth:`SynthesisResult.spmd_session`'s memo: the plans a session
+    was built for and the session, set under a lock.  A result and its
+    shallow copies share one; it pickles empty, so a stored result's
+    bytes never depend on whether it has run."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.value: Optional[Tuple[Tuple[PartitionPlan, ...], object]] = None
+
+    def __reduce__(self):
+        return (_SessionMemo, ())
 
 
 @dataclass
@@ -187,16 +226,10 @@ class SynthesisResult:
     #: the budget tracker that drove the run (None without a budget);
     #: its ``degradations`` list which stages fell back and why
     budget_tracker: Optional[BudgetTracker] = None
-    #: notes from the most recent :meth:`run` / :meth:`run_parallel`
-    #: call, so callers know exactly what executed where: ``run`` leads
-    #: with why it picked its substrate (see :meth:`run`) followed by
-    #: the kernel runner's own notes; ``run_parallel`` lists the
-    #: statements that could not run distributed (no partition plan, or
-    #: they materialize function tensors)
-    last_run_notes: List[str] = field(default_factory=list)
-    #: the substrate the most recent :meth:`run` call executed on:
-    #: ``"kernels"`` or ``"interp"`` (None before the first call)
-    last_substrate: Optional[str] = None
+    #: what synthesis noted about how the result will execute (native
+    #: codegen degraded, artifact recovery, thread strategy); what a
+    #: run did is on the :class:`RunOutput` it returns
+    synthesis_notes: List[str] = field(default_factory=list)
     #: the formula sequence compiled ahead of time to execution kernels
     #: (:mod:`repro.kernels`): GEMM lowerings, einsum fallback specs,
     #: and buffer liveness, all resolved at synthesis time.  Pickle-safe,
@@ -228,14 +261,20 @@ class SynthesisResult:
     #: (:data:`RESULT_VERSION`); results pickled by older releases lack
     #: the attribute entirely and read as stale, never as broken objects
     result_version: int = RESULT_VERSION
-    #: :meth:`spmd_session` memo: the plans it was built for and the
-    #: session.  Repeated :meth:`run_parallel` calls neither regenerate
-    #: a program nor change the text workers key their compiled programs
-    #: by.  The plans ride along because the autotuner swaps
-    #: ``partition_plans`` under the same statement names.
-    _spmd_session: Optional[Tuple[Tuple[PartitionPlan, ...], object]] = field(
-        default=None, init=False, repr=False, compare=False
+    #: :meth:`spmd_session` memo.  Repeated :meth:`run_parallel` calls
+    #: neither regenerate a program nor change the text workers key
+    #: their compiled programs by.  The plans ride along because the
+    #: autotuner measures other ``partition_plans`` on its copy.
+    _session_memo: _SessionMemo = field(
+        default_factory=_SessionMemo, init=False, repr=False, compare=False
     )
+
+    @property
+    def last_run_notes(self) -> List[str]:
+        """The synthesis-time notes (:attr:`synthesis_notes`), read-only.
+        Kept for readers of the old name; a run's own notes are
+        :attr:`RunOutput.notes`."""
+        return list(self.synthesis_notes)
 
     @property
     def degraded_stages(self) -> List[str]:
@@ -309,7 +348,7 @@ class SynthesisResult:
         self,
         inputs: Mapping[str, np.ndarray],
         functions: Optional[Mapping[str, Callable]] = None,
-    ) -> Dict[str, np.ndarray]:
+    ) -> RunOutput:
         """Run the synthesized computation the practical way, on the
         substrate picked from what the result already knows:
 
@@ -324,15 +363,15 @@ class SynthesisResult:
           Section-5 memory bound -- noted ``"interp: peak N elements
           exceeds memory capacity M"``.
 
-        :attr:`last_substrate` records which ran (``"kernels"`` or
-        ``"interp"``) and :attr:`last_run_notes` why, followed by
-        whatever the kernel runner noted (native fallbacks).
-
-        Returns ``inputs`` plus every array a program statement names.
-        Kernels run on a runner built for this call and dropped after
-        it, so the returned arrays are the caller's alone.  Results
-        agree with :meth:`execute` to floating-point reassociation
-        tolerance (~1e-12 relative; exactly, for idempotent semirings).
+        Returns a :class:`RunOutput`: ``inputs`` plus every array a
+        program statement names, with ``.substrate`` saying which ran
+        (``"kernels"`` or ``"interp"``) and ``.notes`` why, followed by
+        whatever the kernel runner noted (native fallbacks).  Kernels
+        run on a runner built for this call and dropped after it, so
+        the returned arrays are the caller's alone, and concurrent calls
+        on one result never see each other's notes.  Results agree with
+        :meth:`execute` to floating-point reassociation tolerance
+        (~1e-12 relative; exactly, for idempotent semirings).
         """
         # every array the program's own statements name is returned,
         # as execute() does, so the runner keeps them all to the end
@@ -350,15 +389,11 @@ class SynthesisResult:
                     f"interp: peak {peak} elements exceeds memory "
                     f"capacity {capacity}"
                 )
-        self.last_run_notes = notes = [why]
-        self.last_substrate = "kernels" if why == "kernels" else "interp"
-        if self.last_substrate == "interp":
-            return self.execute(inputs, functions)
+        if why != "kernels":
+            return RunOutput(self.execute(inputs, functions), "interp", [why])
         runner = self.kernel_runner(functions, keep=declared)
-        try:
-            return runner.run(inputs)
-        finally:
-            notes.extend(runner.notes)
+        out = runner.run(inputs)
+        return RunOutput(out, "kernels", [why, *runner.notes])
 
     def compile(self) -> Callable:
         """Compile the generated Python source to a callable kernel."""
@@ -429,18 +464,21 @@ class SynthesisResult:
         from repro.parallel.session import plan_session
 
         plans = tuple(self.partition_plans.values())
-        memo = self._spmd_session
-        if (
-            memo is None
-            or len(memo[0]) != len(plans)
-            or any(a is not b for a, b in zip(memo[0], plans))
-        ):
-            session = plan_session(
-                self.statements, self.partition_plans, self.config.semiring,
-                [s.result.name for s in self.program.statements],
-            )
-            memo = self._spmd_session = (plans, session)
-        return memo[1]
+        memo = self._session_memo
+        with memo.lock:
+            held = memo.value
+            if (
+                held is None
+                or len(held[0]) != len(plans)
+                or any(a is not b for a, b in zip(held[0], plans))
+            ):
+                session = plan_session(
+                    self.statements, self.partition_plans,
+                    self.config.semiring,
+                    [s.result.name for s in self.program.statements],
+                )
+                held = memo.value = (plans, session)
+        return held[1]
 
     def spmd_sources(self) -> Dict[str, str]:
         """Generated per-rank SPMD program source per statement that
@@ -471,10 +509,12 @@ class SynthesisResult:
         transport: str = "shm",
         pool=None,
         supervisor=None,
-    ) -> Dict[str, np.ndarray]:
-        """Execute the whole sequence as one SPMD session; returns the
-        inputs plus the program's declared statement results (and
-        whatever else the router ended up holding).
+    ) -> RunOutput:
+        """Execute the whole sequence as one SPMD session; returns a
+        :class:`RunOutput` of the inputs plus the program's declared
+        statement results (and whatever else the router ended up
+        holding), whose ``.substrate`` is ``backend`` and whose
+        ``.notes`` say what did not run as planned.
 
         One call is one session (:mod:`repro.parallel.session`): every
         input is shipped to the ranks once, as the box they read of it;
@@ -489,7 +529,7 @@ class SynthesisResult:
         bit-identical results.  ``procs`` bounds the worker count:
         one per rank by default, never more than ``os.cpu_count()``
         (:func:`repro.parallel.session.worker_count`; a clamp that bites
-        is recorded in :attr:`last_run_notes`).
+        is recorded in the returned notes).
         ``transport`` selects the process backend's ndarray wire:
         ``"shm"`` ships arrays through per-worker shared-memory arenas,
         ``"pipe"`` pickles them into the worker pipes.
@@ -498,8 +538,8 @@ class SynthesisResult:
         not a combine over resident operands, or materializing primitive
         functions -- are evaluated by the router between the rank
         programs (what they read is gathered first); each is recorded in
-        :attr:`last_run_notes` so callers can tell which statements
-        actually ran distributed.
+        the returned notes so callers can tell which statements actually
+        ran distributed.
 
         ``pool`` (process backend only) executes on an existing
         :class:`~repro.runtime.process.SpmdProcessPool` instead of
@@ -519,7 +559,7 @@ class SynthesisResult:
         is respawned, and -- the dead worker's resident blocks being
         gone -- the session is replayed on the fresh pool from the
         inputs, with bit-identical results.  The supervisor's recovery
-        log (respawns, retries) is merged into :attr:`last_run_notes`.
+        log (respawns, retries) is merged into the returned notes.
         Mutually exclusive with ``pool`` -- the supervisor owns its pool
         (adopt a warm pool by passing it to the supervisor's constructor
         instead).
@@ -561,16 +601,13 @@ class SynthesisResult:
                 pool=pool, transport=transport, functions=functions,
             )
 
-        try:
-            # a pool keeps its own transport and worker cap; one made
-            # for this call is the session's to close
-            out = run(pool) if supervisor is None else supervisor.run_statement(run)
-            notes.extend(out.notes)
-        finally:
-            if supervisor is not None and supervisor.notes:
-                notes.extend(supervisor.notes)
-            self.last_run_notes = notes
-        return out.arrays
+        # a pool keeps its own transport and worker cap; one made for
+        # this call is the session's to close
+        out = run(pool) if supervisor is None else supervisor.run_statement(run)
+        notes.extend(out.notes)
+        if supervisor is not None:
+            notes.extend(supervisor.notes)
+        return RunOutput(out.arrays, backend, notes)
 
 
 def synthesize(
@@ -585,8 +622,12 @@ def synthesize(
     With a ``cache`` (:class:`repro.runtime.plan_cache.PlanCache`), the
     result is memoized under a content-addressed key of the canonical
     program text, the configuration fingerprint, and the package
-    version; a hit skips every search stage and returns a private copy.
-    Either way a ``"Plan cache"`` stage report records the outcome.
+    version; a hit skips every search stage.  Either way the caller gets
+    a shallow copy of the stored result whose ``reports`` list is its
+    own, ending in the ``"Plan cache"`` stage report that records the
+    outcome.  The copy shares everything else with the stored result,
+    which is safe because nothing assigns a result's attributes once
+    this function returns.
 
     ``autotune`` opts into the empirical tuning stage
     (:mod:`repro.autotune`): ``True`` for defaults or an
@@ -595,7 +636,9 @@ def synthesize(
     measures the analytical searches' top candidates on this machine,
     applies the winners to the result, and appends an ``"Autotuning"``
     stage report; it composes with ``cache`` -- a plan-cache hit skips
-    synthesis, a TuningDB hit additionally skips all measurement.
+    synthesis, a TuningDB hit additionally skips all measurement.  The
+    tuner applies its winners to the caller's copy, never to the
+    stored result.
     """
     config = config or SynthesisConfig()
     config.validate()
@@ -629,28 +672,21 @@ def _synthesize_cached(
     key = plan_key(program, config)
     cached = cache.get(key)
     if cached is not None:
-        result, tier = cached
-        result.reports.append(
-            StageReport(
-                "Plan cache",
-                {"hit": tier, "key": key[:16], "stats": cache.stats()},
-            )
-        )
-        return result
-    result = _synthesize_pipeline(program, config)
-    # store before appending the miss report: cached copies carry only
-    # the pipeline's own reports, and each hit appends its own entry
-    cache.put(key, result)
-    result.reports.append(
+        stored, outcome = cached
+    else:
+        stored = _synthesize_pipeline(program, config)
+        cache.put(key, stored)
+        outcome = "miss (synthesized and stored)"
+    # the stored result keeps only the pipeline's own reports; each
+    # caller's copy ends in the report of its own lookup
+    result = copy.copy(stored)
+    result.reports = [
+        *stored.reports,
         StageReport(
             "Plan cache",
-            {
-                "hit": "miss (synthesized and stored)",
-                "key": key[:16],
-                "stats": cache.stats(),
-            },
-        )
-    )
+            {"hit": outcome, "key": key[:16], "stats": cache.stats()},
+        ),
+    ]
     return result
 
 
@@ -1102,7 +1138,7 @@ def _synthesize_pipeline(
         grid_table=grid_table,
         codegen_mode=codegen_mode,
         native_artifacts=native_artifacts,
-        last_run_notes=initial_notes,
+        synthesis_notes=initial_notes,
     )
 
 

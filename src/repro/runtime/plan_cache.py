@@ -22,12 +22,16 @@ compiled over and over.  A :class:`PlanCache` memoizes the complete
   compiler may plan differently.
 
 Storage is a :class:`repro.store.TwoTierStore`: a bounded in-memory LRU
-over an optional sharded on-disk tier (atomic, lock-protected writes --
-concurrent server workers and CLI runs share one directory safely;
-corrupt, unreadable or out-of-date files are misses, removed and
-counted ``stale``).  Values are stored *pickled* even in memory, so
-every hit returns a private deep copy -- callers can mutate results
-freely without poisoning the cache.
+of decoded results over an optional sharded on-disk tier of pickles
+(atomic, lock-protected writes -- concurrent server workers and CLI runs
+share one directory safely; corrupt, unreadable or out-of-date files
+are misses, removed and counted ``stale``).  A memory hit is a lookup,
+not an unpickle: it returns the stored result itself.  That is safe
+because a result is a value -- running it assigns none of its
+attributes (:mod:`repro.pipeline`) -- and
+:func:`~repro.pipeline.synthesize` hands each caller a shallow copy
+whose ``reports`` list is its own.  Whoever reads :meth:`PlanCache.get`
+directly must treat the value as read-only.
 
 The serving layer (:mod:`repro.server`) additionally deduplicates
 concurrent identical requests against the same key; every deduplicated
@@ -101,10 +105,10 @@ class PlanCache(TwoTierStore):
     entries are evicted; disk entries are never evicted by the LRU).
     ``directory`` enables the persistent tier: entries found on disk are
     promoted back into memory on hit.  :meth:`get` returns
-    ``(result, tier)`` with a private copy of the result (unpickled
-    from the stored bytes); entries whose result schema predates this
-    release are dropped and counted ``stale`` (see
-    :func:`_result_current`).
+    ``(result, tier)`` with the stored, shared result (unpickled once,
+    when it is read from disk); entries whose result schema predates
+    this release are dropped and counted ``stale`` (see
+    :func:`_result_current`), on either tier.
     """
 
     suffix = ".plan.pkl"

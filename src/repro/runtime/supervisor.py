@@ -31,7 +31,8 @@ an apology.  :class:`PoolSupervisor` owns that recovery:
 
 Every respawn and retry is recorded in :attr:`PoolSupervisor.notes`,
 which :meth:`repro.pipeline.SynthesisResult.run_parallel` merges into
-``last_run_notes`` -- recovery is observable, never silent.
+the notes of the run it returns -- recovery is observable, never
+silent.
 
 The ordinal counter of an attached
 :class:`~repro.robustness.faults.ChaosState` lives in the state, not
@@ -120,7 +121,7 @@ class PoolSupervisor:
         self.respawns = 0
         #: transactions re-run after a process-level failure
         self.retries = 0
-        #: human-readable recovery log, merged into ``last_run_notes``
+        #: human-readable recovery log, merged into the run's notes
         self.notes: List[str] = []
         self._pool = pool
         if pool is not None:

@@ -14,11 +14,14 @@ Failure semantics: the leader's exception propagates to every follower
 (they would have failed identically), and the key is always cleared on
 completion so a later retry starts fresh.
 
-The shared value is the leader's very object -- followers must treat it
-as read-only.  The handlers only serialize results into responses, so
-sharing is safe; anything that mutates a result (``run_parallel``'s
-note-keeping) happens on the *execution* path, which is never
-coalesced (two identical programs may carry different inputs).
+The shared value is the leader's very object, and it may run many
+times at once: ``/v1/execute`` synthesizes through here too, so
+coalesced executes of one key -- each with its own inputs -- run the
+one result concurrently.  That is safe because a result is a value:
+``run()`` / ``run_parallel()`` assign none of its attributes and return
+their substrate and notes with the arrays
+(:class:`~repro.pipeline.RunOutput`), so each response reports its own
+run.  Followers still treat the result as read-only.
 """
 
 from __future__ import annotations

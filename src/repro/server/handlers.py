@@ -22,13 +22,16 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import time
+from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.expr.ast import Program
 from repro.expr.parser import parse_program
 from repro.parallel.session import worker_count
+from repro.pipeline import RunOutput
 from repro.robustness.budget import Budget
 from repro.robustness.errors import DeadlineExceeded, SpecError
 from repro.robustness.faults import ChaosState
@@ -54,8 +57,27 @@ class Handlers:
 
     def __init__(self, app) -> None:
         self.app = app
+        #: request text -> parsed program, least recently used first;
+        #: bounded like the plan cache's memory tier.  Programs are
+        #: frozen, so one parse serves every repeat of the same text.
+        self._programs: "OrderedDict[str, Program]" = OrderedDict()
+        self._programs_max = app.config.plan_cache_size
 
     # -- shared synthesis path ---------------------------------------------
+
+    def _parse(self, text: str) -> Program:
+        """``parse_program(text)``, remembered.  Called on the event
+        loop only, so the memo needs no lock; a text that fails to parse
+        is not remembered and fails again on every repeat."""
+        program = self._programs.get(text)
+        if program is not None:
+            self._programs.move_to_end(text)
+            return program
+        program = parse_program(text)
+        self._programs[text] = program
+        if len(self._programs) > self._programs_max:
+            self._programs.popitem(last=False)
+        return program
 
     async def _synthesize(
         self,
@@ -67,7 +89,7 @@ class Handlers:
         """Parse, admit, coalesce, synthesize; returns the pieces every
         endpoint needs."""
         app = self.app
-        program = parse_program(program_text)
+        program = self._parse(program_text)
         account = app.tenants.account(tenant)
         admission_exhausted = account.exhausted
         budget = account.admission_budget()
@@ -253,17 +275,16 @@ class Handlers:
                 )
             elif backend == "interp":
                 # the counting oracle, asked for by name
-                out = result.execute(inputs)
+                out = RunOutput(result.execute(inputs), backend, [])
             else:
                 # "auto" without partition plans: the result picks its
                 # own substrate and the response reports the one that ran
                 out = result.run(inputs)
-                backend = result.last_substrate
             execution_s = time.perf_counter() - t0
-            return out, backend, pool_meta, execution_s
+            return out, pool_meta, execution_s
 
         loop = asyncio.get_running_loop()
-        out, backend, pool_meta, execution_s = await loop.run_in_executor(
+        out, pool_meta, execution_s = await loop.run_in_executor(
             app.executor, run
         )
         wanted = [stmt.result.name for stmt in program.statements]
@@ -286,9 +307,9 @@ class Handlers:
             "coalesced": meta["coalesced"],
             "degraded": meta["degraded"],
             "admission": meta["admission"],
-            "backend": backend,
+            "backend": out.substrate,
             "pool": pool_meta,
-            "notes": list(result.last_run_notes),
+            "notes": out.notes,
             "result": req.result_mode,
             "outputs": outputs,
             "timings_ms": {

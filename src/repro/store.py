@@ -8,12 +8,15 @@ package version and the caller's fields);
 :class:`~repro.kernels.artifacts.ArtifactStore` are subclasses of
 :class:`TwoTierStore` that state only *what* a blob means -- their file
 suffix, their codec (:meth:`~TwoTierStore.encode` /
-:meth:`~TwoTierStore.decode`: pickle, canonical JSON, sealed bytes) and
-their validator (:meth:`~TwoTierStore.current`) -- while the mechanics
-live here:
+:meth:`~TwoTierStore.decode`: pickle, canonical JSON, bytes as sealed
+by the artifact store's ``put``) and their validator
+(:meth:`~TwoTierStore.current`) -- while the mechanics live here:
 
-* **LRU memory tier** -- blobs keyed by hex digest, least recently used
-  entries evicted beyond ``maxsize``; hits refresh recency.
+* **LRU memory tier** -- *decoded* values keyed by hex digest (the
+  value :meth:`~TwoTierStore.put` was given, or the one a disk hit
+  decoded), least recently used entries evicted beyond ``maxsize``;
+  hits refresh recency.  A memory hit decodes nothing and returns the
+  stored object itself, so callers treat values as read-only.
 * **Sharded disk tier** -- keys fan out into ``directory/<key[:2]>/``
   subdirectories (256-way), so a serving deployment writing tens of
   thousands of plans never piles them into one directory.
@@ -32,7 +35,9 @@ live here:
   it hit.
 
 All operations are thread-safe: the serving layer synthesizes in
-executor threads that share one store.
+executor threads that share one store.  One lock guards the memory
+tier and the counters; file reads, decodes and writes happen outside
+it, so one request's disk hit never stalls another's memory hit.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ __all__ = ["TwoTierStore", "content_key", "SHARD_CHARS"]
 
 #: leading hex digits of the key that name the fan-out subdirectory
 SHARD_CHARS = 2
+
+_ABSENT = object()
 
 
 def content_key(*fields: str) -> str:
@@ -68,7 +75,8 @@ class TwoTierStore:
     Stores raw bytes as is; a subclass names its entry files
     (:attr:`suffix`) and overrides :meth:`encode` / :meth:`decode` /
     :meth:`current` to say what its values are and when a stored one
-    may still be used.  Counters (``hits``/``memory_hits``/
+    may still be used.  The memory tier keeps values, the disk tier
+    their encoding.  Counters (``hits``/``memory_hits``/
     ``disk_hits``/``misses``/``stale``/``evictions``) accumulate across
     the store's lifetime and are snapshotted by :meth:`stats`.
     """
@@ -90,7 +98,7 @@ class TwoTierStore:
         self.lock_timeout_s = lock_timeout_s
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
-        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        self._memory: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.memory_hits = 0
@@ -129,33 +137,35 @@ class TwoTierStore:
     def get(self, key: str, **expect) -> Optional[Tuple[object, str]]:
         """``(value, tier)`` for a stored key, else ``None``.
 
-        ``tier`` is ``"memory"`` or ``"disk"``; the value is decoded
-        afresh from the stored bytes on every hit.  An entry that
-        :meth:`current` rejects, and a disk entry that cannot be read
-        or decoded, is dropped from its tier and counted ``stale``.
+        ``tier`` is ``"memory"`` (the stored value itself) or
+        ``"disk"`` (decoded from the file, then kept in memory).  An
+        entry that :meth:`current` rejects, and a disk entry that cannot
+        be read or decoded, is dropped from its tier and counted
+        ``stale``.
         """
         with self._lock:
-            blob = self._memory.get(key)
-            if blob is not None:
-                value = self.decode(blob)
-                if not self.current(value, **expect):
-                    del self._memory[key]
-                    self.stale += 1
-                    self.misses += 1
-                    return None
-                self._memory.move_to_end(key)
-                self.hits += 1
-                self.memory_hits += 1
-                return value, "memory"
-            if self.directory is not None:
-                found = self._read_disk(key, expect)
-                if found is not None:
-                    return found
+            value = self._memory.get(key, _ABSENT)
+            if value is not _ABSENT:
+                if self.current(value, **expect):
+                    self._memory.move_to_end(key)
+                    self.hits += 1
+                    self.memory_hits += 1
+                    return value, "memory"
+                del self._memory[key]
+                self.stale += 1
+                self.misses += 1
+                return None
+        if self.directory is not None:
+            found = self._read_disk(key, expect)
+            if found is not None:
+                return found
+        with self._lock:
             self.misses += 1
-            return None
+        return None
 
     def _read_disk(self, key, expect):
-        """One disk probe under the lock; counts its own hit/stale."""
+        """One disk probe; counts its own hit/stale.  The read and the
+        decode run outside the lock, only the bookkeeping under it."""
         path = self.path(key)
         try:
             with open(path, "rb") as handle:
@@ -168,12 +178,14 @@ class TwoTierStore:
             # unreadable, undecodable, or not the shape current() reads
             usable = False
         if not usable:
-            self.stale += 1
+            with self._lock:
+                self.stale += 1
             self._remove_file(path)
             return None
-        self._store_memory(key, blob)
-        self.hits += 1
-        self.disk_hits += 1
+        with self._lock:
+            self._store_memory(key, value)
+            self.hits += 1
+            self.disk_hits += 1
         return value, "disk"
 
     @staticmethod
@@ -186,15 +198,15 @@ class TwoTierStore:
     # -- write path --------------------------------------------------------
 
     def put(self, key: str, value) -> None:
-        """Store ``value`` (encoded) under ``key`` in both tiers."""
-        blob = self.encode(value)
+        """Store ``value`` under ``key``: itself in memory, encoded on
+        disk."""
         with self._lock:
-            self._store_memory(key, blob)
+            self._store_memory(key, value)
         if self.directory is not None:
-            self._publish(key, blob)
+            self._publish(key, self.encode(value))
 
-    def _store_memory(self, key: str, blob: bytes) -> None:
-        self._memory[key] = blob
+    def _store_memory(self, key: str, value) -> None:
+        self._memory[key] = value
         self._memory.move_to_end(key)
         while len(self._memory) > self.maxsize:
             self._memory.popitem(last=False)

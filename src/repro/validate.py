@@ -86,7 +86,7 @@ def verify_result(
     ]
 
     report = VerificationReport(
-        counters=counters, substrate=result.last_substrate
+        counters=counters, substrate=shipped_env.substrate
     )
     for stmt in outputs:
         name = stmt.result.name

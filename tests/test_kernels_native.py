@@ -709,7 +709,7 @@ class TestDegradation:
         assert result.native_artifacts == []
         assert result.kernel_plan.mode == "gemm"
         assert any(
-            "native codegen requested" in n for n in result.last_run_notes
+            "native codegen requested" in n for n in result.synthesis_notes
         )
         inputs = random_inputs(result.program, None, seed=2)
         got = result.kernel_runner().run(inputs)["C"]
@@ -760,7 +760,7 @@ class TestDegradation:
             TestPipelineIntegration.SRC, SynthesisConfig(codegen="native")
         )
         assert result.codegen_mode == "native"
-        assert note in result.last_run_notes
+        assert note in result.synthesis_notes
 
     @needs_compiler
     def test_broken_compiler_degrades_per_term(self):

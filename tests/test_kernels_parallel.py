@@ -996,7 +996,7 @@ class TestPipelineParallel:
         )
         assert any(
             "chunked outer-loop fallback" in n
-            for n in result.last_run_notes
+            for n in result.synthesis_notes
         )
         inputs = _parity_inputs(list(result.statements), seed=4)
         got = result.kernel_runner().run(inputs)

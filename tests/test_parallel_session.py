@@ -485,8 +485,8 @@ class TestWorkerCount:
         )
         seen["run_session"] = (used.pop(), out.notes)
 
-        res.run_parallel(inputs, backend="process", procs=procs)
-        seen["run_parallel"] = (used.pop(), res.last_run_notes)
+        ran = res.run_parallel(inputs, backend="process", procs=procs)
+        seen["run_parallel"] = (used.pop(), ran.notes)
 
         path = tmp_path / "mm.tce"
         path.write_text(MATMUL_2X2)

@@ -219,7 +219,8 @@ class TestRunParallelNotes:
         # T1 = F + G combines two inputs: nothing is resident to fold over,
         # the router evaluates it and says so.  The residual R combines
         # two resident results: it is a rank program like any other.
-        (note,) = res.last_run_notes
+        (note,) = out.notes
+        assert out.substrate == "local"
         assert note.startswith("T1: executed locally")
         assert "multi-term combine" in note
         assert "R" in res.spmd_sources()
@@ -236,8 +237,7 @@ class TestRunParallelNotes:
         C(i, j) = sum(k) A(i, k) * B(k, j);
         """)
         res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
-        res.run_parallel(random_inputs(prog, seed=0))
-        assert res.last_run_notes == []
+        assert res.run_parallel(random_inputs(prog, seed=0)).notes == []
 
     def test_unknown_backend_rejected(self):
         from repro.engine.executor import random_inputs
@@ -302,7 +302,7 @@ class TestSeveralResults:
         inputs = random_inputs(res.program, seed=3)
         want = run_statements(res.program.statements, inputs)
         out = res.run_parallel(inputs, backend=backend, procs=2)
-        assert res.last_run_notes == []
+        assert out.notes == [] and out.substrate == backend
         for stmt in res.program.statements:
             np.testing.assert_allclose(
                 out[stmt.result.name], want[stmt.result.name], rtol=1e-10
@@ -315,10 +315,9 @@ class TestRun:
 
     def test_kernels_when_the_plan_fits(self, fig1_result):
         inputs = random_inputs(fig1_result.program, seed=2)
-        assert fig1_result.last_substrate is None
         out = fig1_result.run(inputs)
-        assert fig1_result.last_substrate == "kernels"
-        assert fig1_result.last_run_notes == ["kernels"]
+        assert out.substrate == "kernels"
+        assert out.notes == ["kernels"]
         want = fig1_result.execute(inputs)
         np.testing.assert_allclose(out["S"], want["S"], rtol=1e-9)
         # the arrays are the caller's: a second run does not rewrite them
@@ -364,15 +363,19 @@ class TestRun:
         want = run_statements(
             problem.statements, inputs, functions=problem.functions
         )["E"]
-        for res in (tight, roomy):
-            got = res.run(inputs, functions=problem.functions)["E"]
-            assert float(got) == pytest.approx(float(want), rel=1e-9)
-        assert tight.last_substrate == "interp"
-        assert tight.last_run_notes == [
+        runs = [
+            res.run(inputs, functions=problem.functions)
+            for res in (tight, roomy)
+        ]
+        for out in runs:
+            assert float(out["E"]) == pytest.approx(float(want), rel=1e-9)
+        slow, fast = runs
+        assert slow.substrate == "interp"
+        assert slow.notes == [
             f"interp: peak {peak} elements exceeds memory capacity 64"
         ]
-        assert roomy.last_substrate == "kernels"
-        assert roomy.last_run_notes[0] == "kernels"
+        assert fast.substrate == "kernels"
+        assert fast.notes[0] == "kernels"
 
     def test_sparse_program_keeps_its_mixed_plan(self):
         prog = parse_program("""
@@ -384,18 +387,18 @@ class TestRun:
         """)
         res = synthesize(prog)
         inputs = random_inputs(prog, seed=0)
+        out = res.run(inputs)
         np.testing.assert_allclose(
-            res.run(inputs)["C"], inputs["A"] @ inputs["B"], rtol=1e-12
+            out["C"], inputs["A"] @ inputs["B"], rtol=1e-12
         )
-        assert res.last_substrate == "interp"
-        assert res.last_run_notes == ["mixed sparse plan"]
+        assert out.substrate == "interp"
+        assert out.notes == ["mixed sparse plan"]
 
     def test_without_a_kernel_plan_the_interpreter_runs(self, fig1_result):
         from dataclasses import replace
 
         bare = replace(fig1_result, kernel_plan=None)
         inputs = random_inputs(bare.program, seed=2)
-        np.testing.assert_array_equal(
-            bare.run(inputs)["S"], bare.execute(inputs)["S"]
-        )
-        assert bare.last_substrate == "interp"
+        out = bare.run(inputs)
+        np.testing.assert_array_equal(out["S"], bare.execute(inputs)["S"])
+        assert out.substrate == "interp"

@@ -60,11 +60,16 @@ class TestSynthesizeWithCache:
         assert cold.reports[-1].name == "Plan cache"
         assert "miss" in cold.reports[-1].details["hit"]
         assert warm.reports[-1].details["hit"] == "memory"
-        assert warm is not cold  # hits are private copies
-        assert warm.source == cold.source
-        assert [r.name for r in warm.reports[:-1]] == [
-            r.name for r in cold.reports[:-1]
-        ]
+        # a hit is the stored result, decoded once: each caller gets a
+        # shallow copy whose reports list alone is its own
+        (key,) = cache._memory
+        stored = cache._memory[key]
+        assert warm is not cold and warm is not stored
+        assert warm.kernel_plan is stored.kernel_plan is cold.kernel_plan
+        assert warm.source is cold.source
+        assert warm.reports is not stored.reports
+        assert warm.reports[:-1] == stored.reports == cold.reports[:-1]
+        assert [r.name for r in stored.reports].count("Plan cache") == 0
 
     def test_config_change_is_a_miss(self):
         cache = PlanCache()

@@ -423,12 +423,12 @@ class TestBlasPin:
         )
         _, inputs, res = matmul_plan()
         with SpmdProcessPool(2) as pool:
-            res.run_parallel(dict(inputs), backend="process", pool=pool)
-            notes = [n for n in res.last_run_notes if "BLAS" in n]
+            out = res.run_parallel(dict(inputs), backend="process", pool=pool)
+            notes = [n for n in out.notes if "BLAS" in n]
             assert len(notes) == 1 and "no setter (test)" in notes[0]
             # said once per worker lifetime, not once per statement
-            res.run_parallel(dict(inputs), backend="process", pool=pool)
-            assert not [n for n in res.last_run_notes if "BLAS" in n]
+            out = res.run_parallel(dict(inputs), backend="process", pool=pool)
+            assert not [n for n in out.notes if "BLAS" in n]
 
     def test_pin_is_best_effort(self):
         """In a child (the parent's BLAS stays as configured) the helper

@@ -370,13 +370,13 @@ class TestProcsClamp:
         out = res.run_parallel(
             dict(inputs), backend="process", procs=999
         )
-        notes = [n for n in res.last_run_notes if "procs clamped" in n]
+        notes = [n for n in out.notes if "procs clamped" in n]
         ncpu = os.cpu_count() or 1
         # the worker count is first capped at grid size (2 here), then
         # clamped to the CPU count -- the note appears iff that bites
         requested = min(999, 2)
         if requested > ncpu:
-            assert notes, res.last_run_notes
+            assert notes, out.notes
             assert f"-> {ncpu}" in notes[0]
             assert "os.cpu_count" in notes[0]
         else:

@@ -195,8 +195,8 @@ class TestSupervisor:
         # first spawn + respawn both announce; respawn carries the old
         assert len(events) == 2
         assert events[0][0] is None and events[1][0] is not None
-        assert any("retry" in n for n in res.last_run_notes)
-        assert any("respawn" in n for n in res.last_run_notes)
+        assert any("retry" in n for n in out.notes)
+        assert any("respawn" in n for n in out.notes)
 
     def test_retry_exhaustion_raises_comm_failure(self, matmul):
         res, inputs, _ = matmul
@@ -310,7 +310,7 @@ class TestSupervisedSession:
         np.testing.assert_array_equal(out["R"], expect)
         assert len(state.fired) == events  # every event bit mid-chain
         assert sup.retries == sup.respawns == events
-        replays = [n for n in res.last_run_notes if "replayed" in n]
+        replays = [n for n in out.notes if "replayed" in n]
         assert len(replays) == events
         assert all("router-held inputs" in n for n in replays)
 

@@ -224,7 +224,7 @@ class TestEmittedSource:
         emitted = namespace["kernel"](dict(inputs), {})
         compiled = result.compile()(inputs)
         shipped = result.run(inputs)
-        assert result.last_substrate == "kernels"
+        assert shipped.substrate == "kernels"
         for stmt in result.program.statements:
             out = stmt.result.name
             assert np.array_equal(emitted[out], shipped[out]), out

@@ -52,15 +52,29 @@ class TestMemoryTier:
         assert store.get(a) is not None
         assert store.get(c) is not None
 
-    def test_decode_applies(self):
+    def test_decode_applies(self, tmp_path):
+        """The memory tier keeps values; decode turns disk bytes into
+        one, once, and the promoted value is what later hits share."""
+
         class IntStore(TwoTierStore):
+            def encode(self, value):
+                return str(value).encode()
+
             def decode(self, blob):
                 return int(blob)
 
-        store = IntStore(maxsize=4)
-        store.put("k", b"123")
-        value, _ = store.get("k")
-        assert value == 123
+        IntStore(maxsize=4, directory=tmp_path).put("k", 123)
+        store = IntStore(maxsize=4, directory=tmp_path)
+        assert store.get("k") == (123, "disk")
+        assert store.get("k") == (123, "memory")
+
+    def test_memory_hit_is_the_stored_object(self):
+        """No decode on a memory hit: every hit returns the value put."""
+        value = {"decoded": ["once"]}
+        store = TwoTierStore(maxsize=4)
+        store.put("k", value)
+        assert store.get("k")[0] is value
+        assert store.get("k")[0] is value
 
 
 class TestDiskTier:
@@ -214,6 +228,37 @@ class TestStats:
         store = TwoTierStore(maxsize=4, directory=tmp_path)
         text = store.describe()
         assert "TwoTierStore(memory[0/4] + disk[" in text
+
+
+def test_disk_decode_does_not_block_memory_hits(tmp_path):
+    """A disk hit reads and decodes outside the store's lock: while one
+    thread's decode is stuck, another thread's memory hit answers."""
+    entered, release = threading.Event(), threading.Event()
+
+    class Slow(TwoTierStore):
+        def decode(self, blob):
+            if blob == b"on disk":
+                entered.set()
+                release.wait(timeout=30)
+            return blob
+
+    cold, hot = _keys(2)
+    Slow(directory=tmp_path).put(cold, b"on disk")
+    store = Slow(maxsize=4, directory=tmp_path)
+    store.put(hot, b"in memory")
+    reader = threading.Thread(target=store.get, args=(cold,))
+    reader.start()
+    try:
+        assert entered.wait(timeout=30)
+        seen = []
+        probe = threading.Thread(target=lambda: seen.append(store.get(hot)))
+        probe.start()
+        probe.join(timeout=5)
+        assert seen == [(b"in memory", "memory")]
+    finally:
+        release.set()
+        reader.join()
+    assert store.get(cold) == (b"on disk", "memory")
 
 
 def test_memory_entries_respects_maxsize(tmp_path):
