@@ -44,6 +44,7 @@ from repro.codegen.loops import (
     Term,
     ZeroArr,
     validate,
+    walk,
 )
 from repro.fusion.memopt import FusionResult
 from repro.fusion.tree import CompNode
@@ -255,11 +256,31 @@ def apply_tiling(
     keep = set(keep_global)
 
     # internal arrays: allocated in the block and not kept global
-    allocated = {n.array for n in _walk(block) if isinstance(n, Alloc)}
+    allocated = {n.array for n in walk(block) if isinstance(n, Alloc)}
     unknown = keep - allocated
     if unknown:
         raise ValueError(f"keep_global names not allocated: {sorted(unknown)}")
     internal = allocated - keep
+
+    # A global array's accumulation runs once per tile, so it must
+    # mention every tiled index.  Checked before anything is built: the
+    # locality search asks about many subsets this rejects.
+    for node in walk(block):
+        if (
+            isinstance(node, Assign)
+            and node.accumulate
+            and node.target.array in keep
+        ):
+            stmt_vars = {
+                v.index for t in (node.target, *node.terms) for v in t.vars()
+            }
+            missing = set(tiles) - stmt_vars
+            if missing:
+                names = ", ".join(sorted(i.name for i in missing))
+                raise ValueError(
+                    f"tiling over {names} would double-count the "
+                    f"accumulation into global array {node.target.array!r}"
+                )
 
     # Hoisting the tile loops outermost interleaves sibling top-level
     # nests tile by tile.  That reorders a producer nest's writes with a
@@ -323,23 +344,6 @@ def apply_tiling(
                 else:
                     out.append(node)
             elif isinstance(node, Assign):
-                if (
-                    node.accumulate
-                    and node.target.array in keep
-                ):
-                    stmt_vars = {
-                        v.index
-                        for t in (node.target, *node.terms)
-                        for v in t.vars()
-                    }
-                    missing = set(tiles) - stmt_vars
-                    if missing:
-                        names = ", ".join(sorted(i.name for i in missing))
-                        raise ValueError(
-                            f"tiling over {names} would double-count the "
-                            f"accumulation into global array "
-                            f"{node.target.array!r}"
-                        )
                 out.append(
                     Assign(
                         tile_access(node.target),
@@ -378,7 +382,7 @@ def _check_cross_nest_tiling(block: Block, tiled: Set[Index]) -> None:
         loops: Set[Index] = set()
         writes: Dict[str, Set[Tuple[Index, ...]]] = {}
         reads: Dict[str, Set[Tuple[Index, ...]]] = {}
-        for n in _walk((node,)):
+        for n in walk((node,)):
             if isinstance(n, Loop):
                 loops.add(n.var.index)
             elif isinstance(n, Assign):
@@ -412,10 +416,3 @@ def _check_cross_nest_tiling(block: Block, tiled: Set[Index]) -> None:
                             f"dependence on {array!r} between sibling "
                             "loop nests"
                         )
-
-
-def _walk(block: Block):
-    for node in block:
-        yield node
-        if isinstance(node, Loop):
-            yield from _walk(node.body)

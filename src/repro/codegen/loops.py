@@ -223,10 +223,15 @@ Block = Tuple[Node, ...]
 
 def walk(block: Block) -> Iterator[Node]:
     """Pre-order traversal of every node."""
-    for node in block:
-        yield node
-        if isinstance(node, Loop):
-            yield from walk(node.body)
+    stack = [iter(block)]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            if isinstance(node, Loop):
+                stack.append(iter(node.body))
+                break
+        else:
+            stack.pop()
 
 
 def render(block: Block, indent: int = 0) -> str:

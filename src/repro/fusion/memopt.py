@@ -169,12 +169,47 @@ def unfused_result(
     return FusionResult(root, memory, decisions, bindings)
 
 
+def _comparable(seqs: Sequence[Seq]):
+    """``lookup(seq)``: the positions in ``seqs`` of every sequence
+    prefix-comparable with ``seq`` (a prefix of it, or extended by it),
+    in ascending order -- the pairs a DP merge can accept."""
+    position = {seq: p for p, seq in enumerate(seqs)}
+    extended: Dict[Seq, List[int]] = {}
+    for p, seq in enumerate(seqs):
+        for n in range(len(seq) + 1):
+            extended.setdefault(seq[:n], []).append(p)
+
+    def lookup(seq: Seq) -> List[int]:
+        longer = extended.get(seq, [])
+        shorter = [
+            position[seq[:n]] for n in range(len(seq)) if seq[:n] in position
+        ]
+        return sorted(shorter + longer) if shorter else longer
+
+    return lookup
+
+
 def _minimize_memory_dp(
     root: CompNode,
     bindings: Optional[Bindings],
     include_output: bool,
     tracker,
 ) -> FusionResult:
+    # indices interned to ints in sorted order, so sequences hash and
+    # compare as int tuples and ordered_subsets keeps its order
+    interned = sorted(
+        {i for n in root.subtree() for i in n.array.indices}
+        | {i for n in root.subtree() for i in n.loop_indices}
+    )
+    code = {index: k for k, index in enumerate(interned)}
+    subsets_of: Dict[FrozenSet[int], List[Seq]] = {}
+
+    def subsets(indices) -> List[Seq]:
+        key = frozenset(code[i] for i in indices)
+        if key not in subsets_of:
+            subsets_of[key] = ordered_subsets(key)
+        return subsets_of[key]
+
     # solution tables: per node, {parent_seq: (memory, child_seq_choices)}
     tables: Dict[int, Dict[Seq, Tuple[int, Tuple[Seq, ...]]]] = {}
 
@@ -199,52 +234,50 @@ def _minimize_memory_dp(
             common = node.common_indices(child) & set(
                 child.array.indices
             )
-            opts = [
-                seq
-                for seq in ordered_subsets(frozenset(common))
-                if seq in tab
-            ]
+            opts = [seq for seq in subsets(common) if seq in tab]
             child_options.append(opts or [()])
 
         # candidate parent sequences: ordered subsets of the node's
         # array dimensions that are also loops of the node
-        parent_cands = ordered_subsets(
-            frozenset(set(node.array.indices) & node.loop_indices)
-        )
+        parent_cands = subsets(set(node.array.indices) & node.loop_indices)
 
         # sequential DP over children instead of a cartesian product:
         # any family of sequences meeting at a node must be pairwise
         # prefix-comparable, i.e. all prefixes of the longest one --
-        # so "the longest sequence so far" is a sufficient state.
+        # so "the longest sequence so far" is a sufficient state.  Only
+        # comparable pairs are visited, in the order of the full
+        # (state, option) product, so ``<`` breaks ties as it would
+        # there; the budget is charged for the full product.
         states: Dict[Seq, Tuple[int, Tuple[Seq, ...]]] = {(): (0, ())}
         for k, opts in enumerate(child_options):
+            if tracker is not None:
+                tracker.tick(len(states) * len(opts), stage="fusion")
+            comparable = _comparable(opts)
             new_states: Dict[Seq, Tuple[int, Tuple[Seq, ...]]] = {}
             for longest, (mem, picks) in states.items():
-                for seq in opts:
-                    if tracker is not None:
-                        tracker.tick(1, stage="fusion")
-                    if _is_prefix(seq, longest):
-                        new_longest = longest
-                    elif _is_prefix(longest, seq):
-                        new_longest = seq
-                    else:
-                        continue
+                for p in comparable(longest):
+                    seq = opts[p]
+                    new_longest = longest if len(seq) <= len(longest) else seq
                     total = mem + child_tables[k][seq][0]
                     cur = new_states.get(new_longest)
                     if cur is None or total < cur[0]:
                         new_states[new_longest] = (total, picks + (seq,))
             states = new_states
 
+        if tracker is not None:
+            tracker.tick(len(parent_cands) * len(states), stage="fusion")
+        extents = [i.extent(bindings) for i in node.array.indices]
+        dims = [code[i] for i in node.array.indices]
+        solutions = list(states.values())
+        comparable = _comparable(list(states))
         table: Dict[Seq, Tuple[int, Tuple[Seq, ...]]] = {}
         for pseq in parent_cands:
-            own = reduced_size(node.array.indices, pseq, bindings)
-            for longest, (mem, picks) in states.items():
-                if tracker is not None:
-                    tracker.tick(1, stage="fusion")
-                if not (
-                    _is_prefix(pseq, longest) or _is_prefix(longest, pseq)
-                ):
-                    continue
+            own = 1
+            for dim, extent in zip(dims, extents):
+                if dim not in pseq:
+                    own *= extent
+            for p in comparable(pseq):
+                mem, picks = solutions[p]
                 total = mem + own
                 cur = table.get(pseq)
                 if cur is None or total < cur[0]:
@@ -260,18 +293,23 @@ def _minimize_memory_dp(
     # reconstruct decisions top-down
     decisions: Dict[int, FusionDecision] = {}
 
+    def decode(seq: Seq) -> Seq:
+        return tuple(interned[k] for k in seq)
+
     def reconstruct(node: CompNode, pseq: Seq) -> None:
         if node.is_leaf:
-            decisions[id(node)] = FusionDecision(node, pseq, ())
+            decisions[id(node)] = FusionDecision(node, decode(pseq), ())
             return
         _, child_seqs = tables[id(node)][pseq]
-        chain = sorted([pseq, *child_seqs], key=len)
-        longest = chain[-1] if chain else ()
-        rest = tuple(
-            sorted(i for i in node.loop_indices if i not in set(longest))
+        longest = sorted([pseq, *child_seqs], key=len)[-1]
+        rest = sorted(
+            code[i] for i in node.loop_indices if code[i] not in longest
         )
         decisions[id(node)] = FusionDecision(
-            node, pseq, child_seqs, loop_order=longest + rest
+            node,
+            decode(pseq),
+            tuple(decode(seq) for seq in child_seqs),
+            loop_order=decode(longest + tuple(rest)),
         )
         for child, cseq in zip(node.children, child_seqs):
             reconstruct(child, cseq)

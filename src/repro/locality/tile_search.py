@@ -125,9 +125,8 @@ def optimize_locality(
     baseline = access_cost(block, capacity, bindings)
     keep_global = [n.array for n in walk(block) if isinstance(n, Alloc)]
 
-    per_index: List[List[int]] = [
-        candidate_sizes(i.extent(bindings)) for i in indices
-    ]
+    extents = [i.extent(bindings) for i in indices]
+    per_index: List[List[int]] = [candidate_sizes(e) for e in extents]
     total = 1
     for sizes in per_index:
         total *= len(sizes)
@@ -136,6 +135,11 @@ def optimize_locality(
             f"tile search space has {total} combinations; restrict "
             "`indices` or raise max_combinations"
         )
+    # bit k of a combination's mask is set when index k is tiled
+    masks = [
+        [0 if size == extent else 1 << k for size in sizes]
+        for k, (sizes, extent) in enumerate(zip(per_index, extents))
+    ]
 
     best_cost = baseline
     best_tiles: Dict[Index, int] = {}
@@ -145,9 +149,11 @@ def optimize_locality(
     degraded = False
     degradation_reason = ""
     # apply_tiling's legality errors depend on *which* indices are tiled,
-    # never on the sizes: a rejected subset is judged once
+    # never on the sizes: a subset is judged by the first combination
+    # that tiles it, and a rejected one skips every later combination
     rejected = set()
-    for combo in itertools.product(*per_index):
+    combos = zip(itertools.product(*per_index), itertools.product(*masks))
+    for combo, bits in combos:
         if tracker is not None:
             try:
                 tracker.tick(1, stage="locality")
@@ -162,24 +168,25 @@ def optimize_locality(
                 degraded = True
                 degradation_reason = exc.message
                 break
-        tiles = {
-            idx: size
-            for idx, size in zip(indices, combo)
-            if size < idx.extent(bindings)
-        }
-        if not tiles:
+        mask = sum(bits)
+        if not mask:
+            tiles = {}
             structure = block
             cost = baseline
         else:
-            subset = frozenset(tiles)
-            if subset in rejected:
+            if mask in rejected:
                 continue
+            tiles = {
+                idx: size
+                for idx, size, extent in zip(indices, combo, extents)
+                if size < extent
+            }
             try:
                 structure = apply_tiling(block, tiles, keep_global=keep_global)
             except ValueError:
                 # tiling would double-count an accumulation, or reorder
                 # a dependence between sibling nests
-                rejected.add(subset)
+                rejected.add(mask)
                 continue
             if loop_op_count(structure, bindings) != base_ops:
                 continue  # blocking must not change the work

@@ -19,7 +19,7 @@ dependences, to minimize peak live memory:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.expr.ast import Statement
 from repro.expr.indices import Bindings, total_extent
@@ -125,11 +125,20 @@ def schedule_statements(
     if n <= exact_limit:
         best_peak = [baseline]
         found = [list(range(n))]
+        # scheduled set -> lowest peak it was reached with.  The live set
+        # is a function of the scheduled set, so a set reached again at
+        # no lower peak has only completions already searched, and only
+        # a strict improvement replaces the best order.
+        reached: Dict[FrozenSet[int], int] = {}
 
         def search(order: List[int], scheduled: Set[int], live: Set[int],
                    peak: int) -> None:
             if peak > best_peak[0]:
                 return
+            key = frozenset(scheduled)
+            if key in reached and reached[key] <= peak:
+                return
+            reached[key] = peak
             if len(order) == n:
                 if peak < best_peak[0]:
                     best_peak[0] = peak

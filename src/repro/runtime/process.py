@@ -43,6 +43,7 @@ outlives its pool and a steady-state run never talks to the
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 import traceback
 from typing import Callable, List, Optional, Sequence
@@ -68,6 +69,9 @@ from repro.runtime.shm import (
 #: had to ride the pipe asked for.  The messages themselves are
 #: :mod:`repro.parallel.session`'s, plus ``("stop",)`` and the chaos
 #: wrappers ``("mute", command)`` / ``("hang",)``.
+
+#: how often an idle worker checks that its owner still runs, seconds
+_OWNER_POLL_S = 1.0
 
 #: thread-setter entry points of the BLAS builds numpy ships against
 #: (all take one ``int``); OpenBLAS renames per wheel vendor and ILP64
@@ -135,9 +139,19 @@ def _attached(arena: Optional[Arena], name: Optional[str]) -> Optional[Arena]:
     return Arena(name=name) if name is not None else None
 
 
-def _worker_main(conn, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
+def _owner_alive(owner: int) -> bool:
+    """Whether the process that started this worker still runs.  A
+    worker must not outlive it: an owner killed outright (``SIGKILL``,
+    ``os._exit``) never runs the hook that terminates daemonic children,
+    and the pipe's far end stays open in the worker itself and in every
+    worker forked after it, so EOF alone never comes."""
+    return os.getppid() == owner
+
+
+def _worker_main(conn, min_bytes: int, owner: int) -> None:
     """Entry point of one worker process: a
-    :class:`~repro.parallel.session.RankWorker` answering the pipe."""
+    :class:`~repro.parallel.session.RankWorker` answering the pipe
+    until it closes, says ``stop``, or process ``owner`` is gone."""
     # the process grid owns the cores, so the BLAS behind rank-local
     # GEMMs runs on one thread; if it cannot be pinned, the first reply
     # says why once
@@ -150,6 +164,9 @@ def _worker_main(conn, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
     down = up = None
     try:
         while True:
+            while not conn.poll(_OWNER_POLL_S):
+                if not _owner_alive(owner):
+                    return
             try:
                 down_name, up_name, spans, body = conn.recv()
             except EOFError:
@@ -163,10 +180,12 @@ def _worker_main(conn, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
                 # but never answer -- the router's watchdog must notice
                 msg = msg[1]
             if msg[0] == "hang":
-                # chaos hang_worker: alive but unresponsive, forever --
-                # distinguishable from a dead worker only by a watchdog
-                while True:  # pragma: no cover - terminated externally
-                    time.sleep(3600)
+                # chaos hang_worker: alive but unresponsive until it is
+                # terminated (or orphaned) -- distinguishable from a
+                # dead worker only by a watchdog
+                while _owner_alive(owner):  # pragma: no cover - terminated
+                    time.sleep(_OWNER_POLL_S)
+                return
             if msg[0] == "stop":
                 break
             try:
@@ -381,7 +400,7 @@ class SpmdProcessPool:
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self.shm_min_bytes),
+                args=(child_conn, self.shm_min_bytes, os.getpid()),
                 daemon=True,
             )
             # arenas first: the worker then shares this process's

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.expr.indices import Index, IndexRange
@@ -55,3 +58,21 @@ def fig1_program(fig1_source):
 @pytest.fixture
 def fig1_statement(fig1_program):
     return fig1_program.statements[0]
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """No process outlives the suite: a worker a test started and never
+    closed fails the run, named by pid, after a short grace period."""
+    deadline = time.monotonic() + 2.0
+    for child in multiprocessing.active_children():
+        child.join(max(0.0, deadline - time.monotonic()))
+    left = multiprocessing.active_children()
+    if not left:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    message = "processes left running: " + ", ".join(
+        f"{child.name} (pid {child.pid})" for child in left
+    )
+    if reporter is not None:
+        reporter.write_sep("=", message, red=True)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED

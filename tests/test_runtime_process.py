@@ -7,6 +7,12 @@ process backend replays the exact message ordering of the in-process
 driver (see :mod:`repro.runtime.process`).
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -33,6 +39,16 @@ range N = 6; range K = 64;
 index i, j : N; index k : K;
 tensor A(i, k); tensor B(k, j);
 C(i, j) = sum(k) A(i, k) * B(k, j);
+"""
+
+#: a process that starts a two-worker pool, prints the worker pids and
+#: kills itself before it can close the pool
+ORPHANING_OWNER = """
+import os, signal
+from repro.runtime.process import SpmdProcessPool
+pool = SpmdProcessPool(2)
+print(*(port.proc.pid for port in pool.workers(2)), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
@@ -345,6 +361,38 @@ class TestPool:
         np.testing.assert_array_equal(local.result, proc.result)
         assert local.supersteps == proc.supersteps
         assert_comm_equal(local.comm, proc.comm)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states from /proc"
+    )
+    def test_workers_do_not_outlive_a_killed_owner(self):
+        """An owner killed outright runs no exit hook; its workers notice
+        it is gone and leave, and the resource tracker unlinks their
+        arenas."""
+        owner = subprocess.Popen(
+            [sys.executable, "-c", ORPHANING_OWNER],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        pids = [int(p) for p in owner.stdout.readline().split()]
+        owner.stdout.close()
+        assert owner.wait(timeout=30) == -signal.SIGKILL
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = [pid for pid in pids if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left, f"workers {left} outlived their owner"
 
     def test_unknown_backend_rejected(self):
         prog = parse_program(MATMUL)
