@@ -6,10 +6,9 @@ mixed cold/warm request stream through real HTTP: a handful of
 distinct specifications (the cold set, each synthesized once) repeated
 across the remaining requests (the warm set, served from the plan
 cache), with a slice of execute requests exercising the warm SPMD
-pool.  Reports p50/p95/p99 latency and the warm hit rate, persists the
-series to ``benchmarks/BENCH_server.json`` (via the benchmark capture
-helper), and exits nonzero when the warm hit rate falls below the
-floor -- CI runs this as the serving regression gate.
+pool.  Prints p50/p95/p99 latency and the warm hit rate, and exits
+nonzero when the warm hit rate falls below the floor -- CI runs this
+as the serving regression gate.
 
 With ``--chaos`` the execute slice runs on the process backend with a
 ``kill_worker@0`` :class:`~repro.robustness.faults.ChaosSchedule`
@@ -36,17 +35,9 @@ import time
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
-sys.path.insert(
-    0,
-    os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks"
-    ),
-)
 
 from repro.server.app import ReproServer, ServerConfig  # noqa: E402
 from repro.server.client import arequest  # noqa: E402
-
-from _record import write_bench  # noqa: E402
 
 PROGRAM_TEMPLATE = """
 range N = {n};
@@ -218,14 +209,6 @@ def main(argv=None) -> int:
         # which substrate the execute slice ran on, as the service
         # reports it ("process" on the warm pool for this gridded spec)
         rows.append(["execute substrate", ", ".join(substrates) or "none"])
-    metrics = {
-        "requests": args.requests,
-        "warm_hit_rate": round(warm_rate, 4),
-        "p50_ms": round(p50, 3),
-        "p95_ms": round(p95, 3),
-        "p99_ms": round(p99, 3),
-        "wall_s": round(wall_s, 3),
-    }
     if args.chaos:
         rows += [
             ["success rate", f"{success_rate:.1%}"],
@@ -233,12 +216,6 @@ def main(argv=None) -> int:
             ["unstructured failures", faults["unstructured"]],
             ["pool respawns", stats["pools"]["respawned"]],
         ]
-        metrics.update(
-            success_rate=round(success_rate, 4),
-            wrong_results=faults["wrong"],
-            unstructured_failures=faults["unstructured"],
-            pool_respawns=stats["pools"]["respawned"],
-        )
     width = max(len(str(label)) for label, _ in rows)
     mode = "chaos (kill_worker under every execute)" if args.chaos else (
         "mixed cold/warm stream over HTTP"
@@ -246,14 +223,6 @@ def main(argv=None) -> int:
     print(f"load smoke: {mode}")
     for label, value in rows:
         print(f"  {label:<{width}}  {value}")
-    write_bench(
-        "bench_chaos" if args.chaos else "bench_server",
-        "load_smoke_chaos" if args.chaos else "load_smoke",
-        f"load smoke: {args.requests} requests ({mode})",
-        ["quantity", "value"],
-        rows,
-        metrics=metrics,
-    )
     failures = []
     if warm_rate < args.min_warm_rate:
         failures.append(

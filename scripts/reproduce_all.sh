@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate every reproduction artifact:
-#   - full test suite (correctness + property tests)
-#   - every paper table/figure (benchmarks, printed with -s)
-#   - timing benchmarks
+#   - full test suite (correctness + property tests + every paper
+#     table/figure, tests/test_paper_figures.py)
 #   - all runnable examples
+# Performance is measured by benchmarks/e2e/run.py, not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,12 +12,6 @@ pip install -e . --quiet --no-build-isolation
 
 echo "== test suite =="
 python -m pytest tests/ -q
-
-echo "== paper tables (E1-E13 + ablations) =="
-python -m pytest benchmarks/ --benchmark-disable -q -s
-
-echo "== timing benchmarks =="
-python -m pytest benchmarks/ --benchmark-only -q
 
 echo "== examples =="
 for f in examples/*.py; do

@@ -25,6 +25,7 @@ from repro.graphs import (
     sssp_inputs,
     sssp_program,
 )
+from repro.kernels import native_available
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.sparse.executor import run_statements as sparse_run
 
@@ -140,6 +141,11 @@ class TestAPSP:
         assert np.array_equal(out_interp, out_kernel)
         assert np.array_equal(out_interp, out_ref)
         assert np.array_equal(out_interp, out_sparse)
+        for mode in ["einsum", "gemm"] + (["native"] if native_available() else []):
+            runner = synthesize(
+                source, SynthesisConfig(semiring="min_plus", codegen=mode)
+            ).kernel_runner()
+            assert np.array_equal(runner.run(inputs, copy=True)[res], out_interp), mode
         # ... and equal to the oracle up to path-sum reassociation
         assert np.allclose(out_interp, oracle, rtol=RTOL, atol=ATOL)
 
@@ -157,6 +163,8 @@ class TestAPSP:
         plain = synthesize(
             source, SynthesisConfig(semiring="min_plus")
         ).execute({"W": w})[res]
+        assert np.array_equal(out, plain)
+        out = result.run_parallel({"W": w}, backend="process", procs=2)[res]
         assert np.array_equal(out, plain)
 
     def test_disconnected_components_stay_infinite(self):

@@ -921,9 +921,11 @@ class TestGemmRunnerSteps:
             assert runner.arena.outstanding == 0
 
     def test_steady_state_allocates_nothing_on_ccsd(self):
-        """Transposed ``(N, M)`` product buffers pool like any other."""
+        """Transposed ``(N, M)`` product buffers pool like any other;
+        every contraction of the factorized sequence is a GEMM."""
         prog = ccsd_doubles_program(V=16, O=6)
         runner = synthesize(prog).kernel_runner()
+        assert runner.plan.gemm_terms > 0 and runner.plan.einsum_terms == 0
         inputs = random_inputs(prog, seed=0)
         runner.run(inputs)
         before = runner.arena.allocations

@@ -952,6 +952,42 @@ class TestChaosOverHttp:
 
         serve(check)
 
+    def test_mixed_load_under_kills_is_all_correct(self):
+        """A mixed stream with a worker killed under every third
+        execute: every request succeeds with the clean run's checksum."""
+        programs = [(SUMMED, "C"), (CHAIN, "D")]
+
+        def payload(program, chaos=None):
+            body = {
+                "program": program,
+                "options": {"grid": "2x2"},
+                "backend": "process",
+                "seed": 0,
+                "result": "checksum",
+            }
+            return dict(body, chaos=chaos) if chaos else body
+
+        async def check(app, host, port):
+            reference = {}
+            for program, name in programs:
+                _, body = await arequest(
+                    host, port, "POST", "/v1/execute", payload(program)
+                )
+                reference[name] = body["outputs"][name]
+            respawns = 0
+            for i in range(12):
+                program, name = programs[i % 2]
+                chaos = "kill_worker@0" if i % 3 == 2 else None
+                status, body = await arequest(
+                    host, port, "POST", "/v1/execute", payload(program, chaos)
+                )
+                assert status == 200, body
+                assert body["outputs"][name] == reference[name]
+                respawns += body["pool"].get("respawns", 0)
+            assert respawns >= 4
+
+        serve(check)
+
     def test_bad_chaos_spec_is_400(self):
         async def check(app, host, port):
             status, body = await arequest(
