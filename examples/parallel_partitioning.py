@@ -3,8 +3,8 @@
 Runs the distribution DP for a contraction on several processor-grid
 shapes, prints the chosen n-tuple distributions, reproduces the paper's
 redistribution examples (<1,t,j> -> <j,t,1> moves data; <j,*,1> ->
-<j,t,1> is free), and executes each plan on the simulated grid to show
-model-vs-measured communication.
+<j,t,1> is free), and runs each plan as generated SPMD rank programs on
+the in-process grid to show model-vs-measured communication.
 
 Usage::
 
@@ -16,12 +16,12 @@ import numpy as np
 from repro.expr.indices import Index, IndexRange
 from repro.expr.parser import parse_program
 from repro.engine.executor import evaluate_expression, random_inputs
-from repro.parallel.commcost import CommModel, move_cost_elements
+from repro.parallel.commcost import CommModel, move_cost_elements, plan_traffic
 from repro.parallel.dist import Distribution, REPLICATED, SINGLE
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import generate_spmd_source, run_spmd
 from repro.report import format_table
 
 
@@ -61,16 +61,21 @@ def main() -> None:
     for dims in [(1,), (2,), (4,), (2, 2), (8,)]:
         grid = ProcessorGrid(dims)
         plan = optimize_distribution(tree, grid, model)
-        got, report = GridSimulator(grid).run(plan, arrays)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        run = run_spmd(plan, arrays)
+        np.testing.assert_allclose(run.result, want, rtol=1e-10)
+        received, ops = plan_traffic(plan)
+        # what the ranks sent, plus the moves of inputs the schedule
+        # turned into placement, is what the model's walk receives
+        moved = run.comm.total_traffic + run.placed_elements
+        assert moved == sum(received.values())
         rows.append(
             [str(grid), f"{plan.total_cost:,.0f}",
-             report.max_local_ops, report.total_received,
+             max(ops.values()), run.comm.total_traffic, run.placed_elements,
              str(plan.dist[id(tree)])]
         )
     print(format_table(
-        ["grid", "modeled cost", "max local ops", "elements moved",
-         "result distribution"],
+        ["grid", "modeled cost", "max local ops", "elements sent",
+         "elements placed", "result distribution"],
         rows,
     ))
 
@@ -79,8 +84,6 @@ def main() -> None:
     print(plan.describe())
 
     # --- generated parallel program -----------------------------------------
-    from repro.parallel.spmd import generate_spmd_source, run_spmd
-
     src = generate_spmd_source(plan)
     print("\ngenerated SPMD rank program (first 25 lines):")
     print("\n".join(src.splitlines()[:25]))

@@ -20,6 +20,7 @@ contraction work, which is preserved exactly.
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, Dict, Sequence
 
 import numpy as np
@@ -35,7 +36,8 @@ def make_integral(name: str, seed: int = 0) -> Callable[..., np.ndarray]:
     serves both the reference executor (grid evaluation) and the loop
     interpreter (scalar calls).  Values lie in (-1, 1).
     """
-    offset = (hash(name) % 1000) * 0.017 + seed * 0.31
+    # crc32, not hash(): str hashes are salted per process
+    offset = (zlib.crc32(name.encode()) % 1000) * 0.017 + seed * 0.31
 
     def integral(*coords) -> np.ndarray:
         acc = offset

@@ -1,5 +1,5 @@
 """Execution substrates: reference evaluator, machine model, counters,
-and the simulated parallel processor grid."""
+and the out-of-core executor."""
 
 from repro.engine.counters import Counters
 from repro.engine.executor import (

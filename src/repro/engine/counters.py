@@ -1,8 +1,9 @@
 """Counters collected by the execution substrates.
 
-Every substrate (reference evaluator, generated loop code, simulated
-parallel grid) reports its work through a :class:`Counters` instance so
-that analytic cost models can be validated against *measured* quantities.
+Every counting substrate (the loop interpreter, the sparse executor,
+the mixed sparse plan) reports its work through a :class:`Counters`
+instance so that analytic cost models can be validated against
+*measured* quantities.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class Counters:
         Total elements of temporaries allocated.
     peak_elements:
         High-water mark of simultaneously-live temporary elements.
-    bytes_sent:
-        Inter-processor traffic (simulated grid only).
-    messages:
-        Message count (simulated grid only).
     """
 
     flops: int = 0
@@ -40,8 +37,6 @@ class Counters:
     func_ops: int = 0
     elements_allocated: int = 0
     peak_elements: int = 0
-    bytes_sent: int = 0
-    messages: int = 0
     _live_elements: int = field(default=0, repr=False)
 
     @property
@@ -65,8 +60,6 @@ class Counters:
         self.func_ops += other.func_ops
         self.elements_allocated += other.elements_allocated
         self.peak_elements = max(self.peak_elements, other.peak_elements)
-        self.bytes_sent += other.bytes_sent
-        self.messages += other.messages
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -76,6 +69,4 @@ class Counters:
             "total_ops": self.total_ops,
             "elements_allocated": self.elements_allocated,
             "peak_elements": self.peak_elements,
-            "bytes_sent": self.bytes_sent,
-            "messages": self.messages,
         }

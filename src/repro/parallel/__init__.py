@@ -15,12 +15,14 @@ Modules:
 * :mod:`repro.parallel.ptree` -- the expression tree with explicit
   multiplication and summation nodes that the Section-7 DP runs on;
 * :mod:`repro.parallel.commcost` -- CalcCost / MoveCost / reduction cost
-  models (receive-volume semantics, identical to the simulator);
+  models (receive-volume semantics) and ``plan_traffic``, the per-rank
+  receives and operations of a whole plan;
 * :mod:`repro.parallel.partition` -- the dynamic-programming algorithm
   of Section 7 (``Cost(v, alpha)`` tables, ``Dist`` backtrace);
-* :mod:`repro.parallel.simulate` -- a virtual message-counting processor
-  grid that executes the chosen plan with real numpy blocks and verifies
-  both numerics and communication volumes.
+* :mod:`repro.parallel.spmd` / :mod:`repro.parallel.session` -- the
+  plan lowered to per-rank SPMD programs and run in bulk-synchronous
+  rounds, in process or on worker processes; what it sends plus what
+  its input placement spares is ``plan_traffic``'s total receive count.
 """
 
 from repro.parallel.grid import ProcessorGrid, myrange
@@ -28,7 +30,6 @@ from repro.parallel.dist import REPLICATED, SINGLE, Distribution
 from repro.parallel.ptree import PLeaf, PMul, PNode, PSum, expression_to_ptree
 from repro.parallel.commcost import CommModel
 from repro.parallel.partition import PartitionPlan, optimize_distribution
-from repro.parallel.simulate import GridSimulator, SimulationReport
 from repro.parallel.program_plan import SequencePlan, plan_sequence
 from repro.parallel.gridsearch import GridChoice, choose_grid, grid_shapes
 from repro.parallel.spmd import (
@@ -55,8 +56,6 @@ __all__ = [
     "CommModel",
     "PartitionPlan",
     "optimize_distribution",
-    "GridSimulator",
-    "SimulationReport",
     "SequencePlan",
     "plan_sequence",
     "GridChoice",

@@ -1,7 +1,8 @@
 """Computation and communication cost models for Section 7.
 
-Cost semantics (shared exactly with the simulator in
-:mod:`repro.parallel.simulate`, which *measures* the same quantities):
+Cost semantics (the SPMD session of :mod:`repro.parallel.session`
+pays exactly these receives, counted there with boxes; :func:`plan_traffic`
+counts them here with interval arithmetic):
 
 * **CalcCost** -- parallel compute time of a node: the *maximum* over
   participating processors of local work (elementwise products for a
@@ -18,16 +19,22 @@ Cost semantics (shared exactly with the simulator in
   ``(p-1)`` partial blocks; the result has ``1`` at position ``d``) or
   combines-and-broadcasts (replicated result, same maximum receive
   volume, held by all) -- the paper's two options.
+
+:func:`plan_traffic` walks a whole plan under these rules and returns
+what every rank receives and computes -- no arrays, only arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.expr.indices import Bindings, Index
 from repro.parallel.dist import Distribution, REPLICATED, SINGLE
 from repro.parallel.grid import ProcessorGrid
+from repro.parallel.ptree import PLeaf, PMul, PNode, PSum
+
+Rank = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -37,23 +44,10 @@ class CommModel:
     ``comm_cost`` is the time to receive one element in units of one
     arithmetic operation; 8-byte elements over a network that is ~10x
     slower than the FPU give the default of 10.
-
-    ``reduction`` selects the partial-sum combining pattern: ``"linear"``
-    (everyone sends to the root; root receives ``p-1`` blocks) or
-    ``"tree"`` (recursive halving; the maximum receive volume is
-    ``ceil(log2 p)`` blocks).  The grid simulator implements both
-    patterns, so model and measurement stay comparable.
     """
 
     flop_cost: float = 1.0
     comm_cost: float = 10.0
-    reduction: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.reduction not in ("linear", "tree"):
-            raise ValueError(
-                f"reduction must be 'linear' or 'tree', got {self.reduction!r}"
-            )
 
 
 def _interval_overlap(a: Tuple[int, int], b: Tuple[int, int]) -> int:
@@ -140,15 +134,10 @@ def reduction_comm_elements(
     index: Index,
     grid: ProcessorGrid,
     bindings: Optional[Bindings] = None,
-    pattern: str = "linear",
 ) -> int:
     """Max received elements while combining partial sums over
-    ``index``'s processor dimension.
-
-    ``"linear"``: everyone sends its partial block to the root, which
-    receives ``p - 1`` blocks.  ``"tree"``: recursive halving; every
-    surviving rank receives one block per round, ``ceil(log2 p)`` rounds.
-    """
+    ``index``'s processor dimension: everyone sends its partial block to
+    the root, which receives ``p - 1`` blocks."""
     d = dist.position_of(index)
     if d is None:
         return 0
@@ -157,7 +146,63 @@ def reduction_comm_elements(
         return 0
     root_dist = reduction_result_dist(dist, index, replicate=False)
     block = root_dist.max_local_size(result_indices, grid, bindings)
-    if pattern == "tree":
-        rounds = (p - 1).bit_length()  # ceil(log2 p)
-        return rounds * block
     return (p - 1) * block
+
+
+def plan_traffic(plan) -> Tuple[Dict[Rank, int], Dict[Rank, int]]:
+    """Per-rank received elements and local operations of a
+    :class:`~repro.parallel.partition.PartitionPlan`, by arithmetic alone.
+
+    Every node computes under its ``gamma`` and hands its value on under
+    its ``dist``; a change of distribution costs each rank
+    :func:`received_elements`.  Inputs are placed free.  A product
+    counts one operation per local result element, a partial sum one per
+    local operand element.  A summation over a distributed index
+    combines onto the coordinate-0 root of that processor dimension
+    (the root receives ``p - 1`` partial blocks) and, under
+    ``"replicate"``, sends the total back to every other member.
+    """
+    grid, bindings = plan.grid, plan.bindings
+    ranks = list(grid.ranks())
+    received = dict.fromkeys(ranks, 0)
+    ops = dict.fromkeys(ranks, 0)
+
+    def move(indices, src: Distribution, dst: Distribution) -> None:
+        if src != dst:
+            for r in ranks:
+                received[r] += received_elements(
+                    indices, src, dst, r, grid, bindings
+                )
+
+    def compute(indices, dist: Distribution) -> None:
+        for r in ranks:
+            ops[r] += dist.local_size(indices, r, grid, bindings)
+
+    def visit(node: PNode) -> Distribution:
+        gamma = plan.gamma[id(node)]
+        cur = gamma
+        if isinstance(node, PMul):
+            for child in (node.left, node.right):
+                move(child.indices, visit(child), gamma.effective(child.indices))
+            compute(node.indices, gamma)
+        elif isinstance(node, PSum):
+            move(node.child.indices, visit(node.child), gamma)
+            compute(node.child.indices, gamma)
+            d = gamma.position_of(node.index)
+            if d is not None:
+                replicate = plan.sum_option[id(node)] == "replicate"
+                cur = reduction_result_dist(gamma, node.index, replicate)
+                for r in ranks:
+                    block = gamma.local_size(node.indices, r, grid, bindings)
+                    if r[d] == 0:
+                        received[r] += (grid.dims[d] - 1) * block
+                    elif replicate:
+                        received[r] += block
+        elif not isinstance(node, PLeaf):
+            raise TypeError(f"unknown PNode {type(node).__name__}")
+        out = plan.dist[id(node)]
+        move(node.indices, cur, out)
+        return out
+
+    visit(plan.root)
+    return received, ops

@@ -224,7 +224,6 @@ def optimize_distribution(
                         node.index,
                         grid,
                         bindings,
-                        pattern=model.reduction,
                     )
                     for option in ("combine", "replicate"):
                         out_dist = reduction_result_dist(
@@ -388,7 +387,6 @@ def canonical_plan(
                     node.index,
                     grid,
                     bindings,
-                    pattern=model.reduction,
                 )
                 cur = reduction_result_dist(cgamma, node.index, replicate=False)
             out = want if want is not None else cur

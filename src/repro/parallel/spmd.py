@@ -77,7 +77,7 @@ from repro.parallel.spmd_runtime import (
     holds,
     region,
 )
-from repro.robustness.errors import CommFailure
+from repro.robustness.errors import CommFailure, PlanError
 from repro.robustness.faults import FaultSchedule
 
 Rank = Tuple[int, ...]
@@ -359,7 +359,18 @@ def compile_schedule(
     ``resident`` + ``move`` instead of ``slice``); ``declared`` is the
     axis order the result is exposed in.  No ``move`` reads a ``slice``:
     an input is sliced where it is first needed (:meth:`_Schedule.move`).
+    A plan whose tables do not cover its ``root`` raises
+    :class:`~repro.robustness.errors.PlanError`.
     """
+    for node in plan.root.walk():
+        if id(node) not in plan.gamma or id(node) not in plan.dist or (
+            isinstance(node, PSum) and id(node) not in plan.sum_option
+        ):
+            raise PlanError(
+                f"plan has no distribution for node {type(node).__name__}; "
+                "the plan was built for a different tree",
+                stage="spmd",
+            )
     sched = _Schedule(resident, plan.grid, plan.bindings)
     steps = sched.steps
     move = sched.move
@@ -735,7 +746,9 @@ def emit_rank_program(
             emit("yield")
             emit(f"if rank == _root and state[{pvar!r}][0] is not None:")
             emit(f"    _box, _blk = state[{pvar!r}]")
-            emit("    _blk = _blk.copy()")
+            # np.array, not .copy(): a scalar's partial sum is a numpy
+            # scalar, and the fold below needs an array to write into
+            emit("    _blk = np.array(_blk)")
             emit(f"    for _pbox, _piece in comm.recv_all(rank, {tag!r}):")
             emit(f"        np.{sr.reduce_ufunc}(_blk, _piece, out=_blk)")
             emit(f"    state[{step.out!r}] = (_box, _blk)")

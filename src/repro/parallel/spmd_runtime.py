@@ -104,9 +104,8 @@ def take(entry, perm: Sequence[int], box: Box) -> np.ndarray:
         slice(lo - held[p][0], hi - held[p][0])
         for p, (lo, hi) in zip(perm, box)
     )
-    return np.ascontiguousarray(
-        np.transpose(block, perm)[sel], dtype=np.float64
-    )
+    # asarray, not ascontiguousarray: a scalar's block stays 0-d
+    return np.asarray(np.transpose(block, perm)[sel], np.float64, order="C")
 
 
 def paste(target: np.ndarray, target_box: Box, piece_box: Box, piece) -> None:
@@ -125,4 +124,4 @@ def extract(block: np.ndarray, block_box: Box, piece_box: Box) -> np.ndarray:
         slice(plo - blo, phi - blo)
         for (plo, phi), (blo, bhi) in zip(piece_box, block_box)
     )
-    return np.ascontiguousarray(block[sel])
+    return np.asarray(block[sel], order="C")

@@ -8,7 +8,7 @@ exists in:
   :class:`~repro.expr.ast.TensorRef`'s backing array must exist, have
   the declared extents, and carry a numeric dtype (used by
   :mod:`repro.engine.executor`, :mod:`repro.sparse.executor`, and
-  :mod:`repro.parallel.simulate`);
+  :mod:`repro.parallel.session`);
 * :func:`validate_shapes` -- plan level: named arrays against the
   shapes a compiled :class:`~repro.kernels.plan.KernelPlan` recorded
   (used by :class:`~repro.kernels.plan.KernelRunner`; ``validate_env``

@@ -170,6 +170,30 @@ class TestIntegrals:
         table = integral_table(["a", "b"])
         assert set(table) == {"a", "b"}
 
+    def test_values_do_not_depend_on_hash_seed(self):
+        """Integral values are the same in every process: Python salts
+        ``hash(str)`` per process, so the offset must not use it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "from repro.chem.integrals import make_integral; "
+            "print(repr(float(make_integral('f1')(1, 2, 3))))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        values = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True,
+            )
+            values.add(out.stdout.strip())
+        assert len(values) == 1
+
 
 class TestMachine:
     def test_toy_machine_is_small(self):

@@ -12,7 +12,6 @@ from repro.codegen.interp import execute
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
 from repro.parallel.spmd import LocalComm, run_spmd
 from repro.robustness import (
     CommFailure,
@@ -67,7 +66,7 @@ class TestBadInputs:
         grid = ProcessorGrid((2,))
         plan = optimize_distribution(tree, grid)
         with pytest.raises(SpecError, match="tensor 'B'") as info:
-            GridSimulator(grid).run(plan, {"A": np.zeros((4, 4))})
+            run_spmd(plan, {"A": np.zeros((4, 4))})
         # SpecError is a KeyError: pre-taxonomy callers still catch it
         assert isinstance(info.value, KeyError)
 
@@ -104,8 +103,8 @@ class TestBadInputs:
 
 class TestBrokenPlans:
     def test_mismatched_plan_and_tree(self):
-        """A plan from one tree applied to a different tree's simulator
-        run fails with a PlanError (no cross-wired silent success)."""
+        """A plan from one tree applied to a different tree fails on the
+        SPMD path with a PlanError (no cross-wired silent success)."""
         prog = matmul()
         tree1 = expression_to_ptree(prog.statements[0].expr)
         tree2 = expression_to_ptree(prog.statements[0].expr)
@@ -114,7 +113,7 @@ class TestBrokenPlans:
         # tree2 has different node ids -> lookups must fail
         plan.root = tree2
         with pytest.raises(PlanError) as info:
-            GridSimulator(grid).run(plan, random_inputs(prog, seed=0))
+            run_spmd(plan, random_inputs(prog, seed=0))
         # PlanError is a KeyError: the original contract still holds
         assert isinstance(info.value, KeyError)
         assert isinstance(info.value, ReproError)

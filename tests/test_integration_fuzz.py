@@ -26,7 +26,7 @@ from repro.opmin.multi_term import optimize_statement
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import optimize_distribution
 from repro.parallel.program_plan import plan_sequence
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import run_spmd
 
 
 def reference(prog, arrays):
@@ -121,10 +121,9 @@ def test_distribution_plans_on_random_programs(seed):
     seq = optimize_statement(stmt)
     grid = ProcessorGrid((2, 2))
     plan = plan_sequence(seq, grid)
-    sim = GridSimulator(grid)
     env = dict(arrays)
     for name, pplan in plan.plans:
-        got, _ = sim.run(pplan, env)
+        got = run_spmd(pplan, env).result
         target = next(s for s in seq if s.result.name == name)
         order = tuple(
             sorted(target.result.indices).index(i)

@@ -10,7 +10,7 @@ from repro.parallel.gridsearch import choose_grid, grid_shapes
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import run_spmd
 
 
 def matmul_tree(n=8):
@@ -72,8 +72,8 @@ class TestChooseGrid:
         choice = choose_grid(tree, 4)
         arrays = random_inputs(prog, seed=0)
         want = evaluate_expression(stmt.expr, arrays)
-        got, _ = GridSimulator(choice.grid).run(choice.plan, arrays)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        run = run_spmd(choice.plan, arrays)
+        np.testing.assert_allclose(run.result, want, rtol=1e-10)
 
     def test_invalid_count(self):
         tree, _, _ = matmul_tree()

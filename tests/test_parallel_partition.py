@@ -1,4 +1,5 @@
-"""Tests for the Section-7 DP and the grid simulator."""
+"""Tests for the Section-7 DP, and for its plans run on the in-process
+grid (:func:`run_spmd`) and walked by :func:`plan_traffic`."""
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import pytest
 from repro.expr.indices import Index, IndexRange
 from repro.expr.parser import parse_program
 from repro.engine.executor import evaluate_expression, random_inputs
-from repro.parallel.commcost import CommModel
+from repro.parallel.commcost import CommModel, plan_traffic
 from repro.parallel.dist import Distribution, REPLICATED, SINGLE, no_replicate
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import optimize_distribution
 from repro.parallel.ptree import PLeaf, PMul, PSum, expression_to_ptree
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import run_spmd
 
 
 def matmul_ptree(n=8):
@@ -193,6 +194,9 @@ class TestPartitionDP:
 
 
 class TestSimulator:
+    """Plans executed by the in-process grid (``run_spmd``) and walked
+    by the model (``plan_traffic``)."""
+
     @pytest.mark.parametrize("grid_dims", [(1,), (2,), (2, 2), (4,)])
     def test_matmul_numerics(self, grid_dims):
         tree, stmt, prog = matmul_ptree()
@@ -200,18 +204,17 @@ class TestSimulator:
         plan = optimize_distribution(tree, grid)
         arrays = random_inputs(prog, seed=2)
         want = evaluate_expression(stmt.expr, arrays)
-        sim = GridSimulator(grid)
-        got, report = sim.run(plan, arrays)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        run = run_spmd(plan, arrays)
+        np.testing.assert_allclose(run.result, want, rtol=1e-10)
 
     def test_single_proc_no_comm(self):
         tree, stmt, prog = matmul_ptree()
         grid = ProcessorGrid((1,))
         plan = optimize_distribution(tree, grid)
-        sim = GridSimulator(grid)
-        _, report = sim.run(plan, random_inputs(prog, seed=2))
-        assert report.total_received == 0
-        assert report.messages == 0
+        run = run_spmd(plan, random_inputs(prog, seed=2))
+        received, _ = plan_traffic(plan)
+        assert sum(received.values()) == 0
+        assert run.comm.messages == 0
 
     def test_local_ops_balance(self):
         """On a 4-proc grid the chosen plan should spread multiply work."""
@@ -219,11 +222,10 @@ class TestSimulator:
         grid = ProcessorGrid((4,))
         model = CommModel(comm_cost=0.001)
         plan = optimize_distribution(tree, grid, model)
-        sim = GridSimulator(grid)
-        _, report = sim.run(plan, random_inputs(prog, seed=2))
+        _, ops = plan_traffic(plan)
         n = 8
         serial_ops = 2 * n**3
-        assert report.max_local_ops < serial_ops
+        assert max(ops.values()) < serial_ops
 
     def test_simulated_comm_never_below_model_free_plans(self):
         """A plan the model says is communication-free must measure
@@ -232,30 +234,29 @@ class TestSimulator:
         grid = ProcessorGrid((2,))
         model = CommModel(comm_cost=1e9)
         plan = optimize_distribution(tree, grid, model)
-        sim = GridSimulator(grid)
-        _, report = sim.run(plan, random_inputs(prog, seed=0))
+        run = run_spmd(plan, random_inputs(prog, seed=0))
+        received, _ = plan_traffic(plan)
         model_comm = plan.total_cost - _model_flops(plan, tree, grid)
         if model_comm < 1.0:
-            assert report.total_received == 0
+            assert sum(received.values()) == 0
+            assert run.comm.total_traffic + run.placed_elements == 0
 
     def test_model_ranks_plans_like_simulator(self):
         """Across several pinned root distributions, model cost ordering
-        matches simulated (comm-time + max-ops) ordering on ties-free
-        pairs."""
+        matches the ordering of the walked per-rank quantities (max
+        received + max local ops) on ties-free pairs."""
         tree, stmt, prog = matmul_ptree()
         grid = ProcessorGrid((2, 2))
         model = CommModel()
-        arrays = random_inputs(prog, seed=5)
-        sim = GridSimulator(grid)
         from repro.parallel.dist import enumerate_distributions
 
         pairs = []
         for alpha in enumerate_distributions(tree.indices, grid)[:8]:
             plan = optimize_distribution(tree, grid, model, result_dist=alpha)
-            _, report = sim.run(plan, arrays)
+            received, ops = plan_traffic(plan)
             measured = (
-                model.comm_cost * report.event_comm_time
-                + model.flop_cost * report.max_local_ops
+                model.comm_cost * max(received.values())
+                + model.flop_cost * max(ops.values())
             )
             pairs.append((plan.total_cost, measured))
         modeled = [p[0] for p in pairs]

@@ -14,7 +14,7 @@ from repro.parallel.program_plan import (
     sequence_tree,
 )
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import run_spmd
 from repro.expr.canonical import canonical_key
 
 CHAIN_SRC = """
@@ -176,8 +176,8 @@ class TestPlanSequence:
         arrays = random_inputs(prog, seed=6)
         want = evaluate_expression(prog.statements[0].expr, arrays)
         name, pplan = plan.plans[0]
-        got, report = GridSimulator(grid).run(pplan, arrays)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        run = run_spmd(pplan, arrays)
+        np.testing.assert_allclose(run.result, want, rtol=1e-10)
 
 
 class TestMultiTermFallback:

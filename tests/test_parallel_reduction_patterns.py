@@ -1,42 +1,28 @@
-"""Tests for linear vs tree reduction patterns (model and simulator)."""
+"""Tests for the combine of partial sums: everyone sends its partial
+block to the root of the summed processor dimension (model, walk and
+session agree)."""
 
 import numpy as np
-import pytest
 
 from repro.expr.indices import Index, IndexRange
 from repro.expr.parser import parse_program
 from repro.engine.executor import evaluate_expression, random_inputs
-from repro.parallel.commcost import CommModel, reduction_comm_elements
+from repro.parallel.commcost import plan_traffic, reduction_comm_elements
 from repro.parallel.dist import Distribution
 from repro.parallel.grid import ProcessorGrid
-from repro.parallel.partition import optimize_distribution
+from repro.parallel.partition import canonical_plan, optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import run_spmd
 
 N = IndexRange("N", 16)
 J, K = Index("j", N), Index("k", N)
 
 
 class TestModel:
-    def test_tree_cheaper_for_large_p(self):
-        grid = ProcessorGrid((8,))
+    def test_root_receives_p_minus_one_blocks(self):
         dist = Distribution((K,))
-        linear = reduction_comm_elements((J,), dist, K, grid, pattern="linear")
-        tree = reduction_comm_elements((J,), dist, K, grid, pattern="tree")
-        assert linear == 7 * 16
-        assert tree == 3 * 16  # ceil(log2 8) = 3 rounds
-        assert tree < linear
-
-    def test_equal_for_two_processors(self):
-        grid = ProcessorGrid((2,))
-        dist = Distribution((K,))
-        linear = reduction_comm_elements((J,), dist, K, grid, pattern="linear")
-        tree = reduction_comm_elements((J,), dist, K, grid, pattern="tree")
-        assert linear == tree == 16
-
-    def test_bad_pattern_name_rejected(self):
-        with pytest.raises(ValueError, match="reduction"):
-            CommModel(reduction="star")
+        assert reduction_comm_elements((J,), dist, K, ProcessorGrid((8,))) == 7 * 16
+        assert reduction_comm_elements((J,), dist, K, ProcessorGrid((2,))) == 16
 
 
 def matmul(n=8):
@@ -50,76 +36,38 @@ def matmul(n=8):
     return expression_to_ptree(stmt.expr), stmt, prog
 
 
-class TestSimulator:
-    @pytest.mark.parametrize("pattern", ["linear", "tree"])
-    def test_numerics_identical(self, pattern):
+class TestSession:
+    def test_numerics_match_oracle(self):
         tree, stmt, prog = matmul()
         grid = ProcessorGrid((8,))
-        model = CommModel(reduction=pattern)
-        plan = optimize_distribution(tree, grid, model)
+        plan = optimize_distribution(tree, grid)
         arrays = random_inputs(prog, seed=0)
         want = evaluate_expression(stmt.expr, arrays)
-        got, _ = GridSimulator(grid).run(plan, arrays)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(run_spmd(plan, arrays).result, want, rtol=1e-10)
 
-    def test_tree_reduces_max_receive(self):
-        """Pin a plan that reduces over a distributed index on 8 ranks
-        and compare measured per-event maxima."""
-        tree, stmt, prog = matmul()
-        grid = ProcessorGrid((8,))
-        arrays = random_inputs(prog, seed=1)
-        from repro.parallel.dist import Distribution, SINGLE
-
-        i = next(x for x in tree.indices if x.name == "i")
-        alpha = Distribution((i,))
-        results = {}
-        for pattern in ("linear", "tree"):
-            model = CommModel(reduction=pattern)
-            plan = optimize_distribution(tree, grid, model, result_dist=alpha)
-            got, report = GridSimulator(grid).run(plan, arrays)
-            reduce_events = [
-                (label, total, mx)
-                for label, total, mx in report.node_comm
-                if label.startswith("reduce")
-            ]
-            results[pattern] = reduce_events
-        # if the chosen gammas both reduce over a distributed k, the tree
-        # pattern's per-event max receive must not exceed the linear one
-        if results["linear"] and results["tree"]:
-            lin_max = max(mx for _, _, mx in results["linear"])
-            tree_max = max(mx for _, _, mx in results["tree"])
-            assert tree_max <= lin_max
-
-    def test_model_matches_measured_tree_max(self):
-        """For a pinned gamma reducing over k on 8 ranks, the measured
-        per-event max equals the tree model's prediction."""
-        from repro.parallel.commcost import reduction_result_dist
-
-        grid = ProcessorGrid((8,))
-        n = 8
-        prog = parse_program(f"""
-        range N = {n};
+    def test_model_matches_walked_root_receive(self):
+        """For a plan that combines over k on a 2x4 grid, the root's
+        walked receive is the model's reduction charge, and the session
+        sends exactly that."""
+        prog = parse_program("""
+        range N = 8;
         index j, k : N;
         tensor A(k, j);
         S(j) = sum(k) A(k, j);
         """)
         stmt = prog.statements[0]
         ptree = expression_to_ptree(stmt.expr)
-        model = CommModel(reduction="tree")
-        plan = optimize_distribution(ptree, grid, model)
+        grid = ProcessorGrid((2, 4))
+        plan = canonical_plan(ptree, grid)
         gamma = plan.gamma[id(ptree)]
         k = next(x for x in stmt.expr.indices if x.name == "k")
+        assert gamma.position_of(k) == 1
+        received, _ = plan_traffic(plan)
+        predicted = reduction_comm_elements(tuple(ptree.indices), gamma, k, grid)
+        assert predicted == 3 * 4
+        assert max(received.values()) == predicted
         arrays = random_inputs(prog, seed=2)
-        got, report = GridSimulator(grid).run(plan, arrays)
+        run = run_spmd(plan, arrays)
+        assert run.comm.total_traffic == sum(received.values())
         want = evaluate_expression(stmt.expr, arrays)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
-        if gamma.position_of(k) is not None:
-            predicted = reduction_comm_elements(
-                tuple(ptree.indices), gamma, k, grid, pattern="tree"
-            )
-            measured = max(
-                mx
-                for label, _, mx in report.node_comm
-                if label.startswith("reduce")
-            )
-            assert measured == predicted
+        np.testing.assert_allclose(run.result, want, rtol=1e-10)

@@ -5,12 +5,11 @@ import pytest
 
 from repro.expr.parser import parse_program
 from repro.engine.executor import evaluate_expression, random_inputs
-from repro.parallel.commcost import CommModel
-from repro.parallel.dist import enumerate_distributions
+from repro.parallel.commcost import CommModel, plan_traffic
+from repro.parallel.dist import REPLICATED, Distribution, enumerate_distributions
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import canonical_plan, optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
 from repro.parallel.spmd import (
     LocalComm,
     compile_schedule,
@@ -118,8 +117,9 @@ class TestGeneratedProgram:
 
     def test_traffic_matches_simulator(self):
         """The generated program's transferred volume plus what its
-        input placements spared equals the simulator's received-element
-        count (same model, two implementations)."""
+        input placements spared equals the received-element count of
+        the §7 model's walk (same model, two implementations: boxes in
+        the session, interval arithmetic in :func:`plan_traffic`)."""
         tree, stmt, prog = matmul()
         grid = ProcessorGrid((2, 2))
         arrays = random_inputs(prog, seed=3)
@@ -129,10 +129,10 @@ class TestGeneratedProgram:
                 tree, grid, CommModel(), result_dist=alpha
             )
             run = run_spmd(plan, arrays)
-            _, report = GridSimulator(grid).run(plan, arrays)
+            received, _ = plan_traffic(plan)
             assert (
                 run.comm.total_traffic + run.placed_elements
-                == report.total_received
+                == sum(received.values())
             ), str(alpha)
             placed += run.placed_elements
         assert placed > 0  # some plan redistributes an input
@@ -197,6 +197,30 @@ class TestGeneratedProgram:
             want = evaluate_expression(stmt.expr, arrays)
             run = run_spmd(plan, arrays)
             np.testing.assert_allclose(run.result, want, rtol=1e-10)
+
+    def test_scalar_result(self):
+        """A sum over every index combines 0-d partial sums, and may then
+        broadcast or move the scalar."""
+        prog = parse_program("""
+        range N = 6;
+        index i, j : N;
+        tensor A(i, j);
+        S() = sum(i, j) A(i, j);
+        """)
+        stmt = prog.statements[0]
+        tree = expression_to_ptree(stmt.expr)
+        grid = ProcessorGrid((2,))
+        arrays = random_inputs(prog, seed=7)
+        want = evaluate_expression(stmt.expr, arrays)
+        for plan in (
+            optimize_distribution(tree, grid),
+            canonical_plan(tree, grid),
+            canonical_plan(tree, grid, result_dist=Distribution((REPLICATED,))),
+        ):
+            run = run_spmd(plan, arrays)
+            np.testing.assert_allclose(run.result, want, rtol=1e-10)
+            received, _ = plan_traffic(plan)
+            assert run.comm.total_traffic == sum(received.values()) > 0
 
 
 class TestLocalComm:

@@ -13,7 +13,7 @@ from repro.parallel.dist import Distribution, SINGLE
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import canonical_plan, optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.simulate import GridSimulator
+from repro.parallel.spmd import run_spmd
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.budget import Budget, BudgetTracker, as_tracker
 from repro.robustness.errors import (
@@ -198,9 +198,9 @@ class TestCanonicalPlan:
         grid = ProcessorGrid((2,))
         plan = canonical_plan(tree, grid)
         inputs = random_inputs(prog, seed=2)
-        got, _ = GridSimulator(grid).run(plan, inputs)
+        run = run_spmd(plan, inputs)
         want = evaluate_expression(prog.statements[0].expr, inputs)
-        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(run.result, want, rtol=1e-10)
 
     def test_canonical_plan_cost_bounded_by_search(self):
         prog = parse_program(MATMUL)

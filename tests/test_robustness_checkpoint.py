@@ -89,6 +89,32 @@ class TestInterpCheckpoint:
         assert resumed.flops == base.flops
         assert resumed.elements_allocated == base.elements_allocated
 
+    def test_counters_resume_from_a_checkpoint_with_retired_fields(
+        self, tmp_path
+    ):
+        """A checkpoint written when Counters still had ``bytes_sent``
+        and ``messages`` resumes to the same counts."""
+        from repro.engine.counters import Counters
+
+        block, inputs = _program()
+        base = Counters()
+        clean = execute(block, dict(inputs), counters=base)
+        ckpt = str(tmp_path)
+        resumed = Counters()
+        with pytest.raises(InjectedFault):
+            execute(
+                block, dict(inputs), counters=resumed,
+                checkpoint=ckpt, interrupt_after=1,
+            )
+        path = os.path.join(ckpt, CHECKPOINT_NAME)
+        saved = load_checkpoint(path)
+        saved["counters"].update(bytes_sent=0, messages=0)
+        save_checkpoint(path, saved)
+        resumed = Counters()
+        env = execute(block, dict(inputs), counters=resumed, checkpoint=ckpt)
+        np.testing.assert_array_equal(env["S"], clean["S"])
+        assert resumed.as_dict() == base.as_dict()
+
 
 class TestOutOfCoreCheckpointProperty:
     @settings(max_examples=12, deadline=None)
