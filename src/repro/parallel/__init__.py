@@ -39,7 +39,6 @@ from repro.parallel.spmd import (
     compile_schedule,
     generate_spmd_source,
     run_spmd,
-    run_spmd_sequence,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "compile_schedule",
     "generate_spmd_source",
     "run_spmd",
-    "run_spmd_sequence",
 ]

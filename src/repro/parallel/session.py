@@ -70,9 +70,7 @@ Wire vocabulary (router -> worker, then the reply):
 
 from __future__ import annotations
 
-import functools
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -102,7 +100,7 @@ from repro.parallel.spmd_runtime import (
     paste,
     region,
 )
-from repro.robustness.errors import CommFailure
+from repro.robustness.errors import CommFailure, SpecError
 from repro.robustness.faults import FaultSchedule
 from repro.robustness.validation import validate_env
 
@@ -110,6 +108,9 @@ Rank = Tuple[int, ...]
 
 #: compiled rank programs a worker keeps beyond the chain it is running
 _PROGRAMS_KEPT = 32
+
+#: restarts of a crashed statement before the run fails
+MAX_RESTARTS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +625,15 @@ def worker_count(
     asked for ``procs``: one per rank unless told fewer, and never more
     than the machine has cores (oversubscribing them only adds scheduler
     thrash).  Second value: the note to leave when that last clamp bit.
+    Fewer than one worker is a
+    :class:`~repro.robustness.errors.SpecError`, as it is on the
+    command line and the wire.
     """
-    wanted = max(1, min(procs or nranks, nranks))
+    if procs is not None and procs < 1:
+        raise SpecError(
+            f"procs must be >= 1, got {procs}", stage="execution"
+        )
+    wanted = min(procs or nranks, nranks)
     ncpu = os.cpu_count() or 1
     if wanted <= ncpu:
         return wanted, None
@@ -658,19 +666,40 @@ def run_session(
     inputs,
     *,
     faults: Optional[FaultSchedule] = None,
-    max_retries: int = 3,
-    max_restarts: int = 3,
-    retry_backoff: float = 0.0,
-    sleep: Callable[[float], None] = time.sleep,
     backend: str = "local",
     procs: Optional[int] = None,
     pool=None,
     transport: str = "shm",
     functions: Optional[Mapping[str, Callable]] = None,
 ) -> SpmdSequenceRun:
-    """Run a planned session; see :func:`repro.parallel.spmd.
-    run_spmd_sequence` for the arguments.  Raises
-    :class:`~repro.robustness.errors.SpecError` /
+    """Run a planned session (:func:`plan_session`, or
+    :meth:`SessionPlan.single` for one plan) of generated SPMD programs.
+
+    A statement's result stays on the ranks that computed it, under its
+    plan's root distribution; a later statement reading it redistributes
+    from there (the move the sequence planner charges), a multi-term
+    combine over such results folds rank-locally, and consecutive
+    statements run back to back on the ranks.  Only the session's
+    outputs and what a statement without a program reads are gathered,
+    with axes restored to the result tensor's declared order (module
+    docstring); ``functions`` serves the statements the router
+    evaluates itself.
+
+    ``faults`` applies to *every* statement's program (drop ordinals
+    and crash supersteps restart per statement): a drop is re-sent up
+    to :data:`repro.parallel.spmd.MAX_RETRIES` times, a crashed
+    statement restarts up to :data:`MAX_RESTARTS` times, and past
+    either limit the run raises
+    :class:`~repro.robustness.errors.CommFailure`.
+
+    ``backend`` selects where the ranks live: ``"local"`` keeps them in
+    this process; ``"process"`` runs them in worker OS processes
+    (:mod:`repro.runtime.process`) with at most ``procs`` workers
+    (:func:`worker_count`), reusing a worker ``pool`` when given.
+    ``transport`` (``"shm"`` or ``"pipe"``) selects the ndarray wire of
+    a pool created here (a passed-in ``pool`` keeps its own).
+
+    Raises :class:`~repro.robustness.errors.SpecError` /
     :class:`~repro.robustness.errors.ShapeError` naming the tensor when
     an array the ranks would slice is missing or mis-shaped."""
     if backend not in ("local", "process"):
@@ -691,14 +720,8 @@ def run_session(
         if pool is None:
             pool = owned = SpmdProcessPool(nworkers, transport=transport)
         ports = pool.workers(nworkers)
-    new_comm = functools.partial(
-        LocalComm, session.grid, faults=faults, max_retries=max_retries,
-        retry_backoff=retry_backoff, sleep=sleep,
-    )
     try:
-        out = _Router(
-            ports, session, inputs, faults, max_restarts, new_comm, functions
-        ).run()
+        out = _Router(ports, session, inputs, faults, functions).run()
     finally:
         if owned is not None:
             owned.close()
@@ -707,30 +730,13 @@ def run_session(
     return out
 
 
-def run_single(
-    plan: PartitionPlan, inputs, name: str, semiring: str, **how
-) -> SpmdRun:
-    """One plan as a one-statement session; ``how`` as :func:`run_session`."""
-    out = run_session(SessionPlan.single(plan, name, semiring), inputs, **how)
-    ((_, run),) = out.runs
-    run.notes = out.notes
-    return run
-
-
 class _Router:
     """The bulk-synchronous driver of one session (module docstring)."""
 
-    def __init__(
-        self, ports, session, inputs, faults, max_restarts, new_comm,
-        functions,
-    ) -> None:
+    def __init__(self, ports, session, inputs, faults, functions) -> None:
         self.ports = ports
         self.session = session
         self.faults = faults
-        self.max_restarts = max_restarts
-        #: a fresh per-statement communicator (the caller's fault and
-        #: retry settings bound in)
-        self.new_comm = new_comm
         self.functions = functions
         self.out = SpmdSequenceRun(dict(inputs), [])
         ranks = list(session.grid.ranks()) if session.grid is not None else []
@@ -766,7 +772,7 @@ class _Router:
         ports, stages = self.ports, chain.stages
         runs = [
             SpmdRun(
-                None, self.new_comm(), st.source, 0,
+                None, self._comm(), st.source, 0,
                 placed_elements=st.placed_elements,
             )
             for st in stages
@@ -785,17 +791,17 @@ class _Router:
                 # first statement even precedes the load)
                 fired[pos].add(run.supersteps)
                 run.restarts += 1
-                if run.restarts > self.max_restarts:
+                if run.restarts > MAX_RESTARTS:
                     raise CommFailure(
                         f"execution did not complete within "
-                        f"{self.max_restarts} restarts",
+                        f"{MAX_RESTARTS} restarts",
                         stage="spmd",
                     )
                 if mid:
                     for port in ports:
                         port.post(("restart",))
                     _recv_all(ports)
-                mid, run.supersteps, run.comm = False, 0, self.new_comm()
+                mid, run.supersteps, run.comm = False, 0, self._comm()
                 inboxes = [[] for _ in ports]
                 continue
             # a crash scheduled at superstep 0 is the router's to fire:
@@ -839,6 +845,10 @@ class _Router:
             self.out.runs.append((stage.name, run))
             self.run_of[id(stage)] = run
         self._gather(chain, [reply[4] for reply in replies])
+
+    def _comm(self) -> LocalComm:
+        """A fresh per-statement communicator, the run's faults bound in."""
+        return LocalComm(self.session.grid, self.faults)
 
     def _load(self, chain: Chain, fresh: bool, final: bool, until: int) -> List:
         """Post the chain's ``load`` (tensor boxes aboard) to every

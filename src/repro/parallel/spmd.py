@@ -57,7 +57,6 @@ Communication patterns match the cost model exactly:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -88,36 +87,27 @@ Rank = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
+#: re-sends of a dropped cross-rank message before the statement fails
+MAX_RETRIES = 3
+
+
 class LocalComm:
     """In-process mailbox communicator with traffic counters.
 
     ``faults`` (a :class:`~repro.robustness.faults.FaultSchedule`)
     injects message drops by cross-rank message ordinal: a dropped
     attempt is charged to the sender (the network ate it) but never
-    delivered; the communicator retries up to ``max_retries`` times
-    (sleeping ``retry_backoff * attempt`` seconds between attempts)
-    and raises :class:`~repro.robustness.errors.CommFailure` when the
-    drop schedule outlasts the retry budget.  Fault-free behaviour is
-    unchanged.
-
-    ``sleep`` is the backoff delay function (default ``time.sleep``);
-    tests inject a recorder so nonzero ``retry_backoff`` schedules can
-    be asserted without wall-clock sleeping.
+    delivered; the communicator re-sends at once, up to
+    :data:`MAX_RETRIES` times, and raises
+    :class:`~repro.robustness.errors.CommFailure` when the drop
+    schedule outlasts that.  Fault-free behaviour is unchanged.
     """
 
     def __init__(
-        self,
-        grid: ProcessorGrid,
-        faults: Optional[FaultSchedule] = None,
-        max_retries: int = 3,
-        retry_backoff: float = 0.0,
-        sleep: Callable[[float], None] = time.sleep,
+        self, grid: ProcessorGrid, faults: Optional[FaultSchedule] = None
     ) -> None:
         self.grid = grid
         self.faults = faults
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.sleep = sleep
         self._mail: Dict[Tuple[Rank, str], List] = {}
         self.sent_elements: Dict[Rank, int] = {r: 0 for r in grid.ranks()}
         self.received_elements: Dict[Rank, int] = {
@@ -135,11 +125,9 @@ class LocalComm:
         size = int(np.asarray(payload[1]).size)
         ordinal = self._ordinal
         self._ordinal += 1
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 self.retries += 1
-                if self.retry_backoff > 0.0:
-                    self.sleep(self.retry_backoff * attempt)
             self.sent_elements[source] += size
             if self.faults is not None and self.faults.should_drop(
                 ordinal, attempt
@@ -152,7 +140,7 @@ class LocalComm:
             return
         raise CommFailure(
             f"message {ordinal} from rank {source} to rank {dest} "
-            f"dropped on every attempt; {self.max_retries} retries "
+            f"dropped on every attempt; {MAX_RETRIES} retries "
             "exhausted",
             stage="spmd",
             source=source,
@@ -537,10 +525,10 @@ def generate_spmd_source(
     plan: PartitionPlan,
     name: str = "rank_program",
     semiring: str = "plus_times",
-    resident: Optional[Mapping[str, Resident]] = None,
-    declared: Optional[Sequence[Index]] = None,
 ) -> str:
-    """Emit the per-rank program source for a partition plan.
+    """Emit the per-rank program source for a partition plan, its inputs
+    sliced and its result gathered (a session's statements are emitted
+    by :func:`emit_rank_program` over their own schedules).
 
     ``semiring`` selects the scalar algebra (:mod:`repro.semiring`):
     local contractions go to GEMM under ``plus_times`` and to the
@@ -548,12 +536,10 @@ def generate_spmd_source(
     ufunc's axis reduction, and the combine superstep's cross-rank
     accumulation emits the reduce ufunc -- the emitted text is what
     ships to process-backend workers, so every execution substrate
-    inherits the algebra from this one emission site.  ``resident`` and
-    ``declared`` as in :func:`compile_schedule`.
+    inherits the algebra from this one emission site.
     """
     return emit_rank_program(
-        compile_schedule(plan, resident, declared),
-        plan.grid, plan.bindings, name, semiring,
+        compile_schedule(plan), plan.grid, plan.bindings, name, semiring
     )
 
 
@@ -882,83 +868,37 @@ def run_spmd(
     inputs,
     name: str = "rank_program",
     faults: Optional[FaultSchedule] = None,
-    max_retries: int = 3,
-    max_restarts: int = 3,
-    retry_backoff: float = 0.0,
-    sleep: Callable[[float], None] = time.sleep,
     semiring: str = "plus_times",
+    backend: str = "local",
+    procs: Optional[int] = None,
+    pool=None,
 ) -> SpmdRun:
     """Generate, compile, and execute the rank program on all ranks.
 
-    A one-statement session (:mod:`repro.parallel.session`) on the
-    in-process backend: every rank's program is advanced one superstep
-    at a time (lock-step, like a BSP machine) and the distributed result
-    is assembled into a global array, axes in sorted-index order.
+    A one-statement session (:func:`repro.parallel.session.run_session`
+    of :meth:`~repro.parallel.session.SessionPlan.single`): every rank's
+    program is advanced one superstep at a time (lock-step, like a BSP
+    machine) and the distributed result is assembled into a global
+    array, axes in sorted-index order.  ``backend``, ``procs`` and
+    ``pool`` choose where the ranks live, as for ``run_session``; the
+    process backend returns the same bits and the same traffic counters,
+    and a clamp of the worker count is recorded in the run's ``notes``.
 
     ``faults`` injects failures: message drops are retried inside the
     communicator (see :class:`LocalComm`), and a scheduled superstep
     crash aborts the statement, which is restarted from the tensor
     tables with a fresh communicator (statement-level restart: table
     entries are never mutated, so a rerun is bit-identical).  Each
-    scheduled crash fires once; exceeding ``max_restarts`` raises
+    scheduled crash fires once; more than
+    :data:`repro.parallel.session.MAX_RESTARTS` restarts raise
     :class:`~repro.robustness.errors.CommFailure`.
     """
-    from repro.parallel.session import run_single
+    from repro.parallel.session import SessionPlan, run_session
 
-    return run_single(
-        plan, inputs, name, semiring, faults=faults,
-        max_retries=max_retries, max_restarts=max_restarts,
-        retry_backoff=retry_backoff, sleep=sleep,
+    out = run_session(
+        SessionPlan.single(plan, name, semiring), inputs, faults=faults,
+        backend=backend, procs=procs, pool=pool,
     )
-
-
-def run_spmd_sequence(
-    statements,
-    seq_plan,
-    inputs,
-    faults: Optional[FaultSchedule] = None,
-    max_retries: int = 3,
-    max_restarts: int = 3,
-    backend: str = "local",
-    procs: Optional[int] = None,
-    pool=None,
-    transport: str = "shm",
-    semiring: str = "plus_times",
-    outputs: Optional[Sequence[str]] = None,
-) -> SpmdSequenceRun:
-    """Execute a whole-sequence plan (:func:`repro.parallel.program_plan.
-    plan_sequence`) as one session of generated SPMD programs.
-
-    A statement's result stays on the ranks that computed it, under its
-    plan's root distribution; a later statement reading it redistributes
-    from there (the move the sequence planner charges), a multi-term
-    combine over such results folds rank-locally, and consecutive
-    statements run back to back on the ranks.  Only ``outputs`` (default:
-    the planned statements' results) and what a statement without a
-    program reads are gathered, with axes restored to the result
-    tensor's declared order -- see :mod:`repro.parallel.session`.
-
-    ``faults`` applies to *every* statement's program (drop ordinals
-    and crash supersteps restart per statement).
-
-    ``backend`` selects where the ranks live: ``"local"`` keeps them in
-    this process; ``"process"`` runs them in worker OS processes
-    (:mod:`repro.runtime.process`) with at most ``procs`` workers,
-    reusing a worker ``pool`` when given.  ``transport`` (``"shm"`` or
-    ``"pipe"``) selects the process backend's ndarray wire (ignored for
-    ``"local"`` and when an existing ``pool`` is passed -- the pool's
-    own transport wins).
-
-    A caller that runs one sequence repeatedly plans it once
-    (:func:`repro.parallel.session.plan_session`, as
-    :meth:`repro.pipeline.SynthesisResult.spmd_session` does) and calls
-    :func:`repro.parallel.session.run_session`.
-    """
-    from repro.parallel.session import plan_session, run_session
-
-    session = plan_session(statements, seq_plan.plans, semiring, outputs)
-    return run_session(
-        session, inputs, faults=faults, max_retries=max_retries,
-        max_restarts=max_restarts, backend=backend, procs=procs, pool=pool,
-        transport=transport,
-    )
+    ((_, run),) = out.runs
+    run.notes = out.notes
+    return run

@@ -63,7 +63,7 @@ from repro.codegen.pygen import compile_loops, generate_source
 from repro.engine.counters import Counters
 from repro.report import StageReport
 from repro.robustness.budget import Budget, BudgetTracker
-from repro.robustness.errors import BudgetExceeded, SpecError
+from repro.robustness.errors import BudgetExceeded, ReproError, SpecError
 
 #: schema version of :class:`SynthesisResult` as stored in the plan
 #: cache.  Bumped whenever the result grows fields that executing code
@@ -79,6 +79,9 @@ from repro.robustness.errors import BudgetExceeded, SpecError
 #: report on their return value, and the synthesis-time notes are the
 #: ``synthesis_notes`` field).
 RESULT_VERSION = 8
+
+#: how the Code generation note begins when no kernel plan was compiled
+_NO_KERNEL_PLAN = "kernel plan not compiled"
 
 
 class RunOutput(dict):
@@ -434,9 +437,24 @@ class SynthesisResult:
         Nest thread count resolution: an explicit ``threads=`` keyword
         wins, then :attr:`SynthesisConfig.kernel_threads`, then the
         autotuner's measured ``tuning.threads``.
+
+        A result whose kernel plan could not be compiled at synthesis
+        (the Code generation report says why) raises a
+        :class:`~repro.robustness.errors.ReproError` with stage
+        ``"codegen"``; :meth:`run` interprets such a program instead.
         """
-        from repro.kernels import compile_kernel_plan
         from repro.kernels.plan import KernelRunner
+
+        if self.kernel_plan is None:
+            why = [
+                note for report in self.reports for note in report.notes
+                if note.startswith(_NO_KERNEL_PLAN)
+            ]
+            raise ReproError(
+                "no kernel runner: "
+                + (why[0] if why else f"{_NO_KERNEL_PLAN} for this result"),
+                stage="codegen",
+            )
 
         if "threads" not in kwargs or kwargs["threads"] is None:
             threads = self.config.kernel_threads
@@ -444,15 +462,7 @@ class SynthesisResult:
                 threads = self.tuning.threads
             if threads is not None:
                 kwargs["threads"] = threads
-        plan = self.kernel_plan
-        if plan is None:
-            plan = compile_kernel_plan(
-                self.statements, self.config.bindings,
-                mode=self.codegen_mode,
-                fuse=self.config.fuse_statements,
-                semiring=self.config.semiring,
-            )
-        return KernelRunner(plan, functions=functions, **kwargs)
+        return KernelRunner(self.kernel_plan, functions=functions, **kwargs)
 
     def spmd_session(self):
         """The formula sequence planned as one resident SPMD session
@@ -502,8 +512,6 @@ class SynthesisResult:
         functions: Optional[Mapping[str, Callable]] = None,
         *,
         faults=None,
-        max_retries: int = 3,
-        max_restarts: int = 3,
         backend: str = "local",
         procs: Optional[int] = None,
         transport: str = "shm",
@@ -551,7 +559,8 @@ class SynthesisResult:
         ``faults`` (a :class:`~repro.robustness.faults.FaultSchedule`)
         injects message drops and rank crashes into every statement's
         rank programs; recovery is by bounded retry and statement
-        restart (see :func:`repro.parallel.spmd.run_spmd`).
+        restart, and past their limits the run raises ``CommFailure``
+        (see :func:`repro.parallel.session.run_session`).
 
         ``supervisor`` (process backend only, a
         :class:`~repro.runtime.supervisor.PoolSupervisor`) executes the
@@ -596,9 +605,9 @@ class SynthesisResult:
 
         def run(pool):
             return run_session(
-                session, inputs, faults=faults, max_retries=max_retries,
-                max_restarts=max_restarts, backend=backend, procs=procs,
-                pool=pool, transport=transport, functions=functions,
+                session, inputs, faults=faults, backend=backend,
+                procs=procs, pool=pool, transport=transport,
+                functions=functions,
             )
 
         # a pool keeps its own transport and worker cap; one made for
@@ -1034,8 +1043,7 @@ def _synthesize_pipeline(
         )
     except (OverflowError, ValueError) as exc:
         codegen_report.notes.append(
-            f"kernel plan not compiled ({exc}); execution falls back to "
-            "per-call planning"
+            f"{_NO_KERNEL_PLAN} ({exc}); run() interprets the program"
         )
     if kernel_plan is not None:
         codegen_report.details["codegen mode"] = codegen_mode

@@ -8,8 +8,9 @@ reproducible:
 
 * **message drops**: ``drop_messages`` lists cross-rank message
   ordinals whose first ``drop_attempts`` delivery attempts are dropped
-  on the floor.  The communicator's bounded retry-with-backoff loop
-  recovers drops up to its retry limit; beyond it, a
+  on the floor.  The communicator re-sends at once and recovers drops
+  up to its retry limit (:data:`repro.parallel.spmd.MAX_RETRIES`);
+  beyond it, a
   :class:`~repro.robustness.errors.CommFailure` is raised.
 * **rank crashes**: ``crash_supersteps`` lists driver supersteps at
   whose start the whole statement execution fails with

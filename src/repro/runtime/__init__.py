@@ -10,7 +10,9 @@ traffic (ROADMAP north star):
   :mod:`repro.parallel.session`'s, the same ones the in-process backend
   uses, so traffic counters, fault injection, bounded retry, and
   statement restart are one implementation -- and results are
-  bit-for-bit equal.
+  bit-for-bit equal.  Its entries are
+  :func:`repro.parallel.session.run_session` and
+  :func:`repro.parallel.spmd.run_spmd` with ``backend="process"``.
 * **plan caching** (:mod:`repro.runtime.plan_cache`): synthesis results
   are memoized under a content-addressed key (canonical program text +
   configuration fingerprint + package version) in an in-memory LRU with
@@ -29,17 +31,13 @@ worker loss degrades a request instead of killing the server.
 
 The empirical autotuner's :class:`~repro.autotune.db.TuningDB` follows
 the same content-addressed discipline as the plan cache and extends the
-key with a *machine signature*, so measured decisions (tile sizes,
-kernel lowering mode, transport, grid shape) persist per machine the
-way plans persist per spec; :mod:`repro.autotune` documents the split.
+key with a *machine signature*, so measured decisions (kernel lowering
+mode, thread count, grid shape) persist per machine the way plans
+persist per spec; :mod:`repro.autotune` documents the split.
 """
 
 from repro.runtime.plan_cache import PlanCache, plan_key
-from repro.runtime.process import (
-    SpmdProcessPool,
-    run_spmd_process,
-    run_spmd_sequence_process,
-)
+from repro.runtime.process import SpmdProcessPool, run_spmd_sequence_process
 from repro.runtime.shm import (
     SHM_AVAILABLE,
     Arena,
@@ -59,7 +57,6 @@ __all__ = [
     "PoolSupervisor",
     "SpmdProcessPool",
     "deadline_clock",
-    "run_spmd_process",
     "run_spmd_sequence_process",
     "SHM_AVAILABLE",
     "Arena",

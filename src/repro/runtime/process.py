@@ -1,6 +1,6 @@
 """Multi-process SPMD execution of generated rank programs.
 
-The in-process backend (:func:`repro.parallel.spmd.run_spmd`) keeps
+The in-process backend (``run_session(..., backend="local")``) keeps
 every rank in one interpreter -- correct, countable, but serial.  This
 module puts the *same* :class:`~repro.parallel.session.RankWorker`
 behind a pipe in a worker OS process, the way the paper's target
@@ -46,13 +46,12 @@ import multiprocessing as mp
 import os
 import time
 import traceback
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
-from repro.parallel.partition import PartitionPlan
-from repro.parallel.session import RankWorker, run_single
-from repro.parallel.spmd import SpmdRun, SpmdSequenceRun, run_spmd_sequence
+from repro.parallel.session import RankWorker, plan_session, run_session
+from repro.parallel.spmd import SpmdSequenceRun
 from repro.robustness.errors import CommFailure
-from repro.robustness.faults import ChaosState, FaultSchedule
+from repro.robustness.faults import ChaosState
 from repro.runtime.shm import (
     DEFAULT_MIN_BYTES,
     SHM_AVAILABLE,
@@ -452,62 +451,21 @@ class SpmdProcessPool:
         self.close()
 
 
-def run_spmd_process(
-    plan: PartitionPlan,
-    inputs,
-    name: str = "rank_program",
-    faults: Optional[FaultSchedule] = None,
-    max_retries: int = 3,
-    max_restarts: int = 3,
-    retry_backoff: float = 0.0,
-    sleep: Callable[[float], None] = time.sleep,
-    procs: Optional[int] = None,
-    pool: Optional[SpmdProcessPool] = None,
-    transport: str = "shm",
-    semiring: str = "plus_times",
-) -> SpmdRun:
-    """Execute a partition plan's rank programs across worker processes.
-
-    Drop-in replacement for :func:`repro.parallel.spmd.run_spmd` with
-    the same fault-injection, retry, and restart semantics; returns the
-    same :class:`~repro.parallel.spmd.SpmdRun` (the ``comm`` carries the
-    router's traffic counters, which equal the in-process backend's).
-
-    ``procs`` bounds the worker count (default: one per rank, never
-    more than ``os.cpu_count()`` -- a clamp that bites is recorded in
-    the run's ``notes``, see :func:`repro.parallel.session.
-    worker_count`); ``pool`` reuses an existing :class:`SpmdProcessPool`
-    so callers executing a sequence pay process startup once.
-    ``transport`` configures the ndarray wire of a pool created here (a
-    passed-in ``pool`` keeps its own transport).
-    """
-    return run_single(
-        plan, inputs, name, semiring, faults=faults,
-        max_retries=max_retries, max_restarts=max_restarts,
-        retry_backoff=retry_backoff, sleep=sleep, backend="process",
-        procs=procs, pool=pool, transport=transport,
-    )
-
-
 def run_spmd_sequence_process(
     statements,
     seq_plan,
     inputs,
-    faults: Optional[FaultSchedule] = None,
-    max_retries: int = 3,
-    max_restarts: int = 3,
     procs: Optional[int] = None,
     pool: Optional[SpmdProcessPool] = None,
-    transport: str = "shm",
     semiring: str = "plus_times",
-    outputs: Optional[Sequence[str]] = None,
 ) -> SpmdSequenceRun:
-    """Process-backend twin of :func:`repro.parallel.spmd.
-    run_spmd_sequence`: the session's ranks live in one shared worker
-    pool."""
-    return run_spmd_sequence(
-        statements, seq_plan, inputs, faults=faults,
-        max_retries=max_retries, max_restarts=max_restarts,
-        backend="process", procs=procs, pool=pool, transport=transport,
-        semiring=semiring, outputs=outputs,
+    """A whole-sequence plan (:func:`repro.parallel.program_plan.
+    plan_sequence`) run as one session on worker processes: the
+    :func:`~repro.parallel.session.plan_session` +
+    :func:`~repro.parallel.session.run_session` pair with
+    ``backend="process"``.  Kept as a name only because the end-to-end
+    benchmark harness imports it; new callers use those two."""
+    session = plan_session(statements, seq_plan.plans, semiring)
+    return run_session(
+        session, inputs, backend="process", procs=procs, pool=pool
     )

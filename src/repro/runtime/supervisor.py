@@ -16,7 +16,8 @@ an apology.  :class:`PoolSupervisor` owns that recovery:
   a fresh one with the same shape, watchdog, and chaos state; an
   ``on_respawn`` callback lets registries (``repro.server.pools``)
   re-key their bookkeeping to the replacement;
-* **bounded session-level retry** -- the transaction is the *session*
+* **bounded session-level retry** (at most :data:`MAX_STATEMENT_RETRIES`
+  re-runs) -- the transaction is the *session*
   (:mod:`repro.parallel.session`): workers keep the blocks statements
   left resident, a dead or hung worker takes its blocks with it, and
   the router holds only the run's inputs.  So the retried transaction
@@ -57,9 +58,15 @@ T = TypeVar("T")
 #: cannot pin a request slot for more than a few seconds
 DEFAULT_WATCHDOG_S = 10.0
 
+#: re-runs of a transaction after a process-level failure before the
+#: supervisor gives up
+MAX_STATEMENT_RETRIES = 2
+
 
 class PoolSupervisor:
-    """Supervises one :class:`SpmdProcessPool` (see module docstring).
+    """Supervises one :class:`SpmdProcessPool` (see module docstring);
+    :meth:`run_statement` re-runs a transaction at most
+    :data:`MAX_STATEMENT_RETRIES` times.
 
     Parameters
     ----------
@@ -76,9 +83,6 @@ class PoolSupervisor:
         Recv watchdog for supervised pools; ``None`` disables it.
     chaos:
         A :class:`ChaosState` attached to every supervised pool.
-    max_statement_retries:
-        How many times :meth:`run_statement` re-runs its transaction
-        after a process-level failure before giving up (0 = fail fast).
     time_left:
         Optional callable returning remaining seconds of the caller's
         deadline; when it is non-positive at retry time the supervisor
@@ -97,7 +101,6 @@ class PoolSupervisor:
         pool: Optional[SpmdProcessPool] = None,
         recv_timeout_s: Optional[float] = DEFAULT_WATCHDOG_S,
         chaos: Optional[ChaosState] = None,
-        max_statement_retries: int = 2,
         time_left: Optional[Callable[[], float]] = None,
         on_respawn: Optional[
             Callable[[Optional[SpmdProcessPool], SpmdProcessPool], None]
@@ -105,16 +108,10 @@ class PoolSupervisor:
     ) -> None:
         if pool is None and procs is None:
             raise ValueError("need procs or an existing pool to adopt")
-        if max_statement_retries < 0:
-            raise ValueError(
-                f"max_statement_retries must be >= 0, "
-                f"got {max_statement_retries}"
-            )
         self.procs = pool.procs if pool is not None else procs
         self.transport = pool.transport if pool is not None else transport
         self.recv_timeout_s = recv_timeout_s
         self.chaos = chaos
-        self.max_statement_retries = max_statement_retries
         self.time_left = time_left
         self.on_respawn = on_respawn
         #: pools spawned to replace dead/broken ones (adoption excluded)
@@ -170,7 +167,7 @@ class PoolSupervisor:
         :func:`repro.parallel.session.run_session`, whose first ``load``
         drops whatever the workers held.  On a process-level
         :class:`CommFailure` the pool is respawned and ``run``
-        re-invoked from the start, up to ``max_statement_retries``
+        re-invoked from the start, up to :data:`MAX_STATEMENT_RETRIES`
         times; the rerun is bit-identical to an undisturbed execution.
         """
         attempt = 0
@@ -182,11 +179,11 @@ class PoolSupervisor:
                 if exc.stage != "spmd-process":
                     raise  # logical/deterministic failure: no retry
                 attempt += 1
-                if attempt > self.max_statement_retries:
+                if attempt > MAX_STATEMENT_RETRIES:
                     self.notes.append(
                         f"supervisor: giving up after {attempt} "
                         f"process-level failures (retry budget "
-                        f"{self.max_statement_retries})"
+                        f"{MAX_STATEMENT_RETRIES})"
                     )
                     raise
                 if self.time_left is not None and self.time_left() <= 0:
@@ -198,7 +195,7 @@ class PoolSupervisor:
                 self.retries += 1
                 self.notes.append(
                     f"supervisor: retry {attempt}/"
-                    f"{self.max_statement_retries} after {exc.message!r}: "
+                    f"{MAX_STATEMENT_RETRIES} after {exc.message!r}: "
                     "resident blocks lost with the worker, session "
                     "replayed from the router-held inputs"
                 )

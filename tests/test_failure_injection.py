@@ -12,7 +12,7 @@ from repro.codegen.interp import execute
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.partition import optimize_distribution
 from repro.parallel.ptree import expression_to_ptree
-from repro.parallel.spmd import LocalComm, run_spmd
+from repro.parallel.spmd import MAX_RETRIES, LocalComm, run_spmd
 from repro.robustness import (
     CommFailure,
     FaultSchedule,
@@ -235,10 +235,16 @@ class TestFaultTolerantSpmd:
         assert run.comm.total_traffic > clean.comm.total_traffic
 
     def test_drop_beyond_retry_limit_raises(self):
+        """A message dropped on MAX_RETRIES attempts is still delivered;
+        one attempt more exhausts the retries."""
         plan, arrays, _ = self._plan_and_inputs()
-        faults = FaultSchedule(drop_messages=(0,), drop_attempts=10)
-        with pytest.raises(CommFailure, match="retries"):
-            run_spmd(plan, arrays, faults=faults, max_retries=2)
+        at_limit = FaultSchedule(drop_messages=(0,), drop_attempts=MAX_RETRIES)
+        assert run_spmd(plan, arrays, faults=at_limit).comm.retries == 3
+        faults = FaultSchedule(
+            drop_messages=(0,), drop_attempts=MAX_RETRIES + 1
+        )
+        with pytest.raises(CommFailure, match=f"{MAX_RETRIES} retries"):
+            run_spmd(plan, arrays, faults=faults)
 
     def test_rank_crash_restart_bit_identical(self):
         """A crashed superstep triggers a statement restart; the final
@@ -251,48 +257,11 @@ class TestFaultTolerantSpmd:
         assert np.array_equal(run.result, clean.result)
         np.testing.assert_allclose(run.result, want, rtol=1e-10)
 
-    def test_crash_beyond_restart_limit_raises(self):
+    def test_crash_beyond_restart_limit_raises(self, monkeypatch):
+        from repro.parallel import session
+
         plan, arrays, _ = self._plan_and_inputs()
+        monkeypatch.setattr(session, "MAX_RESTARTS", 2)
         faults = FaultSchedule(crash_supersteps=(0, 1, 2, 3, 4, 5))
-        with pytest.raises(CommFailure, match="restart"):
-            run_spmd(plan, arrays, faults=faults, max_restarts=2)
-
-
-class TestRetryBackoff:
-    """The communicator's backoff delay is injectable, so schedules can
-    be asserted without wall-clock sleeping."""
-
-    def test_backoff_sequence_recorded(self):
-        from repro.parallel.dist import Distribution, SINGLE
-        from repro.parallel.partition import canonical_plan
-
-        prog = matmul()
-        tree = expression_to_ptree(prog.statements[0].expr)
-        plan = canonical_plan(
-            tree, ProcessorGrid((2,)), result_dist=Distribution((SINGLE,))
-        )
-        arrays = random_inputs(prog, seed=0)
-        delays = []
-        faults = FaultSchedule(drop_messages=(0,), drop_attempts=2)
-        run = run_spmd(
-            plan, arrays, faults=faults,
-            retry_backoff=0.5, sleep=delays.append,
-        )
-        # message 0 dropped twice: retry 1 sleeps 0.5s, retry 2 sleeps 1.0s
-        assert delays == [0.5, 1.0]
-        assert run.comm.retries == 2
-
-    def test_zero_backoff_never_sleeps(self):
-        from repro.parallel.dist import Distribution, SINGLE
-        from repro.parallel.partition import canonical_plan
-
-        prog = matmul()
-        tree = expression_to_ptree(prog.statements[0].expr)
-        plan = canonical_plan(
-            tree, ProcessorGrid((2,)), result_dist=Distribution((SINGLE,))
-        )
-        arrays = random_inputs(prog, seed=0)
-        delays = []
-        faults = FaultSchedule(drop_messages=(0,), drop_attempts=1)
-        run_spmd(plan, arrays, faults=faults, sleep=delays.append)
-        assert delays == []
+        with pytest.raises(CommFailure, match="2 restarts"):
+            run_spmd(plan, arrays, faults=faults)

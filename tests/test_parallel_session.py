@@ -532,3 +532,19 @@ class TestWorkerCount:
             assert [n for n in notes if "clamped" in n] == (
                 [note] if note else []
             ), site
+
+    @pytest.mark.parametrize("procs", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, procs):
+        """The library refuses ``procs < 1`` as the CLI and the wire do,
+        before any worker is spawned."""
+        from repro.parallel.session import worker_count
+        from repro.robustness import SpecError
+
+        with pytest.raises(SpecError, match="procs must be >= 1"):
+            worker_count(2, procs)
+        res = synthesize(
+            MATMUL_2X2, SynthesisConfig(grid=ProcessorGrid((2, 2)))
+        )
+        inputs = random_inputs(res.program, seed=0)
+        with pytest.raises(SpecError, match="procs must be >= 1"):
+            res.run_parallel(inputs, backend="process", procs=procs)

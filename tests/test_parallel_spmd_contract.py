@@ -10,8 +10,8 @@ things are pinned here:
   idempotent semirings (min/max folds are order-free), within
   :data:`PLUS_TIMES_RTOL` under ``plus_times`` where a GEMM reassociates
   the sum like every other GEMM term of the repository;
-* ``run_spmd`` and ``run_spmd_process`` agree bit-for-bit, superstep
-  and traffic counters included;
+* ``run_spmd`` on the local and the process backend agree bit-for-bit,
+  superstep and traffic counters included;
 * no rank ever stores a block with more axes than the step's operands
   and result, while the traffic still equals the cost model's count.
 """
@@ -34,7 +34,7 @@ from repro.parallel.spmd import (
     run_spmd,
 )
 from repro.pipeline import SynthesisConfig, synthesize
-from repro.runtime.process import SpmdProcessPool, run_spmd_process
+from repro.runtime.process import SpmdProcessPool
 from repro.semiring import available_semirings, get_semiring
 
 #: the stated bound of a rank-local GEMM against the interpreter
@@ -188,7 +188,9 @@ class TestDriverParity:
         prog, _, plan = build(case, dims)
         arrays = inputs(prog, 12)
         local = run_spmd(plan, arrays, semiring=semiring)
-        proc = run_spmd_process(plan, arrays, pool=pool, semiring=semiring)
+        proc = run_spmd(
+            plan, arrays, semiring=semiring, backend="process", pool=pool
+        )
         np.testing.assert_array_equal(local.result, proc.result)
         assert local.supersteps == proc.supersteps
         assert local.restarts == proc.restarts == 0
@@ -221,7 +223,7 @@ class TestFullyLocalPlan:
         prog, stmt, plan = self._plan()
         arrays = inputs(prog, 13)
         local = run_spmd(plan, arrays)
-        proc = run_spmd_process(plan, arrays, pool=pool)
+        proc = run_spmd(plan, arrays, backend="process", pool=pool)
         assert proc.supersteps == local.supersteps == 1
         np.testing.assert_array_equal(local.result, proc.result)
 

@@ -8,7 +8,7 @@ from repro.engine.executor import evaluate_expression, random_inputs, run_statem
 from repro.opmin.multi_term import optimize_program, optimize_statement
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.program_plan import plan_sequence
-from repro.parallel.spmd import run_spmd_sequence
+from repro.parallel.session import plan_session, run_session
 
 
 class TestRunSpmdSequence:
@@ -24,7 +24,7 @@ class TestRunSpmdSequence:
         grid = ProcessorGrid((2, 2))
         plan = plan_sequence(seq, grid)
         arrays = random_inputs(prog, seed=0)
-        out = run_spmd_sequence(seq, plan, arrays)
+        out = run_session(plan_session(seq, plan.plans), arrays)
         want = evaluate_expression(stmt.expr, arrays)
         # D declared (i,j) == sorted order here
         np.testing.assert_allclose(out.arrays["D"], want, rtol=1e-10)
@@ -45,7 +45,7 @@ class TestRunSpmdSequence:
         plan = plan_sequence(prog.statements, grid)
         assert len(plan.plans) >= 2  # X shared by two consumers
         arrays = random_inputs(prog, seed=1)
-        out = run_spmd_sequence(prog.statements, plan, arrays)
+        out = run_session(plan_session(prog.statements, plan.plans), arrays)
         want = run_statements(prog.statements, arrays)
         for name in ("S", "Y"):
             np.testing.assert_allclose(
@@ -65,7 +65,7 @@ class TestRunSpmdSequence:
         grid = ProcessorGrid((2,))
         plan = plan_sequence(prog.statements, grid)
         arrays = random_inputs(prog, seed=2)
-        out = run_spmd_sequence(prog.statements, plan, arrays)
+        out = run_session(plan_session(prog.statements, plan.plans), arrays)
         np.testing.assert_array_equal(out.arrays["S"], arrays["A"].T)
 
     def test_traffic_aggregated(self):
@@ -79,7 +79,7 @@ class TestRunSpmdSequence:
         grid = ProcessorGrid((4,))
         plan = plan_sequence(seq, grid)
         arrays = random_inputs(prog, seed=3)
-        out = run_spmd_sequence(seq, plan, arrays)
+        out = run_session(plan_session(seq, plan.plans), arrays)
         assert out.total_traffic == sum(
             run.comm.total_traffic for _, run in out.runs
         )

@@ -402,3 +402,33 @@ class TestRun:
         out = bare.run(inputs)
         np.testing.assert_array_equal(out["S"], bare.execute(inputs)["S"])
         assert out.substrate == "interp"
+
+    def test_a_kernel_plan_that_failed_to_compile_is_named(self, monkeypatch):
+        """When the kernel plan cannot be compiled, the note says what
+        run() does, and kernel_runner() refuses with that reason rather
+        than re-planning into the same failure."""
+        import repro.kernels
+        from repro.robustness import ReproError
+
+        def refuse(*args, **kwargs):
+            raise ValueError("too many distinct indices")
+
+        monkeypatch.setattr(repro.kernels, "compile_kernel_plan", refuse)
+        res = synthesize(parse_program("""
+        range N = 4;
+        index i, j, k : N;
+        tensor A(i, k); tensor B(k, j);
+        C(i, j) = sum(k) A(i, k) * B(k, j);
+        """))
+        (note,) = [
+            n for r in res.reports if r.name == "Code generation"
+            for n in r.notes
+        ]
+        assert "too many distinct indices" in note
+        assert "run() interprets" in note
+        assert "per-call planning" not in note
+        out = res.run(random_inputs(res.program, seed=0))
+        assert out.substrate == "interp"
+        with pytest.raises(ReproError, match="too many distinct") as err:
+            res.kernel_runner()
+        assert err.value.stage == "codegen"

@@ -21,15 +21,12 @@ from repro.engine.executor import random_inputs, run_statements
 from repro.expr.parser import parse_program
 from repro.parallel.grid import ProcessorGrid
 from repro.parallel.program_plan import plan_sequence
-from repro.parallel.spmd import run_spmd, run_spmd_sequence
+from repro.parallel.session import plan_session, run_session
+from repro.parallel.spmd import run_spmd
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.errors import CommFailure
 from repro.robustness.faults import FaultSchedule
-from repro.runtime.process import (
-    SpmdProcessPool,
-    run_spmd_process,
-    run_spmd_sequence_process,
-)
+from repro.runtime.process import SpmdProcessPool, run_spmd_sequence_process
 
 #: a long summed index: the 2x2 plan splits the sum, so the ranks
 #: communicate in three rounds -- a combine, a broadcast and a move
@@ -109,7 +106,7 @@ class TestBitForBit:
     def test_matmul_matches_local_driver(self):
         plan, inputs, _ = matmul_plan()
         local = run_spmd(plan, inputs)
-        proc = run_spmd_process(plan, inputs)
+        proc = run_spmd(plan, inputs, backend="process")
         np.testing.assert_array_equal(local.result, proc.result)
         assert local.supersteps == proc.supersteps
         assert_comm_equal(local.comm, proc.comm)
@@ -120,7 +117,7 @@ class TestBitForBit:
         plan, inputs, _ = matmul_plan()
         local = run_spmd(plan, inputs)
         for procs in (1, 3):
-            proc = run_spmd_process(plan, inputs, procs=procs)
+            proc = run_spmd(plan, inputs, procs=procs, backend="process")
             np.testing.assert_array_equal(local.result, proc.result)
             assert_comm_equal(local.comm, proc.comm)
 
@@ -129,7 +126,7 @@ class TestBitForBit:
         grid = ProcessorGrid((2,))
         seq = plan_sequence(prog.statements, grid)
         inputs = random_inputs(prog, seed=1)
-        local = run_spmd_sequence(prog.statements, seq, inputs)
+        local = run_session(plan_session(prog.statements, seq.plans), inputs)
         proc = run_spmd_sequence_process(prog.statements, seq, inputs)
         for name in local.arrays:
             np.testing.assert_array_equal(
@@ -157,7 +154,7 @@ class TestFaultParity:
         plan, inputs, _ = matmul_plan()
         faults = FaultSchedule(drop_messages=(0, 3), drop_attempts=2)
         local = run_spmd(plan, inputs, faults=faults)
-        proc = run_spmd_process(plan, inputs, faults=faults)
+        proc = run_spmd(plan, inputs, faults=faults, backend="process")
         np.testing.assert_array_equal(local.result, proc.result)
         assert proc.comm.dropped == 4
         assert proc.comm.retries == 4
@@ -168,8 +165,9 @@ class TestFaultParity:
         local = run_spmd(
             plan, inputs, faults=FaultSchedule(crash_supersteps={2})
         )
-        proc = run_spmd_process(
-            plan, inputs, faults=FaultSchedule(crash_supersteps={2})
+        proc = run_spmd(
+            plan, inputs, faults=FaultSchedule(crash_supersteps={2}),
+            backend="process",
         )
         assert local.restarts == proc.restarts == 1
         np.testing.assert_array_equal(local.result, proc.result)
@@ -180,7 +178,7 @@ class TestFaultParity:
         # the 2x2 plan has three rounds: supersteps 0, 1, 2, 3
         faults = FaultSchedule(drop_messages=(1,), crash_supersteps=(1, 2))
         local = run_spmd(plan, inputs, faults=faults)
-        proc = run_spmd_process(plan, inputs, faults=faults)
+        proc = run_spmd(plan, inputs, faults=faults, backend="process")
         assert local.restarts == proc.restarts == 2
         assert local.comm.dropped == 1
         np.testing.assert_array_equal(local.result, proc.result)
@@ -195,8 +193,12 @@ class TestFaultParity:
         faults = FaultSchedule(crash_supersteps={0})
         local = run_spmd(plan, inputs, faults=faults)
         with SpmdProcessPool(2) as pool:
-            proc = run_spmd_process(plan, inputs, faults=faults, pool=pool)
-            again = run_spmd_process(plan, inputs, faults=faults, pool=pool)
+            proc = run_spmd(
+                plan, inputs, faults=faults, backend="process", pool=pool
+            )
+            again = run_spmd(
+                plan, inputs, faults=faults, backend="process", pool=pool
+            )
         assert local.restarts == proc.restarts == again.restarts == 1
         assert local.supersteps == proc.supersteps == clean.supersteps
         np.testing.assert_array_equal(clean.result, proc.result)
@@ -204,13 +206,18 @@ class TestFaultParity:
         assert_comm_equal(local.comm, proc.comm)
 
     def test_restart_budget_exhaustion_raises(self):
+        """A crash at each of the plan's four supersteps is one restart
+        more than :data:`MAX_RESTARTS` allows."""
+        from repro.parallel.session import MAX_RESTARTS
+
         plan, inputs, _ = matmul_plan()
-        with pytest.raises(CommFailure, match="restarts"):
-            run_spmd_process(
+        assert MAX_RESTARTS == 3
+        with pytest.raises(CommFailure, match="3 restarts"):
+            run_spmd(
                 plan,
                 inputs,
                 faults=FaultSchedule(crash_supersteps={0, 1, 2, 3}),
-                max_restarts=2,
+                backend="process",
             )
 
 
@@ -223,8 +230,6 @@ class TestSessionFaults:
         prog = ccsd_doubles_program(V=4, O=3)
         res = synthesize(prog, SynthesisConfig(grid=ProcessorGrid((2,))))
         inputs = random_inputs(prog, seed=2)
-        from repro.parallel.session import run_session
-
         clean = run_session(res.spmd_session(), inputs)
         return res.spmd_session(), inputs, clean, run_session
 
@@ -280,11 +285,14 @@ class TestSessionFaults:
             assert_comm_equal(a.comm, b.comm)
             assert a.comm.received_elements == c.comm.received_elements
 
-    def test_restart_budget_is_per_statement(self, ccsd):
+    def test_restart_budget_is_per_statement(self, ccsd, monkeypatch):
+        from repro.parallel import session as session_module
+
         session, inputs, _, run_session = ccsd
+        monkeypatch.setattr(session_module, "MAX_RESTARTS", 1)
         faults = FaultSchedule(crash_supersteps={0, 1, 2, 3, 4, 5})
-        with pytest.raises(CommFailure, match="restarts"):
-            run_session(session, inputs, faults=faults, max_restarts=1)
+        with pytest.raises(CommFailure, match="1 restarts"):
+            run_session(session, inputs, faults=faults)
 
     def test_failure_mid_chain_leaves_no_stale_reply(self, ccsd, failing_rank):
         """A statement deep in the chain fails on one worker's side:
@@ -311,8 +319,8 @@ class TestPool:
         plan, inputs, _ = matmul_plan()
         local = run_spmd(plan, inputs)
         with SpmdProcessPool(2) as pool:
-            first = run_spmd_process(plan, inputs, pool=pool)
-            second = run_spmd_process(plan, inputs, pool=pool)
+            first = run_spmd(plan, inputs, pool=pool, backend="process")
+            second = run_spmd(plan, inputs, pool=pool, backend="process")
             np.testing.assert_array_equal(local.result, first.result)
             np.testing.assert_array_equal(local.result, second.result)
 
@@ -326,7 +334,7 @@ class TestPool:
         plan, inputs, _ = matmul_plan()
         failing_rank("rank_program", (1, 1))
         with pytest.raises(CommFailure, match="worker failed") as info:
-            run_spmd_process(plan, inputs)
+            run_spmd(plan, inputs, backend="process")
         assert "injected rank-program failure" in str(info.value)
 
     def test_missing_or_misshaped_input_never_reaches_a_worker(self):
@@ -337,12 +345,12 @@ class TestPool:
         plan, inputs, _ = matmul_plan()
         missing = {k: v for k, v in inputs.items() if k != "B"}
         short = dict(inputs, B=inputs["B"][:4])
-        for run in (run_spmd, run_spmd_process):
+        for backend in ("local", "process"):
             with pytest.raises(SpecError, match="'B'") as info:
-                run(plan, missing)
+                run_spmd(plan, missing, backend=backend)
             assert info.value.tensor == "B"
             with pytest.raises(ShapeError, match="'B'") as info:
-                run(plan, short)
+                run_spmd(plan, short, backend=backend)
             assert info.value.tensor == "B"
 
     def test_pool_survives_a_worker_side_failure(self, failing_rank):
@@ -354,10 +362,10 @@ class TestPool:
         failing = failing_rank("rank_program", (1, 1))
         with SpmdProcessPool(2) as pool:
             with pytest.raises(CommFailure, match="worker failed"):
-                run_spmd_process(plan, inputs, pool=pool)
+                run_spmd(plan, inputs, pool=pool, backend="process")
             assert not pool.broken
             failing.value = 0
-            proc = run_spmd_process(plan, inputs, pool=pool)
+            proc = run_spmd(plan, inputs, pool=pool, backend="process")
         np.testing.assert_array_equal(local.result, proc.result)
         assert local.supersteps == proc.supersteps
         assert_comm_equal(local.comm, proc.comm)
@@ -400,7 +408,10 @@ class TestPool:
         seq = plan_sequence(prog.statements, grid)
         inputs = random_inputs(prog, seed=0)
         with pytest.raises(ValueError, match="backend"):
-            run_spmd_sequence(prog.statements, seq, inputs, backend="mpi")
+            run_session(
+                plan_session(prog.statements, seq.plans), inputs,
+                backend="mpi",
+            )
 
 
 class TestNoRepeatedWork:
@@ -454,7 +465,8 @@ class TestNoRepeatedWork:
         monkeypatch.setattr(session, "load_rank_program", counting)
         with SpmdProcessPool(1) as pool:
             runs = [
-                run_spmd_process(plan, inputs, pool=pool) for _ in range(3)
+                run_spmd(plan, inputs, backend="process", pool=pool)
+                for _ in range(3)
             ]
         assert compiles.value == 1
         np.testing.assert_array_equal(runs[0].result, runs[2].result)

@@ -29,7 +29,7 @@ from repro.parallel.grid import ProcessorGrid
 from repro.parallel.spmd import run_spmd
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.faults import FaultSchedule
-from repro.runtime.process import SpmdProcessPool, run_spmd_process
+from repro.runtime.process import SpmdProcessPool
 from repro.runtime.shm import (
     ARENA_MIN_BYTES,
     DEFAULT_MIN_BYTES,
@@ -179,7 +179,7 @@ class TestArenaLifetime:
     def test_close_unlinks_every_segment(self):
         plan, inputs = matmul_plan()
         pool = SpmdProcessPool(2, shm_min_bytes=0)
-        run_spmd_process(plan, inputs, pool=pool)
+        run_spmd(plan, inputs, backend="process", pool=pool)
         paths = segments(pool)
         assert len(paths) == 4 and all(os.path.exists(p) for p in paths)
         pool.close()
@@ -188,7 +188,7 @@ class TestArenaLifetime:
     def test_mark_broken_unlinks_every_segment(self):
         plan, inputs = matmul_plan()
         pool = SpmdProcessPool(2, shm_min_bytes=0)
-        run_spmd_process(plan, inputs, pool=pool)
+        run_spmd(plan, inputs, backend="process", pool=pool)
         paths = segments(pool)
         procs = [port.proc for port in pool._workers]
         pool.mark_broken()
@@ -233,14 +233,14 @@ class TestArenaLifetime:
         with SpmdProcessPool(1) as pool:
             pool.workers(1)
             before = segments(pool)
-            first = run_spmd_process(plan, inputs, pool=pool)
+            first = run_spmd(plan, inputs, backend="process", pool=pool)
             after = segments(pool)
             # both directions outgrew their 64 KiB: a load carrying A
             # and B down, the whole of C coming back up
             assert set(before).isdisjoint(after)
             assert not any(os.path.exists(p) for p in before)
             assert all(os.path.exists(p) for p in after)
-            second = run_spmd_process(plan, inputs, pool=pool)
+            second = run_spmd(plan, inputs, backend="process", pool=pool)
             assert segments(pool) == after  # sized by its largest message
         np.testing.assert_array_equal(first.result, local.result)
         np.testing.assert_array_equal(second.result, local.result)
@@ -318,8 +318,8 @@ class TestTransportParity:
             shm_min_bytes=0 if transport == "shm" else DEFAULT_MIN_BYTES,
         )
         with pool:
-            return run_spmd_process(
-                plan, inputs, pool=pool, faults=faults
+            return run_spmd(
+                plan, inputs, faults=faults, backend="process", pool=pool
             )
 
     def test_matmul_parity(self):

@@ -11,6 +11,7 @@ which ordinals fire which actions.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,8 +32,13 @@ from repro.robustness.faults import (
     ChaosState,
     parse_chaos_spec,
 )
-from repro.runtime.process import SpmdProcessPool, run_spmd_process
-from repro.runtime.supervisor import PoolSupervisor, deadline_clock
+from repro.runtime import supervisor as supervisor_module
+from repro.runtime.process import SpmdProcessPool
+from repro.runtime.supervisor import (
+    MAX_STATEMENT_RETRIES,
+    PoolSupervisor,
+    deadline_clock,
+)
 
 #: a long summed index: the 2x2 plan splits the sum, so every run
 #: posts ``go`` commands (a combine, a broadcast and a move) for chaos
@@ -95,8 +101,9 @@ class TestWatchdog:
         pool = SpmdProcessPool(1, recv_timeout_s=0.5, chaos=state)
         with pool:
             with pytest.raises(CommFailure) as exc:
-                run_spmd_process(
-                    res.partition_plans["C"], inputs, pool=pool
+                run_spmd(
+                    res.partition_plans["C"], inputs, backend="process",
+                    pool=pool,
                 )
         assert exc.value.stage == "spmd-process"
         assert "watchdog" in exc.value.message
@@ -110,8 +117,9 @@ class TestWatchdog:
         pool = SpmdProcessPool(1, recv_timeout_s=0.5, chaos=state)
         with pool:
             with pytest.raises(CommFailure) as exc:
-                run_spmd_process(
-                    res.partition_plans["C"], inputs, pool=pool
+                run_spmd(
+                    res.partition_plans["C"], inputs, backend="process",
+                    pool=pool,
                 )
         assert exc.value.stage == "spmd-process"
 
@@ -119,8 +127,9 @@ class TestWatchdog:
         res, inputs, expect = matmul
         pool = SpmdProcessPool(1)  # recv_timeout_s=None: legacy blocking
         with pool:
-            run = run_spmd_process(
-                res.partition_plans["C"], inputs, pool=pool
+            run = run_spmd(
+                res.partition_plans["C"], inputs, backend="process",
+                pool=pool,
             )
         np.testing.assert_array_equal(run.result, expect)
 
@@ -200,21 +209,20 @@ class TestSupervisor:
 
     def test_retry_exhaustion_raises_comm_failure(self, matmul):
         res, inputs, _ = matmul
-        # kill on every early ordinal: attempts 1 and 2 both die, and
-        # the budget of 1 retry is spent
+        # kill on every early ordinal: every attempt dies, and the
+        # budget of MAX_STATEMENT_RETRIES retries is spent
         state = ChaosState(
-            ChaosSchedule(kill_worker=tuple(range(8)))
+            ChaosSchedule(kill_worker=tuple(range(32)))
         )
-        sup = PoolSupervisor(
-            4, chaos=state, recv_timeout_s=5.0, max_statement_retries=1
-        )
+        sup = PoolSupervisor(4, chaos=state, recv_timeout_s=5.0)
         with sup:
             with pytest.raises(CommFailure):
                 res.run_parallel(
                     dict(inputs), backend="process", procs=4,
                     supervisor=sup,
                 )
-        assert sup.retries == 1
+        assert MAX_STATEMENT_RETRIES == 2
+        assert sup.retries == MAX_STATEMENT_RETRIES
         assert any("giving up" in n for n in sup.notes)
 
     def test_logical_faults_are_not_retried(self, matmul):
@@ -233,10 +241,7 @@ class TestSupervisor:
         assert sup.retries == 0
 
     def test_expired_deadline_stops_retries(self, matmul):
-        sup = PoolSupervisor(
-            1, recv_timeout_s=5.0, time_left=lambda: 0.0,
-            max_statement_retries=3,
-        )
+        sup = PoolSupervisor(1, recv_timeout_s=5.0, time_left=lambda: 0.0)
 
         def process_failure(pool):
             raise CommFailure("worker died", stage="spmd-process")
@@ -299,10 +304,8 @@ class TestSupervisedSession:
         res, inputs, expect = ccsd
         state = ChaosState(parse_chaos_spec(spec))
         events = spec.count("@")
-        sup = PoolSupervisor(
-            2, chaos=state, recv_timeout_s=1.0,
-            max_statement_retries=events,
-        )
+        assert events <= MAX_STATEMENT_RETRIES
+        sup = PoolSupervisor(2, chaos=state, recv_timeout_s=1.0)
         with sup:
             out = res.run_parallel(
                 dict(inputs), backend="process", procs=2, supervisor=sup
@@ -318,15 +321,13 @@ class TestSupervisedSession:
         res, inputs, _ = ccsd
         # every run loses its second worker in the fold's round
         state = ChaosState(ChaosSchedule(kill_worker=tuple(range(1, 60, 2))))
-        sup = PoolSupervisor(
-            2, chaos=state, recv_timeout_s=5.0, max_statement_retries=2
-        )
+        sup = PoolSupervisor(2, chaos=state, recv_timeout_s=5.0)
         with sup:
             with pytest.raises(CommFailure):
                 res.run_parallel(
                     dict(inputs), backend="process", procs=2, supervisor=sup
                 )
-        assert sup.retries == 2
+        assert sup.retries == MAX_STATEMENT_RETRIES == 2
         assert any("giving up" in n for n in sup.notes)
 
 
@@ -357,11 +358,11 @@ class TestChaosProperty:
         )
         state = ChaosState(sched)
         events = len(kills) + len(hangs) + len(drops)
-        sup = PoolSupervisor(
-            4, chaos=state, recv_timeout_s=0.5,
-            max_statement_retries=events + 1,
-        )
-        with sup:
+        sup = PoolSupervisor(4, chaos=state, recv_timeout_s=0.5)
+        # enough retry budget: one more than there are events
+        with sup, mock.patch.object(
+            supervisor_module, "MAX_STATEMENT_RETRIES", events + 1
+        ):
             out = res.run_parallel(
                 dict(inputs), backend="process", procs=4, supervisor=sup
             )
