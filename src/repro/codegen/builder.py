@@ -17,8 +17,9 @@ Correctness rules encoded here:
 * in tiled code, arrays behind ``keep_global`` (the program outputs)
   keep their full dimensions and are zeroed once, outside the tile
   loops; accumulating statements targeting them must involve every
-  tiled index, otherwise contributions would be double-counted -- this
-  is checked and rejected;
+  tiled index, otherwise contributions would be double-counted --
+  :func:`untileable` checks this, and every other reason tiling an
+  index is unsound, before anything is built;
 * internal (per-tile) arrays index tiled dimensions by the intra-tile
   variable only; external arrays and function evaluations reconstruct
   the global index as ``tile*B + intra``.
@@ -239,6 +240,99 @@ def build_fused(result: FusionResult) -> Block:
     return block
 
 
+def untileable(
+    block: Block,
+    indices: Sequence[Index],
+    keep_global: Sequence[str] = (),
+) -> Dict[Index, str]:
+    """The first reason tiling each of ``indices`` for locality is unsound.
+
+    Every reason concerns one index, so a set of indices may be tiled
+    together, at any sizes, exactly when none of them is returned.
+    Besides what :func:`apply_tiling` rejects, an index is unsound when
+    its tile loop would wrap a statement that does not iterate it,
+    repeating that statement's work once per tile: blocking for
+    locality must not change the operation count.  Nothing is built.
+    """
+    reasons: Dict[Index, str] = {}
+    for bad, message in _hazards(block, set(keep_global), indices, True):
+        for idx in bad:
+            reasons.setdefault(idx, message.format(idx.name))
+    return {i: reasons[i] for i in indices if i in reasons}
+
+
+def _statements(block: Block, iterated: Set[Index] = frozenset()):
+    """Yield every ``(Assign, indices of its enclosing loops)``."""
+    for node in block:
+        if isinstance(node, Loop):
+            yield from _statements(node.body, iterated | {node.var.index})
+        elif isinstance(node, Assign):
+            yield node, iterated
+
+
+def _dims(acc: Access) -> Tuple[Index, ...]:
+    return tuple(s[0].index for s in acc.subs)
+
+
+def _hazards(block: Block, keep: Set[str], indices, work: bool):
+    """Yield ``(indices, message)`` per reason tiling is unsound, in the
+    order :func:`apply_tiling` reports them; ``{}`` in the message stands
+    for the index names."""
+    # A global array's accumulation runs once per tile, so it must
+    # mention every tiled index.
+    for node, _ in _statements(block):
+        if node.accumulate and node.target.array in keep:
+            mentioned = {
+                v.index for t in (node.target, *node.terms) for v in t.vars()
+            }
+            yield tuple(i for i in indices if i not in mentioned), (
+                "tiling over {} would double-count the accumulation into "
+                f"global array {node.target.array!r}"
+            )
+
+    # Hoisting the tile loops outermost interleaves sibling top-level
+    # nests tile by tile.  That reorders a producer nest's writes with a
+    # later nest's reads of the same array, which is only sound when the
+    # reads stay inside the tile that produced them: the consumer must
+    # access the array under exactly the producer's target subscripts,
+    # and no tiled loop of the producer may fall outside those
+    # subscripts (a partial accumulation would be observed mid-stream).
+    infos = []
+    for top in block:
+        loops = {n.var.index for n in walk((top,)) if isinstance(n, Loop)}
+        writes: Dict[str, Set[Tuple[Index, ...]]] = {}
+        reads: Dict[str, Set[Tuple[Index, ...]]] = {}
+        for n, _ in _statements((top,)):
+            writes.setdefault(n.target.array, set()).add(_dims(n.target))
+            for t in n.terms:
+                if isinstance(t, Access):
+                    reads.setdefault(t.array, set()).add(_dims(t))
+        infos.append((loops, writes, reads))
+    for wi, (wloops, wwrites, _) in enumerate(infos):
+        for rloops, _, rreads in infos[wi + 1:]:
+            for array, wsubs in wwrites.items():
+                rsubs = rreads.get(array)
+                if not rsubs:
+                    continue
+                for idx in indices:
+                    partial = any(idx not in subs for subs in wsubs)
+                    misaligned = idx in rloops and wsubs != rsubs
+                    if idx in wloops and (partial or misaligned):
+                        yield (idx,), (
+                            "tiling over {} would reorder the dependence "
+                            f"on {array!r} between sibling loop nests"
+                        )
+
+    if any(isinstance(n, Loop) and n.var.role != "full" for n in walk(block)):
+        yield tuple(indices), "apply_tiling expects untiled input"
+
+    for node, iterated in _statements(block):
+        if work and node.ops_per_iteration():
+            yield tuple(i for i in indices if i not in iterated), (
+                f"tiling over {{}} would repeat `{node}` once per tile"
+            )
+
+
 def apply_tiling(
     block: Block,
     tiles: Mapping[Index, int],
@@ -249,7 +343,9 @@ def apply_tiling(
     Tile loops are hoisted outermost (paper Fig. 4).  Arrays named in
     ``keep_global`` keep full dimensions, are allocated and zeroed once
     outside the tile loops, and their accumulating statements must
-    mention every tiled index.
+    mention every tiled index.  A tiling :func:`untileable` rejects
+    raises ``ValueError`` with its first reason, before anything is
+    built.
     """
     if not tiles:
         return block
@@ -262,38 +358,13 @@ def apply_tiling(
         raise ValueError(f"keep_global names not allocated: {sorted(unknown)}")
     internal = allocated - keep
 
-    # A global array's accumulation runs once per tile, so it must
-    # mention every tiled index.  Checked before anything is built: the
-    # locality search asks about many subsets this rejects.
-    for node in walk(block):
-        if (
-            isinstance(node, Assign)
-            and node.accumulate
-            and node.target.array in keep
-        ):
-            stmt_vars = {
-                v.index for t in (node.target, *node.terms) for v in t.vars()
-            }
-            missing = set(tiles) - stmt_vars
-            if missing:
-                names = ", ".join(sorted(i.name for i in missing))
-                raise ValueError(
-                    f"tiling over {names} would double-count the "
-                    f"accumulation into global array {node.target.array!r}"
-                )
-
-    # Hoisting the tile loops outermost interleaves sibling top-level
-    # nests tile by tile.  That reorders a producer nest's writes with a
-    # later nest's reads of the same array, which is only sound when the
-    # reads stay inside the tile that produced them: the consumer must
-    # access the array under exactly the producer's target subscripts,
-    # and no tiled loop of the producer may fall outside those
-    # subscripts (a partial accumulation would be observed mid-stream).
-    _check_cross_nest_tiling(block, set(tiles))
+    for bad, message in _hazards(block, keep, sorted(tiles), work=False):
+        if bad:
+            raise ValueError(
+                message.format(", ".join(sorted(i.name for i in bad)))
+            )
 
     def tile_sub(sub: Sub, global_view: bool) -> Sub:
-        if len(sub) != 1 or sub[0].role != "full":
-            raise ValueError("apply_tiling expects untiled input structure")
         idx = sub[0].index
         if idx not in tiles:
             return sub
@@ -322,8 +393,6 @@ def apply_tiling(
         for node in blk:
             if isinstance(node, Loop):
                 var = node.var
-                if var.role != "full":
-                    raise ValueError("apply_tiling expects untiled input")
                 body = transform(node.body)
                 if var.index in tiles:
                     var = LoopVar(var.index, "intra", tiles[var.index])
@@ -363,56 +432,3 @@ def apply_tiling(
     validate(result)
     return result
 
-
-def _check_cross_nest_tiling(block: Block, tiled: Set[Index]) -> None:
-    """Reject tilings that break dependences between top-level nests.
-
-    For each top-level node, collect the loop indices it iterates, the
-    subscript tuples it writes per array, and the subscript tuples it
-    reads per array.  A read-after-write pair across two top-level
-    nodes tolerates the hoisted tile loops only when (a) every tiled
-    index the producer iterates appears in its write subscripts (so
-    each tile's writes are complete for the elements it touches), and
-    (b) the consumer reads the array under the very same subscript
-    tuples whenever a tiled index is iterated on both sides (so reads
-    never cross into a tile that has not executed yet).
-    """
-    infos = []
-    for node in block:
-        loops: Set[Index] = set()
-        writes: Dict[str, Set[Tuple[Index, ...]]] = {}
-        reads: Dict[str, Set[Tuple[Index, ...]]] = {}
-        for n in walk((node,)):
-            if isinstance(n, Loop):
-                loops.add(n.var.index)
-            elif isinstance(n, Assign):
-                target = n.target
-                writes.setdefault(target.array, set()).add(
-                    tuple(s[0].index for s in target.subs)
-                )
-                for term in n.terms:
-                    if isinstance(term, Access):
-                        reads.setdefault(term.array, set()).add(
-                            tuple(s[0].index for s in term.subs)
-                        )
-        infos.append((loops, writes, reads))
-
-    for wi, (wloops, wwrites, _) in enumerate(infos):
-        for rloops, _, rreads in infos[wi + 1:]:
-            for array, wsubs in wwrites.items():
-                rsubs = rreads.get(array)
-                if not rsubs:
-                    continue
-                for idx in tiled:
-                    partial = idx in wloops and any(
-                        idx not in subs for subs in wsubs
-                    )
-                    misaligned = (
-                        idx in wloops and idx in rloops and wsubs != rsubs
-                    )
-                    if partial or misaligned:
-                        raise ValueError(
-                            f"tiling over {idx.name} would reorder the "
-                            f"dependence on {array!r} between sibling "
-                            "loop nests"
-                        )

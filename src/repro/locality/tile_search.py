@@ -6,10 +6,13 @@
     reaches N_i."
 
 The search evaluates the Section-6 cost model on the *actual* tiled loop
-structure for every candidate combination.  Blocking for locality must
-not change the operation count -- candidates that would re-execute work
-(structures where tiling wraps a statement in unrelated tile loops) are
-rejected.
+structure for every candidate combination.  Which indices may be tiled
+at all is decided first, by :func:`repro.codegen.builder.untileable`:
+an index is excluded when tiling it would double-count an accumulation,
+reorder a dependence between sibling nests, or re-execute work (a tile
+loop wrapping a statement that does not iterate the index -- blocking
+for locality must not change the operation count).  Sizes are
+enumerated over the remaining indices only.
 
 Applied with the cache capacity this is cache blocking; with the
 physical-memory capacity it is disk-access minimization (the paper uses
@@ -20,14 +23,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.expr.indices import Bindings, Index
-from repro.codegen.builder import apply_tiling
+from repro.codegen.builder import apply_tiling, untileable
 from repro.codegen.loops import Alloc, Block, Loop, loop_op_count, walk
 from repro.locality.cost_model import access_cost
 from repro.robustness.budget import as_tracker
-from repro.robustness.errors import BudgetExceeded
+from repro.robustness.errors import BudgetExceeded, ReproError
 
 
 @dataclass
@@ -44,6 +47,8 @@ class LocalityResult:
     #: result is the best candidate evaluated before the cutoff
     degraded: bool = False
     degradation_reason: str = ""
+    #: searched indices the legality analysis excluded, with its reason
+    untileable: Dict[Index, str] = field(default_factory=dict)
 
     @property
     def improvement(self) -> float:
@@ -110,9 +115,11 @@ def optimize_locality(
     """Find tile sizes minimizing the modeled miss count.
 
     ``indices`` restricts the tiled loops (default: every full loop in
-    the structure).  All arrays keep their global shapes -- this is pure
-    iteration-space blocking, so the operation count is checked to be
-    unchanged and candidates violating that are discarded.
+    the structure); of those, only the ones :func:`untileable` admits
+    are tiled.  All arrays keep their global shapes -- this is pure
+    iteration-space blocking, so the operation count is unchanged, and
+    checked to be.  The budget is charged one node per combination
+    evaluated.
 
     The search is *anytime*: when ``budget`` runs out it stops and
     returns the best candidate evaluated so far (the untiled baseline at
@@ -121,12 +128,11 @@ def optimize_locality(
     tracker = as_tracker(budget)
     if indices is None:
         indices = tileable_indices(block)
-    base_ops = loop_op_count(block, bindings)
-    baseline = access_cost(block, capacity, bindings)
     keep_global = [n.array for n in walk(block) if isinstance(n, Alloc)]
-
+    excluded = untileable(block, indices, keep_global)
+    indices = [i for i in indices if i not in excluded]
     extents = [i.extent(bindings) for i in indices]
-    per_index: List[List[int]] = [candidate_sizes(e) for e in extents]
+    per_index = [candidate_sizes(e) for e in extents]
     total = 1
     for sizes in per_index:
         total *= len(sizes)
@@ -135,11 +141,8 @@ def optimize_locality(
             f"tile search space has {total} combinations; restrict "
             "`indices` or raise max_combinations"
         )
-    # bit k of a combination's mask is set when index k is tiled
-    masks = [
-        [0 if size == extent else 1 << k for size in sizes]
-        for k, (sizes, extent) in enumerate(zip(per_index, extents))
-    ]
+    base_ops = loop_op_count(block, bindings)
+    baseline = access_cost(block, capacity, bindings)
 
     best_cost = baseline
     best_tiles: Dict[Index, int] = {}
@@ -148,12 +151,7 @@ def optimize_locality(
     table: List[Dict[str, object]] = []
     degraded = False
     degradation_reason = ""
-    # apply_tiling's legality errors depend on *which* indices are tiled,
-    # never on the sizes: a subset is judged by the first combination
-    # that tiles it, and a rejected one skips every later combination
-    rejected = set()
-    combos = zip(itertools.product(*per_index), itertools.product(*masks))
-    for combo, bits in combos:
+    for combo in itertools.product(*per_index):
         if tracker is not None:
             try:
                 tracker.tick(1, stage="locality")
@@ -168,28 +166,22 @@ def optimize_locality(
                 degraded = True
                 degradation_reason = exc.message
                 break
-        mask = sum(bits)
-        if not mask:
-            tiles = {}
+        tiles = {
+            idx: size
+            for idx, size, extent in zip(indices, combo, extents)
+            if size < extent
+        }
+        if not tiles:
             structure = block
             cost = baseline
         else:
-            if mask in rejected:
-                continue
-            tiles = {
-                idx: size
-                for idx, size, extent in zip(indices, combo, extents)
-                if size < extent
-            }
-            try:
-                structure = apply_tiling(block, tiles, keep_global=keep_global)
-            except ValueError:
-                # tiling would double-count an accumulation, or reorder
-                # a dependence between sibling nests
-                rejected.add(mask)
-                continue
+            structure = apply_tiling(block, tiles, keep_global=keep_global)
             if loop_op_count(structure, bindings) != base_ops:
-                continue  # blocking must not change the work
+                raise ReproError(
+                    f"tiling {sorted(i.name for i in tiles)} changed the "
+                    "operation count the legality analysis preserves",
+                    stage="locality",
+                )
             cost = access_cost(structure, capacity, bindings)
         evaluated += 1
         table.append(
@@ -213,4 +205,5 @@ def optimize_locality(
         table,
         degraded,
         degradation_reason,
+        excluded,
     )

@@ -886,6 +886,10 @@ def _synthesize_pipeline(
                 "candidates evaluated": loc.evaluated,
             }
         )
+        if loc.untileable:
+            loc_report.details["untileable"] = {
+                i.name: reason for i, reason in loc.untileable.items()
+            }
         reports.append(loc_report)
     else:
         reports.append(

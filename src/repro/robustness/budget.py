@@ -112,17 +112,17 @@ class BudgetTracker:
         self._exhausted_reason: Optional[str] = None
 
     def tick(self, n: int = 1, stage: Optional[str] = None) -> None:
-        """Charge ``n`` search nodes; raise when the budget is gone."""
+        """Charge ``n`` search nodes; raise when the budget is gone.  A
+        charge that crosses ``max_nodes`` records ``max_nodes + 1``."""
         if self._exhausted_reason is not None:
             raise BudgetExceeded(self._exhausted_reason, stage=stage)
         self.nodes += n
-        if (
-            self.budget.max_nodes is not None
-            and self.nodes > self.budget.max_nodes
-        ):
+        limit = self.budget.max_nodes
+        if limit is not None and self.nodes > limit:
+            self.nodes = limit + 1
             self._exhausted_reason = (
-                f"node budget exhausted ({self.nodes:,} > "
-                f"{self.budget.max_nodes:,} search nodes)"
+                f"node budget exhausted ({self.nodes:,} > {limit:,} "
+                "search nodes)"
             )
         elif self._deadline is not None and time.monotonic() > self._deadline:
             self._exhausted_reason = (

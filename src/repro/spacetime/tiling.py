@@ -24,6 +24,7 @@ from repro.expr.indices import Bindings, Index
 from repro.codegen.builder import apply_tiling, build_fused
 from repro.codegen.loops import Block, loop_op_count, total_memory
 from repro.fusion.memopt import FusionResult
+from repro.locality.tile_search import candidate_sizes
 from repro.spacetime.tradeoff import EdgeChoice, TradeoffSolution
 
 
@@ -120,13 +121,7 @@ def search_tile_sizes(
             0, {}, block, loop_op_count(block, bindings), mem
         )
 
-    max_extent = max(i.extent(bindings) for i in indices)
-    sizes: List[int] = []
-    b = 1
-    while b < max_extent:
-        sizes.append(b)
-        b *= 2
-    sizes.append(max_extent)
+    sizes = candidate_sizes(max(i.extent(bindings) for i in indices))
 
     best: Optional[TileSearchResult] = None
     candidates: List[Dict[str, int]] = []
@@ -199,14 +194,7 @@ def refine_tile_sizes(
         improved = False
         rounds += 1
         for idx in sorted(best_tiles):
-            extent = idx.extent(bindings)
-            candidates = []
-            b = 1
-            while b < extent:
-                candidates.append(b)
-                b *= 2
-            candidates.append(extent)
-            for b in candidates:
+            for b in candidate_sizes(idx.extent(bindings)):
                 if b == best_tiles[idx]:
                     continue
                 trial = dict(best_tiles)

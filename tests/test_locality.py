@@ -121,11 +121,12 @@ class TestOptimizeLocality:
         assert result.evaluated == len(candidate_sizes(16))
 
     def test_rejected_index_subset_is_judged_once(self, monkeypatch):
-        """Two dependent nests: tiling any index but ``i`` reorders the
-        dependence on ``T``.  Legality depends on *which* indices are
-        tiled, never on the sizes, so each rejected subset reaches
-        ``apply_tiling`` once; the table, the evaluated count and the
-        budget ticks (one per size combination) do not change."""
+        """Two dependent nests.  Tiling ``k`` would double-count the
+        accumulation into ``S`` and tiling ``l`` the one into ``T``; the
+        analysis says so before anything is built, and sizes are
+        enumerated over ``i`` and ``j`` only: ``apply_tiling`` sees
+        each tiling once, rejects none, and the budget is charged one
+        node per combination evaluated."""
         import repro.locality.tile_search as ts
         from repro.robustness.budget import Budget
 
@@ -139,21 +140,25 @@ class TestOptimizeLocality:
         calls = []
 
         def counting(blk, tiles, **kwargs):
-            calls.append(frozenset(tiles))
+            calls.append(frozenset(i.name for i in tiles))
             return apply_tiling(blk, tiles, **kwargs)
 
         monkeypatch.setattr(ts, "apply_tiling", counting)
         tracker = Budget(max_nodes=10**6).start()
         result = optimize_locality(block, capacity=64, budget=tracker)
         assert not result.degraded
-        combos = len(candidate_sizes(8)) ** 4
-        assert tracker.nodes == combos
-        accepted = {frozenset(row["tiles"]) for row in result.table}
-        rejected = [c for c in calls if {i.name for i in c} not in accepted]
-        assert rejected and len(rejected) == len(set(rejected))
-        # every size combination of an accepted subset is still costed
-        assert result.evaluated == len(result.table) < combos
-        assert len(calls) == result.evaluated - 1 + len(rejected)
+        assert {i.name: r for i, r in result.untileable.items()} == {
+            "k": "tiling over k would double-count the accumulation "
+            "into global array 'S'",
+            "l": "tiling over l would double-count the accumulation "
+            "into global array 'T'",
+        }
+        combos = len(candidate_sizes(8)) ** 2
+        assert tracker.nodes == result.evaluated == len(result.table) == combos
+        assert len(calls) == combos - 1
+        assert set(calls) == {
+            frozenset("i"), frozenset("j"), frozenset("ij")
+        }
 
     def test_search_space_cap(self, matmul_block):
         with pytest.raises(ValueError, match="combinations"):

@@ -83,6 +83,17 @@ class TestBudgetTracker:
         with pytest.raises(BudgetExceeded):
             tracker.tick(1, stage="fusion")
 
+    def test_overshooting_charge_records_one_node_past_the_limit(self):
+        """A search that charges a whole loop in one tick stops where
+        per-node ticking stopped: one node past the budget."""
+        tracker = Budget(max_nodes=1_000).start()
+        with pytest.raises(BudgetExceeded, match=r"\(1,001 > 1,000 search"):
+            tracker.tick(4_700, stage="fusion")
+        assert tracker.nodes == 1_001
+        with pytest.raises(BudgetExceeded):
+            tracker.tick(5, stage="locality")
+        assert tracker.nodes == 1_001
+
     def test_deadline_exhausts(self):
         tracker = Budget(deadline_ms=1.0).start()
         time.sleep(0.01)

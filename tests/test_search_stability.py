@@ -175,11 +175,14 @@ def show() -> None:
 class TestBudgetEquivalence:
     """The searches charge a budget exactly what they charged before they
     were sped up, so a node budget cuts them at the same place.  The
-    literals were read on CCSD V=48 O=12 from the exhaustive searches."""
+    literals were read on CCSD V=48 O=12 from the exhaustive searches.
+    The tile search charges one node per combination it evaluates: none
+    of CCSD's four largest loops may be tiled, so it evaluates only the
+    untiled baseline."""
 
     NODES_AFTER_FUSION = 25_890
-    NODES_AFTER_LOCALITY = 28_291
-    LOCALITY_COMBINATIONS = 7 ** 4
+    NODES_AFTER_LOCALITY = 25_891
+    LOCALITY_COMBINATIONS = 1
 
     def _synthesize(self, max_nodes, monkeypatch):
         nodes = {}
@@ -231,10 +234,27 @@ class TestBudgetEquivalence:
         assert result.degraded_stages == ["locality"]
         assert memory["fused temporary memory"] == 581
 
-    def test_rejected_index_subset_is_judged_once_on_ccsd(self, monkeypatch):
-        """Every tiled subset of CCSD's four largest loops is illegal: the
-        search calls ``apply_tiling`` once per subset and still charges
-        one node per size combination."""
+    @pytest.mark.parametrize(
+        "max_nodes, shown", [(100, "101 > 100"), (1_000, "1,001 > 1,000")]
+    )
+    def test_overshooting_charge_records_one_node_past(
+        self, max_nodes, shown, monkeypatch
+    ):
+        """The fusion DP charges a merge loop's whole product in one
+        tick; the tick that crosses the budget records ``max_nodes + 1``,
+        what per-node ticking recorded, and the same stages degrade."""
+        result, _, _ = self._synthesize(max_nodes, monkeypatch)
+        assert result.budget_tracker.nodes == max_nodes + 1
+        assert result.degraded_stages == ["fusion", "locality"]
+        reason = f"node budget exhausted ({shown} search nodes)"
+        assert {d.reason for d in result.budget_tracker.degradations} == {
+            reason
+        }
+
+    def test_no_tiling_is_built_on_ccsd(self, monkeypatch):
+        """Every one of CCSD's four largest loops is untileable: the
+        analysis says why, the search calls ``apply_tiling`` never and
+        charges one node, for the untiled baseline."""
         import repro.locality.tile_search as ts
 
         calls = []
@@ -244,9 +264,16 @@ class TestBudgetEquivalence:
             return apply_tiling(block, tiles, **kwargs)
 
         monkeypatch.setattr(ts, "apply_tiling", counting)
-        _, nodes, _ = self._synthesize(10**9, monkeypatch)
-        assert len(calls) == len(set(calls)) <= 15
+        result, nodes, _ = self._synthesize(10**9, monkeypatch)
+        assert calls == []
         assert (
             nodes["locality"] - nodes["locality before"]
             == self.LOCALITY_COMBINATIONS
         )
+        locality = next(
+            r.details
+            for r in result.reports
+            if r.name == "Data locality optimization"
+        )
+        assert locality["candidates evaluated"] == 1
+        assert len(locality["untileable"]) == 4

@@ -360,6 +360,32 @@ class TestTenants:
 
         serve(check, config)
 
+    def test_overshooting_search_charges_one_node_past_the_budget(self):
+        """The search stops one node past a tenant's per-request budget,
+        and that is what the tenant is charged, however many nodes the
+        crossing tick asked for."""
+        registry = TenantRegistry(
+            policies={
+                "small": TenantPolicy(
+                    name="small", budget=Budget(max_nodes=100)
+                ),
+            },
+        )
+        config = ServerConfig(port=0, tenants=registry)
+
+        async def check(app, host, port):
+            status, body = await arequest(
+                host, port, "POST", "/v1/synthesize",
+                {"program": program_to_source(fig1_program(V=3, O=2)),
+                 "tenant": "small"},
+            )
+            assert status == 200
+            assert body["degraded"] == ["fusion", "locality"]
+            assert body["admission"]["nodes_charged"] == 101
+            assert app.tenants.stats()["small"]["nodes_used"] == 101
+
+        serve(check, config)
+
     def test_tenants_file_round_trip(self, tmp_path):
         path = tmp_path / "tenants.json"
         path.write_text(
