@@ -120,6 +120,7 @@ class KernelTuner(DimensionTuner):
                     mode=mode,
                     fuse=config.fuse_statements,
                     semiring=config.semiring,
+                    sparse_execution=config.sparse_execution,
                 )
             self._plans[mode] = plan
         return plan

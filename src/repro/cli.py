@@ -124,8 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-sparse-exec", action="store_true",
-        help="keep statements with sparse operands on the dense "
-        "loop-IR path instead of the sparse executor",
+        help="ignore sparse(fill) declarations at execution: terms "
+        "with sparse operands run dense on the kernels and the "
+        "loop-IR interpreter alike",
     )
     parser.add_argument(
         "--show-structure", action="store_true",
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--run", action="store_true",
-        help="execute the synthesized computation (compiled kernels "
-        "unless the program is sparse or exceeds --memory) on "
+        help="execute the synthesized computation (compiled kernels, "
+        "sparse steps included, unless the program exceeds --memory) on "
         "deterministic random inputs and validate against the "
         "reference executor",
     )

@@ -1,4 +1,8 @@
-"""Mixed dense/sparse execution planning.
+"""Mixed dense/sparse execution planning -- the counting oracle's path.
+
+:meth:`repro.pipeline.SynthesisResult.execute` is the one caller of
+:func:`execute_plan`; ``run()`` executes the same declarations as the
+kernel plan's ``sparse`` steps (:mod:`repro.kernels.plan`).
 
 Statements of a formula sequence whose operands are declared sparse are
 dispatched to the nonzero-iterating executor

@@ -3,7 +3,9 @@
 Every counting substrate (the loop interpreter, the sparse executor,
 the mixed sparse plan) reports its work through a :class:`Counters`
 instance so that analytic cost models can be validated against
-*measured* quantities.
+*measured* quantities.  All three sit behind
+:meth:`repro.pipeline.SynthesisResult.execute`, the counting oracle;
+``run()``'s kernel steps, sparse ones included, count nothing.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 :func:`compile_kernel_plan` lowers every statement of a formula
 sequence into a :class:`KernelPlan` **once**: each flat term becomes a
 :class:`TermPlan` that is either a GEMM lowering
-(:mod:`repro.kernels.lowering`), an aligned copy, or a cached-path
-einsum fallback, and statement liveness (who reads each produced array
-last) is recorded so temporaries can be recycled.  The plan is a pure
+(:mod:`repro.kernels.lowering`), an aligned copy, a cached-path
+einsum fallback, or -- when an operand is declared sparse -- a
+coordinate step over its stored entries (:class:`SparseSpec`), and
+statement liveness (who reads each produced array last) is recorded so
+temporaries can be recycled.  The plan is a pure
 value object of names, ints, and floats -- pickle-safe by construction,
 which is what lets it ride the content-addressed plan cache
 (:mod:`repro.runtime.plan_cache`) inside a
@@ -33,7 +35,9 @@ declared index order.
 Numerics: the GEMM path regroups the contraction sums, so results agree
 with the einsum reference to floating-point reassociation tolerance
 (``rtol ~1e-12`` on the property suite); the copy and einsum-fallback
-paths are bit-for-bit.
+paths are bit-for-bit.  A sparse step agrees with the nonzero-iterating
+reference (:mod:`repro.sparse.executor`) to the same tolerance, and
+exactly under an idempotent semiring on exactly representable data.
 """
 
 from __future__ import annotations
@@ -55,10 +59,11 @@ from repro.kernels.einsum_cache import cached_einsum
 from repro.kernels.lowering import GemmSpec, exec_gemm_arena, lower_binary_term
 from repro.robustness.errors import SpecError
 from repro.robustness.validation import validate_shapes
-from repro.semiring import get_semiring, require_unit_coef
+from repro.semiring import Semiring, get_semiring, require_unit_coef
 
 __all__ = [
     "OperandSpec",
+    "SparseSpec",
     "TermPlan",
     "StatementPlan",
     "FusedGroup",
@@ -79,14 +84,172 @@ class OperandSpec:
 
 
 @dataclass(frozen=True)
+class SparseSpec:
+    """A term read through the stored entries of its declared-sparse
+    operands -- the gather/combine/scatter kernel of a sparse tensor
+    times a tensor network (SpTTN).
+
+    The term's indices are numbered, those a sparse operand carries
+    (*bound*) first.  A run joins the sparse operands' coordinate lists
+    on their shared indices into *rows* (one per matching combination
+    of stored entries), gathers every dense operand at each row's bound
+    coordinates, combines and reduces the unbound indices with one
+    einsum over the rows, and scatter-reduces the rows into the output
+    at their bound output coordinates.
+    """
+
+    #: per operand, the index number of each axis
+    axes: Tuple[Tuple[int, ...], ...]
+    #: positions of the operands read through their stored entries
+    sparse: Tuple[int, ...]
+    #: extent of every index number
+    extents: Tuple[int, ...]
+    #: per dense operand read at bound coordinates: its position, the
+    #: axis order that puts its bound axes first, and their numbers
+    gathers: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+    #: output axis order with the bound axes first (the scatter's view)
+    out_perm: Tuple[int, ...]
+    #: index numbers of the output's bound axes, in ``out_perm`` order
+    out_bound: Tuple[int, ...]
+    #: the einsum over rows -- the joined values, then every dense
+    #: operand (gathered or whole) in, the rows (when the output has a
+    #: bound axis) and the unbound output axes out; ``None`` when no
+    #: dense operand is read and the rows scatter as they are
+    spec: Optional[str]
+
+
+def _lower_sparse_term(
+    refs, target, sparse: Tuple[int, ...], bindings
+) -> SparseSpec:
+    """The :class:`SparseSpec` of one flat term whose operands at
+    positions ``sparse`` are read through their stored entries."""
+    order: List = []
+    for k in sparse:
+        order += [i for i in refs[k].indices if i not in order]
+    nbound = len(order)
+    for ref in refs:
+        order += [i for i in ref.indices if i not in order]
+    order += [i for i in target if i not in order]
+    number = {idx: n for n, idx in enumerate(order)}
+    # one label per index number, and the last for the rows
+    letters = einsum_letters(range(len(order) + 1))
+    row = letters[len(order)]
+    axes = tuple(tuple(number[i] for i in ref.indices) for ref in refs)
+    gathers = []
+    subscripts = [row]
+    for k, ax in enumerate(axes):
+        if k in sparse:
+            continue
+        bound = [p for p, n in enumerate(ax) if n < nbound]
+        free = [p for p, n in enumerate(ax) if n >= nbound]
+        if bound:
+            gathers.append(
+                (k, tuple(bound + free), tuple(ax[p] for p in bound))
+            )
+        subscripts.append(
+            (row if bound else "") + "".join(letters[ax[p]] for p in free)
+        )
+    out = [number[i] for i in target]
+    out_bound = [p for p, n in enumerate(out) if n < nbound]
+    out_free = [p for p, n in enumerate(out) if n >= nbound]
+    spec = None
+    if len(subscripts) > 1 or not out_bound:
+        spec = (
+            ",".join(subscripts) + "->" + (row if out_bound else "")
+            + "".join(letters[out[p]] for p in out_free)
+        )
+    return SparseSpec(
+        axes=axes,
+        sparse=sparse,
+        extents=tuple(i.extent(bindings) for i in order),
+        gathers=tuple(gathers),
+        out_perm=tuple(out_bound + out_free),
+        out_bound=tuple(out[p] for p in out_bound),
+        spec=spec,
+    )
+
+
+def _stored_entries(value, axes: Tuple[int, ...], sr: Semiring):
+    """``({index number: coordinates}, values)`` of one sparse operand's
+    stored entries.
+
+    A dense array stores what is ``!= sr.zero``.  A COO/CSF container
+    is read through its coordinates under ``plus_times``; under any
+    other algebra its absent entries are classical zeros -- ordinary
+    carrier values there -- so it is densified first, as the reference
+    executor does.  Coordinates on which a repeated index disagrees are
+    dropped.
+    """
+    from repro.sparse.formats import CSFTensor, SparseTensor, as_dense
+
+    if isinstance(value, SparseTensor) and sr.is_default:
+        coo = value.to_coo() if isinstance(value, CSFTensor) else value
+        cols = tuple(coo.coords.T)
+        vals = coo.values
+    else:
+        dense = as_dense(value) if isinstance(value, SparseTensor) else value
+        mask = dense != sr.zero
+        cols = np.nonzero(mask) if dense.ndim else ()
+        vals = dense[mask]
+    first: Dict[int, int] = {}
+    keep = None
+    for p, n in enumerate(axes):
+        q = first.setdefault(n, p)
+        if q != p:
+            agree = cols[p] == cols[q]
+            keep = agree if keep is None else keep & agree
+    if keep is not None:
+        cols = tuple(c[keep] for c in cols)
+        vals = vals[keep]
+    return {n: cols[p] for n, p in first.items()}, vals
+
+
+def _join(spec: SparseSpec, ops, sr: Semiring):
+    """Rows of the term's sparse operands joined on their shared
+    indices: ``({bound index number: coordinates}, combined values)``.
+    Each further operand is matched by sort + ``searchsorted`` on the
+    linearised shared coordinates (a cross product when none are
+    shared)."""
+    cols: Dict[int, np.ndarray] = {}
+    vals = None
+    for k in spec.sparse:
+        tcols, tvals = _stored_entries(ops[k], spec.axes[k], sr)
+        if vals is None:
+            cols, vals = tcols, tvals
+            continue
+        shared = [n for n in tcols if n in cols]
+        if shared:
+            dims = tuple(spec.extents[n] for n in shared)
+            key = np.ravel_multi_index(tuple(cols[n] for n in shared), dims)
+            tkey = np.ravel_multi_index(tuple(tcols[n] for n in shared), dims)
+            by_key = np.argsort(tkey, kind="stable")
+            sorted_keys = tkey[by_key]
+            lo = np.searchsorted(sorted_keys, key, side="left")
+            counts = np.searchsorted(sorted_keys, key, side="right") - lo
+            left = np.repeat(np.arange(len(vals)), counts)
+            offsets = np.arange(len(left)) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            right = by_key[np.repeat(lo, counts) + offsets]
+        else:
+            left = np.repeat(np.arange(len(vals)), len(tvals))
+            right = np.tile(np.arange(len(tvals)), len(vals))
+        cols = {n: c[left] for n, c in cols.items()}
+        cols.update({n: c[right] for n, c in tcols.items() if n not in cols})
+        vals = sr.np_combine(vals[left], tvals[right])
+    return cols, vals
+
+
+@dataclass(frozen=True)
 class TermPlan:
     """One flat term, lowered.
 
     ``kind`` is ``"gemm"`` (binary contraction through
     :func:`~repro.kernels.lowering.exec_gemm_arena`), ``"copy"`` (an
-    aligned single-operand term), or ``"einsum"`` (cached-path
+    aligned single-operand term), ``"einsum"`` (cached-path
     fallback for degenerate shapes -- repeated indices, 3+ operand
-    products, permuting single-operand terms).
+    products, permuting single-operand terms), or ``"sparse"`` (an
+    operand is declared sparse: the coordinate step of ``sparse``).
 
     ``native`` (mode ``"native"`` only) additionally carries the term's
     compiled-nest lowering (:class:`~repro.kernels.native.NativeSpec`).
@@ -102,6 +265,7 @@ class TermPlan:
     gemm: Optional[GemmSpec] = None
     spec: Optional[str] = None
     native: Optional["NativeSpec"] = None
+    sparse: Optional[SparseSpec] = None
 
 
 @dataclass(frozen=True)
@@ -181,6 +345,8 @@ class KernelPlan:
     #: ``(name, shape)`` of every result first produced by ``+=``: it
     #: starts from the caller's array of that name when one is given
     seed_shapes: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    #: terms run as a coordinate step over declared-sparse operands
+    sparse_terms: int = 0
 
     def steps(
         self,
@@ -237,7 +403,8 @@ class KernelPlan:
         text = (
             f"KernelPlan({len(self.statements)} statements: "
             f"{self.gemm_terms} gemm, {self.copy_terms} copy, "
-            f"{self.einsum_terms} einsum-fallback terms"
+            f"{self.einsum_terms} einsum-fallback, "
+            f"{self.sparse_terms} sparse terms"
         )
         if self.semiring != "plus_times":
             text += f", semiring {self.semiring}"
@@ -373,6 +540,7 @@ def compile_kernel_plan(
     mode: str = "gemm",
     fuse: bool = False,
     semiring: str = "plus_times",
+    sparse_execution: bool = True,
 ) -> KernelPlan:
     """Lower a formula sequence to a :class:`KernelPlan`.
 
@@ -408,7 +576,15 @@ def compile_kernel_plan(
     lower to native nests (which fold with the registered combine and
     reduce ops) with the semiring-aware einsum reduction as the
     fallback, and only coefficient-1 terms are accepted.
+
+    With ``sparse_execution`` (the default), a term that reads a
+    declared-sparse operand (``sparse(fill)`` with fill < 1) lowers to a
+    ``"sparse"`` step (:class:`SparseSpec`) in every mode: vectorised
+    numpy over the operand's stored entries, under any semiring.  Off,
+    declarations are ignored and such terms lower like dense ones.
     """
+    from repro.sparse.estimate import is_sparse_tensor
+
     if mode not in ("gemm", "einsum", "native"):
         raise ValueError(
             f"unknown kernel-plan mode {mode!r} "
@@ -421,7 +597,7 @@ def compile_kernel_plan(
 
         lower_native = lower_native_term
     stmt_plans: List[StatementPlan] = []
-    gemm_terms = einsum_terms = copy_terms = native_terms = 0
+    gemm_terms = einsum_terms = copy_terms = native_terms = sparse_terms = 0
     written: set = set()
     input_shapes: Dict[str, Tuple[int, ...]] = {}
     seed_shapes: Dict[str, Tuple[int, ...]] = {}
@@ -451,11 +627,25 @@ def compile_kernel_plan(
             )
             gemm = None
             spec = None
-            if len(refs) == 2 and mode in ("gemm", "native") and sr.is_default:
+            sparse = None
+            if sparse_execution:
+                held = tuple(
+                    k for k, ref in enumerate(refs)
+                    if is_sparse_tensor(ref.tensor)
+                )
+                if held:
+                    sparse = _lower_sparse_term(refs, target, held, bindings)
+            if (
+                sparse is None and len(refs) == 2
+                and mode in ("gemm", "native") and sr.is_default
+            ):
                 gemm = lower_binary_term(
                     refs[0].indices, refs[1].indices, sums, target
                 )
-            if gemm is not None:
+            if sparse is not None:
+                kind = "sparse"
+                sparse_terms += 1
+            elif gemm is not None:
                 kind = "gemm"
                 gemm_terms += 1
             elif (
@@ -479,12 +669,14 @@ def compile_kernel_plan(
                 out_sub = "".join(letters[i] for i in target)
                 spec = ",".join(subscripts) + "->" + out_sub
             native = None
-            if lower_native is not None and kind != "copy":
+            if lower_native is not None and kind in ("gemm", "einsum"):
                 native = lower_native(refs, sums, target, bindings,
                                       semiring=semiring)
                 if native is not None:
                     native_terms += 1
-            terms.append(TermPlan(coef, operands, kind, gemm, spec, native))
+            terms.append(
+                TermPlan(coef, operands, kind, gemm, spec, native, sparse)
+            )
         if stmt.accumulate and stmt.result.name not in written:
             seed_shapes[stmt.result.name] = out_shape
         written.add(stmt.result.name)
@@ -525,6 +717,7 @@ def compile_kernel_plan(
         tuple(stmt_plans), outputs, gemm_terms, einsum_terms, copy_terms,
         mode, native_terms, fused_groups, fused_statements, semiring,
         tuple(input_shapes.items()), tuple(seed_shapes.items()),
+        sparse_terms,
     )
 
 
@@ -595,6 +788,16 @@ class KernelRunner:
         self.functions = dict(functions or {})
         self.keep = frozenset(keep)
         self._kept = frozenset(plan.outputs) | self.keep
+        #: caller arrays read through their stored entries (a declared-
+        #: sparse tensor is sparse in every term that reads it): a COO/
+        #: CSF container given for one is never densified
+        self._held = frozenset(
+            term.operands[k].name
+            for sp in plan.statements
+            for term in sp.terms
+            if term.sparse is not None
+            for k in term.sparse.sparse
+        ) - {name for name, _ in plan.seed_shapes}
         self._persistent: Dict[str, np.ndarray] = {}
         self._func_cache: Dict[Tuple[str, Tuple[int, ...]], np.ndarray] = {}
         #: native-engine notes (fallbacks taken), recorded once each
@@ -714,8 +917,41 @@ class KernelRunner:
             f"term falls back to the {term.kind} path",
         )
 
+    def _exec_sparse(self, term: TermPlan, out, ops, first: bool) -> None:
+        """One sparse step (:class:`SparseSpec`): join, gather, combine
+        and reduce with one einsum over the rows, scatter-reduce into
+        ``out`` with the semiring's reduce ``ufunc.at``."""
+        spec, sr = term.sparse, self._sr
+        if first:
+            out.fill(sr.zero)
+        cols, vals = _join(spec, ops, sr)
+        if not len(vals):
+            return
+        if spec.spec is not None:
+            dense = list(ops)
+            for k, perm, ids in spec.gathers:
+                dense[k] = ops[k].transpose(perm)[tuple(cols[n] for n in ids)]
+            vals = cached_einsum(
+                spec.spec, vals,
+                *(dense[k] for k in range(len(ops)) if k not in spec.sparse),
+                semiring=sr.name,
+            )
+        if term.coef != 1.0:
+            vals = vals * term.coef
+        if spec.out_bound:
+            sr.np_reduce.at(
+                out.transpose(spec.out_perm),
+                tuple(cols[n] for n in spec.out_bound),
+                vals,
+            )
+        else:
+            sr.np_reduce(out, vals, out=out)
+
     def _exec_term(self, term: TermPlan, out, env, arrays, funcs, first: bool):
         ops = self._operands(term, env, arrays, funcs)
+        if term.kind == "sparse":
+            self._exec_sparse(term, out, ops, first)
+            return
         fn = self._nest(term) if out.flags.c_contiguous else None
         if fn is not None:
             if first:
@@ -895,6 +1131,8 @@ class KernelRunner:
         non-numeric one a :class:`~repro.robustness.errors.ShapeError`,
         both naming the tensor, raised before any kernel step.
         """
+        from repro.sparse.formats import SparseTensor, as_dense
+
         # the kernels are specialized to these shapes -- a compiled nest
         # handed a smaller array reads past its end
         validate_shapes(inputs, self.plan.input_shapes, stage="execution")
@@ -904,12 +1142,18 @@ class KernelRunner:
         )
         # one cast at entry: the runner computes in float64 whatever the
         # caller's dtype (an integer product would wrap), and a float64
-        # array is read as given, never copied
-        arrays = {
-            name: np.asarray(inputs[name], dtype=np.float64)
-            for name, _ in self.plan.input_shapes + self.plan.seed_shapes
-            if name in inputs
-        }
+        # array is read as given, never copied; a sparse container is
+        # kept for the sparse steps that alone read it, densified once
+        # for anything else
+        arrays = {}
+        for name, _ in self.plan.input_shapes + self.plan.seed_shapes:
+            if name not in inputs:
+                continue
+            value = inputs[name]
+            if isinstance(value, SparseTensor):
+                arrays[name] = value if name in self._held else as_dense(value)
+            else:
+                arrays[name] = np.asarray(value, dtype=np.float64)
         funcs = dict(self.functions)
         if functions:
             funcs.update(functions)
@@ -927,7 +1171,8 @@ class KernelRunner:
                     self.arena.release(buf)
             raise
         result: Dict[str, np.ndarray] = {
-            k: np.asarray(v) for k, v in inputs.items()
+            k: v if isinstance(v, SparseTensor) else np.asarray(v)
+            for k, v in inputs.items()
         }
         for name in self._kept:
             if name in env:

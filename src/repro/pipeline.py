@@ -22,9 +22,9 @@
 The result object carries every stage's report, the final loop
 structure, the generated source, the compiled kernel plan, and two ways
 to evaluate, both validated against the reference einsum executor:
-``run`` (the practical one: compiled kernels unless the program is
-sparse or does not fit in memory) and ``execute`` (the counted
-element-by-element interpreter of the loop structure).
+``run`` (the practical one: compiled kernels, sparse statements
+included, unless the program does not fit in memory) and ``execute``
+(the counted element-by-element interpreter of the loop structure).
 
 A result is a value once :func:`synthesize` returns: executing it
 assigns none of its attributes.  What a run did -- the substrate it
@@ -77,8 +77,9 @@ from repro.robustness.errors import BudgetExceeded, ReproError, SpecError
 #: plans record the input shapes they were compiled for, which
 #: ``KernelRunner.run`` checks before any kernel step; version 8: runs
 #: report on their return value, and the synthesis-time notes are the
-#: ``synthesis_notes`` field).
-RESULT_VERSION = 8
+#: ``synthesis_notes`` field; version 9: kernel plans carry ``sparse``
+#: terms, so ``run()`` keeps a program that declares sparsity on them).
+RESULT_VERSION = 9
 
 #: how the Code generation note begins when no kernel plan was compiled
 _NO_KERNEL_PLAN = "kernel plan not compiled"
@@ -137,8 +138,10 @@ class SynthesisConfig:
     #: scale operation-minimization costs by declared fills, so sparsity
     #: annotations influence the chosen formula sequence
     sparse_aware: bool = False
-    #: dispatch statements with declared-sparse operands to the sparse
-    #: executor (dense statements keep the loop-IR path)
+    #: read declared-sparse operands through their stored entries: the
+    #: kernel plan lowers their terms to sparse steps, and ``execute()``
+    #: runs their statements on the nonzero-iterating executor (dense
+    #: statements keep the loop-IR path); off, declarations are ignored
     sparse_execution: bool = True
     #: search budget (deadline and/or node count) shared across every
     #: search stage; on exhaustion each stage degrades to its documented
@@ -355,12 +358,13 @@ class SynthesisResult:
         """Run the synthesized computation the practical way, on the
         substrate picked from what the result already knows:
 
-        * a mixed :attr:`execution_plan` (the program declares
-          sparsity) keeps its dense/sparse dispatch on the interpreter
-          -- noted ``"mixed sparse plan"``;
-        * otherwise the compiled :attr:`kernel_plan` runs when the
-          arrays it holds at its peak fit ``config.machine.memory`` --
-          noted ``"kernels"``;
+        * the compiled :attr:`kernel_plan` runs when the arrays it holds
+          at its peak fit ``config.machine.memory`` -- noted
+          ``"kernels"``.  A term that reads a declared-sparse operand is
+          a sparse step of that plan, vectorised over the operand's
+          stored entries; a COO/CSF container given for such an operand
+          is read through its coordinates, one given for a dense
+          operand is densified once;
         * a program that does not fit runs on the interpreter over the
           fused/tiled structure, the one substrate that honours the
           Section-5 memory bound -- noted ``"interp: peak N elements
@@ -380,9 +384,7 @@ class SynthesisResult:
         # as execute() does, so the runner keeps them all to the end
         declared = [stmt.result.name for stmt in self.program.statements]
         why = "kernels"
-        if self.execution_plan is not None:
-            why = "mixed sparse plan"
-        elif self.kernel_plan is None:
+        if self.kernel_plan is None:
             why = "interp: no kernel plan was compiled"
         else:
             peak = self.kernel_plan.peak_live_elements(declared)
@@ -411,8 +413,9 @@ class SynthesisResult:
 
         This is the kernel path held across calls, under any semiring:
         the compiled :attr:`kernel_plan` (GEMM, compiled nests,
-        cached-path einsum; no fusion/tiling -- :meth:`run` is the
-        one-shot form that first checks the problem fits in memory).
+        cached-path einsum, sparse steps; no fusion/tiling --
+        :meth:`run` is the one-shot form that first checks the problem
+        fits in memory).
         Every call returns detached arrays and leaves its inputs
         untouched, after checking each input against the shape the plan
         was compiled for.  Numerically it matches the
@@ -1044,6 +1047,7 @@ def _synthesize_pipeline(
             statements, bindings, mode=codegen_mode,
             fuse=config.fuse_statements,
             semiring=config.semiring,
+            sparse_execution=config.sparse_execution,
         )
     except (OverflowError, ValueError) as exc:
         codegen_report.notes.append(
@@ -1053,9 +1057,9 @@ def _synthesize_pipeline(
         codegen_report.details["codegen mode"] = codegen_mode
         if config.semiring != "plus_times":
             codegen_report.details["semiring"] = config.semiring
-        codegen_report.details["kernel terms (gemm/copy/einsum)"] = (
+        codegen_report.details["kernel terms (gemm/copy/einsum/sparse)"] = (
             f"{kernel_plan.gemm_terms}/{kernel_plan.copy_terms}/"
-            f"{kernel_plan.einsum_terms}"
+            f"{kernel_plan.einsum_terms}/{kernel_plan.sparse_terms}"
         )
         if engine is not None:
             # precompile every distinct nest now, so the first execution

@@ -377,7 +377,7 @@ class TestRun:
         assert fast.substrate == "kernels"
         assert fast.notes[0] == "kernels"
 
-    def test_sparse_program_keeps_its_mixed_plan(self):
+    def test_sparse_program_runs_on_kernels(self):
         prog = parse_program("""
         range N = 6;
         index i, j, k : N;
@@ -391,8 +391,8 @@ class TestRun:
         np.testing.assert_allclose(
             out["C"], inputs["A"] @ inputs["B"], rtol=1e-12
         )
-        assert out.substrate == "interp"
-        assert out.notes == ["mixed sparse plan"]
+        assert out.substrate == "kernels"
+        assert out.notes == ["kernels"]
 
     def test_without_a_kernel_plan_the_interpreter_runs(self, fig1_result):
         from dataclasses import replace

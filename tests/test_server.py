@@ -499,7 +499,7 @@ class TestExecute:
 
         serve(check)
 
-    def test_sparse_program_keeps_its_mixed_plan(self):
+    def test_sparse_program_runs_on_kernels(self):
         async def check(app, host, port):
             rng = np.random.default_rng(3)
             a = np.where(rng.random((8, 8)) < 0.1, rng.random((8, 8)), 0.0)
@@ -510,8 +510,8 @@ class TestExecute:
                  "inputs": {"A": a.tolist(), "B": b.tolist()}},
             )
             assert status == 200
-            assert body["backend"] == "interp"
-            assert body["notes"][0] == "mixed sparse plan"
+            assert body["backend"] == "kernels"
+            assert body["notes"][0] == "kernels"
             np.testing.assert_allclose(
                 np.asarray(body["outputs"]["C"]), a @ b, rtol=1e-12
             )
