@@ -85,7 +85,7 @@ reused from fast memory; Kanakagiri & Solomonik make the nest shape a
 cost-driven choice):
 
 * the **vector index** is the output loop that is unit-stride in the
-  output; it runs in strips of :data:`VEC_STRIP` elements;
+  output; it runs in strips of ``vectors x lanes`` elements;
 * operands that carry it at another stride are **packed**: before the
   loops that reuse it, the strip is copied into a per-thread panel
   (``p<k>``, on the kernel's stack, at most :data:`PACK_LIMIT` elements
@@ -96,13 +96,18 @@ cost-driven choice):
 * operands that do not carry it are **broadcast** -- one scalar serves
   the whole strip;
 * the **register-block index** is the innermost output loop no
-  vector-carrying operand carries: :data:`ROW_BLOCK` rows share each
-  vector load, each row keeping its own strip of accumulators
-  ``acc<r>[w]`` across the in-tile summation loops.
+  vector-carrying operand carries: ``rows`` rows share each vector
+  load, each row keeping its own strip of accumulators ``acc<r>[w]``
+  across the in-tile summation loops.
 
-The schedule with its block constants, and the spec's semiring id
-(``INFINITY`` identities pull in ``math.h`` / ``math.inf``), are part
-of the rendered IR, hence of the artifact key.
+The *register tile* -- ``rows`` x ``vectors``, :data:`REGISTER_TILE`
+-- is counted in vector registers of the :class:`VectorUnit` the nest is
+compiled for: the strip is ``vectors x lanes`` elements, so a wider unit
+gets a wider strip with the same sixteen accumulators.  The schedule
+(vector index, register-block index, tile, packed operands) and the
+spec's semiring id (``INFINITY`` identities pull in ``math.h`` /
+``math.inf``) are part of the rendered IR; the lanes follow from the
+unit and the element type, which the artifact key carries beside it.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ from typing import (
 from repro.semiring import get_semiring
 
 __all__ = [
+    "VectorUnit",
+    "UNITS",
     "Schedule",
     "nest_schedule",
     "render_nest_ir",
@@ -127,18 +134,46 @@ __all__ = [
 ]
 
 #: bump to invalidate every stored artifact when the emitted code changes
-NEST_IR_VERSION = "nest-ir v4"
+NEST_IR_VERSION = "nest-ir v5"
 
-#: rows of the register block and elements of the vector strip of a
-#: scheduled nest, and the most elements one *kernel* may hold in pack
-#: panels (per thread, on its stack): a fused group's members share the
-#: bound in statement order, and a member whose panels would take the
-#: running total past it renders plain, as a lone nest over it does.
-#: Baked into the IR version: they are the emitter's, not a caller's,
-#: to choose.
-ROW_BLOCK = 4
-VEC_STRIP = 16
+#: rows x vectors of a scheduled nest's register tile, counted in
+#: registers of the unit it compiles for: sixteen accumulators, which
+#: fit every unit's register file.  At 256 bits it is the 4 x 16-double
+#: tile nests had before the unit was probed; a cost-chosen tile was
+#: measured and does not yet beat it (EXPERIMENTS.md E43).
+REGISTER_TILE = (4, 4)
+
+#: the most elements one *kernel* may hold in pack panels (per thread,
+#: on its stack): a fused group's members share the bound in statement
+#: order, and a member whose panels would take the running total past it
+#: renders plain, as a lone nest over it does.  Both are baked into the
+#: IR: they are the emitter's, not a caller's, to choose.
 PACK_LIMIT = 1 << 16
+
+#: bytes per element of the emitted element types
+_SIZEOF = {"double": 8, "float": 4}
+
+
+class VectorUnit(NamedTuple):
+    """The vector registers a nest is compiled for: their width in bits
+    and how many there are.  A register tile is counted in them."""
+
+    bits: int
+    registers: int
+
+    def lanes(self, ctype: str) -> int:
+        """Elements of ``ctype`` one register holds."""
+        return self.bits // (8 * _SIZEOF[ctype])
+
+    def __str__(self) -> str:
+        return f"{self.bits}/{self.registers}"
+
+
+#: the units the native engine's probe resolves (SSE2 or the baseline
+#: target, AVX/AVX2, AVX-512F); the 256-bit unit is the emitter's
+#: default, the one whose tile every nest had before units were probed
+UNITS = (VectorUnit(128, 16), VectorUnit(256, 16), VectorUnit(512, 32))
+DEFAULT_UNIT = UNITS[1]
 
 #: accepted values of the ``parallel`` emission strategy
 PARALLEL_STRATEGIES = ("none", "omp", "chunk")
@@ -175,21 +210,36 @@ class Schedule(NamedTuple):
 
     #: output loop vectorised in strips (unit-stride in the output)
     vec: int
-    #: output loop register-blocked :data:`ROW_BLOCK` rows at a time
+    #: output loop register-blocked ``rows`` rows at a time
     rblock: int
     #: operands copied into panels where ``vec`` is unit-stride
     packed: Tuple[int, ...]
+    #: the register tile: rows of the block, vector registers per row
+    rows: int
+    vectors: int
+    #: elements per vector register
+    lanes: int
+
+    @property
+    def strip(self) -> int:
+        """Elements of the vector strip (and of a pack panel's row)."""
+        return self.vectors * self.lanes
 
 
-def nest_schedule(spec) -> Optional[Schedule]:
-    """The loop-nest shape of ``spec``, a pure function of the spec.
+def nest_schedule(
+    spec, unit: VectorUnit = DEFAULT_UNIT, ctype: str = "double"
+) -> Optional[Schedule]:
+    """The loop-nest shape of ``spec`` compiled for ``unit`` with
+    elements of ``ctype``: a pure function of the three.
 
     The *vector index* is the last output loop, the one that is
     unit-stride in the output.  Operands that carry it at another
     stride are *packed*; operands that do not carry it are broadcast.
     The *register-block index* is the innermost output loop that no
     vector-carrying operand carries, so one vector load serves every
-    row of the block and one broadcast serves the whole strip.
+    row of the block and one broadcast serves the whole strip.  The
+    register tile is :data:`REGISTER_TILE` registers of ``unit``, so the
+    strip is as many elements as that many registers hold.
 
     ``None`` -- and the one-accumulator-per-point rendering -- when no
     such pair exists: fewer than two output loops, no operand (or every
@@ -208,13 +258,15 @@ def nest_schedule(spec) -> Optional[Schedule]:
     packed = tuple(
         k for k in carriers if _strides(spec, spec.operands[k])[vec] != 1
     )
-    return Schedule(vec, rows[-1], packed)
+    return Schedule(
+        vec, rows[-1], packed, *REGISTER_TILE, unit.lanes(ctype)
+    )
 
 
-def _panel_size(dims: List[Tuple[int, int]]) -> int:
-    """Elements of one pack panel: a :data:`VEC_STRIP` row per in-tile
+def _panel_size(dims: List[Tuple[int, int]], strip: int) -> int:
+    """Elements of one pack panel: a ``strip``-element row per in-tile
     summation point."""
-    return VEC_STRIP * math.prod(extent for _, extent in dims)
+    return strip * math.prod(extent for _, extent in dims)
 
 
 def _pack_panels(
@@ -231,7 +283,7 @@ def _pack_panels(
         ]
         for k in sched.packed
     }
-    total = sum(_panel_size(dims) for dims in panels.values())
+    total = sum(_panel_size(dims, sched.strip) for dims in panels.values())
     return panels if total <= room else None
 
 
@@ -251,8 +303,8 @@ def render_nest_ir(spec) -> str:
         lines.append("schedule=none")
     else:
         lines.append(
-            f"schedule=vec:{sched.vec} rows:{sched.rblock}x{ROW_BLOCK} "
-            f"strip:{VEC_STRIP} pack:"
+            f"schedule=vec:{sched.vec} rows:{sched.rblock}x{sched.rows} "
+            f"vectors:{sched.vectors} pack:"
             + (",".join(str(k) for k in sched.packed) or "-")
             + f" limit:{PACK_LIMIT}"
         )
@@ -486,7 +538,7 @@ class _ScheduledNest:
     Loop order, outermost first: summation tile loops; the output loops
     a packed operand carries; the vector-strip loop; the pack of every
     packed operand's panel; the remaining output loops, the
-    register-block loop among them stepping :data:`ROW_BLOCK` rows; the
+    register-block loop among them stepping ``rows`` rows; the
     in-tile summation loops; one loop over the strip that updates every
     row's accumulators.  Without a packed operand the strip loop sits
     innermost of the output loops, so the work-shared ``v0`` loop stays
@@ -528,8 +580,9 @@ class _ScheduledNest:
 
     def emit(self, indent: str) -> None:
         for k, dims in self.panels.items():
+            size = _panel_size(dims, self.sched.strip)
             self.lines.append(
-                f"{indent}{self.ctype} p{k}[{_panel_size(dims)}] "
+                f"{indent}{self.ctype} p{k}[{size}] "
                 "__attribute__((aligned(64)));"
             )
         self._level(0, indent, 1, 0)
@@ -552,7 +605,7 @@ class _ScheduledNest:
             self._pack(indent, width)
             self._level(i + 1, indent, rows, width)
         elif kind == "strip":
-            full = min(VEC_STRIP, e)
+            full = min(self.sched.strip, e)
 
             def lone(start: int, width: int) -> None:
                 put(f"{indent}{{")
@@ -580,7 +633,7 @@ class _ScheduledNest:
         e = self.spec.extents[p]
         bounds = p == 0 and self.chunk
         lo, hi = ("lo", "hi") if bounds else ("0", str(e))
-        block = min(ROW_BLOCK, e) if p == self.sched.rblock else 1
+        block = min(self.sched.rows, e) if p == self.sched.rblock else 1
         # nowait: a static schedule gives one thread the same rows at
         # every encounter of a loop with these bounds, so each output
         # element stays with one thread, in program order, without a
@@ -616,9 +669,9 @@ class _ScheduledNest:
     def _panel_offset(self, k: int) -> str:
         """Start of the current summation point's strip in panel ``k``
         (row-major over the operand's in-tile summation loops, one
-        :data:`VEC_STRIP`-element row each)."""
+        strip-element row each)."""
         terms = []
-        stride = VEC_STRIP
+        stride = self.sched.strip
         for p, extent in reversed(self.panels[k]):
             at = f"(v{p} - t{p})" if p in self.tiled else f"v{p}"
             terms.append(f"{at}*{stride}")
@@ -722,14 +775,15 @@ class _ScheduledNest:
 
 def _c_kernel(
     ir: str, args: List[str], members: Sequence, ctype: str, tile: int,
-    threads: int, parallel: str, simd: bool,
+    threads: int, parallel: str, simd: bool, unit: VectorUnit,
 ) -> str:
     """One C function ``kern(args)`` holding the nests of ``members``,
     ``(bindings, spec)`` pairs, in order: a lone nest binds nothing; a
     fused group's member gets a block that first declares its
     ``bindings`` (see :func:`_group_members`).  Each nest is scheduled
-    when :func:`nest_schedule` accepts it and its pack panels fit what
-    is left of the kernel's :data:`PACK_LIMIT`, else walked plainly."""
+    for ``unit`` when :func:`nest_schedule` accepts it and its pack
+    panels fit what is left of the kernel's :data:`PACK_LIMIT`, else
+    walked plainly."""
     _check_parallel(parallel, members[0][1].nout)
     omp = parallel == "omp" and threads > 1
     chunk = parallel == "chunk"
@@ -761,7 +815,7 @@ def _c_kernel(
             lines.append(f"{indent}{{")
             inner += "  "
             lines += [inner + C.decl(*binding) for binding in bindings]
-        sched = nest_schedule(spec)
+        sched = nest_schedule(spec, unit, ctype)
         panels = _pack_panels(spec, sched, tile, room) if sched else None
         if panels is None:
             _plain_walk(lines, inner, spec, tile, C, ctype, omp, chunk, simd)
@@ -769,7 +823,9 @@ def _c_kernel(
             _ScheduledNest(
                 lines, spec, sched, panels, ctype, tile, omp, chunk, simd
             ).emit(inner)
-            room -= sum(_panel_size(dims) for dims in panels.values())
+            room -= sum(
+                _panel_size(dims, sched.strip) for dims in panels.values()
+            )
         if bindings:
             lines.append(f"{indent}}}")
     if omp:
@@ -803,6 +859,7 @@ def c_source(
     threads: int = 1,
     parallel: str = "none",
     simd: bool = False,
+    unit: VectorUnit = DEFAULT_UNIT,
 ) -> str:
     """Render the nest spec as one C function ``kern``.
 
@@ -815,7 +872,8 @@ def c_source(
 
     A nest with a legal :func:`nest_schedule` whose pack panels fit
     :data:`PACK_LIMIT` under ``tile`` is rendered packed and
-    register-blocked (see the module docstring); every other nest keeps
+    register-blocked, its register tile counted in ``unit``'s registers
+    (see the module docstring); every other nest keeps
     the one-accumulator-per-output-point form.  Both fold each output
     element's summation in the same order, so which form a nest gets
     never shows in its result.
@@ -838,7 +896,7 @@ def c_source(
     args.append(f"{ctype}* restrict out")
     return _c_kernel(
         render_nest_ir(spec), args, [((), spec)],
-        ctype, tile, threads, parallel, simd,
+        ctype, tile, threads, parallel, simd, unit,
     )
 
 
@@ -892,6 +950,7 @@ def c_fused_source(
     threads: int = 1,
     parallel: str = "none",
     simd: bool = False,
+    unit: VectorUnit = DEFAULT_UNIT,
 ) -> str:
     """One C function for a whole fused statement group.
 
@@ -914,8 +973,8 @@ def c_fused_source(
     differently, and two terms of one statement fold into one slot.
 
     The members' pack panels live in disjoint block scopes but count
-    against one :data:`PACK_LIMIT`; ``parallel``/``threads``/``simd``
-    behave exactly as in :func:`c_source`.
+    against one :data:`PACK_LIMIT`; ``parallel``/``threads``/``simd``/
+    ``unit`` behave exactly as in :func:`c_source`.
     """
     rq = "" if fspec.aliased else " restrict"
     operand, slot = f"const {ctype}*{rq}", f"{ctype}*{rq}"
@@ -924,7 +983,7 @@ def c_fused_source(
     )
     return _c_kernel(
         render_fused_ir(fspec), args, _group_members(fspec, operand, slot),
-        ctype, tile, threads, parallel, simd,
+        ctype, tile, threads, parallel, simd, unit,
     )
 
 

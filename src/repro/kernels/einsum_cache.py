@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,12 +100,18 @@ def cached_einsum(
     *operands: np.ndarray,
     out: Optional[np.ndarray] = None,
     semiring: str = "plus_times",
+    plan_shapes: Optional[Sequence[Tuple[int, ...]]] = None,
 ) -> np.ndarray:
     """``np.einsum(spec, *operands, optimize=True)`` without re-planning.
 
     Numerically identical to the uncached call (same path, same
     execution kernels); the only difference is that the path search runs
     once per operand signature instead of once per call.
+
+    ``plan_shapes`` (one per operand) are the shapes the path is searched
+    and keyed at instead of the operands' own: a caller whose operands
+    share an axis of data-dependent length (the rows of a sparse step)
+    plans once, at a fixed stand-in length, not once per length.
 
     A non-default ``semiring`` evaluates the same subscript spec under
     that algebra via :func:`repro.semiring.semiring_einsum` (einsum
@@ -117,7 +123,11 @@ def cached_einsum(
         return semiring_einsum(
             spec, *operands, semiring=get_semiring(semiring), out=out
         )
-    path = cached_einsum_path(spec, *operands, semiring=semiring)
+    planned = operands if plan_shapes is None else [
+        np.broadcast_to(np.zeros((), np.asarray(op).dtype), shape)
+        for op, shape in zip(operands, plan_shapes)
+    ]
+    path = cached_einsum_path(spec, *planned, semiring=semiring)
     return np.einsum(spec, *operands, optimize=path, out=out)
 
 

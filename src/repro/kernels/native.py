@@ -38,7 +38,13 @@ structured note and the baseline target), always with
 result off the ``py_source`` reference.  What ``native`` resolved to --
 never the literal flag -- is part of the artifact flags, so a store
 directory read on another CPU model misses instead of loading code that
-CPU cannot run.
+CPU cannot run.  The same probe reads the target's predefined macros
+and resolves its **vector unit** (AVX-512F: 512 bits, 32 registers;
+AVX/AVX2: 256, 16; SSE2 or the baseline target: 128, 16): nests are
+register-tiled for it and compiled at its full width
+(``-mprefer-vector-width=<bits>``, itself probed; a compiler without it
+keeps its own preferred width and the unit is capped at 256 bits), and
+the unit is in the artifact flags too.
 
 Whole *fused statement groups* (:class:`FusedSpec`, built by the
 cross-statement fusion pass in :mod:`repro.kernels.plan`) compile the
@@ -129,6 +135,10 @@ OMP_FLAG = "-fopenmp"
 
 #: the target flag probed per compiler and appended when it is accepted
 TARGET_FLAG = "-march=native"
+
+#: the option that sets the vector width nests compile at: probed per
+#: compiler and appended, with the vector unit's width, when accepted
+WIDTH_FLAG = "-mprefer-vector-width"
 
 #: summation-loop block size of the emitted nests
 NATIVE_TILE = 64
@@ -340,6 +350,8 @@ def _openmp_supported(cc: Optional[str]) -> Tuple[bool, str]:
 # -- target capability probing -----------------------------------------------
 
 _target_cache: Dict[str, Tuple[bool, str]] = {}
+_unit_cache: Dict[str, object] = {}
+_width_cache: Dict[str, Tuple[bool, str]] = {}
 
 #: machine options in a compiler driver's ``-v`` output: gcc's ``cc1``
 #: line (``-march=cooperlake -mavx512f ... --param l2-cache-size=...``)
@@ -363,6 +375,24 @@ def _cpu_features() -> str:
     return platform.machine()
 
 
+def _first_error(stderr: str) -> str:
+    """The first line of a compiler's stderr that reports an error."""
+    errors = [line.strip() for line in stderr.splitlines() if "error" in line]
+    return errors[0][:160] if errors else "exit != 0"
+
+
+def _macro_unit(macros: str):
+    """The vector unit a target's predefined macros (``-dM`` output)
+    announce: AVX-512F, AVX/AVX2, else SSE2 or the baseline target."""
+    units = _cgen().UNITS
+    defined = set(re.findall(r"^#define (\w+)", macros, re.MULTILINE))
+    if "__AVX512F__" in defined:
+        return units[2]
+    if "__AVX__" in defined:
+        return units[1]
+    return units[0]
+
+
 def _target_supported(cc: Optional[str]) -> Tuple[bool, str]:
     """Whether compiler ``cc`` accepts :data:`TARGET_FLAG` here.
 
@@ -373,7 +403,8 @@ def _target_supported(cc: Optional[str]) -> Tuple[bool, str]:
     keyed by it is never loaded by a CPU it was not compiled for.
     ``(False, reason)`` -- nests compile for the baseline target.  One
     preprocessor-only fork per compiler path, cached like the OpenMP
-    probe; never raises.
+    probe; never raises.  The fork also prints the target's macros,
+    from which the vector unit is resolved (:func:`_probed_unit`).
     """
     if cc is None:
         return False, "no C compiler"
@@ -382,9 +413,10 @@ def _target_supported(cc: Optional[str]) -> Tuple[bool, str]:
     if cached is not None:
         return cached
     result: Tuple[bool, str]
+    unit = _cgen().UNITS[0]
     try:
         proc = subprocess.run(
-            [cc, TARGET_FLAG, "-E", "-v", "-x", "c", os.devnull],
+            [cc, TARGET_FLAG, "-E", "-v", "-dM", "-x", "c", os.devnull],
             capture_output=True,
             text=True,
             timeout=60,
@@ -401,17 +433,58 @@ def _target_supported(cc: Optional[str]) -> Tuple[bool, str]:
             detail = " ".join(options) if cpus else _cpu_features()
             digest = hashlib.sha256(detail.encode("utf-8")).hexdigest()[:12]
             result = True, f"{cpus[0] if cpus else 'cpu'}+{digest}"
+            unit = _macro_unit(proc.stdout)
         else:
-            errors = [
-                line.strip() for line in proc.stderr.splitlines()
-                if "error" in line
-            ]
-            detail = errors[0][:160] if errors else "exit != 0"
-            result = False, f"compiler rejects {TARGET_FLAG} ({detail})"
+            result = False, (
+                f"compiler rejects {TARGET_FLAG} "
+                f"({_first_error(proc.stderr)})"
+            )
     except (OSError, subprocess.SubprocessError) as exc:
         result = False, f"target probe failed ({type(exc).__name__}: {exc})"
     with _probe_lock:
         _target_cache[cc] = result
+        _unit_cache[cc] = unit
+    return result
+
+
+def _probed_unit(cc: Optional[str]):
+    """The vector unit of the target ``cc`` compiles for here (the
+    baseline target's without a compiler)."""
+    _target_supported(cc)
+    with _probe_lock:
+        return _unit_cache.get(cc, _cgen().UNITS[0])
+
+
+def _width_supported(cc: Optional[str]) -> Tuple[bool, str]:
+    """Whether compiler ``cc`` accepts :data:`WIDTH_FLAG` at the width
+    of the unit it targets: ``(ok, reason)``, one preprocessor-only fork
+    per compiler path, cached like the OpenMP probe; never raises."""
+    if cc is None:
+        return False, "no C compiler"
+    with _probe_lock:
+        cached = _width_cache.get(cc)
+    if cached is not None:
+        return cached
+    flag = f"{WIDTH_FLAG}={_probed_unit(cc).bits}"
+    result: Tuple[bool, str]
+    try:
+        proc = subprocess.run(
+            [cc, flag, "-E", "-x", "c", os.devnull],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=False,
+        )
+        if proc.returncode == 0:
+            result = True, flag
+        else:
+            result = False, (
+                f"compiler rejects {flag} ({_first_error(proc.stderr)})"
+            )
+    except (OSError, subprocess.SubprocessError) as exc:
+        result = False, f"width probe failed ({type(exc).__name__}: {exc})"
+    with _probe_lock:
+        _width_cache[cc] = result
     return result
 
 
@@ -536,19 +609,40 @@ class NativeEngine:
 
     def target_note(self) -> Optional[str]:
         """A structured degradation note when nests compile for the
-        baseline target (``None`` when :data:`TARGET_FLAG` is used)."""
+        baseline target, or below the probed vector unit's width
+        (``None`` when :data:`TARGET_FLAG` and :data:`WIDTH_FLAG` are
+        used)."""
         if self.backend is None:
             return None
         ok, reason = _target_supported(self._cc)
+        if not ok:
+            return f"{reason}; nests compile for the baseline target"
+        ok, reason = _width_supported(self._cc)
         if ok:
             return None
-        return f"{reason}; nests compile for the baseline target"
+        return (
+            f"{reason}; nests are tiled for the {self.vector_unit()} "
+            "unit the compiler vectorises at by default"
+        )
+
+    def vector_unit(self):
+        """The :class:`~repro.codegen.cgen.VectorUnit` nests are
+        register-tiled and compiled for: the probed unit when the
+        compiler takes :data:`WIDTH_FLAG`, else at most the 256-bit one
+        (without the flag a compiler keeps its own preferred width)."""
+        unit = _probed_unit(self._cc)
+        if _width_supported(self._cc)[0]:
+            return unit
+        return min(unit, _cgen().DEFAULT_UNIT)
 
     def _cc_flags(self) -> Tuple[str, ...]:
-        """What the compiler is given: baseline, target, OpenMP."""
+        """What the compiler is given: baseline, target, vector width,
+        OpenMP."""
         flags = CC_FLAGS
         if _target_supported(self._cc)[0]:
             flags += (TARGET_FLAG,)
+        if _width_supported(self._cc)[0]:
+            flags += (f"{WIDTH_FLAG}={self.vector_unit().bits}",)
         if self.openmp():
             flags += (OMP_FLAG,)
         return flags
@@ -560,13 +654,15 @@ class NativeEngine:
         nest's effective thread count).  ``target=`` is what
         :data:`TARGET_FLAG` resolved to on this machine, never the
         literal flag: a store directory carried to another CPU model
-        misses instead of loading code that CPU cannot run."""
+        misses instead of loading code that CPU cannot run.  ``unit=``
+        is the vector unit the nests' register tiles are counted in."""
         eff, strategy, _ = self._resolve(spec, threads)
         base: Tuple[str, ...] = ()
         if self.backend is not None:
             ok, token = _target_supported(self._cc)
             base = self._cc_flags() + (
                 f"target={token if ok else 'baseline'}",
+                f"unit={self.vector_unit()}",
             )
         return base + (f"tile={self.tile}", f"threads={eff}",
                        f"par={strategy}")
@@ -695,6 +791,7 @@ class NativeEngine:
         return emit(
             spec, _CTYPES[np.dtype(dtype).name], self.tile,
             threads=eff, parallel=strategy, simd=self.openmp(),
+            unit=self.vector_unit(),
         )
 
     def _build_cc(

@@ -931,10 +931,22 @@ class KernelRunner:
             dense = list(ops)
             for k, perm, ids in spec.gathers:
                 dense[k] = ops[k].transpose(perm)[tuple(cols[n] for n in ids)]
+            gathered = {k for k, _, _ in spec.gathers}
+            read = [k for k in range(len(ops)) if k not in spec.sparse]
+            # the path is planned at the most rows the bound indices
+            # admit, so the row count never enters the path cache's key
+            most = math.prod(
+                spec.extents[n]
+                for n in {n for k in spec.sparse for n in spec.axes[k]}
+            )
             vals = cached_einsum(
-                spec.spec, vals,
-                *(dense[k] for k in range(len(ops)) if k not in spec.sparse),
+                spec.spec, vals, *(dense[k] for k in read),
                 semiring=sr.name,
+                plan_shapes=[(most,)] + [
+                    (most,) + dense[k].shape[1:] if k in gathered
+                    else dense[k].shape
+                    for k in read
+                ],
             )
         if term.coef != 1.0:
             vals = vals * term.coef

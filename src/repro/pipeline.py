@@ -1097,6 +1097,9 @@ def _synthesize_pipeline(
             native_artifacts = [k for k, ok in compiled.items() if ok]
             after = engine.stats()
             codegen_report.details["native backend"] = engine.backend
+            codegen_report.details["vector unit (bits/registers)"] = str(
+                engine.vector_unit()
+            )
             for note in [engine.target_note()] + [
                 engine.recovery(nest, np.float64, threads=kernel_threads)
                 for nest in distinct.values()

@@ -3,9 +3,12 @@
 The C text of a lone nest is what the artifact store addresses (through
 the nest IR) and what every benchmark workload runs; ``py_source`` is
 the reference every compiled rendering is tested against.  Both are
-pinned here by digest -- recorded from the emitter as of PR 19, before
-the plain walk moved onto a format table -- so a refactor of
-``codegen.cgen`` that moves one byte of either says so.
+pinned here by digest, the C text once per vector unit the native
+engine's probe can report, so a refactor of ``codegen.cgen`` that moves
+one byte of either says so.  The 256-bit unit's double-precision code
+is also pinned against the emitter of nest IR v4, which had one fixed
+4 x 16-element tile: below its two comment lines it is that code, byte
+for byte.
 
 Regenerate (only when a change of emitted text is intended, together
 with a ``NEST_IR_VERSION`` bump)::
@@ -20,7 +23,7 @@ import random
 
 import numpy as np
 
-from repro.codegen.cgen import NEST_IR_VERSION, c_source, py_source
+from repro.codegen.cgen import UNITS, NEST_IR_VERSION, c_source, py_source
 from repro.kernels import NativeEngine, NativeSpec, artifact_key
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.semiring import available_semirings
@@ -49,17 +52,41 @@ EXTENTS = (1, 3, 9, 17, 70)
 TILES = (0, 4, 64)
 
 PINNED = {
-    "workload C": (
-        "cf7a6df07a0ce5a7cae099d27b34d2389f043e1009b1f5411070974979d030db"
-    ),
     "workload IR": (
-        "2595da9d43f5990a8e650518495ac81d62b58580ea17144bffd2c76a8676a79c"
-    ),
-    "corpus C": (
-        "62120a2b82737c675683baf626b6af8babaf9e41be45674ece9daf4379c6337e"
+        "fcb75803018dbf1346e42e6c7955cf8001e2afc9b20a3f4f35bae27458af9400"
     ),
     "corpus py": (
         "b552beb64063692f7584a31f93e37b6206cc3690ae1adbded5ce7538d0153b96"
+    ),
+    "workload C 128/16": (
+        "ea0a1f6443f844c5f7d0a665b70460fc7b6a7744ababce95c36b977bb2c09f4d"
+    ),
+    "corpus C 128/16": (
+        "5788524d70bb5c9a4b202b2284d01021b7387c5d2dd25f0f673a575803e6ecc2"
+    ),
+    "workload C 256/16": (
+        "6d6fd70ec7f76e01be245019d3252e398513486008dce6ccde838fa79e07e6fb"
+    ),
+    "corpus C 256/16": (
+        "824918e59db2087518d6f8e1597427904aa0f4feb4dbb00756bdd2b0df836661"
+    ),
+    "workload C 512/32": (
+        "dcdde99f64ecd9ad5dedea650bca94aa94769dca5723afb29cb05cc4efd8c16d"
+    ),
+    "corpus C 512/32": (
+        "30f4a242beef8784c3f7e79126de88a9e1f7edbd0eca49ad4fa446952ea8359c"
+    ),
+}
+
+#: the double-precision C of the 256-bit unit below each text's two
+#: comment lines (version banner and nest IR), as the nest IR v4 emitter
+#: rendered it
+V4_BODIES = {
+    "workload": (
+        "76fe36afbf169918e5aef88cb15c2269fea87c081a2bb3de7444ece6e042d57f"
+    ),
+    "corpus": (
+        "3bd282a415911a2a92347f045ae0f86a1402cd464ff174df5f4c4518d0058b2a"
     ),
 }
 
@@ -118,16 +145,17 @@ def corpus(count=150, seed=20):
     return specs
 
 
-def _renderings(spec):
-    """Every C rendering of one nest: tile x strategy x simd x type."""
+def _renderings(spec, unit, ctypes=("double", "float")):
+    """Every C rendering of one nest for ``unit``: tile x strategy x
+    simd x type."""
     strategies = ("none", "omp", "chunk") if spec.nout else ("none",)
     for tile in TILES:
         for parallel in strategies:
             for simd in (False, True):
-                for ctype in ("double", "float"):
+                for ctype in ctypes:
                     yield c_source(
                         spec, ctype, tile,
-                        threads=3, parallel=parallel, simd=simd,
+                        threads=3, parallel=parallel, simd=simd, unit=unit,
                     )
 
 
@@ -143,14 +171,20 @@ def digests():
     nests = workload_nests()
     assert len(nests) == 11
     specs = corpus()
-    return {
-        "workload C": _digest(t for s in nests for t in _renderings(s)),
+    found = {
         "workload IR": _digest(s.ir() for s in nests),
-        "corpus C": _digest(t for s in specs for t in _renderings(s)),
         "corpus py": _digest(
             py_source(s, tile=tile) for s in specs for tile in TILES
         ),
     }
+    for unit in UNITS:
+        found[f"workload C {unit}"] = _digest(
+            t for s in nests for t in _renderings(s, unit)
+        )
+        found[f"corpus C {unit}"] = _digest(
+            t for s in specs for t in _renderings(s, unit)
+        )
+    return found
 
 
 def show():
@@ -172,8 +206,23 @@ def test_corpus_covers_both_emitters_and_every_algebra():
 
 
 def test_emitted_text_is_byte_identical_to_the_pinned_emitter():
-    assert NEST_IR_VERSION == "nest-ir v4"
+    assert NEST_IR_VERSION == "nest-ir v5"
     assert digests() == PINNED
+
+
+def test_the_256_bit_unit_keeps_the_v4_code():
+    """An AVX2 machine compiles exactly the nests it compiled before the
+    unit was probed: only the banner and the IR comment moved."""
+    def bodies(specs):
+        return _digest(
+            text.split("\n", 2)[2]
+            for s in specs for text in _renderings(s, UNITS[1], ("double",))
+        )
+
+    assert {
+        "workload": bodies(workload_nests()),
+        "corpus": bodies(corpus()),
+    } == V4_BODIES
 
 
 def test_single_nest_keys_are_the_ir_and_the_flags_nothing_else():

@@ -20,11 +20,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.chem.workloads import random_contraction_program
 from repro.codegen.cgen import (
+    UNITS,
     Schedule,
     c_source,
     nest_schedule,
@@ -216,6 +217,25 @@ def _reference_nest(spec, tile, coef, ops):
     return out.reshape(spec.out_shape)
 
 
+def _unit_id(unit):
+    return f"u{unit.bits}x{unit.registers}"
+
+
+def _engine_for(monkeypatch, unit, **kwargs):
+    """A cc engine whose nests are register-tiled and compiled for
+    ``unit``; a unit wider than this CPU's (as its compiler reaches it)
+    is skipped, since its code could not run here."""
+    engine = NativeEngine(backend="cc", **kwargs)
+    here = engine.vector_unit()
+    if unit.bits > here.bits:
+        pytest.skip(
+            f"this CPU has no {unit.bits}-bit vector unit "
+            f"(the probe found {here})"
+        )
+    monkeypatch.setattr(NativeEngine, "vector_unit", lambda self: unit)
+    return engine
+
+
 def _compiled_nest(engine, spec, threads, coef, ops):
     fn = engine.function(spec, np.float64, threads=threads)
     assert fn is not None, engine.failure(spec, np.float64, threads)
@@ -255,12 +275,16 @@ class TestSchedule:
         spec = _spec(
             (32, 32, 32, 32, 32, 8), 4, [(0, 4, 3, 5), (1, 2, 4, 5)]
         )
-        assert nest_schedule(spec) == Schedule(vec=3, rblock=2, packed=(0,))
-        assert "schedule=vec:3 rows:2x4 strip:16 pack:0" in spec.ir()
+        assert nest_schedule(spec) == Schedule(
+            vec=3, rblock=2, packed=(0,), rows=4, vectors=4, lanes=4
+        )
+        assert "schedule=vec:3 rows:2x4 vectors:4 pack:0" in spec.ir()
 
     def test_matmul_needs_no_pack(self):
         spec = _spec((5, 6, 7), 2, [(0, 2), (2, 1)])
-        assert nest_schedule(spec) == Schedule(vec=1, rblock=0, packed=())
+        assert nest_schedule(spec) == Schedule(
+            vec=1, rblock=0, packed=(), rows=4, vectors=4, lanes=4
+        )
 
     @pytest.mark.parametrize(
         "spec",
@@ -290,18 +314,68 @@ class TestSchedule:
         assert nest_schedule(SCHEDULED[name]) is not None
 
 
+class TestVectorUnit:
+    """The register tile is counted in registers of the unit a nest
+    compiles for; the unit is in the artifact key."""
+
+    T1 = _spec((32, 32, 32, 32, 32, 8), 4, [(0, 4, 3, 5), (1, 2, 4, 5)])
+
+    def test_macros_resolve_the_unit(self):
+        from repro.kernels.native import _macro_unit
+
+        def macros(*names):
+            return "".join(f"#define {name} 1\n" for name in names)
+
+        avx512 = macros("__AVX512F__", "__AVX2__", "__AVX__", "__SSE2__")
+        assert _macro_unit(avx512) == UNITS[2]
+        assert _macro_unit(macros("__AVX2__", "__AVX__")) == UNITS[1]
+        assert _macro_unit(macros("__AVX__", "__SSE2__")) == UNITS[1]
+        assert _macro_unit(macros("__SSE2__")) == UNITS[0]
+        assert _macro_unit("") == UNITS[0]
+
+    def test_the_tile_is_counted_in_the_units_registers(self):
+        """Four rows of four registers at every unit: the strip is as
+        wide as four of its registers, whatever the element type."""
+        for unit, strip in zip(UNITS, (8, 16, 32)):
+            sched = nest_schedule(self.T1, unit)
+            assert (sched.rows, sched.vectors, sched.strip) == (4, 4, strip)
+            assert sched.rows * sched.vectors <= unit.registers
+            assert nest_schedule(self.T1, unit, "float").strip == 2 * strip
+        assert "acc3[16]" in c_source(self.T1)  # the 256-bit default
+
+    @needs_cc
+    def test_stub_units_choose_different_tiles_and_keys(self, monkeypatch):
+        engine = NativeEngine(backend="cc")
+        keys, sources = {}, {}
+        for unit in UNITS[1:]:
+            monkeypatch.setattr(NativeEngine, "vector_unit", lambda self: unit)
+            assert f"unit={unit}" in engine.flags()
+            assert f"-mprefer-vector-width={unit.bits}" in engine._cc_flags()
+            keys[unit] = engine.key(self.T1, np.float64, threads=2)
+            sources[unit] = engine._c_source(self.T1, np.float64, 2, "omp")
+        assert nest_schedule(self.T1, UNITS[1]) != nest_schedule(
+            self.T1, UNITS[2]
+        )
+        assert len(set(keys.values())) == 2
+        assert "acc3[16]" in sources[UNITS[1]]
+        assert "acc3[32]" in sources[UNITS[2]]
+
+
 @needs_cc
 class TestScheduledParity:
     """Every compiled rendering of a nest equals ``exec(py_source)`` bit
     for bit: the schedule moves where values are read from, never the
     order one output element folds its summation in."""
 
+    @pytest.mark.parametrize("unit", UNITS, ids=_unit_id)
     @pytest.mark.parametrize("semiring", available_semirings())
     @pytest.mark.parametrize("name", sorted(SCHEDULED))
-    def test_scheduled_nest_equals_reference(self, name, semiring):
+    def test_scheduled_nest_equals_reference(
+        self, name, semiring, unit, monkeypatch
+    ):
         spec = dataclasses.replace(SCHEDULED[name], semiring=semiring)
         ops, coef = _nest_inputs(spec, seed=7)
-        engine = NativeEngine(backend="cc")
+        engine = _engine_for(monkeypatch, unit)
         want = _reference_nest(spec, engine.tile, coef, ops)
         for threads in (1, 2, 4):
             got = _compiled_nest(engine, spec, threads, coef, ops)
@@ -312,14 +386,19 @@ class TestScheduledParity:
         spec=nest_specs(),
         threads=st.sampled_from([1, 2, 4]),
         tile=st.sampled_from([4, 16, 64]),
+        unit=st.sampled_from(UNITS),
         seed=st.integers(0, 2**16),
     )
-    def test_random_nest_equals_reference(self, spec, threads, tile, seed):
+    def test_random_nest_equals_reference(
+        self, spec, threads, tile, unit, seed
+    ):
         ops, coef = _nest_inputs(spec, seed)
         engine = NativeEngine(backend="cc", tile=tile)
-        want = _reference_nest(spec, tile, coef, ops)
-        got = _compiled_nest(engine, spec, threads, coef, ops)
-        assert np.array_equal(got, want)
+        assume(unit.bits <= engine.vector_unit().bits)  # runnable here
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NativeEngine, "vector_unit", lambda self: unit)
+            got = _compiled_nest(engine, spec, threads, coef, ops)
+        assert np.array_equal(got, _reference_nest(spec, tile, coef, ops))
 
 
 class TestLowering:
@@ -749,6 +828,88 @@ class TestDegradation:
         assert "unrecognized option" in note
         spec = SCHEDULED["packed operand, work-shared loop outside the pack"]
         ops, coef = _nest_inputs(spec, seed=3)
+        got = _compiled_nest(engine, spec, 2, coef, ops)
+        assert np.array_equal(
+            got, _reference_nest(spec, engine.tile, coef, ops)
+        )
+        import repro.kernels.native as native_mod
+
+        monkeypatch.setattr(native_mod, "_default_engine", engine)
+        result = synthesize(
+            TestPipelineIntegration.SRC, SynthesisConfig(codegen="native")
+        )
+        assert result.codegen_mode == "native"
+        assert note in result.synthesis_notes
+
+    @staticmethod
+    def _stub_rejecting(tmp_path, monkeypatch, pattern, message):
+        """Put on ``CC`` a compiler that fails, with ``message``, on any
+        argument matching the shell ``pattern`` and is the real one
+        otherwise; returns an engine over it."""
+        real = NativeEngine(backend="cc")
+        if real.backend != "cc":
+            pytest.skip("cc backend not available")
+        stub = tmp_path / "cc"
+        stub.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do\n'
+            f'  case "$a" in {pattern})\n'
+            f'    echo "cc: error: {message}" >&2\n'
+            "    exit 1;;\n"
+            "  esac\n"
+            "done\n"
+            f'exec {real._cc} "$@"\n'
+        )
+        stub.chmod(0o755)
+        monkeypatch.setenv("CC", str(stub))
+        engine = NativeEngine(backend="cc")
+        assert engine._cc == str(stub)
+        return engine, real
+
+    def test_baseline_target_gets_the_128_bit_unit(
+        self, tmp_path, monkeypatch
+    ):
+        engine, _ = self._stub_rejecting(
+            tmp_path, monkeypatch, "-march=native",
+            "unrecognized option -march=native",
+        )
+        assert engine.vector_unit() == UNITS[0]
+        flags = engine.flags()
+        assert "target=baseline" in flags and "unit=128/16" in flags
+        assert "-mprefer-vector-width=128" in flags
+        spec = SCHEDULED["packed operand, work-shared loop outside the pack"]
+        ops, coef = _nest_inputs(spec, seed=5)
+        got = _compiled_nest(engine, spec, 2, coef, ops)
+        assert np.array_equal(
+            got, _reference_nest(spec, engine.tile, coef, ops)
+        )
+
+    def test_compiler_rejecting_the_width_flag_compiles_without_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A compiler that refuses ``-mprefer-vector-width`` keeps its own
+        preferred width: no flag, one structured note, and the nests are
+        tiled for the unit it compiles at (at most 256 bits)."""
+        from repro.kernels.native import _probed_unit
+
+        engine, real = self._stub_rejecting(
+            tmp_path, monkeypatch, "-mprefer-vector-width=*",
+            "unrecognized command-line option -mprefer-vector-width",
+        )
+        probed = _probed_unit(engine._cc)
+        assert probed == real.vector_unit()
+        unit = engine.vector_unit()
+        assert unit == min(probed, UNITS[1])
+        flags = engine.flags()
+        assert not any(f.startswith("-mprefer-vector-width") for f in flags)
+        assert "-march=native" in flags and f"unit={unit}" in flags
+        note = engine.target_note()
+        assert note is not None
+        assert "rejects -mprefer-vector-width" in note
+        assert "unrecognized command-line option" in note
+        assert f"tiled for the {unit} unit" in note
+        spec = SCHEDULED["matmul: no pack, v0 register-blocked, tiled sum"]
+        ops, coef = _nest_inputs(spec, seed=6)
         got = _compiled_nest(engine, spec, 2, coef, ops)
         assert np.array_equal(
             got, _reference_nest(spec, engine.tile, coef, ops)

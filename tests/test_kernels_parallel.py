@@ -16,11 +16,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.cgen import (
     PACK_LIMIT,
+    UNITS,
     _check_parallel,
     c_fused_source,
     c_source,
@@ -49,6 +50,8 @@ from tests.test_kernels_native import (
     SCHEDULED,
     _spec,
     _compiled_nest,
+    _engine_for,
+    _unit_id,
     _einsum_of,
     _matmul_stmt,
     _nest_inputs,
@@ -623,14 +626,17 @@ class TestScheduledChunkLeg:
     def _no_openmp(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_OPENMP", "1")
 
+    @pytest.mark.parametrize("unit", UNITS, ids=_unit_id)
     @pytest.mark.parametrize("semiring", ["plus_times", "min_plus"])
     @pytest.mark.parametrize("name", sorted(SCHEDULED))
-    def test_chunked_scheduled_nest_equals_reference(self, name, semiring):
+    def test_chunked_scheduled_nest_equals_reference(
+        self, name, semiring, unit, monkeypatch
+    ):
         import dataclasses
 
         spec = dataclasses.replace(SCHEDULED[name], semiring=semiring)
         ops, coef = _nest_inputs(spec, seed=11)
-        engine = NativeEngine(backend="cc")
+        engine = _engine_for(monkeypatch, unit)
         assert engine.parallel_strategy(2) == "chunk"
         want = _reference_nest(spec, engine.tile, coef, ops)
         for threads in (2, 4):
@@ -656,14 +662,21 @@ class TestScheduledChunkLeg:
     @given(
         spec=nest_specs(),
         threads=st.sampled_from([2, 4]),
+        unit=st.sampled_from(UNITS),
         seed=st.integers(0, 2**16),
     )
-    def test_chunked_random_nest_equals_reference(self, spec, threads, seed):
+    def test_chunked_random_nest_equals_reference(
+        self, spec, threads, unit, seed
+    ):
         ops, coef = _nest_inputs(spec, seed)
         engine = NativeEngine(backend="cc")
-        want = _reference_nest(spec, engine.tile, coef, ops)
-        got = _compiled_nest(engine, spec, threads, coef, ops)
-        assert np.array_equal(got, want)
+        assume(unit.bits <= engine.vector_unit().bits)  # runnable here
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NativeEngine, "vector_unit", lambda self: unit)
+            got = _compiled_nest(engine, spec, threads, coef, ops)
+        assert np.array_equal(
+            got, _reference_nest(spec, engine.tile, coef, ops)
+        )
 
 
 @needs_compiler

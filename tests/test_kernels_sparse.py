@@ -316,3 +316,34 @@ def test_dense_inputs_still_run_on_kernels():
     want = result.execute(inputs)
     assert ran.substrate == "kernels"
     np.testing.assert_allclose(ran["S"], want["S"], rtol=1e-12)
+
+
+def test_the_row_count_never_enters_the_path_cache():
+    """The row einsum of a sparse step is planned once per term, not
+    once per stored-entry count: 50 runs on fresh random ``A`` (about
+    20 distinct counts) miss the path cache once."""
+    from repro.kernels.einsum_cache import (
+        clear_einsum_path_cache,
+        einsum_path_cache_stats,
+    )
+
+    src = (
+        "range N = 16;\nindex i, j, k : N;\n"
+        "tensor A(i, k) sparse(0.1);\ntensor B(k, j);\n"
+        "C(i, j) = sum(k) A(i, k) * B(k, j);\n"
+    )
+    result = synthesize(src, SynthesisConfig(optimize_cache=False))
+    assert result.kernel_plan.sparse_terms == 1
+    rng = np.random.default_rng(0)
+    b = 0.5 + rng.random((16, 16))
+    clear_einsum_path_cache()
+    counts = set()
+    for _ in range(50):
+        a = np.where(
+            rng.random((16, 16)) < 0.1, 0.5 + rng.random((16, 16)), 0.0
+        )
+        counts.add(np.count_nonzero(a))
+        got = result.run({"A": a, "B": b})
+        np.testing.assert_allclose(got["C"], a @ b, rtol=1e-12, atol=1e-12)
+    assert len(counts) > 10
+    assert einsum_path_cache_stats()["misses"] == 1

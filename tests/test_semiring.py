@@ -326,7 +326,7 @@ class TestKeySeparation:
             ]
             assert spec is not None
             irs[name] = render_nest_ir(spec)
-        assert NEST_IR_VERSION == "nest-ir v4"
+        assert NEST_IR_VERSION == "nest-ir v5"
         assert "semiring=plus_times" in irs["plus_times"]
         assert "semiring=min_plus" in irs["min_plus"]
         keys = {
