@@ -89,7 +89,8 @@ cost-driven choice):
 * operands that carry it at another stride are **packed**: before the
   loops that reuse it, the strip is copied into a per-thread panel
   (``p<k>``, on the kernel's stack, at most :data:`PACK_LIMIT` elements
-  per kernel) where it *is* unit-stride.  Packing, not strided vector
+  per kernel, a row per summation point no wider than the vector
+  loop's extent) where it *is* unit-stride.  Packing, not strided vector
   loads: a gather costs a load per lane on every use, the panel is
   filled once and read as plain vectors by every row and every
   iteration of the loops inside it;
@@ -134,7 +135,7 @@ __all__ = [
 ]
 
 #: bump to invalidate every stored artifact when the emitted code changes
-NEST_IR_VERSION = "nest-ir v5"
+NEST_IR_VERSION = "nest-ir v6"
 
 #: rows x vectors of a scheduled nest's register tile, counted in
 #: registers of the unit it compiles for: sixteen accumulators, which
@@ -222,7 +223,8 @@ class Schedule(NamedTuple):
 
     @property
     def strip(self) -> int:
-        """Elements of the vector strip (and of a pack panel's row)."""
+        """Elements of the vector strip (a pack panel's row, unless the
+        vector loop is shorter)."""
         return self.vectors * self.lanes
 
 
@@ -263,10 +265,16 @@ def nest_schedule(
     )
 
 
-def _panel_size(dims: List[Tuple[int, int]], strip: int) -> int:
-    """Elements of one pack panel: a ``strip``-element row per in-tile
+def _panel_row(spec, sched: Schedule) -> int:
+    """Elements of a pack panel's row: the strip, clipped to the extent
+    of the vector loop it covers (no strip is wider than that)."""
+    return min(sched.strip, spec.extents[sched.vec])
+
+
+def _panel_size(dims: List[Tuple[int, int]], row: int) -> int:
+    """Elements of one pack panel: a ``row``-element row per in-tile
     summation point."""
-    return strip * math.prod(extent for _, extent in dims)
+    return row * math.prod(extent for _, extent in dims)
 
 
 def _pack_panels(
@@ -283,7 +291,8 @@ def _pack_panels(
         ]
         for k in sched.packed
     }
-    total = sum(_panel_size(dims, sched.strip) for dims in panels.values())
+    row = _panel_row(spec, sched)
+    total = sum(_panel_size(dims, row) for dims in panels.values())
     return panels if total <= room else None
 
 
@@ -580,7 +589,7 @@ class _ScheduledNest:
 
     def emit(self, indent: str) -> None:
         for k, dims in self.panels.items():
-            size = _panel_size(dims, self.sched.strip)
+            size = _panel_size(dims, _panel_row(self.spec, self.sched))
             self.lines.append(
                 f"{indent}{self.ctype} p{k}[{size}] "
                 "__attribute__((aligned(64)));"
@@ -669,9 +678,9 @@ class _ScheduledNest:
     def _panel_offset(self, k: int) -> str:
         """Start of the current summation point's strip in panel ``k``
         (row-major over the operand's in-tile summation loops, one
-        strip-element row each)."""
+        panel row each)."""
         terms = []
-        stride = self.sched.strip
+        stride = _panel_row(self.spec, self.sched)
         for p, extent in reversed(self.panels[k]):
             at = f"(v{p} - t{p})" if p in self.tiled else f"v{p}"
             terms.append(f"{at}*{stride}")
@@ -824,7 +833,8 @@ def _c_kernel(
                 lines, spec, sched, panels, ctype, tile, omp, chunk, simd
             ).emit(inner)
             room -= sum(
-                _panel_size(dims, sched.strip) for dims in panels.values()
+                _panel_size(dims, _panel_row(spec, sched))
+                for dims in panels.values()
             )
         if bindings:
             lines.append(f"{indent}}}")

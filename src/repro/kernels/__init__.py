@@ -44,7 +44,7 @@ from repro.kernels.einsum_cache import (
     einsum_path_cache_stats,
     clear_einsum_path_cache,
 )
-from repro.kernels.lowering import GemmSpec, exec_gemm, lower_binary_term
+from repro.kernels.lowering import GemmSpec, lower_binary_term
 from repro.kernels.native import (
     FusedSpec,
     NativeEngine,
@@ -86,7 +86,6 @@ __all__ = [
     "einsum_path_cache_stats",
     "clear_einsum_path_cache",
     "GemmSpec",
-    "exec_gemm",
     "lower_binary_term",
     "KernelPlan",
     "KernelRunner",

@@ -48,30 +48,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.expr.indices import Index
-from repro.kernels.arena import BufferArena
 from repro.robustness.errors import ReproError
 
-__all__ = ["GemmSpec", "lower_binary_term", "exec_gemm", "exec_gemm_arena"]
-
-
-def _require_plus_times(semiring: str, where: str) -> None:
-    """GEMM *is* the ``(+, ×)`` algebra -- ``np.matmul`` hard-codes it.
-
-    Reaching this lowering under any other semiring would silently
-    compute classical sums of products where the caller asked for, say,
-    tropical shortest paths; that must be a structured error, never a
-    wrong answer.  The kernel planner routes non-default algebras to
-    the native/einsum reduction paths and never gets here.
-    """
-    if semiring != "plus_times":
-        raise ReproError(
-            f"GEMM lowering only implements the plus_times semiring; "
-            f"'{semiring}' contractions must use the native or einsum "
-            "reduction path",
-            stage="codegen",
-            semiring=semiring,
-            where=where,
-        )
+__all__ = ["GemmSpec", "lower_binary_term", "exec_gemm_arena"]
 
 
 @dataclass(frozen=True)
@@ -110,11 +89,19 @@ def lower_binary_term(
     directly (repeated indices within an operand -- diagonals/traces --
     or an output index absent from both operands); callers fall back to
     einsum there.  A non-``plus_times`` ``semiring`` raises a
-    structured :class:`~repro.robustness.errors.ReproError`: GEMM can
-    never evaluate it, and declining loudly beats a silent wrong
-    answer.
+    structured :class:`~repro.robustness.errors.ReproError`: GEMM *is*
+    the ``(+, ×)`` algebra (``np.matmul`` hard-codes it), so reaching
+    here under, say, tropical shortest paths would be a silent wrong
+    answer.  :func:`~repro.kernels.plan.lower_term` never gets here.
     """
-    _require_plus_times(semiring, "lower_binary_term")
+    if semiring != "plus_times":
+        raise ReproError(
+            f"GEMM lowering only implements the plus_times semiring; "
+            f"'{semiring}' contractions must use the native or einsum "
+            "reduction path",
+            stage="codegen",
+            semiring=semiring,
+        )
     left = tuple(left)
     right = tuple(right)
     out = tuple(out)
@@ -166,32 +153,6 @@ def lower_binary_term(
 
 def _identity(perm: Tuple[int, ...]) -> bool:
     return perm == tuple(range(len(perm)))
-
-
-def exec_gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    lred: Tuple[int, ...],
-    rred: Tuple[int, ...],
-    lperm: Tuple[int, ...],
-    rperm: Tuple[int, ...],
-    nb: int,
-    nm: int,
-    nk: int,
-    nn: int,
-    operm: Tuple[int, ...],
-    semiring: str = "plus_times",
-) -> np.ndarray:
-    """Execute a lowered binary contraction, allocating per call:
-    :func:`exec_gemm_arena` on an arena of its own that pools nothing,
-    with a C-ordered result.  The fields arrive as keywords because
-    emitted rank programs (:mod:`repro.parallel.spmd`) spell the call
-    that way.
-    """
-    _require_plus_times(semiring, "exec_gemm")
-    spec = GemmSpec(lred, rred, lperm, rperm, nb, nm, nk, nn, operm)
-    return exec_gemm_arena(a, b, spec, BufferArena(enabled=False))[0]
 
 
 def _flat_stride(shape, strides) -> Optional[int]:

@@ -43,6 +43,7 @@ exactly under an idempotent semiring on exactly representable data.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import (
     Callable, Collection, Dict, Iterator, List, Mapping, Optional, Sequence,
@@ -53,7 +54,7 @@ import numpy as np
 
 from repro.expr.ast import Statement
 from repro.expr.canonical import flatten
-from repro.expr.indices import Bindings, einsum_letters
+from repro.expr.indices import Bindings, Index, einsum_letters
 from repro.kernels.arena import BufferArena
 from repro.kernels.einsum_cache import cached_einsum
 from repro.kernels.lowering import GemmSpec, exec_gemm_arena, lower_binary_term
@@ -70,6 +71,8 @@ __all__ = [
     "KernelPlan",
     "KernelRunner",
     "compile_kernel_plan",
+    "exec_term",
+    "lower_term",
 ]
 
 
@@ -119,22 +122,23 @@ class SparseSpec:
 
 
 def _lower_sparse_term(
-    refs, target, sparse: Tuple[int, ...], bindings
+    indices, target, sparse: Tuple[int, ...], bindings
 ) -> SparseSpec:
-    """The :class:`SparseSpec` of one flat term whose operands at
-    positions ``sparse`` are read through their stored entries."""
+    """The :class:`SparseSpec` of one flat term, its operands carrying
+    ``indices``, whose operands at positions ``sparse`` are read through
+    their stored entries."""
     order: List = []
     for k in sparse:
-        order += [i for i in refs[k].indices if i not in order]
+        order += [i for i in indices[k] if i not in order]
     nbound = len(order)
-    for ref in refs:
-        order += [i for i in ref.indices if i not in order]
+    for ind in indices:
+        order += [i for i in ind if i not in order]
     order += [i for i in target if i not in order]
     number = {idx: n for n, idx in enumerate(order)}
     # one label per index number, and the last for the rows
     letters = einsum_letters(range(len(order) + 1))
     row = letters[len(order)]
-    axes = tuple(tuple(number[i] for i in ref.indices) for ref in refs)
+    axes = tuple(tuple(number[i] for i in ind) for ind in indices)
     gathers = []
     subscripts = [row]
     for k, ax in enumerate(axes):
@@ -266,6 +270,54 @@ class TermPlan:
     spec: Optional[str] = None
     native: Optional["NativeSpec"] = None
     sparse: Optional[SparseSpec] = None
+
+
+def lower_term(
+    coef: float,
+    operands: Tuple[OperandSpec, ...],
+    indices: Sequence[Tuple[Index, ...]],
+    sums,
+    target: Tuple[Index, ...],
+    bindings: Optional[Bindings] = None,
+    *,
+    mode: str = "gemm",
+    semiring: str = "plus_times",
+    held: Tuple[int, ...] = (),
+) -> TermPlan:
+    """The :class:`TermPlan` of one flat term whose operands carry
+    ``indices``: the one place a term's kind is decided.
+
+    The ladder, first rung that applies: ``"sparse"`` when ``held``
+    names operands read through their stored entries; ``"gemm"`` for a
+    binary term :func:`~repro.kernels.lowering.lower_binary_term`
+    accepts (modes ``"gemm"`` and ``"native"``, ``plus_times`` only);
+    ``"copy"`` for one operand already in the output's order; the
+    cached-path ``"einsum"`` otherwise.  A native nest is an annotation
+    the caller puts on top (:func:`compile_kernel_plan`).
+    """
+    if held:
+        sparse = _lower_sparse_term(indices, target, held, bindings)
+        return TermPlan(coef, operands, "sparse", sparse=sparse)
+    if (
+        len(indices) == 2 and mode != "einsum"
+        and get_semiring(semiring).is_default
+    ):
+        gemm = lower_binary_term(indices[0], indices[1], sums, target)
+        if gemm is not None:
+            return TermPlan(coef, operands, "gemm", gemm=gemm)
+    if (
+        len(indices) == 1 and not sums
+        and tuple(indices[0]) == target and len(set(target)) == len(target)
+    ):
+        return TermPlan(coef, operands, "copy")
+    letters = einsum_letters(
+        sorted({i for ind in indices for i in ind} | set(target))
+    )
+    spec = (
+        ",".join("".join(letters[i] for i in ind) for ind in indices)
+        + "->" + "".join(letters[i] for i in target)
+    )
+    return TermPlan(coef, operands, "einsum", spec=spec)
 
 
 @dataclass(frozen=True)
@@ -597,7 +649,6 @@ def compile_kernel_plan(
 
         lower_native = lower_native_term
     stmt_plans: List[StatementPlan] = []
-    gemm_terms = einsum_terms = copy_terms = native_terms = sparse_terms = 0
     written: set = set()
     input_shapes: Dict[str, Tuple[int, ...]] = {}
     seed_shapes: Dict[str, Tuple[int, ...]] = {}
@@ -625,58 +676,19 @@ def compile_kernel_plan(
                 )
                 for ref in refs
             )
-            gemm = None
-            spec = None
-            sparse = None
-            if sparse_execution:
-                held = tuple(
-                    k for k, ref in enumerate(refs)
-                    if is_sparse_tensor(ref.tensor)
-                )
-                if held:
-                    sparse = _lower_sparse_term(refs, target, held, bindings)
-            if (
-                sparse is None and len(refs) == 2
-                and mode in ("gemm", "native") and sr.is_default
-            ):
-                gemm = lower_binary_term(
-                    refs[0].indices, refs[1].indices, sums, target
-                )
-            if sparse is not None:
-                kind = "sparse"
-                sparse_terms += 1
-            elif gemm is not None:
-                kind = "gemm"
-                gemm_terms += 1
-            elif (
-                len(refs) == 1
-                and not sums
-                and tuple(refs[0].indices) == target
-                and len(set(target)) == len(target)
-            ):
-                kind = "copy"
-                copy_terms += 1
-            else:
-                kind = "einsum"
-                einsum_terms += 1
-                all_indices = sorted(
-                    {i for ref in refs for i in ref.indices} | set(target)
-                )
-                letters = einsum_letters(all_indices)
-                subscripts = [
-                    "".join(letters[i] for i in ref.indices) for ref in refs
-                ]
-                out_sub = "".join(letters[i] for i in target)
-                spec = ",".join(subscripts) + "->" + out_sub
-            native = None
-            if lower_native is not None and kind in ("gemm", "einsum"):
-                native = lower_native(refs, sums, target, bindings,
-                                      semiring=semiring)
-                if native is not None:
-                    native_terms += 1
-            terms.append(
-                TermPlan(coef, operands, kind, gemm, spec, native, sparse)
+            held = tuple(
+                k for k, ref in enumerate(refs)
+                if sparse_execution and is_sparse_tensor(ref.tensor)
             )
+            term = lower_term(
+                coef, operands, [tuple(ref.indices) for ref in refs], sums,
+                target, bindings, mode=mode, semiring=semiring, held=held,
+            )
+            if lower_native is not None and term.kind in ("gemm", "einsum"):
+                term = replace(term, native=lower_native(
+                    refs, sums, target, bindings, semiring=semiring
+                ))
+            terms.append(term)
         if stmt.accumulate and stmt.result.name not in written:
             seed_shapes[stmt.result.name] = out_shape
         written.add(stmt.result.name)
@@ -713,11 +725,14 @@ def compile_kernel_plan(
     if fuse and mode == "native":
         fused_groups = _fuse_groups(stmt_plans)
         fused_statements = sum(g.stop - g.start for g in fused_groups)
+    every = [t for sp in stmt_plans for t in sp.terms]
+    kinds = Counter(t.kind for t in every)
     return KernelPlan(
-        tuple(stmt_plans), outputs, gemm_terms, einsum_terms, copy_terms,
-        mode, native_terms, fused_groups, fused_statements, semiring,
+        tuple(stmt_plans), outputs, kinds["gemm"], kinds["einsum"],
+        kinds["copy"], mode, sum(t.native is not None for t in every),
+        fused_groups, fused_statements, semiring,
         tuple(input_shapes.items()), tuple(seed_shapes.items()),
-        sparse_terms,
+        kinds["sparse"],
     )
 
 
@@ -730,6 +745,125 @@ def _contiguous(ops, dtype) -> List[np.ndarray]:
         else np.ascontiguousarray(op, dtype=dtype)
         for op in ops
     ]
+
+
+def _accumulate(out, value, coef: float, first: bool, sr: Semiring,
+                arena: BufferArena) -> None:
+    """Fold ``coef * value`` into ``out`` (overwrite it when ``first``)."""
+    if not sr.is_default:
+        # coefficient-1 contract (enforced at plan compile time):
+        # folding is a pure semiring reduce into the buffer
+        if first:
+            np.copyto(out, value)
+        else:
+            sr.np_reduce(out, value, out=out)
+        return
+    if first:
+        if coef == 1.0:
+            np.copyto(out, value)
+        else:
+            np.multiply(value, coef, out=out)
+    elif coef == 1.0:
+        np.add(out, value, out=out)
+    elif coef == -1.0:
+        np.subtract(out, value, out=out)
+    else:
+        scratch = arena.take(out.shape, out.dtype)
+        try:
+            np.multiply(value, coef, out=scratch)
+            np.add(out, scratch, out=out)
+        finally:
+            arena.release(scratch)
+
+
+def _exec_sparse(term: TermPlan, ops, out, first: bool, sr: Semiring) -> None:
+    """One sparse step (:class:`SparseSpec`): join, gather, combine and
+    reduce with one einsum over the rows, scatter-reduce into ``out``
+    with the semiring's reduce ``ufunc.at``."""
+    spec = term.sparse
+    if first:
+        out.fill(sr.zero)
+    cols, vals = _join(spec, ops, sr)
+    if not len(vals):
+        return
+    if spec.spec is not None:
+        dense = list(ops)
+        for k, perm, ids in spec.gathers:
+            dense[k] = ops[k].transpose(perm)[tuple(cols[n] for n in ids)]
+        gathered = {k for k, _, _ in spec.gathers}
+        read = [k for k in range(len(ops)) if k not in spec.sparse]
+        # the path is planned at the most rows the bound indices
+        # admit, so the row count never enters the path cache's key
+        most = math.prod(
+            spec.extents[n]
+            for n in {n for k in spec.sparse for n in spec.axes[k]}
+        )
+        vals = cached_einsum(
+            spec.spec, vals, *(dense[k] for k in read),
+            semiring=sr.name,
+            plan_shapes=[(most,)] + [
+                (most,) + dense[k].shape[1:] if k in gathered
+                else dense[k].shape
+                for k in read
+            ],
+        )
+    if term.coef != 1.0:
+        vals = vals * term.coef
+    if spec.out_bound:
+        sr.np_reduce.at(
+            out.transpose(spec.out_perm),
+            tuple(cols[n] for n in spec.out_bound),
+            vals,
+        )
+    else:
+        sr.np_reduce(out, vals, out=out)
+
+
+def exec_term(
+    term: TermPlan,
+    ops: Sequence[np.ndarray],
+    out: np.ndarray,
+    first: bool,
+    sr: Semiring,
+    arena: BufferArena,
+    nest: Optional[Callable] = None,
+) -> None:
+    """Fold one term over its operand arrays ``ops`` into ``out``
+    (overwriting it when ``first``) under ``sr``, scratch from
+    ``arena``: the term executor of :class:`KernelRunner` and of the
+    SPMD rank programs (:mod:`repro.parallel.spmd`).  ``nest``, the
+    term's compiled nest for a C-contiguous ``out``, runs instead of
+    its numpy ``kind`` when given."""
+    if term.kind == "sparse":
+        _exec_sparse(term, ops, out, first, sr)
+    elif nest is not None:
+        if first:
+            # the nest only ever reduces into the buffer; seed it with
+            # the algebra's identity element
+            out.fill(sr.zero)
+        nest(term.coef, _contiguous(ops, out.dtype), out)
+    elif term.kind == "gemm":
+        direct = out if first and term.coef == 1.0 else None
+        value, live = exec_gemm_arena(
+            ops[0], ops[1], term.gemm, arena, out=direct
+        )
+        try:
+            if value is not out:
+                _accumulate(out, value, term.coef, first, sr, arena)
+        finally:
+            for buf in live:
+                arena.release(buf)
+    elif term.kind == "copy":
+        _accumulate(out, ops[0], term.coef, first, sr, arena)
+    elif first and term.coef == 1.0:  # einsum fallback (cached path)
+        cached_einsum(term.spec, *ops, out=out, semiring=sr.name)
+    else:
+        scratch = arena.take(out.shape, out.dtype)
+        try:
+            cached_einsum(term.spec, *ops, out=scratch, semiring=sr.name)
+            _accumulate(out, scratch, term.coef, first, sr, arena)
+        finally:
+            arena.release(scratch)
 
 
 class KernelRunner:
@@ -852,33 +986,7 @@ class KernelRunner:
             for op in term.operands
         ]
 
-    # -- term execution ----------------------------------------------------
-
-    def _accumulate(self, out, value, coef: float, first: bool) -> None:
-        if not self._sr.is_default:
-            # coefficient-1 contract (enforced at plan compile time):
-            # folding is a pure semiring reduce into the buffer
-            if first:
-                np.copyto(out, value)
-            else:
-                self._sr.np_reduce(out, value, out=out)
-            return
-        if first:
-            if coef == 1.0:
-                np.copyto(out, value)
-            else:
-                np.multiply(value, coef, out=out)
-        elif coef == 1.0:
-            np.add(out, value, out=out)
-        elif coef == -1.0:
-            np.subtract(out, value, out=out)
-        else:
-            scratch = self.arena.take(out.shape, out.dtype)
-            try:
-                np.multiply(value, coef, out=scratch)
-                np.add(out, scratch, out=out)
-            finally:
-                self.arena.release(scratch)
+    # -- compiled kernels --------------------------------------------------
 
     def _compiled(
         self, owner, spec, dtype, what: str, fallback: str
@@ -916,89 +1024,6 @@ class KernelRunner:
             term, term.native, np.float64, "native nest",
             f"term falls back to the {term.kind} path",
         )
-
-    def _exec_sparse(self, term: TermPlan, out, ops, first: bool) -> None:
-        """One sparse step (:class:`SparseSpec`): join, gather, combine
-        and reduce with one einsum over the rows, scatter-reduce into
-        ``out`` with the semiring's reduce ``ufunc.at``."""
-        spec, sr = term.sparse, self._sr
-        if first:
-            out.fill(sr.zero)
-        cols, vals = _join(spec, ops, sr)
-        if not len(vals):
-            return
-        if spec.spec is not None:
-            dense = list(ops)
-            for k, perm, ids in spec.gathers:
-                dense[k] = ops[k].transpose(perm)[tuple(cols[n] for n in ids)]
-            gathered = {k for k, _, _ in spec.gathers}
-            read = [k for k in range(len(ops)) if k not in spec.sparse]
-            # the path is planned at the most rows the bound indices
-            # admit, so the row count never enters the path cache's key
-            most = math.prod(
-                spec.extents[n]
-                for n in {n for k in spec.sparse for n in spec.axes[k]}
-            )
-            vals = cached_einsum(
-                spec.spec, vals, *(dense[k] for k in read),
-                semiring=sr.name,
-                plan_shapes=[(most,)] + [
-                    (most,) + dense[k].shape[1:] if k in gathered
-                    else dense[k].shape
-                    for k in read
-                ],
-            )
-        if term.coef != 1.0:
-            vals = vals * term.coef
-        if spec.out_bound:
-            sr.np_reduce.at(
-                out.transpose(spec.out_perm),
-                tuple(cols[n] for n in spec.out_bound),
-                vals,
-            )
-        else:
-            sr.np_reduce(out, vals, out=out)
-
-    def _exec_term(self, term: TermPlan, out, env, arrays, funcs, first: bool):
-        ops = self._operands(term, env, arrays, funcs)
-        if term.kind == "sparse":
-            self._exec_sparse(term, out, ops, first)
-            return
-        fn = self._nest(term) if out.flags.c_contiguous else None
-        if fn is not None:
-            if first:
-                # the nest only ever reduces into the buffer; seed it
-                # with the algebra's identity element
-                out.fill(self._sr.zero)
-            fn(term.coef, _contiguous(ops, out.dtype), out)
-            return
-        if term.kind == "gemm":
-            # a first coefficient-1 product in the output's own order is
-            # written straight into ``out``; anything else is folded
-            direct = out if first and term.coef == 1.0 else None
-            value, live = exec_gemm_arena(
-                ops[0], ops[1], term.gemm, self.arena, out=direct
-            )
-            try:
-                if value is not out:
-                    self._accumulate(out, value, term.coef, first)
-            finally:
-                for buf in live:
-                    self.arena.release(buf)
-        elif term.kind == "copy":
-            self._accumulate(out, ops[0], term.coef, first)
-        else:  # einsum fallback (cached contraction path)
-            if first and term.coef == 1.0:
-                cached_einsum(term.spec, *ops, out=out,
-                              semiring=self._sr.name)
-            else:
-                scratch = self.arena.take(out.shape, out.dtype)
-                try:
-                    cached_einsum(term.spec, *ops, out=scratch,
-                                  semiring=self._sr.name)
-                    self._accumulate(out, scratch, term.coef, first)
-                finally:
-                    self.arena.release(scratch)
 
     # -- statement/sequence execution --------------------------------------
 
@@ -1091,7 +1116,11 @@ class KernelRunner:
             out, first = self._acquire(sp, env, arrays, pending)
             outs = [out]
             for term in sp.terms:
-                self._exec_term(term, out, env, arrays, funcs, first)
+                exec_term(
+                    term, self._operands(term, env, arrays, funcs), out,
+                    first, self._sr, self.arena,
+                    self._nest(term) if out.flags.c_contiguous else None,
+                )
                 first = False
         else:
             outs = [self._acquire(sp, env, arrays, pending)[0] for sp in sps]

@@ -33,15 +33,17 @@ stand-in for ``mpiexec`` (see the mpi4py substitution note in
 DESIGN.md).
 
 Local arithmetic is the cost model's: a product and the partial sums
-directly above it are **one** ``contract`` step, emitted through the
-ladder :func:`repro.kernels.plan.compile_kernel_plan` uses for a binary
-term -- :func:`~repro.kernels.lowering.lower_binary_term` ->
-``exec_gemm`` with the :class:`~repro.kernels.lowering.GemmSpec` fields
-as literals under ``plus_times``, ``cached_einsum(spec, ...,
-semiring=...)`` where that lowering declines or the algebra is not
-``(+, x)`` -- so no rank's ``state`` ever holds a block of higher rank
-than the step's operands and result, and under ``plus_times`` the joint
-block is never formed at all.
+directly above it are **one** ``contract`` step, and a multi-term
+combine is one ``fold`` step.  Both are terms as the kernel plan knows
+them: each is lowered by :func:`repro.kernels.plan.lower_term` exactly
+as :func:`~repro.kernels.plan.compile_kernel_plan` lowers it in GEMM
+mode (a product to GEMM under ``plus_times``, the semiring-aware einsum
+where that declines or the algebra is not ``(+, x)``; a fold operand to
+a ``copy`` term), written into the program's header as a literal, and
+run by :func:`~repro.kernels.plan.exec_term` into a C-ordered block the
+step allocates.  So no rank's ``state`` ever holds a block of higher
+rank than the step's operands and result, under ``plus_times`` the
+joint block is never formed at all, and the text stays self-contained.
 
 Communication patterns match the cost model exactly:
 
@@ -551,8 +553,7 @@ def emit_rank_program(
     semiring: str = "plus_times",
 ) -> str:
     """The source text of the rank program running ``steps``."""
-    from repro.expr.indices import einsum_letters
-    from repro.kernels.lowering import lower_binary_term
+    from repro.kernels.plan import OperandSpec, lower_term
     from repro.semiring import get_semiring
 
     sr = get_semiring(semiring)
@@ -563,7 +564,6 @@ def emit_rank_program(
         # a plan that never communicates has no other `yield`
         "    yield from ()  # a rank program is always a generator",
     ]
-    kernels = set()  # import lines of the contraction kernels called
 
     def ext(indices) -> Tuple[int, ...]:
         return tuple(i.extent(bindings) for i in indices)
@@ -584,6 +584,32 @@ def emit_rank_program(
         )
         emit("else:")
         emit(f"    {target} = (None, None)")
+
+    terms: List[str] = []  # the header's literals of the lowered terms
+
+    def emit_terms(step: Step, knum: int, oind, gamma, lowered) -> None:
+        """``step`` folds the terms ``lowered`` -- ``(coefficient,
+        operand variables, their indices, summed indices)`` each -- into
+        a fresh block of the rank's region of ``oind`` under ``gamma``
+        (module docstring: "Local arithmetic")."""
+        opos, osingle, _ = _dist_meta(gamma, oind)
+        emit(f"if holds(rank, {osingle!r}):")
+        emit(f"    _box = region(rank, {opos!r}, {ext(oind)!r}, GRID)")
+        emit("    _blk = np.empty(tuple(hi - lo for lo, hi in _box))")
+        for k, (coef, reads, indices, sums) in enumerate(lowered):
+            term = lower_term(
+                coef, tuple(OperandSpec(var) for var in reads), indices,
+                frozenset(sums), tuple(oind), bindings, semiring=semiring,
+            )
+            terms.append(f"TERM{knum}_{k} = {term!r}")
+            ops = ", ".join(f"state[{var!r}][1]" for var in reads)
+            emit(
+                f"    exec_term(TERM{knum}_{k}, [{ops}], _blk, {k == 0}, "
+                "SEMIRING, ARENA)"
+            )
+        emit(f"    state[{step.out!r}] = (_box, _blk)")
+        emit("else:")
+        emit(f"    state[{step.out!r}] = (None, None)")
 
     #: receive halves of the moves in flight, by the value each binds
     landing: Dict[str, List[str]] = {}
@@ -670,40 +696,11 @@ def emit_rank_program(
 
         elif step.kind == "contract":
             lvar, lind, rvar, rind, sums, oind, gamma = step.args
-            opos, osingle, _ = _dist_meta(gamma, oind)
-            operands = f"state[{lvar!r}][1], state[{rvar!r}][1]"
-            # the ladder compile_kernel_plan uses for a binary term
-            gemm = (
-                lower_binary_term(lind, rind, frozenset(sums), oind)
-                if sr.is_default
-                else None
-            )
-            if gemm is not None:
-                fields = ", ".join(
-                    f"{k}={v!r}" for k, v in vars(gemm).items()
-                )
-                call = f"exec_gemm({operands}, {fields})"
-                kernels.add("from repro.kernels.lowering import exec_gemm")
-            else:
-                letters = einsum_letters(sorted(set(lind) | set(rind)))
-                spec = "{},{}->{}".format(
-                    *("".join(letters[i] for i in ind)
-                      for ind in (lind, rind, oind))
-                )
-                call = (
-                    f"cached_einsum({spec!r}, {operands}, "
-                    f"semiring={semiring!r})"
-                )
-                kernels.add(
-                    "from repro.kernels.einsum_cache import cached_einsum"
-                )
             over = ",".join(i.name for i in sums) or "nothing"
             emit(f"# step {knum}: local contraction over {over} under {gamma}")
-            emit(f"if holds(rank, {osingle!r}):")
-            emit(f"    _box = region(rank, {opos!r}, {ext(oind)!r}, GRID)")
-            emit(f"    state[{step.out!r}] = (_box, {call})")
-            emit("else:")
-            emit(f"    state[{step.out!r}] = (None, None)")
+            emit_terms(step, knum, oind, gamma, [
+                (1.0, (lvar, rvar), (lind, rind), sums)
+            ])
 
         elif step.kind == "partial":
             cvar, cind, sidx, oind, gamma = step.args
@@ -765,26 +762,11 @@ def emit_rank_program(
 
         elif step.kind == "fold":
             operands, coefs, oind, base = step.args
-            opos, osingle, _ = _dist_meta(base, oind)
             emit(f"# step {knum}: fold {len(operands)} terms under {base}")
-            emit(f"if holds(rank, {osingle!r}):")
-            emit(f"    _box = region(rank, {opos!r}, {ext(oind)!r}, GRID)")
-            # the reference executor's fold, term for term
-            emit(
-                "    _blk = np.full(tuple(hi - lo for lo, hi in _box), "
-                f"float({str(sr.zero)!r}))"
-            )
-            for var, coef in zip(operands, coefs):
-                if sr.is_default:
-                    emit(f"    _blk = _blk + {coef!r} * state[{var!r}][1]")
-                else:
-                    emit(
-                        f"    _blk = np.{sr.reduce_ufunc}"
-                        f"(_blk, state[{var!r}][1])"
-                    )
-            emit(f"    state[{step.out!r}] = (_box, _blk)")
-            emit("else:")
-            emit(f"    state[{step.out!r}] = (None, None)")
+            # each operand is a copy term of the statement
+            emit_terms(step, knum, oind, base, [
+                (coef, (var,), (oind,), ()) for var, coef in zip(operands, coefs)
+            ])
 
         elif step.kind == "result":
             indices, dist, perm = step.args
@@ -800,14 +782,21 @@ def emit_rank_program(
         "# branching on its own grid coordinates; `yield` ends a",
         "# communication round (the bulk-synchronous superstep).",
         "import numpy as np",
-        *sorted(kernels),
+        "from repro.kernels.arena import BufferArena",
+        "from repro.kernels.lowering import GemmSpec",
+        "from repro.kernels.plan import OperandSpec, TermPlan, exec_term",
         "from repro.parallel.spmd_runtime import (",
         "    region, holds, canonical_sender, box_intersect, box_empty,",
         "    box_difference, take, paste, extract,",
         ")",
+        "from repro.semiring import get_semiring",
         "",
         f"GRID = {tuple(grid.dims)!r}",
         f"RANKS = {ranks!r}",
+        f"SEMIRING = get_semiring({semiring!r})",
+        "# rank blocks are C-ordered and nothing is pooled between steps",
+        "ARENA = BufferArena(enabled=False)",
+        *terms,
         "",
     ]
     return "\n".join(header + L) + "\n"

@@ -9,7 +9,6 @@ and path-cache paths must be **bit-for-bit** equal to the uncached
 reference.
 """
 
-import dataclasses
 import math
 import pickle
 import threading
@@ -35,10 +34,10 @@ from repro.kernels import (
     clear_einsum_path_cache,
     compile_kernel_plan,
     einsum_path_cache_stats,
-    exec_gemm,
     lower_binary_term,
 )
 from repro.kernels import lowering
+from repro.kernels import plan as kernel_plan
 from repro.kernels.lowering import exec_gemm_arena
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.errors import ShapeError, SpecError
@@ -51,6 +50,12 @@ COMMON = dict(
 
 #: documented GEMM-vs-einsum tolerance (sum regrouping only)
 RTOL, ATOL = 1e-12, 1e-12
+
+
+def _gemm(a, b, spec):
+    """``spec`` on ``a`` and ``b``, allocating per call (a C-ordered
+    product, the arena form with an arena that pools nothing)."""
+    return exec_gemm_arena(a, b, spec, BufferArena(enabled=False))[0]
 
 
 def _indices(extents):
@@ -106,66 +111,16 @@ class TestGemmLowering:
         a = rng.standard_normal([i.extent() for i in left])
         b = rng.standard_normal([i.extent() for i in right])
         want = _oracle(left, right, out, a, b)
-        got = exec_gemm(
-            a, b,
-            lred=spec.lred, rred=spec.rred,
-            lperm=spec.lperm, rperm=spec.rperm,
-            nb=spec.nb, nm=spec.nm, nk=spec.nk, nn=spec.nn,
-            operm=spec.operm,
-        )
+        got = _gemm(a, b, spec)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
-
-    @settings(max_examples=60, **COMMON)
-    @given(term=binary_terms(), seed=st.integers(0, 2**16))
-    def test_exec_gemm_is_the_arena_executor_without_an_arena(
-        self, term, seed
-    ):
-        """One executor: the keyword form rank programs call returns the
-        arena form's bits, and shares no arena between callers -- two
-        threads at once would trip a shared arena's thread guard."""
-        left, right, out = term
-        sums = frozenset(set(left) | set(right)) - set(out)
-        spec = lower_binary_term(left, right, sums, out)
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal([i.extent() for i in left])
-        b = rng.standard_normal([i.extent() for i in right])
-        arena = BufferArena()
-        want, live = exec_gemm_arena(a, b, spec, arena)
-        got = [None, None]
-        start = threading.Barrier(2)
-
-        def call(slot):
-            start.wait(timeout=10)
-            try:
-                for _ in range(20):
-                    got[slot] = exec_gemm(a, b, **dataclasses.asdict(spec))
-            except Exception as exc:  # noqa: BLE001 - reported below
-                got[slot] = exc
-
-        threads = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        for value in got:
-            assert isinstance(value, np.ndarray), value
-            assert np.array_equal(value, want)
-        for buf in live:
-            arena.release(buf)
-        assert arena.outstanding == 0
 
     def test_scalar_result(self):
         i, j = _indices([3, 4])
         spec = lower_binary_term((i, j), (i, j), frozenset({i, j}), ())
         a = np.arange(12.0).reshape(3, 4)
         b = np.ones((3, 4))
-        got = exec_gemm(
-            a, b, lred=spec.lred, rred=spec.rred, lperm=spec.lperm,
-            rperm=spec.rperm, nb=spec.nb, nm=spec.nm, nk=spec.nk,
-            nn=spec.nn, operm=spec.operm,
-        )
+        got = _gemm(a, b, spec)
         assert got.shape == ()
         assert got == pytest.approx(a.sum())
 
@@ -174,11 +129,7 @@ class TestGemmLowering:
         spec = lower_binary_term((i,), (j,), frozenset(), (i, j))
         a = np.arange(3.0)
         b = np.arange(4.0)
-        got = exec_gemm(
-            a, b, lred=spec.lred, rred=spec.rred, lperm=spec.lperm,
-            rperm=spec.rperm, nb=spec.nb, nm=spec.nm, nk=spec.nk,
-            nn=spec.nn, operm=spec.operm,
-        )
+        got = _gemm(a, b, spec)
         np.testing.assert_allclose(got, np.outer(a, b), rtol=RTOL)
 
     def test_single_operand_reduction(self):
@@ -188,11 +139,7 @@ class TestGemmLowering:
         assert spec.lred == (1,)
         a = np.random.default_rng(0).standard_normal((3, 5))
         b = np.random.default_rng(1).standard_normal((3, 4))
-        got = exec_gemm(
-            a, b, lred=spec.lred, rred=spec.rred, lperm=spec.lperm,
-            rperm=spec.rperm, nb=spec.nb, nm=spec.nm, nk=spec.nk,
-            nn=spec.nn, operm=spec.operm,
-        )
+        got = _gemm(a, b, spec)
         np.testing.assert_allclose(
             got, np.einsum("ik,ij->j", a, b), rtol=RTOL, atol=ATOL
         )
@@ -352,23 +299,23 @@ class TestKernelPlan:
         inputs = random_inputs(prog, None, seed=0)
         want = runner.run(inputs, copy=True)["R"]
 
-        original = runner._exec_term
+        original = kernel_plan.exec_term
         calls = {"n": 0}
 
-        def failing(term, out, env, ins, funcs, first):
+        def failing(*args):
             calls["n"] += 1
             if calls["n"] > 1:  # fail inside a later statement
                 raise RuntimeError("injected kernel failure")
-            return original(term, out, env, ins, funcs, first)
+            return original(*args)
 
         baseline = runner.arena.outstanding
-        runner._exec_term = failing
-        with pytest.raises(RuntimeError, match="injected"):
-            runner.run(inputs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_plan, "exec_term", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                runner.run(inputs)
         assert runner.arena.outstanding == baseline  # nothing leaked
 
         # the runner stays fully usable after a caught failure
-        runner._exec_term = original
         got = runner.run(inputs)["R"]
         np.testing.assert_array_equal(got, want)
         assert runner.arena.outstanding == baseline
@@ -409,9 +356,10 @@ def bad_input_run(runner, tensor, value):
     def entered(*args, **kwargs):
         raise AssertionError("a kernel step ran on unchecked inputs")
 
-    runner._exec_term = entered
-    with pytest.raises((ShapeError, SpecError)) as caught:
-        runner.run(inputs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_plan, "exec_term", entered)
+        with pytest.raises((ShapeError, SpecError)) as caught:
+            runner.run(inputs)
     return caught.value
 
 
@@ -769,7 +717,7 @@ def _count_copies(runner, monkeypatch):
     packs, folds = Counter(), Counter()
     current = []
     step, pack, accumulate = (
-        runner._run_step, lowering._pack, runner._accumulate
+        runner._run_step, lowering._pack, kernel_plan._accumulate
     )
 
     def run_step(group, sps, *args):
@@ -785,7 +733,7 @@ def _count_copies(runner, monkeypatch):
         return accumulate(*args)
 
     runner._run_step = run_step
-    runner._accumulate = counting_accumulate
+    monkeypatch.setattr(kernel_plan, "_accumulate", counting_accumulate)
     monkeypatch.setattr(lowering, "_pack", counting_pack)
     return packs, folds
 

@@ -343,6 +343,16 @@ class TestVectorUnit:
             assert nest_schedule(self.T1, unit, "float").strip == 2 * strip
         assert "acc3[16]" in c_source(self.T1)  # the 256-bit default
 
+    def test_a_panel_row_is_clipped_to_the_vector_extent(self):
+        """Fig. 1's ``S`` nest at 512 bits: the 32-double strip covers a
+        vector loop 8 wide, so each panel row holds 8 doubles -- 2048 in
+        the panel, all of them written, not 8192 declared."""
+        S = _spec((32, 32, 8, 8, 32, 8), 4, [(0, 4, 2, 5), (1, 4, 3, 5)])
+        sched = nest_schedule(S, UNITS[2])
+        assert (sched.strip, sched.packed) == (32, (1,))
+        src = c_source(S, unit=UNITS[2])
+        assert " p1[2048] " in src and "8192" not in src
+
     @needs_cc
     def test_stub_units_choose_different_tiles_and_keys(self, monkeypatch):
         engine = NativeEngine(backend="cc")

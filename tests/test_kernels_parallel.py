@@ -361,7 +361,7 @@ class TestEmission:
         """``PACK_LIMIT`` is per kernel: members' panels add up in
         statement order, and the member that would pass the limit is
         rendered plain, as a lone nest over it is."""
-        member = _spec((4, 8, 70, 70, 70), 2, [(0, 2, 3, 4), (1, 2, 4, 3)])
+        member = _spec((4, 16, 70, 70, 70), 2, [(0, 2, 3, 4), (1, 2, 4, 3)])
         fspec = FusedSpec(
             nout=2, out_extents=(4, 8), members=(member, member),
             out_slots=(0, 1), nslots=2,

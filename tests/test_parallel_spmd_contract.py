@@ -21,6 +21,7 @@ import pytest
 
 from repro.chem.workloads import ccsd_doubles_program
 from repro.engine.executor import random_inputs, run_statements
+from repro.kernels import KernelRunner, compile_kernel_plan
 from repro.expr.parser import parse_program
 from repro.parallel.commcost import plan_traffic
 from repro.parallel.grid import ProcessorGrid
@@ -150,16 +151,25 @@ class TestSchedule:
         assert len(sums) == 2 and sums[0] == () and len(sums[1]) == 2
 
     def test_emitted_kernel_is_the_ladder(self):
-        _, _, plan = build("matmul", (2,))
-        gemm = generate_spmd_source(plan)
-        assert "exec_gemm(" in gemm and "cached_einsum" not in gemm
-        tropical = generate_spmd_source(plan, semiring="min_plus")
-        assert "semiring='min_plus'" in tropical
-        assert "exec_gemm" not in tropical
-        _, _, plan = build("repeated_index", (2,))
-        declined = generate_spmd_source(plan)
-        assert "cached_einsum(" in declined and "exec_gemm" not in declined
-        for text in (gemm, tropical, declined):
+        """The rank's term is the kernel plan's: the same lowering, a
+        literal of the emitted text, run by the plan's term executor."""
+        for case, semiring, kind in [
+            ("matmul", "plus_times", "gemm"),
+            ("matmul", "min_plus", "einsum"),
+            ("repeated_index", "plus_times", "einsum"),
+        ]:
+            _, stmt, plan = build(case, (2,))
+            text = generate_spmd_source(plan, semiring=semiring)
+            namespace = {}
+            exec(text, namespace)
+            (rank,) = [
+                v for k, v in namespace.items() if k.startswith("TERM")
+            ]
+            (term,) = compile_kernel_plan(
+                [stmt], mode="gemm", semiring=semiring
+            ).statements[0].terms
+            assert rank.kind == term.kind == kind, (case, semiring)
+            assert "exec_term(" in text
             assert "broadcast_to_axes" not in text
 
 
@@ -178,6 +188,24 @@ class TestAgainstOracle:
             np.testing.assert_allclose(
                 run.result, want, rtol=PLUS_TIMES_RTOL, atol=0
             )
+
+
+class TestOneRankIsTheKernelPlan:
+    @pytest.mark.parametrize("semiring", available_semirings())
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_spmd_on_one_rank_equals_kernel_runner(self, case, semiring):
+        """One rank runs the term the kernel plan runs, so on a grid of
+        one the two agree bit for bit under every algebra."""
+        prog, stmt, plan = build(case, (1,))
+        arrays = inputs(prog, 15)
+        run = run_spmd(plan, arrays, semiring=semiring)
+        runner = KernelRunner(
+            compile_kernel_plan([stmt], mode="gemm", semiring=semiring)
+        )
+        want = runner.run(arrays)[stmt.result.name]
+        declared = list(stmt.result.indices)
+        want = np.transpose(want, [declared.index(i) for i in sorted(declared)])
+        assert np.array_equal(run.result, want)
 
 
 class TestDriverParity:

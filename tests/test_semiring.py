@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.codegen.cgen import NEST_IR_VERSION, render_nest_ir
 from repro.kernels import artifact_key, compile_kernel_plan
-from repro.kernels.lowering import exec_gemm, lower_binary_term
+from repro.kernels.lowering import lower_binary_term
 from repro.pipeline import SynthesisConfig, synthesize
 from repro.robustness.errors import ReproError, SpecError
 from repro.runtime.plan_cache import PlanCache, plan_key
@@ -130,14 +130,6 @@ class TestGemmGuard:
                 semiring="min_plus",
             )
         assert "plus_times" in str(info.value)
-
-    def test_exec_gemm_declines(self):
-        a = np.ones((2, 2))
-        with pytest.raises(ReproError):
-            exec_gemm(
-                a, a, lred=(), rred=(), lperm=(0, 1), rperm=(0, 1),
-                nb=1, nm=2, nk=2, nn=2, operm=(0, 1), semiring="or_and",
-            )
 
     def test_plan_never_routes_nondefault_to_gemm(self):
         result = synthesize(
@@ -326,7 +318,7 @@ class TestKeySeparation:
             ]
             assert spec is not None
             irs[name] = render_nest_ir(spec)
-        assert NEST_IR_VERSION == "nest-ir v5"
+        assert NEST_IR_VERSION == "nest-ir v6"
         assert "semiring=plus_times" in irs["plus_times"]
         assert "semiring=min_plus" in irs["min_plus"]
         keys = {
